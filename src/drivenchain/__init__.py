@@ -14,8 +14,7 @@ from .config import ResolvedRun, RunConfig, load_config, resolve
 from .device import DeviceTable, bundled_table_path, consistency_report, load_device_table
 from .ensemble import EnsembleResult, run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
-from .hamiltonian import (HamiltonianSnapshot, SectorModel, diagonal_at,
-                          hamiltonian_at, hopping_matrix)
+from .hamiltonian import SectorModel, hopping_matrix
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
                     build_potential, cosine_profile, frequency_at,
                     resonance_drive_frequency, sample_disorder)

@@ -4,10 +4,11 @@ Subcommands cover the five pipelines: single-shot dynamics, the disorder
 ensemble, pooled quasienergy statistics, the semiclassical stability grid,
 and the undriven potential contours, plus a device-table checker.  Every
 run writes CSV data files and a JSON manifest (config, seeds, output
-hashes); data files are byte-identical for identical config and seed, and
-independent of the worker count.
+hashes); data files are byte-identical for identical config and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
+failed disorder realization exits by its cause and records its
+``realization_index`` in the manifest.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import __version__
 from .config import ResolvedRun, RunConfig, load_config, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
-from .ensemble import (realization_seed, run_dynamics_ensemble,
-                       run_spectrum_ensemble)
+from .ensemble import (RealizationError, realization_seed,
+                       run_dynamics_ensemble, run_spectrum_ensemble)
 from .errors import ConfigError, NumericalError
 from .model import sample_disorder
 from .basis import fock_state
@@ -330,6 +331,12 @@ _COMMANDS = {
 }
 
 
+def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> int:
+    print(f"{label}: {exc}", file=sys.stderr)
+    manifest.finish("failed", str(exc))
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out: Path = args.out
@@ -339,9 +346,7 @@ def main(argv=None) -> int:
         try:
             cmd_device_check(args.table, out, manifest)
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            manifest.finish("failed", str(exc))
-            return 2
+            return _fail(manifest, "config error", exc, 2)
         manifest.finish("success")
         return 0
 
@@ -349,22 +354,24 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         run = resolve(config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        ManifestWriter(out, args.command, None).finish("failed", str(exc))
-        return 2
+        return _fail(ManifestWriter(out, args.command, None), "config error",
+                     exc, 2)
 
     manifest = ManifestWriter(out, args.command, config)
     try:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](run, out, manifest)
+    except RealizationError as exc:
+        manifest.extra(realization_index=exc.realization_index)
+        if isinstance(exc.__cause__, ConfigError):
+            return _fail(manifest, "config error", exc, 2)
+        if isinstance(exc.__cause__, NumericalError):
+            return _fail(manifest, "numerical failure", exc, 3)
+        raise
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        manifest.finish("failed", str(exc))
-        return 2
+        return _fail(manifest, "config error", exc, 2)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        manifest.finish("failed", str(exc))
-        return 3
+        return _fail(manifest, "numerical failure", exc, 3)
     manifest.finish("success")
     return 0
 

@@ -1,27 +1,26 @@
 """Disorder-ensemble runners: dynamics averages and pooled spectral statistics.
 
-Realizations are independent work items dispatched to a thread pool; the
-aggregation is an ordered fold over realization index after all workers
-finish, so results are a pure function of (model, disorder spec) and do not
-depend on worker count or completion order.  Any failure aborts the whole
-ensemble and names the realization that caused it.
+All R realizations are propagated as one block by the batched functions of
+:mod:`drivenchain.propagate`; aggregation is an ordered fold over
+realization index, so results are a pure function of (model, disorder spec)
+and equal, bit for bit, what the single-realization functions give for each
+realization.  Any failure aborts the whole ensemble and names the first
+realization that failed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import fock_state
+from .errors import NumericalError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorder
-from .propagate import evolve_state, floquet_operator
+from .propagate import evolve_states, floquet_operators
 from .spectrum import RatioSample, gap_ratios, quasienergies
-
-WORKER_ENV_VAR = "DRIVENCHAIN_WORKERS"
 
 
 class RealizationError(RuntimeError):
@@ -39,27 +38,24 @@ def realization_seed(master_seed: int, realization_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def worker_count(requested=None, n_items: int = 1) -> int:
-    if requested is None:
-        env = os.environ.get(WORKER_ENV_VAR)
-        requested = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(int(requested), n_items))
+@contextmanager
+def _failures_named(index: int = 0):
+    """Re-raise a failure as a RealizationError.
+
+    A batched check names its own realization; an input that every
+    realization rejects fails the first one, ``index``.
+    """
+    try:
+        yield
+    except (NumericalError, ValueError) as exc:
+        named = getattr(exc, "realization_index", None)
+        raise RealizationError(index if named is None else named, exc) from exc
 
 
-def _map_realizations(func, disorder: DisorderSpec, workers):
-    count = disorder.realization_count
-    n_workers = worker_count(workers, count)
-
-    def guarded(idx):
-        try:
-            return func(idx)
-        except Exception as exc:
-            raise RealizationError(idx, exc) from exc
-
-    if n_workers == 1:
-        return [guarded(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(guarded, range(count)))
+def _realizations(model: SectorModel, disorder: DisorderSpec) -> list:
+    return [model.with_potential(model.potential.with_overlay(
+        sample_disorder(disorder, idx)))
+        for idx in range(disorder.realization_count)]
 
 
 @dataclass(frozen=True)
@@ -79,37 +75,30 @@ class EnsembleResult:
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
                           initial_site: int, t_samples, step: float,
-                          keep_realizations: bool = False,
-                          workers=None) -> EnsembleResult:
+                          keep_realizations: bool = False) -> EnsembleResult:
     """Mean populations over R disorder realizations of one initial state."""
     psi0 = fock_state(model.basis, initial_site)
-
-    def one(idx: int):
-        offsets = sample_disorder(disorder, idx)
-        realization = model.with_potential(model.potential.with_overlay(offsets))
-        trajectory = evolve_state(realization, psi0, t_samples, step)
-        pops = np.abs(trajectory.amplitudes) ** 2 @ model.basis.states
-        return trajectory.times, np.asarray(pops, dtype=float)
-
-    results = _map_realizations(one, disorder, workers)
-    times = results[0][0]
-    stack = np.stack([pops for _, pops in results])
+    models = _realizations(model, disorder)
+    with _failures_named():
+        trajectories = evolve_states(models, psi0, t_samples, step)
+    stack = np.stack([np.abs(traj.amplitudes) ** 2 @ model.basis.states
+                      for traj in trajectories])
     seeds = tuple(realization_seed(disorder.master_seed, i)
                   for i in range(disorder.realization_count))
     return EnsembleResult(
-        disorder.realization_count, seeds, times, stack.mean(axis=0),
+        disorder.realization_count, seeds, trajectories[0].times,
+        stack.mean(axis=0),
         per_realization=tuple(stack) if keep_realizations else ())
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          steps_per_period: int = 256,
-                          workers=None) -> RatioSample:
+                          steps_per_period: int = 256) -> RatioSample:
     """Pooled quasienergy gap ratios over R disorder realizations."""
-
-    def one(idx: int):
-        offsets = sample_disorder(disorder, idx)
-        realization = model.with_potential(model.potential.with_overlay(offsets))
-        return quasienergies(floquet_operator(realization, steps_per_period))
-
-    spectra = _map_realizations(one, disorder, workers)
-    return gap_ratios(spectra, source_ids=tuple(range(len(spectra))))
+    models = _realizations(model, disorder)
+    with _failures_named():
+        operators = floquet_operators(models, steps_per_period)
+    spectra = []
+    for idx, operator in enumerate(operators):
+        with _failures_named(idx):
+            spectra.append(quasienergies(operator))
+    return gap_ratios(spectra)

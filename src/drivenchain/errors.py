@@ -8,4 +8,12 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical guarantee was violated (unitarity, norm, determinant...)."""
+    """A numerical guarantee was violated (unitarity, norm, determinant...).
+
+    A check over a batch names its first failing realization in
+    ``realization_index``.
+    """
+
+    def __init__(self, message: str, realization_index: int | None = None):
+        super().__init__(message)
+        self.realization_index = realization_index

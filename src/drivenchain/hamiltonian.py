@@ -6,6 +6,11 @@ cutoff are absent.  The diagonal collects the instantaneous site frequencies
 and the onsite nonlinearity (U/2) n(n-1).  Both pieces act inside one
 excitation sector by construction, so total excitation number is conserved
 structurally.
+
+Only the drive makes the Hamiltonian time dependent, and it enters as one
+scalar times a fixed diagonal: H(t) = H0 + f(t) D, with H0 the hopping plus
+the static diagonal.  :class:`SectorModel` holds both parts, and the
+propagators are built on this split.
 """
 
 from __future__ import annotations
@@ -16,22 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import SectorBasis
-from .model import ChainSpec, DriveSpec, PotentialSpec, diagonal_frequencies
-
-
-@dataclass(frozen=True)
-class HamiltonianSnapshot:
-    """Dense Hermitian sector Hamiltonian frozen at one instant."""
-
-    matrix: np.ndarray
-    time: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+from .model import ChainSpec, DriveSpec, PotentialSpec, _frozen_array
 
 
 def hopping_matrix(chain: ChainSpec, basis: SectorBasis) -> np.ndarray:
@@ -55,25 +45,6 @@ def hopping_matrix(chain: ChainSpec, basis: SectorBasis) -> np.ndarray:
     return hop
 
 
-def diagonal_at(t: float, chain: ChainSpec, drive: DriveSpec,
-                potential: PotentialSpec, basis: SectorBasis) -> np.ndarray:
-    """Diagonal entries at time t: site terms plus the nonlinearity."""
-    freqs = diagonal_frequencies(t, drive, potential)
-    states = basis.states
-    diag = states @ freqs
-    if chain.onsite_nonlinearity != 0.0:
-        diag = diag + 0.5 * chain.onsite_nonlinearity * (states * (states - 1)).sum(axis=1)
-    return np.asarray(diag, dtype=float)
-
-
-def hamiltonian_at(t: float, chain: ChainSpec, drive: DriveSpec,
-                   potential: PotentialSpec, basis: SectorBasis) -> HamiltonianSnapshot:
-    """Full sector Hamiltonian H(t) = hopping + diag(site terms)."""
-    matrix = hopping_matrix(chain, basis).astype(complex)
-    np.fill_diagonal(matrix, matrix.diagonal() + diagonal_at(t, chain, drive, potential, basis))
-    return HamiltonianSnapshot(matrix, t)
-
-
 @dataclass(frozen=True)
 class SectorModel:
     """Chain + drive + potential + basis bundled for the propagators."""
@@ -93,20 +64,38 @@ class SectorModel:
 
     @cached_property
     def hopping(self) -> np.ndarray:
-        hop = hopping_matrix(self.chain, self.basis)
-        hop.flags.writeable = False
-        return hop
+        return _frozen_array(hopping_matrix(self.chain, self.basis))
+
+    @cached_property
+    def static_diagonal(self) -> np.ndarray:
+        """Time-independent diagonal: static site offsets plus the nonlinearity."""
+        states = self.basis.states
+        diag = states @ self.potential.static_offsets
+        if self.chain.onsite_nonlinearity != 0.0:
+            diag = diag + 0.5 * self.chain.onsite_nonlinearity * (
+                states * (states - 1)).sum(axis=1)
+        return _frozen_array(diag)
+
+    @cached_property
+    def drive_diagonal(self) -> np.ndarray:
+        """D in H(t) = H0 + f(t) D: the drive's spatial weights in the sector."""
+        return _frozen_array(self.basis.states @ self.drive.spatial_weights)
+
+    @property
+    def static_hamiltonian(self) -> np.ndarray:
+        """H0 = hopping + static diagonal (real symmetric)."""
+        return self.hopping + np.diag(self.static_diagonal)
 
     def diagonal(self, t: float) -> np.ndarray:
-        return diagonal_at(t, self.chain, self.drive, self.potential, self.basis)
+        return self.static_diagonal + self.drive.modulation(t) * self.drive_diagonal
 
     def hamiltonian(self, t: float) -> np.ndarray:
+        """H(t) = H0 + f(t) D; the hopping has no diagonal entries."""
         h = self.hopping.astype(complex)
-        np.fill_diagonal(h, h.diagonal() + self.diagonal(t))
+        np.fill_diagonal(h, self.diagonal(t))
         return h
 
-    def snapshot(self, t: float) -> HamiltonianSnapshot:
-        return HamiltonianSnapshot(self.hamiltonian(t), t)
-
     def with_potential(self, potential: PotentialSpec) -> "SectorModel":
-        return SectorModel(self.chain, self.drive, potential, self.basis)
+        model = SectorModel(self.chain, self.drive, potential, self.basis)
+        model.__dict__["hopping"] = self.hopping     # same chain and basis
+        return model

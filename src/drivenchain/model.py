@@ -129,11 +129,10 @@ class DriveSpec:
     def period(self) -> float:
         return TWO_PI / self.angular_frequency
 
-    def ac_offset(self, t: float) -> np.ndarray:
-        """Per-site AC contribution to the diagonal at time t (ns)."""
-        osc = self.ac_amplitude * math.cos(
+    def modulation(self, t):
+        """Drive amplitude f(t) = ac * cos(omega*(t-t0) + phase); t may be an array."""
+        return self.ac_amplitude * np.cos(
             self.angular_frequency * (t - self.time_origin) + self.phase)
-        return osc * self.spatial_weights
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ class DisorderSpec:
     from [-strength, +strength].  Draws are a pure function of
     (master_seed, realization_index, site): every (realization, site) pair
     owns its own counter-derived stream, so ensemble results do not depend
-    on execution order or worker count.
+    on execution order or batch size.
     """
 
     n_sites: int
@@ -272,13 +271,13 @@ def frequency_at(site: int, t: float, drive: DriveSpec,
     n = potential.n_sites
     if not 1 <= site <= n:
         raise ValueError(f"site {site} outside 1..{n}")
-    return float(potential.static_offsets[site - 1] + drive.ac_offset(t)[site - 1])
+    return float(diagonal_frequencies(t, drive, potential)[site - 1])
 
 
 def diagonal_frequencies(t: float, drive: DriveSpec,
                          potential: PotentialSpec) -> np.ndarray:
     """All N offsets g_l(t) - gbar at time t, in rad/ns."""
-    return potential.static_offsets + drive.ac_offset(t)
+    return potential.static_offsets + drive.modulation(t) * drive.spatial_weights
 
 
 def resonance_drive_frequency(n_sites: int, dc_amplitude_mhz: float,

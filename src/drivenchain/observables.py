@@ -40,19 +40,20 @@ class JointProbabilities:
     p0_j: float
     p1_j: float
 
-    def as_tuple(self) -> tuple:
-        return (self.p00, self.p01, self.p10, self.p11)
+
+def _check_pair(basis: SectorBasis, site_i: int, site_j: int) -> None:
+    if site_i == site_j:
+        raise ValueError("a site pair needs two distinct sites")
+    for s in (site_i, site_j):
+        if not 1 <= s <= basis.n_sites:
+            raise ValueError(f"site {s} outside 1..{basis.n_sites}")
 
 
 def joint_probabilities(state: QuantumState, site_i: int, site_j: int
                         ) -> JointProbabilities:
     """P_ab(i, j) with a, b in {0, 1}; occupation >= 1 counts as "one"."""
-    if site_i == site_j:
-        raise ValueError("joint probabilities need two distinct sites")
     basis = state.basis
-    for s in (site_i, site_j):
-        if not 1 <= s <= basis.n_sites:
-            raise ValueError(f"site {s} outside 1..{basis.n_sites}")
+    _check_pair(basis, site_i, site_j)
     weights = np.abs(state.amplitudes) ** 2
     occ_i = basis.states[:, site_i - 1] >= 1
     occ_j = basis.states[:, site_j - 1] >= 1
@@ -82,15 +83,17 @@ def czz_from_counts(p00: float, p01: float, p10: float, p11: float,
     return (p00 + p11 - p01 - p10) - (p0_i - p1_i) * (p0_j - p1_j)
 
 
-def czz_expectation(state: QuantumState, site_i: int, site_j: int) -> float:
-    """ZZ correlation as <sz_i sz_j> - <sz_i><sz_j> with sz = 2*[n>=1] - 1."""
-    if site_i == site_j:
-        raise ValueError("correlation needs two distinct sites")
-    basis = state.basis
-    weights = np.abs(state.amplitudes) ** 2
+def _czz(weights: np.ndarray, basis: SectorBasis, site_i: int, site_j: int):
+    """<sz_i sz_j> - <sz_i><sz_j> for weights of shape (dim,) or (time, dim)."""
+    _check_pair(basis, site_i, site_j)
     sz_i = 2.0 * (basis.states[:, site_i - 1] >= 1) - 1.0
     sz_j = 2.0 * (basis.states[:, site_j - 1] >= 1) - 1.0
-    return float(weights @ (sz_i * sz_j) - (weights @ sz_i) * (weights @ sz_j))
+    return weights @ (sz_i * sz_j) - (weights @ sz_i) * (weights @ sz_j)
+
+
+def czz_expectation(state: QuantumState, site_i: int, site_j: int) -> float:
+    """ZZ correlation as <sz_i sz_j> - <sz_i><sz_j> with sz = 2*[n>=1] - 1."""
+    return float(_czz(np.abs(state.amplitudes) ** 2, state.basis, site_i, site_j))
 
 
 def czz(state: QuantumState, site_i: int, site_j: int) -> float:
@@ -123,11 +126,6 @@ def observable_series(trajectory: StateTrajectory, basis: SectorBasis,
         raise ValueError("trajectory was produced with a different basis")
     weights = np.abs(trajectory.amplitudes) ** 2
     pops = weights @ basis.states
-    correlations = {}
-    for (i, j) in pairs:
-        vals = np.empty(len(trajectory.times))
-        for k in range(len(trajectory.times)):
-            vals[k] = czz_expectation(trajectory.state(k, basis), i, j)
-        correlations[(i, j)] = vals
+    correlations = {(i, j): _czz(weights, basis, i, j) for (i, j) in pairs}
     return ObservableSeries(trajectory.times, np.asarray(pops, dtype=float),
                             correlations)

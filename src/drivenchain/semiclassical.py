@@ -49,7 +49,6 @@ class SemiclassicalParams:
     ac_amplitude: float
     drive_angular_frequency: float
     hopping: float
-    lattice_constant: float = 1.0
 
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2:
@@ -58,10 +57,6 @@ class SemiclassicalParams:
             raise ValueError("dc amplitude and hopping must have positive product")
         if self.drive_angular_frequency <= 0:
             raise ValueError("drive angular frequency must be positive")
-
-    @property
-    def chain_length(self) -> float:
-        return self.lattice_constant * self.n_sites / 2.0
 
     @property
     def effective_planck(self) -> float:
@@ -104,9 +99,6 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
 
-    def wrapped_q(self) -> np.ndarray:
-        return np.mod(self.q, TWO_PI)
-
     def stroboscopic(self, period: float) -> "Trajectory":
         """Subset of samples at (near-)integer multiples of ``period``."""
         steps = self.times / period
@@ -141,7 +133,7 @@ def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
 
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
+YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
 MIN_STEPS_PER_OSCILLATION = 256
 
 
@@ -182,7 +174,7 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
     h = (TWO_PI / omega) / steps
-    w1, w0, _ = _YOSHIDA_WEIGHTS
+    w1, w0, _ = YOSHIDA_WEIGHTS
 
     m = np.zeros(omega.shape + (2, 2))
     m[..., 0, 0] = 1.0

@@ -29,10 +29,3 @@ def mhz_from_rad_ns(angular: float) -> float:
 def rad_ns_from_ghz(frequency_ghz: float) -> float:
     """Convert an ordinary frequency in GHz to an angular one in rad/ns."""
     return TWO_PI * frequency_ghz
-
-
-def period_ns(angular: float) -> float:
-    """Period in ns of an angular frequency in rad/ns."""
-    if angular <= 0:
-        raise ValueError("angular frequency must be positive")
-    return TWO_PI / angular

@@ -144,14 +144,12 @@ def test_cmd_ensemble_keep_realizations(tmp_path):
     assert np.abs(stacked.mean(axis=0) - mean).max() < 1e-12
 
 
-def test_cmd_spectrum_outputs_and_worker_independence(tmp_path, monkeypatch):
+def test_cmd_spectrum_outputs_and_rerun_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0,
                        **{**FAST, "realizations": 4})
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    monkeypatch.setenv("DRIVENCHAIN_WORKERS", "1")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out1)]) == 0
-    monkeypatch.setenv("DRIVENCHAIN_WORKERS", "4")
     assert main(["spectrum", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("ratio_histogram.csv", "spectrum_summary.json"):
         assert sha(out1 / name) == sha(out2 / name)
@@ -209,6 +207,38 @@ def test_config_error_exit_code_and_manifest(tmp_path):
     assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
+    from drivenchain import propagate
+    real_defect = propagate.unitarity_defect
+
+    def defect_in_realization_2(matrix):
+        defects = np.array(real_defect(matrix))
+        defects[2] = 1.0
+        return defects
+
+    monkeypatch.setattr(propagate, "unitarity_defect", defect_in_realization_2)
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["realization_index"] == 2
+    assert "realization 2" in manifest["error"]
+
+
+def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch):
+    from drivenchain import propagate
+    monkeypatch.setattr(propagate, "NORM_TOL", -1.0)    # every norm fails
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, **FAST)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["realization_index"] == 0
 
 
 def test_cli_overrides_take_precedence(tmp_path):

@@ -3,12 +3,12 @@ import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.ensemble import (RealizationError, realization_seed,
-                                  run_dynamics_ensemble, run_spectrum_ensemble,
-                                  worker_count)
+                                  run_dynamics_ensemble, run_spectrum_ensemble)
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, sample_disorder)
-from drivenchain.propagate import evolve_state
+from drivenchain.propagate import (evolve_state, evolve_states,
+                                   floquet_operator, floquet_operators)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
 
@@ -60,16 +60,46 @@ def test_population_bounds_and_conservation():
     assert np.abs(result.mean_populations.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def test_worker_count_independence_bitwise():
+def realization_models(model, spec):
+    return [model.with_potential(
+        model.potential.with_overlay(sample_disorder(spec, i)))
+        for i in range(spec.realization_count)]
+
+
+def test_batch_equals_single_realizations_bitwise():
+    # one batch of R realizations against R batches of one
     model = make_model()
     spec = disorder(3.0, count=6)
-    serial = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP, workers=1)
-    threaded = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP, workers=4)
-    assert np.array_equal(serial.mean_populations, threaded.mean_populations)
-    pooled_serial = run_spectrum_ensemble(model, spec, 64, workers=1)
-    pooled_threaded = run_spectrum_ensemble(model, spec, 64, workers=4)
-    assert np.array_equal(pooled_serial.ratios, pooled_threaded.ratios)
-    assert pooled_serial.source_ids == pooled_threaded.source_ids
+    models = realization_models(model, spec)
+    psi0 = fock_state(model.basis, 3)
+    batch = evolve_states(models, psi0, T_SAMPLES, STEP)
+    singles = [evolve_state(m, psi0, T_SAMPLES, STEP) for m in models]
+    for b, s in zip(batch, singles):
+        assert np.array_equal(b.amplitudes, s.amplitudes)
+        assert np.array_equal(b.times, s.times)
+    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP,
+                                   keep_realizations=True)
+    for pops, s in zip(result.per_realization, singles):
+        assert np.array_equal(pops, np.abs(s.amplitudes) ** 2 @ model.basis.states)
+
+    operators = floquet_operators(models, 64)
+    single_ops = [floquet_operator(m, 64) for m in models]
+    for b, s in zip(operators, single_ops):
+        assert np.array_equal(b.matrix, s.matrix)
+    pooled = run_spectrum_ensemble(model, spec, 64)
+    direct = gap_ratios([quasienergies(s) for s in single_ops])
+    assert np.array_equal(pooled.ratios, direct.ratios)
+    assert pooled.source_ids == direct.source_ids
+
+
+def test_ensemble_reruns_bitwise():
+    model = make_model()
+    spec = disorder(3.0, count=5)
+    first = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+    again = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+    assert np.array_equal(first.mean_populations, again.mean_populations)
+    assert np.array_equal(run_spectrum_ensemble(model, spec, 64).ratios,
+                          run_spectrum_ensemble(model, spec, 64).ratios)
 
 
 def test_disorder_suppresses_penetration():
@@ -113,11 +143,3 @@ def test_failure_names_realization():
 def test_realization_seed_stability():
     assert realization_seed(12345, 0) == realization_seed(12345, 0)
     assert realization_seed(12345, 0) != realization_seed(12345, 1)
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.setenv("DRIVENCHAIN_WORKERS", "3")
-    assert worker_count(None, 10) == 3
-    assert worker_count(None, 2) == 2
-    monkeypatch.delenv("DRIVENCHAIN_WORKERS")
-    assert worker_count(8, 4) == 4

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from drivenchain.basis import build_sector_basis
-from drivenchain.hamiltonian import (SectorModel, diagonal_at, hamiltonian_at,
-                                     hopping_matrix)
+from drivenchain.hamiltonian import SectorModel, hopping_matrix
 from drivenchain.model import (ChainSpec, DriveSpec, build_potential,
                                diagonal_frequencies)
 from drivenchain.units import rad_ns_from_mhz
@@ -66,7 +65,7 @@ def test_zero_couplings_zero_matrix():
 
 def test_nonlinearity_inert_in_single_excitation_sector():
     model = junction_setup(n=1)
-    diag = diagonal_at(5.0, model.chain, model.drive, model.potential, model.basis)
+    diag = model.diagonal(5.0)
     freqs = diagonal_frequencies(5.0, model.drive, model.potential)
     assert np.allclose(diag, model.basis.states @ freqs)
 
@@ -76,7 +75,7 @@ def test_nonlinearity_counts_double_occupation():
     chain = ChainSpec.uniform(2, J, U, 2)
     drive = DriveSpec.cosine(2, 0.0, 0.0, 1.0)
     potential = build_potential("cosine", 2, 0.0)
-    diag = diagonal_at(0.0, chain, drive, potential, basis)
+    diag = SectorModel(chain, drive, potential, basis).diagonal(0.0)
     i20 = basis.index_of((2, 0))
     i11 = basis.index_of((1, 1))
     assert diag[i20] == pytest.approx(U)      # (U/2) * 2 * 1
@@ -86,8 +85,9 @@ def test_nonlinearity_counts_double_occupation():
 def test_static_diagonal_when_ac_off():
     model = junction_setup()
     drive_off = DriveSpec.cosine(N, 3 * J, 0.0, rad_ns_from_mhz(19.665764))
-    d0 = diagonal_at(0.0, model.chain, drive_off, model.potential, model.basis)
-    d1 = diagonal_at(37.3, model.chain, drive_off, model.potential, model.basis)
+    static = SectorModel(model.chain, drive_off, model.potential, model.basis)
+    d0 = static.diagonal(0.0)
+    d1 = static.diagonal(37.3)
     assert np.allclose(d0, d1)
 
 
@@ -95,10 +95,9 @@ def test_hermiticity_at_random_times():
     model = junction_setup(profile="flat", n=2, n_max=2)
     rng = np.random.default_rng(11)
     for t in rng.uniform(0.0, 200.0, 100):
-        snap = hamiltonian_at(t, model.chain, model.drive, model.potential,
-                              model.basis)
-        assert snap.hermiticity_defect() < 1e-12
-        assert np.all(np.isreal(np.diag(snap.matrix)))
+        h = model.hamiltonian(t)
+        assert np.abs(h - h.conj().T).max() < 1e-12
+        assert np.all(np.isreal(np.diag(h)))
 
 
 def test_single_particle_trace_identity():

@@ -156,6 +156,22 @@ def test_observable_series_on_trajectory():
         assert np.abs(values - expected).max() < 1e-12
 
 
+def test_observable_series_matches_per_sample_czz():
+    chain = ChainSpec.uniform(N, J)
+    drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.665764))
+    potential = build_potential("flat", N, 3 * J)
+    basis = build_sector_basis(N, 1, 1)
+    model = SectorModel(chain, drive, potential, basis)
+    traj = evolve_state(model, fock_state(basis, 3),
+                        np.arange(0.0, 40.0, 2.0), step=0.2)
+    pairs = [(l, 7) for l in range(1, N + 1) if l != 7] + [(2, 11)]
+    series = observable_series(traj, basis, pairs)
+    for (i, j), values in series.correlations.items():
+        expected = [czz_expectation(QuantumState(amps, basis), i, j)
+                    for amps in traj.amplitudes]
+        assert np.abs(values - expected).max() <= 1e-14
+
+
 def test_observable_series_rejects_foreign_basis():
     chain = ChainSpec.uniform(4, J)
     drive = DriveSpec.cosine(4, 0, 0, 1.0)

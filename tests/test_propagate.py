@@ -109,8 +109,9 @@ def test_floquet_static_limit_is_matrix_exponential():
 
 
 def test_floquet_step_halving_converged_at_default():
-    # measured step-halving error of the midpoint rule on the driven
-    # junction: 3.2e-5 at 256 steps/period, shrinking 4x per doubling
+    # measured step-halving error of the fourth-order split-operator scheme
+    # on the driven junction: 8.1e-8 at 256 steps/period, shrinking 16x per
+    # doubling
     model = flat_model_with_disorder()
     f256 = floquet_operator(model, 256).matrix
     f512 = floquet_operator(model, 512).matrix
@@ -118,7 +119,14 @@ def test_floquet_step_halving_converged_at_default():
     err_256 = np.abs(f256 - f512).max()
     err_512 = np.abs(f512 - f1024).max()
     assert err_256 < 1e-4
-    assert 3.0 < err_256 / err_512 < 5.0
+    assert 12.0 < err_256 / err_512 < 20.0
+
+
+def test_floquet_default_steps_match_fine_reference():
+    model = flat_model_with_disorder()
+    f256 = floquet_operator(model, 256).matrix
+    f4096 = floquet_operator(model, 4096).matrix
+    assert np.abs(f256 - f4096).max() <= 1e-6
 
 
 def test_composition_of_interval_propagators():
@@ -127,6 +135,19 @@ def test_composition_of_interval_propagators():
     u_a = interval_propagator(model, 0.0, 15.0, 150).matrix
     u_b = interval_propagator(model, 15.0, 40.0, 250).matrix
     assert np.abs(u_b @ u_a - u_full).max() < 1e-9
+
+
+def test_evolve_state_matches_floquet_powers():
+    # each period of the evolution uses its own phase table; F uses one
+    model = flat_model_with_disorder()
+    period = model.drive.period
+    psi = fock_state(model.basis, 3).amplitudes
+    traj = evolve_state(model, fock_state(model.basis, 3),
+                        [period, 2 * period, 3 * period], period / 256)
+    f = floquet_operator(model, 256).matrix
+    for amps in traj.amplitudes:
+        psi = f @ psi
+        assert np.abs(psi - amps).max() < 1e-12
 
 
 def test_time_reversal_returns_initial_state():
@@ -141,7 +162,7 @@ def test_convergence_probe_driven_model():
     model = flat_model_with_disorder()
     report = convergence_probe(model, tol=1e-8)
     assert report.steps_per_period >= 256
-    assert 1.8 <= report.observed_order <= 2.2
+    assert 3.6 <= report.observed_order <= 4.4
 
 
 def test_convergence_probe_static_model():
