@@ -9,27 +9,36 @@ parametric-resonance stability analysis of the driven domain.
 
 __version__ = "0.1.0"
 
-from .basis import QuantumState, SectorBasis, build_sector_basis, fock_state
-from .config import ResolvedRun, RunConfig, load_config, resolve
-from .device import DeviceTable, bundled_table_path, consistency_report, load_device_table
-from .ensemble import EnsembleResult, run_dynamics_ensemble, run_spectrum_ensemble
+from .basis import build_sector_basis, fock_state
+from .config import RunConfig, load_config, resolve
+from .device import load_device_table
+from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
-from .hamiltonian import SectorModel, hopping_matrix
-from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
-                    build_potential, cosine_profile, frequency_at,
+from .hamiltonian import SectorModel
+from .model import (ChainSpec, DisorderSpec, DriveSpec, build_potential,
                     resonance_drive_frequency, sample_disorder)
-from .observables import (ObservableSeries, czz, czz_expectation,
-                          czz_from_counts, joint_probabilities,
-                          observable_series, populations)
-from .propagate import (ConvergenceReport, FloquetOperator, StateTrajectory,
-                        UnitaryMatrix, convergence_probe, evolve_state,
-                        floquet_operator, interval_propagator)
-from .semiclassical import (SemiclassicalParams, StabilityGrid, Trajectory,
-                            classical_rhs, integrate_trajectory,
-                            monodromy_matrix, monodromy_trace,
+from .observables import czz_expectation, observable_series, populations
+from .propagate import evolve_state, floquet_operator
+from .semiclassical import (SemiclassicalParams, monodromy_matrix,
                             potential_contours, stability_grid)
-from .spectrum import (QuasienergySpectrum, RatioSample, coe_cdf, coe_density,
-                       coe_density_divergent, coe_mean, gap_ratios,
-                       haar_unitary, ks_distance, poisson_cdf,
-                       poisson_density, poisson_mean, quasienergies,
-                       sample_coe_reference)
+from .spectrum import (coe_cdf, coe_density, coe_mean, gap_ratios, ks_distance,
+                       poisson_cdf, poisson_density, poisson_mean,
+                       quasienergies, sample_coe_reference)
+
+__all__ = [
+    "build_sector_basis", "fock_state",
+    "RunConfig", "load_config", "resolve",
+    "load_device_table",
+    "run_dynamics_ensemble", "run_spectrum_ensemble",
+    "ConfigError", "NumericalError",
+    "SectorModel",
+    "ChainSpec", "DisorderSpec", "DriveSpec", "build_potential",
+    "resonance_drive_frequency", "sample_disorder",
+    "czz_expectation", "observable_series", "populations",
+    "evolve_state", "floquet_operator",
+    "SemiclassicalParams", "monodromy_matrix", "potential_contours",
+    "stability_grid",
+    "coe_cdf", "coe_density", "coe_mean", "gap_ratios", "ks_distance",
+    "poisson_cdf", "poisson_density", "poisson_mean", "quasienergies",
+    "sample_coe_reference",
+]

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .config import ResolvedRun, RunConfig, load_config, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
-from .ensemble import (RealizationError, realization_seed,
-                       run_dynamics_ensemble, run_spectrum_ensemble)
+from .ensemble import (RealizationError, run_dynamics_ensemble,
+                       run_spectrum_ensemble)
 from .errors import ConfigError, NumericalError
 from .model import sample_disorder
 from .basis import fock_state
@@ -111,19 +111,18 @@ def _dynamics_series(run: ResolvedRun, initial_site: int, disorder_index: int = 
     return observable_series(trajectory, run.basis, pairs)
 
 
-def _write_population_csv(path: Path, series) -> None:
-    n = series.n_sites
-    header = ["time_ns"] + [f"n_{l}" for l in range(1, n + 1)]
-    rows = [[t] + list(series.populations[k])
-            for k, t in enumerate(series.times)]
-    write_csv(path, header, rows)
+def _write_population_csv(path: Path, times, populations,
+                          manifest: ManifestWriter) -> None:
+    """``time_ns, n_1..n_N`` rows of (time, site) populations."""
+    header = ["time_ns"] + [f"n_{l}" for l in range(1, populations.shape[1] + 1)]
+    write_csv(path, header, ([t] + list(row) for t, row in zip(times, populations)))
+    manifest.record_output(path)
 
 
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     series = _dynamics_series(run, run.config.init_site)
-    pop_path = out / "populations.csv"
-    _write_population_csv(pop_path, series)
-    manifest.record_output(pop_path)
+    _write_population_csv(out / "populations.csv", series.times,
+                          series.populations, manifest)
 
     czz_path = out / "czz.csv"
     rows = []
@@ -141,25 +140,18 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     result = run_dynamics_ensemble(
         run.model, run.disorder, cfg.init_site, run.sample_times(),
         run.step_ns, keep_realizations=cfg.keep_realizations)
-    mean_path = out / "ensemble_populations.csv"
-    header = ["time_ns"] + [f"n_{l}" for l in range(1, result.n_sites + 1)]
-    rows = [[t] + list(result.mean_populations[k])
-            for k, t in enumerate(result.times)]
-    write_csv(mean_path, header, rows)
-    manifest.record_output(mean_path)
+    _write_population_csv(out / "ensemble_populations.csv", result.times,
+                          result.mean_populations, manifest)
 
     if cfg.keep_realizations:
         raw_dir = out / "realizations"
         raw_dir.mkdir(parents=True, exist_ok=True)
         for idx, pops in enumerate(result.per_realization):
-            raw_path = raw_dir / f"realization_{idx:04d}.csv"
-            raw_rows = [[t] + list(pops[k]) for k, t in enumerate(result.times)]
-            write_csv(raw_path, header, raw_rows)
-            manifest.record_output(raw_path)
+            _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
+                                  result.times, pops, manifest)
 
     manifest.extra(steps_per_period=cfg.steps_per_period,
                    master_seed=cfg.master_seed,
-                   realization_seeds=list(result.realization_seeds),
                    drive_frequency_mhz=run.drive_frequency_mhz)
 
 
@@ -198,8 +190,6 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
     manifest.extra(master_seed=cfg.master_seed,
-                   realization_seeds=[realization_seed(cfg.master_seed, i)
-                                      for i in range(cfg.realizations)],
                    steps_per_period=cfg.steps_per_period)
 
 
@@ -331,6 +321,15 @@ _COMMANDS = {
 }
 
 
+def _check_sector(command: str, run: ResolvedRun) -> None:
+    """Reject a sector the command has no initial state or statistics in."""
+    if command in ("dynamics", "ensemble") and run.basis.total_excitations != 1:
+        raise ConfigError(f"{command} starts from a single excitation: "
+                          f"it needs sector = 1")
+    if command == "spectrum" and run.basis.dim < 3:
+        raise ConfigError("spectrum needs a sector with at least 3 states")
+
+
 def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     manifest.finish("failed", str(exc))
@@ -359,6 +358,7 @@ def main(argv=None) -> int:
 
     manifest = ManifestWriter(out, args.command, config)
     try:
+        _check_sector(args.command, run)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](run, out, manifest)
     except RealizationError as exc:

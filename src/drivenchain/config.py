@@ -8,6 +8,7 @@ units and builds the immutable spec objects the simulation modules consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -23,6 +24,11 @@ from .semiclassical import SemiclassicalParams
 from .units import rad_ns_from_mhz
 
 _PROFILES = ("cosine", "flat", "table")
+#: most samples one trajectory may emit (t_max_ns / sample_dt_ns)
+MAX_SAMPLES = 100_000
+#: most split-operator steps one propagation may take: a period for spectra,
+#: t_max_ns for dynamics
+MAX_STEPS = 1_000_000
 
 
 def parse_site_range(text: str, n_sites: int, field_name: str) -> tuple:
@@ -87,6 +93,9 @@ class RunConfig:
     keep_realizations: bool = False
 
     def validate(self) -> "RunConfig":
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.profile not in _PROFILES:
             raise ConfigError(f"profile must be one of {_PROFILES}, got {self.profile!r}")
         if self.profile == "table":
@@ -113,6 +122,10 @@ class RunConfig:
             raise ConfigError("steps_per_period must be >= 1")
         if self.t_max_ns <= 0 or self.sample_dt_ns <= 0:
             raise ConfigError("t_max_ns and sample_dt_ns must be positive")
+        if self.t_max_ns / self.sample_dt_ns > MAX_SAMPLES:
+            raise ConfigError(f"t_max_ns / sample_dt_ns exceeds {MAX_SAMPLES} samples")
+        if self.drive_frequency_mhz < 0:
+            raise ConfigError("drive_frequency_mhz must be >= 0 (0 selects the resonance)")
         if not 1 <= self.init_site <= self.n_sites:
             raise ConfigError(f"init_site outside 1..{self.n_sites}")
         if not 1 <= self.czz_reference_site <= self.n_sites:
@@ -274,6 +287,12 @@ def resolve(config: RunConfig) -> ResolvedRun:
         phase=config.drive_phase_rad,
         time_origin=config.time_origin_ns,
     )
+    # the period is known only now (resonance, device couplings)
+    steps = config.steps_per_period * max(1.0, config.t_max_ns / drive.period)
+    if steps > MAX_STEPS:
+        raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
+                          f"than {MAX_STEPS}: lower the drive frequency, "
+                          f"t_max_ns or steps_per_period")
 
     disorder = DisorderSpec(
         n_sites=n,

@@ -31,13 +31,6 @@ class RealizationError(RuntimeError):
         self.realization_index = realization_index
 
 
-def realization_seed(master_seed: int, realization_index: int) -> int:
-    """Stable per-realization seed recorded in manifests."""
-    seq = np.random.SeedSequence(entropy=master_seed,
-                                 spawn_key=(realization_index,))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 @contextmanager
 def _failures_named(index: int = 0):
     """Re-raise a failure as a RealizationError.
@@ -62,15 +55,9 @@ def _realizations(model: SectorModel, disorder: DisorderSpec) -> list:
 class EnsembleResult:
     """Deterministic aggregate over disorder realizations."""
 
-    realization_count: int
-    realization_seeds: tuple
     times: np.ndarray                   # actual sample times (ns)
     mean_populations: np.ndarray        # (time, site)
     per_realization: tuple = ()         # optional (time, site) arrays
-
-    @property
-    def n_sites(self) -> int:
-        return self.mean_populations.shape[1]
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
@@ -83,11 +70,8 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
         trajectories = evolve_states(models, psi0, t_samples, step)
     stack = np.stack([np.abs(traj.amplitudes) ** 2 @ model.basis.states
                       for traj in trajectories])
-    seeds = tuple(realization_seed(disorder.master_seed, i)
-                  for i in range(disorder.realization_count))
     return EnsembleResult(
-        disorder.realization_count, seeds, trajectories[0].times,
-        stack.mean(axis=0),
+        trajectories[0].times, stack.mean(axis=0),
         per_realization=tuple(stack) if keep_realizations else ())
 
 

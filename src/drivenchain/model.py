@@ -218,11 +218,9 @@ def sample_disorder(spec: DisorderSpec, realization_index: int) -> np.ndarray:
 
 
 def build_potential(profile: str, n_sites: int, dc_amplitude: float,
-                    disorder=None, localized_sites=None,
-                    flat_level_fraction: float = 1.0,
-                    table_offsets=None, rotating_frame_frequency: float = 0.0
+                    localized_sites=None, flat_level_fraction: float = 1.0
                     ) -> PotentialSpec:
-    """Assemble the static potential for one of the three profiles.
+    """Assemble the static potential of a formula profile.
 
     cosine
         ``dc_amplitude * cos(4*pi*l/N)`` on every site (zero-based l).
@@ -231,53 +229,20 @@ def build_potential(profile: str, n_sites: int, dc_amplitude: float,
         (default: second half).  The level is ``flat_level_fraction *
         dc_amplitude``; 1.0 is the nominal design, 0.5 matches the level
         actually realized in the bundled device table.
-    table
-        explicit per-site offsets (``table_offsets``, rad/ns, already
-        relative to the rotating frame), which must provide one value per
-        site.
 
-    ``disorder`` is an optional per-site overlay (length N, rad/ns) added
-    verbatim, e.g. the output of :func:`sample_disorder`.
+    Device-table potentials come from :meth:`DeviceTable.potential_spec`.
     """
-    if profile not in ("cosine", "flat", "table"):
+    if profile not in ("cosine", "flat"):
         raise ConfigError(f"unknown potential profile {profile!r}")
-    if profile == "table":
-        if table_offsets is None:
-            raise ConfigError("table profile requires explicit per-site values")
-        offsets = np.asarray(table_offsets, dtype=float).copy()
-        if offsets.shape != (n_sites,):
-            raise ConfigError(
-                f"table profile requires {n_sites} values, got {offsets.shape}")
-    else:
-        offsets = dc_amplitude * cosine_profile(n_sites)
-        if profile == "flat":
-            if localized_sites is None:
-                localized_sites = range(n_sites // 2 + 1, n_sites + 1)
-            for s in localized_sites:
-                if not 1 <= s <= n_sites:
-                    raise ConfigError(f"localized sites must lie in 1..{n_sites}")
-                offsets[s - 1] = flat_level_fraction * dc_amplitude
-    if disorder is not None:
-        extra = np.asarray(disorder, dtype=float)
-        if extra.shape != (n_sites,):
-            raise ConfigError("disorder overlay length does not match site count")
-        offsets = offsets + extra
-    return PotentialSpec(offsets, rotating_frame_frequency, profile)
-
-
-def frequency_at(site: int, t: float, drive: DriveSpec,
-                 potential: PotentialSpec) -> float:
-    """g_l(t) - gbar for a 1-based site number at time t (ns), in rad/ns."""
-    n = potential.n_sites
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside 1..{n}")
-    return float(diagonal_frequencies(t, drive, potential)[site - 1])
-
-
-def diagonal_frequencies(t: float, drive: DriveSpec,
-                         potential: PotentialSpec) -> np.ndarray:
-    """All N offsets g_l(t) - gbar at time t, in rad/ns."""
-    return potential.static_offsets + drive.modulation(t) * drive.spatial_weights
+    offsets = dc_amplitude * cosine_profile(n_sites)
+    if profile == "flat":
+        if localized_sites is None:
+            localized_sites = range(n_sites // 2 + 1, n_sites + 1)
+        for s in localized_sites:
+            if not 1 <= s <= n_sites:
+                raise ConfigError(f"localized sites must lie in 1..{n_sites}")
+            offsets[s - 1] = flat_level_fraction * dc_amplitude
+    return PotentialSpec(offsets, profile_name=profile)
 
 
 def resonance_drive_frequency(n_sites: int, dc_amplitude_mhz: float,

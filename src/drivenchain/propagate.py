@@ -11,7 +11,7 @@ The core advances a block (R, dim, k) of R realizations that share drive
 and basis: k = dim for propagators, k = 1 for states.  A realization's
 arithmetic does not depend on R, so the batched functions return bit for
 bit what the single-realization ones return.  Dynamics steps directly, so
-sample times need not be stroboscopic.
+sample times need not fall on whole periods.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS   # in units of the step
 _PHASE_CHUNK = DEFAULT_STEPS_PER_PERIOD             # bounds the table's memory
 
 
-def _phase_table(model: SectorModel, t_start: float, step: float,
-                 first: int, count: int):
+def _phase_table(model: SectorModel, step: float, first: int, count: int):
     """Phases for steps first .. first+count-1.
 
     Returns the merged phases applied before each substep exponential,
@@ -44,7 +43,7 @@ def _phase_table(model: SectorModel, t_start: float, step: float,
     (count, dim, 1).
     """
     steps = np.arange(first - 1, first + count)[:, None]
-    half = (model.drive.modulation(t_start + (steps + _MIDPOINTS) * step)
+    half = (model.drive.modulation((steps + _MIDPOINTS) * step)
             * (0.5 * step * _WEIGHTS))
     if first == 0:
         half[0] = 0.0                   # no step precedes the first one
@@ -55,9 +54,9 @@ def _phase_table(model: SectorModel, t_start: float, step: float,
             np.exp(-1j * half[1:, 2, None, None] * diag))
 
 
-def _advance(models, block: np.ndarray, t_start: float, step: float,
-             n_steps: int, emit_steps) -> np.ndarray:
-    """Advance ``block`` (R, dim, k) by ``n_steps`` steps from ``t_start``.
+def _advance(models, block: np.ndarray, step: float, n_steps: int,
+             emit_steps) -> np.ndarray:
+    """Advance ``block`` (R, dim, k) by ``n_steps`` steps from t = 0.
 
     Realization r evolves under ``models[r]``.  Returns the block after each
     step count in the ascending ``emit_steps``: (len(emit_steps), R, dim, k).
@@ -75,7 +74,7 @@ def _advance(models, block: np.ndarray, t_start: float, step: float,
         if k == n_steps:
             return out
         if k % _PHASE_CHUNK == 0:
-            merged, trail = _phase_table(models[0], t_start, step, k,
+            merged, trail = _phase_table(models[0], step, k,
                                          min(_PHASE_CHUNK, n_steps - k))
         for phase, unitary in zip(merged[k % _PHASE_CHUNK], (outer, inner, outer)):
             psi *= phase
@@ -95,15 +94,6 @@ def unitarity_defect(matrix: np.ndarray):
     """max |U^H U - 1| of a matrix, or per matrix of an (R, dim, dim) stack."""
     product = np.swapaxes(matrix.conj(), -1, -2) @ matrix
     return np.abs(product - np.eye(matrix.shape[-1])).max(axis=(-2, -1))
-
-
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Dense propagator over a time interval."""
-
-    matrix: np.ndarray
-    t_start: float
-    t_end: float
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def evolve_states(models, psi0: QuantumState, t_samples, step: float) -> list:
     sample_steps = np.rint(requested / step).astype(int)
     block = np.broadcast_to(psi0.amplitudes.astype(complex)[:, None],
                             (len(models), psi0.basis.dim, 1))
-    states = _advance(models, block, 0.0, step, int(sample_steps[-1]),
+    states = _advance(models, block, step, int(sample_steps[-1]),
                       sample_steps)[..., 0]
     drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
     _check_each(drift, NORM_TOL, "norm drift")
@@ -169,33 +159,18 @@ def evolve_state(model: SectorModel, psi0: QuantumState, t_samples,
     return evolve_states([model], psi0, t_samples, step)[0]
 
 
-def _propagators(models, t_start: float, t_end: float,
-                 n_steps: int) -> np.ndarray:
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-    dim = models[0].basis.dim
-    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(models), dim, dim))
-    matrices = _advance(models, block, t_start, (t_end - t_start) / n_steps,
-                        n_steps, [n_steps])[0]
-    _check_each(unitarity_defect(matrices), UNITARITY_TOL,
-                "propagator unitarity defect")
-    return matrices
-
-
-def interval_propagator(model: SectorModel, t_start: float, t_end: float,
-                        n_steps: int) -> UnitaryMatrix:
-    """Propagator over [t_start, t_end] in n_steps split-operator steps."""
-    matrix = _propagators([model], t_start, t_end, n_steps)[0]
-    return UnitaryMatrix(matrix, t_start, t_end)
-
-
 def floquet_operators(models, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
                       ) -> list:
     """:func:`floquet_operator` for a batch of models sharing drive and basis."""
+    if steps_per_period < 1:
+        raise ValueError("steps_per_period must be >= 1")
     period = models[0].drive.period
-    matrices = _propagators(models, 0.0, period, steps_per_period)
+    dim = models[0].basis.dim
+    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(models), dim, dim))
+    matrices = _advance(models, block, period / steps_per_period,
+                        steps_per_period, [steps_per_period])[0]
+    _check_each(unitarity_defect(matrices), UNITARITY_TOL,
+                "propagator unitarity defect")
     return [FloquetOperator(m, period, steps_per_period) for m in matrices]
 
 
@@ -204,44 +179,3 @@ def floquet_operator(model: SectorModel,
                      ) -> FloquetOperator:
     """One-period propagator starting at t=0."""
     return floquet_operators([model], steps_per_period)[0]
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Result of the step-count probe for the Floquet operator."""
-
-    steps_per_period: int
-    observed_order: float
-    errors: tuple               # (steps, |F_steps - F_2*steps|_max) pairs
-
-
-def convergence_probe(model: SectorModel, tol: float, start: int = 16,
-                      max_steps: int = 1 << 15) -> ConvergenceReport:
-    """Smallest power-of-two step count whose halving changes F by < tol.
-
-    The split-operator scheme converges at fourth order, so successive
-    errors should shrink by about 16x per doubling; the observed order is
-    reported for diagnosis.  Raises if the error floor (roundoff) is reached
-    before the tolerance.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    steps = max(1, int(start))
-    f_coarse = floquet_operator(model, steps).matrix
-    errors = []
-    while steps <= max_steps:
-        f_fine = floquet_operator(model, 2 * steps).matrix
-        err = float(np.abs(f_coarse - f_fine).max())
-        errors.append((steps, err))
-        if err < tol:
-            orders = [np.log2(errors[i][1] / errors[i + 1][1])
-                      for i in range(len(errors) - 1)]
-            observed = float(np.mean(orders)) if orders else float("nan")
-            return ConvergenceReport(steps, observed, tuple(errors))
-        if len(errors) >= 2 and err > 0.5 * errors[-2][1] and err < 1e-12:
-            break
-        f_coarse = f_fine
-        steps *= 2
-    raise NumericalError(
-        f"step probe failed to reach tolerance {tol} below {max_steps} "
-        f"steps/period; last error {errors[-1][1]:.3e}")

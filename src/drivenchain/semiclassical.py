@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .units import TWO_PI
 
 DETERMINANT_TOL = 1e-8
@@ -52,16 +52,11 @@ class SemiclassicalParams:
 
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2:
-            raise ValueError("n_sites must be even and >= 2")
+            raise ConfigError("n_sites must be even and >= 2")
         if self.dc_amplitude * self.hopping <= 0:
-            raise ValueError("dc amplitude and hopping must have positive product")
+            raise ConfigError("dc amplitude and hopping must have positive product")
         if self.drive_angular_frequency <= 0:
-            raise ValueError("drive angular frequency must be positive")
-
-    @property
-    def effective_planck(self) -> float:
-        """Scale of the [Q, P] commutator, 2*pi/N (reported, not used)."""
-        return TWO_PI / self.n_sites
+            raise ConfigError("drive angular frequency must be positive")
 
     @property
     def small_oscillation_frequency(self) -> float:
@@ -69,67 +64,11 @@ class SemiclassicalParams:
         return (4.0 * np.pi / self.n_sites) * math.sqrt(
             2.0 * self.dc_amplitude * self.hopping)
 
-    @property
-    def drive_period(self) -> float:
-        return TWO_PI / self.drive_angular_frequency
-
-
-def classical_rhs(q: float, p: float, t: float,
-                  params: SemiclassicalParams) -> tuple:
-    """Scaled canonical equations of motion (dQ/dt, dP/dt)."""
-    n = params.n_sites
-    modulation = params.dc_amplitude + params.ac_amplitude * math.cos(
-        params.drive_angular_frequency * t)
-    dq = -(8.0 * np.pi * params.hopping / n) * math.sin(p)
-    dp = (4.0 * np.pi / n) * modulation * math.sin(q)
-    return dq, dp
-
 
 def energy(q, p, params: SemiclassicalParams) -> np.ndarray:
     """Undriven Hamiltonian d0*cos(Q) + 2*J*cos(P) (conserved for d1 = 0)."""
     return (params.dc_amplitude * np.cos(q)
             + 2.0 * params.hopping * np.cos(p))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Phase-space samples of one integrated orbit."""
-
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-
-    def stroboscopic(self, period: float) -> "Trajectory":
-        """Subset of samples at (near-)integer multiples of ``period``."""
-        steps = self.times / period
-        keep = np.abs(steps - np.rint(steps)) < 1e-9
-        return Trajectory(self.times[keep], self.q[keep], self.p[keep])
-
-
-def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
-                         params: SemiclassicalParams) -> Trajectory:
-    """Fixed-step fourth-order (RK4) integration from t = 0."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = int(round(duration / step))
-    times = np.empty(n_steps + 1)
-    qs = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    q, p = float(q0), float(p0)
-    times[0], qs[0], ps[0] = 0.0, q, p
-    for k in range(n_steps):
-        t = k * step
-        k1q, k1p = classical_rhs(q, p, t, params)
-        k2q, k2p = classical_rhs(q + 0.5 * step * k1q, p + 0.5 * step * k1p,
-                                 t + 0.5 * step, params)
-        k3q, k3p = classical_rhs(q + 0.5 * step * k2q, p + 0.5 * step * k2p,
-                                 t + 0.5 * step, params)
-        k4q, k4p = classical_rhs(q + step * k3q, p + step * k3p,
-                                 t + step, params)
-        q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        times[k + 1], qs[k + 1], ps[k + 1] = t + step, q, p
-    return Trajectory(times, qs, ps)
 
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))

@@ -54,7 +54,6 @@ class RatioSample:
 
     ratios: np.ndarray
     discarded_degenerate: int = 0
-    source_ids: tuple = ()
 
     def __post_init__(self):
         arr = np.asarray(self.ratios, dtype=float)
@@ -103,7 +102,7 @@ def _ratios_from_sorted(values: np.ndarray, degeneracy_tol: float):
     return ratios, discarded
 
 
-def gap_ratios(spectra, source_ids=None) -> RatioSample:
+def gap_ratios(spectra) -> RatioSample:
     """Pool min/max consecutive-gap ratios across one or more spectra.
 
     Gaps come from the sorted linear sequence inside the zone (no
@@ -112,9 +111,6 @@ def gap_ratios(spectra, source_ids=None) -> RatioSample:
     """
     if isinstance(spectra, QuasienergySpectrum):
         spectra = [spectra]
-    spectra = list(spectra)
-    if source_ids is None:
-        source_ids = tuple(range(len(spectra)))
     all_ratios = []
     discarded = 0
     for spec in spectra:
@@ -124,7 +120,7 @@ def gap_ratios(spectra, source_ids=None) -> RatioSample:
         ratios, dropped = _ratios_from_sorted(spec.values, tol)
         all_ratios.extend(ratios)
         discarded += dropped
-    return RatioSample(np.asarray(all_ratios), discarded, tuple(source_ids))
+    return RatioSample(np.asarray(all_ratios), discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +162,12 @@ def coe_density(r) -> np.ndarray:
                           - np.cos(u) / (r * (r + 1.0)))
 
 
-def coe_density_divergent(r) -> np.ndarray:
-    """Variant transcription of the surmise with cos(v)/(2*pi*r^2) in place
-    of cos(v)/(1+r).
+def coe_mean() -> float:
+    """Mean ratio of the closed-form COE surmise by quadrature on [0, 1].
 
-    Kept only as a comparison reference: it diverges to -infinity as r -> 0
-    and is not normalizable, which the tests document against the empirical
-    sampler.  Use :func:`coe_density` for anything quantitative.
+    The integrand is regular at r=0, where the density vanishes.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or np.any(r > 1):
-        raise ValueError("closed form is defined for r in (0, 1]")
-    u = TWO_PI * r / (r + 1.0)
-    v = TWO_PI / (r + 1.0)
-    return (2.0 / 3.0) * (np.sin(u) / (TWO_PI * r ** 2) + 1.0 / (1.0 + r) ** 2
-                          + np.sin(v) / TWO_PI
-                          - np.cos(v) / (TWO_PI * r ** 2)
-                          - np.cos(u) / (r * (r + 1.0)))
-
-
-def coe_mean(r_min: float = 0.0) -> float:
-    """Mean ratio of the closed-form COE surmise by quadrature on [r_min, 1].
-
-    The integrand is regular at r=0 (the density vanishes there), so the
-    default lower limit is 0; ``r_min`` is kept for sensitivity checks.
-    """
-    value, _ = quad(lambda r: r * float(coe_density(r)), max(r_min, 0.0), 1.0,
+    value, _ = quad(lambda r: r * float(coe_density(r)), 0.0, 1.0,
                     points=[1e-6], limit=200)
     return value
 
@@ -245,8 +221,7 @@ def sample_coe_reference(dim: int, count: int, seed: int = 0) -> RatioSample:
         ratios, dropped = _ratios_from_sorted(phases, tol)
         all_ratios.extend(ratios)
         discarded += dropped
-    return RatioSample(np.asarray(all_ratios), discarded,
-                       tuple(range(count)))
+    return RatioSample(np.asarray(all_ratios), discarded)
 
 
 # ---------------------------------------------------------------------------

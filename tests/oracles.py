@@ -1,0 +1,214 @@
+"""Reference implementations the tests compare the package against.
+
+None of these is on a path the command line runs; each is an independent
+second way to compute something the package computes (or, for
+``coe_density_divergent``, a known-bad transcription kept to document why
+it is bad).  They live here so that the package carries only what its
+pipelines use.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from drivenchain.basis import QuantumState
+from drivenchain.errors import NumericalError
+from drivenchain.hamiltonian import SectorModel
+from drivenchain.model import DriveSpec, PotentialSpec
+from drivenchain.observables import _check_pair
+from drivenchain.propagate import floquet_operator
+from drivenchain.semiclassical import SemiclassicalParams
+from drivenchain.units import TWO_PI
+
+_PROBABILITY_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# site frequencies
+
+
+def diagonal_frequencies(t: float, drive: DriveSpec,
+                         potential: PotentialSpec) -> np.ndarray:
+    """All N offsets g_l(t) - gbar at time t, in rad/ns."""
+    return potential.static_offsets + drive.modulation(t) * drive.spatial_weights
+
+
+# ---------------------------------------------------------------------------
+# counting ZZ estimator
+
+
+@dataclass(frozen=True)
+class JointProbabilities:
+    """Binary joint and marginal occupation probabilities for a site pair."""
+
+    p00: float
+    p01: float
+    p10: float
+    p11: float
+    p0_i: float
+    p1_i: float
+    p0_j: float
+    p1_j: float
+
+
+def joint_probabilities(state: QuantumState, site_i: int, site_j: int
+                        ) -> JointProbabilities:
+    """P_ab(i, j) with a, b in {0, 1}; occupation >= 1 counts as "one"."""
+    basis = state.basis
+    _check_pair(basis, site_i, site_j)
+    weights = np.abs(state.amplitudes) ** 2
+    occ_i = basis.states[:, site_i - 1] >= 1
+    occ_j = basis.states[:, site_j - 1] >= 1
+    p11 = float(weights[occ_i & occ_j].sum())
+    p10 = float(weights[occ_i & ~occ_j].sum())
+    p01 = float(weights[~occ_i & occ_j].sum())
+    p00 = float(weights[~occ_i & ~occ_j].sum())
+    return JointProbabilities(p00, p01, p10, p11,
+                              p0_i=p00 + p01, p1_i=p10 + p11,
+                              p0_j=p00 + p10, p1_j=p01 + p11)
+
+
+def czz_from_counts(p00: float, p01: float, p10: float, p11: float,
+                    p0_i: float, p1_i: float, p0_j: float, p1_j: float) -> float:
+    """ZZ correlation from counting probabilities.
+
+    C = P00 + P11 - P01 - P10 - (P0(i) - P1(i)) (P0(j) - P1(j)).
+    """
+    total = p00 + p01 + p10 + p11
+    if abs(total - 1.0) > _PROBABILITY_TOL:
+        raise ValueError(f"joint probabilities sum to {total}, not 1")
+    for name, joint, marg in (("i", p10 + p11, p1_i), ("j", p01 + p11, p1_j)):
+        if abs(joint - marg) > _PROBABILITY_TOL:
+            raise ValueError(f"marginal of site {name} inconsistent with joints")
+    if abs(p0_i + p1_i - 1.0) > _PROBABILITY_TOL or abs(p0_j + p1_j - 1.0) > _PROBABILITY_TOL:
+        raise ValueError("marginals do not sum to 1")
+    return (p00 + p11 - p01 - p10) - (p0_i - p1_i) * (p0_j - p1_j)
+
+
+def czz(state: QuantumState, site_i: int, site_j: int) -> float:
+    """ZZ correlation via the counting estimator."""
+    jp = joint_probabilities(state, site_i, site_j)
+    return czz_from_counts(jp.p00, jp.p01, jp.p10, jp.p11,
+                           jp.p0_i, jp.p1_i, jp.p0_j, jp.p1_j)
+
+
+# ---------------------------------------------------------------------------
+# COE surmise, divergent transcription
+
+
+def coe_density_divergent(r) -> np.ndarray:
+    """Variant transcription of the surmise with cos(v)/(2*pi*r^2) in place
+    of cos(v)/(1+r).
+
+    Kept only as a comparison reference: it diverges to -infinity as r -> 0
+    and is not normalizable, which the tests document against the empirical
+    sampler.  Use :func:`drivenchain.spectrum.coe_density` for anything
+    quantitative.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0) or np.any(r > 1):
+        raise ValueError("closed form is defined for r in (0, 1]")
+    u = TWO_PI * r / (r + 1.0)
+    v = TWO_PI / (r + 1.0)
+    return (2.0 / 3.0) * (np.sin(u) / (TWO_PI * r ** 2) + 1.0 / (1.0 + r) ** 2
+                          + np.sin(v) / TWO_PI
+                          - np.cos(v) / (TWO_PI * r ** 2)
+                          - np.cos(u) / (r * (r + 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# Floquet step-count probe
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Result of the step-count probe for the Floquet operator."""
+
+    steps_per_period: int
+    observed_order: float
+    errors: tuple               # (steps, |F_steps - F_2*steps|_max) pairs
+
+
+def convergence_probe(model: SectorModel, tol: float, start: int = 16,
+                      max_steps: int = 1 << 15) -> ConvergenceReport:
+    """Smallest power-of-two step count whose halving changes F by < tol.
+
+    The split-operator scheme converges at fourth order, so successive
+    errors should shrink by about 16x per doubling; the observed order is
+    reported for diagnosis.  Raises if the error floor (roundoff) is reached
+    before the tolerance.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    steps = max(1, int(start))
+    f_coarse = floquet_operator(model, steps).matrix
+    errors = []
+    while steps <= max_steps:
+        f_fine = floquet_operator(model, 2 * steps).matrix
+        err = float(np.abs(f_coarse - f_fine).max())
+        errors.append((steps, err))
+        if err < tol:
+            orders = [np.log2(errors[i][1] / errors[i + 1][1])
+                      for i in range(len(errors) - 1)]
+            observed = float(np.mean(orders)) if orders else float("nan")
+            return ConvergenceReport(steps, observed, tuple(errors))
+        if len(errors) >= 2 and err > 0.5 * errors[-2][1] and err < 1e-12:
+            break
+        f_coarse = f_fine
+        steps *= 2
+    raise NumericalError(
+        f"step probe failed to reach tolerance {tol} below {max_steps} "
+        f"steps/period; last error {errors[-1][1]:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# classical trajectories
+
+
+def classical_rhs(q: float, p: float, t: float,
+                  params: SemiclassicalParams) -> tuple:
+    """Scaled canonical equations of motion (dQ/dt, dP/dt)."""
+    n = params.n_sites
+    modulation = params.dc_amplitude + params.ac_amplitude * math.cos(
+        params.drive_angular_frequency * t)
+    dq = -(8.0 * np.pi * params.hopping / n) * math.sin(p)
+    dp = (4.0 * np.pi / n) * modulation * math.sin(q)
+    return dq, dp
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Phase-space samples of one integrated orbit."""
+
+    times: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+
+
+def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
+                         params: SemiclassicalParams) -> Trajectory:
+    """Fixed-step fourth-order (RK4) integration from t = 0."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    n_steps = int(round(duration / step))
+    times = np.empty(n_steps + 1)
+    qs = np.empty(n_steps + 1)
+    ps = np.empty(n_steps + 1)
+    q, p = float(q0), float(p0)
+    times[0], qs[0], ps[0] = 0.0, q, p
+    for k in range(n_steps):
+        t = k * step
+        k1q, k1p = classical_rhs(q, p, t, params)
+        k2q, k2p = classical_rhs(q + 0.5 * step * k1q, p + 0.5 * step * k1p,
+                                 t + 0.5 * step, params)
+        k3q, k3p = classical_rhs(q + 0.5 * step * k2q, p + 0.5 * step * k2p,
+                                 t + 0.5 * step, params)
+        k4q, k4p = classical_rhs(q + step * k3q, p + step * k3p,
+                                 t + step, params)
+        q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        times[k + 1], qs[k + 1], ps[k + 1] = t + step, q, p
+    return Trajectory(times, qs, ps)

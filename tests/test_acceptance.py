@@ -16,16 +16,16 @@ from scipy.integrate import quad
 from drivenchain import (RunConfig, resolve, run_dynamics_ensemble,
                          run_spectrum_ensemble, fock_state, evolve_state,
                          sample_disorder, floquet_operator, quasienergies,
-                         convergence_probe,
                          ks_distance, poisson_cdf, poisson_density,
-                         poisson_mean, coe_cdf,
-                         coe_density_divergent, coe_mean, sample_coe_reference,
-                         resonance_drive_frequency, integrate_trajectory,
-                         monodromy_matrix, stability_grid)
+                         poisson_mean, coe_cdf, coe_mean, sample_coe_reference,
+                         resonance_drive_frequency, monodromy_matrix,
+                         stability_grid)
 from drivenchain.cli import main as cli_main
 from drivenchain.propagate import unitarity_defect
 from drivenchain.semiclassical import default_grid_axes
 from drivenchain.units import TWO_PI
+from oracles import (coe_density_divergent, convergence_probe,
+                     integrate_trajectory)
 
 
 def report(number: int, passed: bool, detail: str) -> bool:

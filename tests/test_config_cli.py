@@ -1,9 +1,13 @@
 import hashlib
 import json
+import tempfile
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivenchain.cli import main
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
@@ -126,7 +130,8 @@ def test_cmd_ensemble_single_realization_matches_dynamics(tmp_path):
                       skiprows=1)
     assert np.array_equal(single, mean)
     manifest = json.loads((out_e / "manifest.json").read_text())
-    assert len(manifest["realization_seeds"]) == 1
+    assert manifest["master_seed"] == RunConfig().master_seed
+    assert "realization_seeds" not in manifest
 
 
 def test_cmd_ensemble_keep_realizations(tmp_path):
@@ -252,3 +257,59 @@ def test_cli_overrides_take_precedence(tmp_path):
     assert manifest["config"]["master_seed"] == 77
     rows = np.loadtxt(out / "populations.csv", delimiter=",", skiprows=1)
     assert rows[0, 9] == pytest.approx(1.0)      # excitation starts at site 9
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+
+def strict_manifest(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text(),
+                      parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command,settings_", [
+    ("dynamics", {"drive_frequency_mhz": "inf"}),
+    ("dynamics", {"t_max_ns": "inf"}),
+    ("dynamics", {"ac_amplitude_over_j": "nan"}),
+    ("dynamics", {"drive_phase_rad": "nan"}),
+    ("dynamics", {"sample_dt_ns": "1e-9"}),
+    ("dynamics", {"drive_frequency_mhz": "1e6"}),
+    ("dynamics", {"drive_frequency_mhz": "-5"}),
+    ("dynamics", {"sector": 2}),
+    ("ensemble", {"sector": 2}),
+    ("spectrum", {"sector": 0}),
+    ("stability", {"dc_amplitude_over_j": "-1", "drive_frequency_mhz": "19.67"}),
+])
+def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
+    cfg = write_config(tmp_path / "run.cfg", **settings_)
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.monotonic() - started < 5.0
+    assert strict_manifest(out)["status"] == "failed"
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
+EXTREMES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e300, 1e-300]
+TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
+            stability_resolution=4, contour_resolution=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["dynamics", "ensemble", "spectrum",
+                                "stability", "contours"]),
+       overrides=st.dictionaries(st.sampled_from(FLOAT_KEYS),
+                                 st.sampled_from(EXTREMES), max_size=3),
+       sector=st.sampled_from([0, 1, 2]))
+def test_main_exit_code_and_manifest_on_any_float_input(command, overrides,
+                                                        sector):
+    # every other key stays nominal, so each example runs in milliseconds
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "run.cfg", sector=sector,
+                           **{**TINY, **{k: repr(v) for k, v in overrides.items()}})
+        out = Path(tmp) / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert strict_manifest(out)["status"] == ("success" if code == 0
+                                                  else "failed")

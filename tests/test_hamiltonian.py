@@ -3,9 +3,9 @@ import pytest
 
 from drivenchain.basis import build_sector_basis
 from drivenchain.hamiltonian import SectorModel, hopping_matrix
-from drivenchain.model import (ChainSpec, DriveSpec, build_potential,
-                               diagonal_frequencies)
+from drivenchain.model import ChainSpec, DriveSpec, build_potential
 from drivenchain.units import rad_ns_from_mhz
+from oracles import diagonal_frequencies
 
 J = rad_ns_from_mhz(11.5)
 U = rad_ns_from_mhz(-250.0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from drivenchain.basis import build_sector_basis
 from drivenchain.errors import ConfigError
+from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
-                               build_potential, cosine_profile, frequency_at,
+                               build_potential, cosine_profile,
                                resonance_drive_frequency, sample_disorder)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 
@@ -13,6 +15,15 @@ N = 12
 
 def default_drive(dc=3 * J, ac=3 * J, omega=rad_ns_from_mhz(19.66)):
     return DriveSpec.cosine(N, dc, ac, omega)
+
+
+def site_frequency(drive, potential, site, t):
+    """g_l(t) - gbar of a site: the diagonal entry of its one-excitation state."""
+    model = SectorModel(ChainSpec.uniform(N, J), drive, potential,
+                        build_sector_basis(N, 1, 1))
+    occupation = [0] * N
+    occupation[site - 1] = 1
+    return model.diagonal(t)[model.basis.index_of(occupation)]
 
 
 def test_cosine_profile_zero_based():
@@ -45,7 +56,7 @@ def test_frequency_at_static_when_ac_off():
     pot = build_potential("cosine", N, 3 * J)
     for site in (1, 4, 9):
         for t in (0.0, 13.7, 50.0):
-            assert frequency_at(site, t, drive, pot) == pytest.approx(
+            assert site_frequency(drive, pot, site, t) == pytest.approx(
                 pot.static_offsets[site - 1])
 
 
@@ -55,7 +66,7 @@ def test_frequency_at_trough_site_minus_six_j():
     drive = default_drive()
     pot = build_potential("cosine", N, 3 * J)
     trough_site = 4
-    value = frequency_at(trough_site, 0.0, drive, pot)
+    value = site_frequency(drive, pot, trough_site, 0.0)
     assert value == pytest.approx(-6 * J, rel=1e-12)
 
 
@@ -65,17 +76,8 @@ def test_frequency_at_periodicity():
     period = drive.period
     for site in range(1, N + 1):
         for t in np.linspace(0.0, 2 * period, 17):
-            assert abs(frequency_at(site, t, drive, pot)
-                       - frequency_at(site, t + period, drive, pot)) < 1e-12
-
-
-def test_frequency_at_site_range():
-    drive = default_drive()
-    pot = build_potential("cosine", N, 3 * J)
-    with pytest.raises(ValueError):
-        frequency_at(0, 0.0, drive, pot)
-    with pytest.raises(ValueError):
-        frequency_at(13, 0.0, drive, pot)
+            assert abs(site_frequency(drive, pot, site, t)
+                       - site_frequency(drive, pot, site, t + period)) < 1e-12
 
 
 def test_build_potential_cosine_values():
@@ -92,16 +94,6 @@ def test_build_potential_flat_level():
     assert np.allclose(pot.static_offsets[:6], 3 * J * cosine_profile(N)[:6])
     half = build_potential("flat", N, 3 * J, flat_level_fraction=0.5)
     assert np.allclose(half.static_offsets[6:], 1.5 * J)
-
-
-def test_build_potential_table_roundtrip():
-    values = np.linspace(-1, 1, N)
-    pot = build_potential("table", N, 0.0, table_offsets=values)
-    assert np.allclose(pot.static_offsets, values)
-    with pytest.raises(ConfigError):
-        build_potential("table", N, 0.0, table_offsets=values[:-1])
-    with pytest.raises(ConfigError):
-        build_potential("table", N, 0.0)
 
 
 def test_disorder_zero_strength():

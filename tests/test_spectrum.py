@@ -8,11 +8,12 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
 from drivenchain.propagate import FloquetOperator, floquet_operator
 from drivenchain.spectrum import (QuasienergySpectrum, RatioSample, coe_cdf,
-                                  coe_density, coe_density_divergent,
-                                  coe_mean, gap_ratios, ks_distance,
-                                  poisson_cdf, poisson_density, poisson_mean,
-                                  quasienergies, sample_coe_reference)
+                                  coe_density, coe_mean, gap_ratios,
+                                  ks_distance, poisson_cdf, poisson_density,
+                                  poisson_mean, quasienergies,
+                                  sample_coe_reference)
 from drivenchain.units import rad_ns_from_mhz
+from oracles import coe_density_divergent
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
