@@ -11,6 +11,7 @@ hashing tricks are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -46,6 +47,19 @@ class SectorBasis:
         if any(x < 0 or x > self.boson_cutoff for x in key):
             raise ValueError("occupation entry outside 0..n_max")
         return self.index_map[key]
+
+
+def sector_dimension(n_sites: int, total_excitations: int,
+                     boson_cutoff: int) -> int:
+    """Number of states in a sector, counted without enumerating them.
+
+    Inclusion-exclusion over the k sites that exceed the cutoff.
+    """
+    return sum((-1) ** k * comb(n_sites, k)
+               * comb(total_excitations - k * (boson_cutoff + 1) + n_sites - 1,
+                      n_sites - 1)
+               for k in range(min(n_sites, total_excitations // (boson_cutoff + 1))
+                              + 1))
 
 
 def build_sector_basis(n_sites: int, total_excitations: int,

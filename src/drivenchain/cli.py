@@ -6,9 +6,11 @@ and the undriven potential contours, plus a device-table checker.  Every
 run writes CSV data files and a JSON manifest (config, seeds, output
 hashes); data files are byte-identical for identical config and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-failed disorder realization exits by its cause and records its
-``realization_index`` in the manifest.
+Exit codes: 0 success, 1 internal error (a defect: the manifest records
+its ``error_type``), 2 configuration error, 3 numerical failure.  A failed
+check on one disorder realization records its ``realization_index`` in the
+manifest.  Every exit code writes the manifest; it holds the config only
+once :func:`~drivenchain.config.resolve` has accepted it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+import traceback
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +29,15 @@ import numpy as np
 from . import __version__
 from .config import ResolvedRun, RunConfig, load_config, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
-from .ensemble import (RealizationError, run_dynamics_ensemble,
-                       run_spectrum_ensemble)
+from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .model import sample_disorder
 from .basis import fock_state
 from .observables import observable_series
 from .propagate import evolve_state
 from .semiclassical import default_grid_axes, potential_contours, stability_grid
-from .spectrum import (coe_cdf, coe_density, coe_mean, ks_distance,
-                       poisson_cdf, poisson_density, poisson_mean)
+from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
+                       ks_distance, poisson_cdf, poisson_density, poisson_mean)
 from .units import mhz_from_rad_ns
 
 _FLOAT_FMT = "%.12g"
@@ -66,14 +68,14 @@ def _sha256(path: Path) -> str:
 class ManifestWriter:
     """Collects run metadata and guarantees a manifest on every exit path."""
 
-    def __init__(self, out_dir: Path, command: str, config: RunConfig | None):
+    def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
         self.started = time.monotonic()
         self.data = {
             "tool": "drivenchain",
             "version": __version__,
             "command": command,
-            "config": config.to_dict() if config else None,
+            "config": None,
             "outputs": [],
             "status": "running",
         }
@@ -159,10 +161,15 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
     sample = run_spectrum_ensemble(run.model, run.disorder,
                                    steps_per_period=cfg.steps_per_period)
+    if sample.count == 0:
+        raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
+                          f"a degenerate quasienergy gap (below "
+                          f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
+                          f"e.g. every coupling is 0: no level statistics")
     edges = np.linspace(0.0, 1.0, cfg.histogram_bins + 1)
     counts, _ = np.histogram(sample.ratios, bins=edges)
     widths = np.diff(edges)
-    density = counts / (max(sample.count, 1) * widths)
+    density = counts / (sample.count * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     hist_path = out / "ratio_histogram.csv"
@@ -238,7 +245,6 @@ def cmd_device_check(table_path, out: Path, manifest: ManifestWriter) -> None:
         "warnings": warnings,
     }
     report_path = out / "device_report.json"
-    out.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     manifest.record_output(report_path)
     print(f"device table: {path}")
@@ -261,19 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", dest="master_seed", type=int,
+                       help="master seed override")
         p.add_argument("--realizations", type=int, help="ensemble size override")
         p.add_argument("--steps-per-period", type=int,
                        help="propagator steps per drive period")
         p.add_argument("--profile", choices=("cosine", "flat", "table"),
                        help="potential profile override")
-        p.add_argument("--disorder-w", type=float, metavar="W_OVER_J",
+        p.add_argument("--disorder-w", dest="disorder_w_over_j", type=float,
+                       metavar="W_OVER_J",
                        help="disorder strength in units of the mean coupling")
         p.add_argument("--init-site", type=int, help="initial excitation site")
         p.add_argument("--sector", type=int, help="total excitation number")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
-        p.add_argument("--keep-realizations", action="store_true",
+        p.add_argument("--keep-realizations", action="store_true", default=None,
                        help="also dump per-realization data")
 
     for name, doc in (("dynamics", "single-run populations and ZZ correlations"),
@@ -288,28 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: bundled table)")
     check.add_argument("--out", type=Path, default=Path("out"))
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.steps_per_period is not None:
-        overrides["steps_per_period"] = args.steps_per_period
-    if args.profile is not None:
-        overrides["profile"] = args.profile
-    if args.disorder_w is not None:
-        overrides["disorder_w_over_j"] = args.disorder_w
-    if args.init_site is not None:
-        overrides["init_site"] = args.init_site
-    if args.sector is not None:
-        overrides["sector"] = args.sector
-    if args.keep_realizations:
-        overrides["keep_realizations"] = True
-    return replace(config, **overrides)
 
 
 _COMMANDS = {
@@ -332,6 +318,7 @@ def _check_sector(command: str, run: ResolvedRun) -> None:
 
 def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
+    manifest.extra(error_type=type(exc).__name__)
     manifest.finish("failed", str(exc))
     return code
 
@@ -339,39 +326,29 @@ def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> in
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out: Path = args.out
-
-    if args.command == "device-check":
-        manifest = ManifestWriter(out, args.command, None)
-        try:
-            cmd_device_check(args.table, out, manifest)
-        except ConfigError as exc:
-            return _fail(manifest, "config error", exc, 2)
-        manifest.finish("success")
-        return 0
-
+    manifest = ManifestWriter(out, args.command)
     try:
-        config = _config_from_args(args)
-        run = resolve(config)
-    except ConfigError as exc:
-        return _fail(ManifestWriter(out, args.command, None), "config error",
-                     exc, 2)
-
-    manifest = ManifestWriter(out, args.command, config)
-    try:
-        _check_sector(args.command, run)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](run, out, manifest)
-    except RealizationError as exc:
-        manifest.extra(realization_index=exc.realization_index)
-        if isinstance(exc.__cause__, ConfigError):
-            return _fail(manifest, "config error", exc, 2)
-        if isinstance(exc.__cause__, NumericalError):
-            return _fail(manifest, "numerical failure", exc, 3)
-        raise
+        if args.command == "device-check":
+            cmd_device_check(args.table, out, manifest)
+        else:
+            config = load_config(args.config) if args.config else RunConfig()
+            # a flag left out is None and never overrides the file
+            run = resolve(replace(config, **{
+                f.name: getattr(args, f.name) for f in fields(RunConfig)
+                if getattr(args, f.name, None) is not None}))
+            manifest.extra(config=run.config.to_dict())
+            _check_sector(args.command, run)
+            _COMMANDS[args.command](run, out, manifest)
     except ConfigError as exc:
         return _fail(manifest, "config error", exc, 2)
     except NumericalError as exc:
+        if exc.realization_index is not None:
+            manifest.extra(realization_index=exc.realization_index)
         return _fail(manifest, "numerical failure", exc, 3)
+    except Exception as exc:        # a defect: report it, never lose the manifest
+        traceback.print_exc()
+        return _fail(manifest, "internal error", exc, 1)
     manifest.finish("success")
     return 0
 

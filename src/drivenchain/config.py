@@ -8,14 +8,13 @@ units and builds the immutable spec objects the simulation modules consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .basis import SectorBasis, build_sector_basis
-from .device import DeviceTable, load_device_table, bundled_table_path
+from .basis import SectorBasis, build_sector_basis, sector_dimension
+from .device import load_device_table, bundled_table_path
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
@@ -29,6 +28,13 @@ MAX_SAMPLES = 100_000
 #: most split-operator steps one propagation may take: a period for spectra,
 #: t_max_ns for dynamics
 MAX_STEPS = 1_000_000
+MAX_SITES = 100
+MAX_REALIZATIONS = 10_000
+#: most entries of the realizations x dim x dim block an ensemble propagates
+MAX_BLOCK = 2_000_000
+#: most points along each axis of the stability and contour grids
+MAX_RESOLUTION = 1_000
+MAX_HISTOGRAM_BINS = 10_000
 
 
 def parse_site_range(text: str, n_sites: int, field_name: str) -> tuple:
@@ -93,9 +99,12 @@ class RunConfig:
     keep_realizations: bool = False
 
     def validate(self) -> "RunConfig":
-        for key in sorted(_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
+        for f in fields(self):
+            if (isinstance(f.default, (float, tuple))
+                    and not np.isfinite(getattr(self, f.name)).all()):
+                raise ConfigError(f"{f.name} must be finite")
+        if not 1 <= self.n_sites <= MAX_SITES:
+            raise ConfigError(f"n_sites outside 1..{MAX_SITES}")
         if self.profile not in _PROFILES:
             raise ConfigError(f"profile must be one of {_PROFILES}, got {self.profile!r}")
         if self.profile == "table":
@@ -112,12 +121,18 @@ class RunConfig:
             raise ConfigError("sector outside 0..N*n_max")
         if len(self.coupling_mhz) not in (1, self.n_sites - 1):
             raise ConfigError("coupling_mhz needs 1 or n_sites-1 values")
-        if any(not np.isfinite(j) for j in self.coupling_mhz):
-            raise ConfigError("couplings must be finite")
         if self.disorder_w_over_j < 0:
             raise ConfigError("disorder_w_over_j must be >= 0")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        if not 1 <= self.realizations <= MAX_REALIZATIONS:
+            raise ConfigError(f"realizations outside 1..{MAX_REALIZATIONS}")
+        block = self.realizations * sector_dimension(
+            self.n_sites, self.sector, self.boson_cutoff) ** 2
+        if block > MAX_BLOCK:
+            raise ConfigError(f"realizations x sector dimension^2 = {block:.3g} "
+                              f"exceeds {MAX_BLOCK}: lower realizations, "
+                              f"n_sites, sector or boson_cutoff")
         if self.steps_per_period < 1:
             raise ConfigError("steps_per_period must be >= 1")
         if self.t_max_ns <= 0 or self.sample_dt_ns <= 0:
@@ -130,10 +145,11 @@ class RunConfig:
             raise ConfigError(f"init_site outside 1..{self.n_sites}")
         if not 1 <= self.czz_reference_site <= self.n_sites:
             raise ConfigError(f"czz_reference_site outside 1..{self.n_sites}")
-        if self.histogram_bins < 2:
-            raise ConfigError("histogram_bins must be >= 2")
-        if self.stability_resolution < 2 or self.contour_resolution < 2:
-            raise ConfigError("grid resolutions must be >= 2")
+        if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"histogram_bins outside 2..{MAX_HISTOGRAM_BINS}")
+        if not (2 <= self.stability_resolution <= MAX_RESOLUTION
+                and 2 <= self.contour_resolution <= MAX_RESOLUTION):
+            raise ConfigError(f"grid resolutions outside 2..{MAX_RESOLUTION}")
         if self.resonance_order < 1:
             raise ConfigError("resonance_order must be >= 1")
         return self
@@ -146,41 +162,30 @@ class RunConfig:
         return out
 
 
-_BOOL_KEYS = {"keep_realizations"}
-_INT_KEYS = {"n_sites", "boson_cutoff", "sector", "resonance_order", "master_seed",
-             "realizations", "steps_per_period", "init_site", "czz_reference_site",
-             "histogram_bins", "stability_resolution", "contour_resolution"}
-_FLOAT_KEYS = {"nonlinearity_mhz", "dc_amplitude_over_j", "ac_amplitude_over_j",
-               "drive_frequency_mhz", "drive_phase_rad", "time_origin_ns",
-               "flat_level_fraction", "disorder_w_over_j", "t_max_ns",
-               "sample_dt_ns"}
-_STR_KEYS = {"profile", "device_table", "device_row", "disordered_sites",
-             "driven_sites"}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "coupling_mhz":
-        try:
-            return tuple(float(x) for x in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"coupling_mhz: bad value {raw!r}") from exc
-    if key in _BOOL_KEYS:
+    """Parse ``raw`` as the type of the key's default (bool before int)."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default, raw = _DEFAULTS[key], raw.strip()
+    if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: bad boolean {raw!r}")
     try:
-        if key in _INT_KEYS:
+        if isinstance(default, tuple):
+            return tuple(float(x) for x in raw.split(","))
+        if isinstance(default, int):
             return int(raw, 0)
-        if key in _FLOAT_KEYS:
+        if isinstance(default, float):
             return float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: bad value {raw!r}") from exc
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown config key {key!r}")
+    return raw
 
 
 def load_config(path) -> RunConfig:
@@ -212,7 +217,6 @@ class ResolvedRun:
     potential: PotentialSpec            # clean (no disorder overlay)
     disorder: DisorderSpec
     basis: SectorBasis
-    device: DeviceTable | None
     drive_frequency_mhz: float
 
     @property
@@ -242,8 +246,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
     """Validate and convert a RunConfig into immutable model specs."""
     config.validate()
     n = config.n_sites
+    disordered = parse_site_range(config.disordered_sites, n, "disordered_sites")
 
-    device = None
     if config.profile == "table":
         table_path = config.device_table or bundled_table_path()
         device = load_device_table(table_path)
@@ -261,8 +265,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
             * chain.mean_coupling  # mean coupling back to MHz
         potential = build_potential(
             config.profile, n, config.dc_amplitude_over_j * chain.mean_coupling,
-            localized_sites=parse_site_range(config.disordered_sites, n,
-                                             "disordered_sites") or None,
+            localized_sites=disordered or None,
             flat_level_fraction=config.flat_level_fraction)
 
     mean_coupling_mhz = chain.mean_coupling * 1e3 / (2 * np.pi)
@@ -297,12 +300,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
     disorder = DisorderSpec(
         n_sites=n,
         strength=config.disorder_w_over_j * chain.mean_coupling,
-        disordered_sites=parse_site_range(config.disordered_sites, n,
-                                          "disordered_sites"),
+        disordered_sites=disordered,
         master_seed=config.master_seed,
         realization_count=config.realizations,
     )
 
     basis = build_sector_basis(n, config.sector, config.boson_cutoff)
     return ResolvedRun(config, chain, drive, potential, disorder, basis,
-                       device, drive_mhz)
+                       drive_mhz)

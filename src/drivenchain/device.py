@@ -99,7 +99,7 @@ class DeviceTable:
         gbar = self.rotating_frame_ghz(profile)
         offsets = np.array([rad_ns_from_ghz(g - gbar)
                             for g in self.working_row(profile)])
-        return PotentialSpec(offsets, rad_ns_from_ghz(gbar), "table")
+        return PotentialSpec(offsets)
 
 
 def bundled_table_path() -> Path:

@@ -141,14 +141,11 @@ class PotentialSpec:
 
     ``static_offsets[l-1]`` is g_l - gbar in rad/ns, including the DC part
     of the drive profile and any disorder overlay.  The rotating-frame
-    frequency itself is stored for reporting only; it never enters the
-    simulated diagonal (with conserved total excitation number it would
-    contribute a global phase).
+    frequency gbar never enters the simulated diagonal (with conserved
+    total excitation number it would contribute a global phase).
     """
 
     static_offsets: np.ndarray
-    rotating_frame_frequency: float = 0.0
-    profile_name: str = "explicit"
 
     def __post_init__(self):
         offsets = _frozen_array(self.static_offsets)
@@ -242,7 +239,7 @@ def build_potential(profile: str, n_sites: int, dc_amplitude: float,
             if not 1 <= s <= n_sites:
                 raise ConfigError(f"localized sites must lie in 1..{n_sites}")
             offsets[s - 1] = flat_level_fraction * dc_amplitude
-    return PotentialSpec(offsets, profile_name=profile)
+    return PotentialSpec(offsets)
 
 
 def resonance_drive_frequency(n_sites: int, dc_amplitude_mhz: float,

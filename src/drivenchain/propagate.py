@@ -86,7 +86,8 @@ def _check_each(values: np.ndarray, tol: float, what: str) -> None:
     """Fail on the first realization whose value is not <= tol (NaN fails)."""
     bad = np.flatnonzero(~(values <= tol))
     if bad.size:
-        raise NumericalError(f"{what} {values[bad[0]]:.3e} exceeds {tol}",
+        raise NumericalError(f"realization {bad[0]}: {what} "
+                             f"{values[bad[0]]:.3e} exceeds {tol}",
                              realization_index=int(bad[0]))
 
 

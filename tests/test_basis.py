@@ -4,7 +4,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from drivenchain.basis import QuantumState, build_sector_basis, fock_state
+from drivenchain.basis import (QuantumState, build_sector_basis, fock_state,
+                               sector_dimension)
 
 
 def brute_force_states(n_sites, n, n_max):
@@ -38,6 +39,7 @@ def test_soft_cutoff_dimension_against_oracle():
 def test_dimension_matches_oracle_small_sectors(n_sites, n, n_max):
     basis = build_sector_basis(n_sites, n, n_max)
     assert basis.dim == len(brute_force_states(n_sites, n, n_max))
+    assert sector_dimension(n_sites, n, n_max) == basis.dim
 
 
 def test_states_sorted_lexicographically_descending():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import tempfile
 import time
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from drivenchain.cli import main
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
+from drivenchain.device import bundled_table_path, load_device_table
 from drivenchain.errors import ConfigError
 
 
@@ -80,8 +82,9 @@ def test_resolution_device_mode():
     run = resolve(RunConfig(profile="table"))
     assert run.chain.bond_couplings[0] == pytest.approx(
         run.chain.bond_couplings[0])
-    assert run.device is not None
-    assert run.potential.profile_name == "table"
+    table = load_device_table(bundled_table_path())
+    assert np.array_equal(run.potential.static_offsets,
+                          table.potential_spec("cosine").static_offsets)
 
 
 def test_cmd_dynamics_outputs(tmp_path):
@@ -234,20 +237,46 @@ def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
     assert "realization 2" in manifest["error"]
 
 
-def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch):
-    from drivenchain import propagate
-    monkeypatch.setattr(propagate, "NORM_TOL", -1.0)    # every norm fails
+@pytest.mark.parametrize("command,module,tolerance", [
+    ("ensemble", "propagate", "NORM_TOL"),
+    ("spectrum", "spectrum", "EIGENVALUE_MODULUS_TOL"),
+])
+def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
+                                                      command, module,
+                                                      tolerance):
+    # every realization fails the check, so the first one is named
+    monkeypatch.setattr(importlib.import_module(f"drivenchain.{module}"),
+                        tolerance, -1.0)
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, **FAST)
     out = tmp_path / "out"
-    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["realization_index"] == 0
+    assert manifest["error"].startswith("realization 0: ")
+
+
+def test_unexpected_exception_exits_1_with_strict_manifest(tmp_path,
+                                                           monkeypatch):
+    from drivenchain import cli
+
+    def broken(*args):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(cli, "potential_contours", broken)
+    out = tmp_path / "out"
+    assert main(["contours", "--out", str(out)]) == 1
+    manifest = strict_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "RuntimeError"
+    assert manifest["error"] == "injected defect"
+    assert manifest["config"] == RunConfig().to_dict()
 
 
 def test_cli_overrides_take_precedence(tmp_path):
-    cfg = write_config(tmp_path / "run.cfg", disorder_w_over_j=0.0, **FAST)
+    cfg = write_config(tmp_path / "run.cfg", disorder_w_over_j=0.0,
+                       keep_realizations="true", **FAST)
     out = tmp_path / "out"
     assert main(["dynamics", "--config", str(cfg), "--out", str(out),
                  "--disorder-w", "5.0", "--init-site", "9", "--seed", "77"]) == 0
@@ -255,6 +284,10 @@ def test_cli_overrides_take_precedence(tmp_path):
     assert manifest["config"]["disorder_w_over_j"] == 5.0
     assert manifest["config"]["init_site"] == 9
     assert manifest["config"]["master_seed"] == 77
+    # flags left out keep the file's values
+    assert manifest["config"]["keep_realizations"] is True
+    assert manifest["config"]["realizations"] == FAST["realizations"]
+    assert manifest["config"]["steps_per_period"] == FAST["steps_per_period"]
     rows = np.loadtxt(out / "populations.csv", delimiter=",", skiprows=1)
     assert rows[0, 9] == pytest.approx(1.0)      # excitation starts at site 9
 
@@ -280,6 +313,13 @@ def strict_manifest(out: Path) -> dict:
     ("ensemble", {"sector": 2}),
     ("spectrum", {"sector": 0}),
     ("stability", {"dc_amplitude_over_j": "-1", "drive_frequency_mhz": "19.67"}),
+    ("spectrum", {"coupling_mhz": "0.0", "drive_frequency_mhz": "19.67"}),
+    ("dynamics", {"n_sites": 1000}),
+    ("ensemble", {"realizations": 10**9}),
+    ("stability", {"stability_resolution": 10**6}),
+    ("spectrum", {"histogram_bins": 10**9}),
+    ("spectrum", {"sector": 6}),
+    ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -288,10 +328,13 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert time.monotonic() - started < 5.0
     assert strict_manifest(out)["status"] == "failed"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
 EXTREMES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e300, 1e-300]
+INT_KEYS = [f.name for f in fields(RunConfig) if type(f.default) is int]
+INT_EXTREMES = [-1, 0, 1, 10**9]
 TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
             stability_resolution=4, contour_resolution=5)
 
@@ -301,13 +344,16 @@ TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
                                 "stability", "contours"]),
        overrides=st.dictionaries(st.sampled_from(FLOAT_KEYS),
                                  st.sampled_from(EXTREMES), max_size=3),
+       int_overrides=st.dictionaries(st.sampled_from(INT_KEYS),
+                                     st.sampled_from(INT_EXTREMES), max_size=2),
        sector=st.sampled_from([0, 1, 2]))
 def test_main_exit_code_and_manifest_on_any_float_input(command, overrides,
-                                                        sector):
+                                                        int_overrides, sector):
     # every other key stays nominal, so each example runs in milliseconds
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp) / "run.cfg", sector=sector,
-                           **{**TINY, **{k: repr(v) for k, v in overrides.items()}})
+        cfg = write_config(Path(tmp) / "run.cfg",
+                           **{**TINY, "sector": sector, **int_overrides,
+                              **{k: repr(v) for k, v in overrides.items()}})
         out = Path(tmp) / "out"
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)

@@ -29,7 +29,8 @@ def test_cosine_row_fourth_site(table):
     # the fourth qubit sits on the profile minimum at 4.300 GHz
     assert table.cosine_ghz[3] == pytest.approx(4.300)
     pot = table.potential_spec("cosine")
-    absolute = pot.static_offsets[3] + pot.rotating_frame_frequency
+    absolute = pot.static_offsets[3] + rad_ns_from_ghz(
+        table.rotating_frame_ghz("cosine"))
     assert absolute == pytest.approx(rad_ns_from_ghz(4.300), rel=1e-9)
 
 
