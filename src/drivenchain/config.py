@@ -32,6 +32,9 @@ MAX_SITES = 100
 MAX_REALIZATIONS = 10_000
 #: most entries of the realizations x dim x dim block an ensemble propagates
 MAX_BLOCK = 2_000_000
+#: most complex amplitudes (realizations x samples x dim, 800 MB) a dynamics
+#: ensemble holds at once
+MAX_AMPLITUDES = 50_000_000
 #: most points along each axis of the stability and contour grids
 MAX_RESOLUTION = 1_000
 MAX_HISTOGRAM_BINS = 10_000
@@ -127,8 +130,8 @@ class RunConfig:
             raise ConfigError("master_seed must be >= 0")
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ConfigError(f"realizations outside 1..{MAX_REALIZATIONS}")
-        block = self.realizations * sector_dimension(
-            self.n_sites, self.sector, self.boson_cutoff) ** 2
+        dim = sector_dimension(self.n_sites, self.sector, self.boson_cutoff)
+        block = self.realizations * dim ** 2
         if block > MAX_BLOCK:
             raise ConfigError(f"realizations x sector dimension^2 = {block:.3g} "
                               f"exceeds {MAX_BLOCK}: lower realizations, "
@@ -139,6 +142,13 @@ class RunConfig:
             raise ConfigError("t_max_ns and sample_dt_ns must be positive")
         if self.t_max_ns / self.sample_dt_ns > MAX_SAMPLES:
             raise ConfigError(f"t_max_ns / sample_dt_ns exceeds {MAX_SAMPLES} samples")
+        amplitudes = (self.realizations * dim
+                      * (int(round(self.t_max_ns / self.sample_dt_ns)) + 1))
+        if amplitudes > MAX_AMPLITUDES:
+            raise ConfigError(f"realizations x samples x sector dimension = "
+                              f"{amplitudes:.3g} exceeds {MAX_AMPLITUDES}: lower "
+                              f"realizations, t_max_ns or n_sites, or raise "
+                              f"sample_dt_ns")
         if self.drive_frequency_mhz < 0:
             raise ConfigError("drive_frequency_mhz must be >= 0 (0 selects the resonance)")
         if not 1 <= self.init_site <= self.n_sites:

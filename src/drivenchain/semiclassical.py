@@ -14,8 +14,16 @@ giving the equations of motion
 parametrically modulated oscillator with small-oscillation frequency
 Omega = (4*pi/N) * sqrt(2*d0*J).  Driving near omega = 2*Omega/m makes the
 fixed point unstable (parametric resonance); stability is classified by the
-trace of the one-period monodromy matrix of the linearized flow, computed by
-direct numerical integration so any modulation shape can be handled.
+trace of the one-period monodromy matrix M of the linearized flow, computed
+by direct numerical integration (a fourth-order composition of shears).
+
+The linearized flow is Hill's equation with an even coefficient c(t), and
+the shear sequence is a palindrome, so only the half-period product H is
+integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
+discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  An odd step count puts
+T/2 at the centre of the middle step's w0 drift, which is split there.  The
+kicks sit at fixed fractions of each cell's period, so their cosines come
+from one short table per step-count group.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -108,36 +116,72 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     accuracy of the trace for the time-dependent modulation.  Adjacent
     half-kicks (within a step and across step boundaries) are merged: they
     act at the same instant, so the combined update is the same shear.
+
+    Only the half-period product H is integrated: the period's shear
+    sequence is a palindrome and c(t) is even, so the second half is the
+    first mirrored, and since R S^-1 R = S for every shear S (R =
+    diag(1, -1)), M = R adj(H) R H.  T/2 splits the merged kick at a step
+    boundary (even steps) or the middle step's w0 drift (odd steps).  Kicks
+    sit at fixed fractions of the period, so the group shares one cosine
+    table; H is two contiguous (2, n) rows updated in place.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
+    dc = c0 * params.dc_amplitude
     h = (TWO_PI / omega) / steps
     w1, w0, _ = YOSHIDA_WEIGHTS
+    w_mid = 0.5 * (w1 + w0)
+    half, odd = divmod(steps, 2)
 
-    m = np.zeros(omega.shape + (2, 2))
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = 1.0
+    drift_w1, drift_w0 = (-a * w1) * h, (-a * w0) * h
+    dc_half, dc_mid = (0.5 * w1 * dc) * h, (w_mid * dc) * h
+    dc_w1 = (w1 * dc) * h
+    ac_h = c0 * delta1 * h
+    # kick instants of step k as fractions of the period: k+w1, k+1-w1, k+1
+    offsets = np.arange(half + odd)[:, None] + np.array([w1, 1.0 - w1, 1.0])
+    cosines = np.cos(TWO_PI * offsets / steps)
 
-    def kick(t, weight):
-        c = c0 * (params.dc_amplitude + delta1 * np.cos(omega * t))
-        m[..., 1, :] += (weight * h * c)[..., None] * m[..., 0, :]
+    q = np.zeros((2,) + omega.shape)
+    p = np.zeros_like(q)
+    q[0] = 1.0
+    p[1] = 1.0
+    kappa = np.empty_like(omega)
+    tmp = np.empty_like(q)
 
-    def drift(weight):
-        m[..., 0, :] += (-a * weight * h)[..., None] * m[..., 1, :]
+    def kick(dc_weighted, ac_weight):
+        np.multiply(ac_h, ac_weight, out=kappa)
+        np.add(kappa, dc_weighted, out=kappa)
+        np.multiply(q, kappa, out=tmp)
+        np.add(p, tmp, out=p)
 
-    t = np.zeros_like(omega)
-    kick(t, 0.5 * w1)
-    for k in range(steps):
-        drift(w1)
-        t = t + w1 * h
-        kick(t, 0.5 * (w1 + w0))
-        drift(w0)
-        t = t + w0 * h
-        kick(t, 0.5 * (w0 + w1))
-        drift(w1)
-        t = t + w1 * h
-        kick(t, w1 if k + 1 < steps else 0.5 * w1)
+    def drift(factor):
+        np.multiply(p, factor, out=tmp)
+        np.add(q, tmp, out=q)
+
+    kick(dc_half, 0.5 * w1)                          # t = 0, cos = 1
+    for k in range(half):
+        cos_a, cos_b, cos_c = cosines[k]
+        drift(drift_w1)
+        kick(dc_mid, w_mid * cos_a)
+        drift(drift_w0)
+        kick(dc_mid, w_mid * cos_b)
+        drift(drift_w1)
+        if k + 1 < half or odd:
+            kick(dc_w1, w1 * cos_c)
+        else:                                        # first half of T/2's kick
+            kick(dc_half, 0.5 * w1 * cos_c)
+    if odd:
+        drift(drift_w1)
+        kick(dc_mid, w_mid * cosines[half, 0])
+        drift(0.5 * drift_w0)
+
+    (h11, h12), (h21, h22) = q, p
+    m = np.empty(omega.shape + (2, 2))
+    m[..., 0, 0] = h11 * h22 + h12 * h21
+    m[..., 1, 1] = m[..., 0, 0]
+    m[..., 0, 1] = 2.0 * h12 * h22
+    m[..., 1, 0] = 2.0 * h11 * h21
     return m
 
 

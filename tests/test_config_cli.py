@@ -257,6 +257,19 @@ def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
     assert manifest["error"].startswith("realization 0: ")
 
 
+def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):
+    # the determinant check still fires on M rebuilt from the half period
+    from drivenchain import semiclassical
+    monkeypatch.setattr(semiclassical, "DETERMINANT_TOL", -1.0)
+    cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = strict_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "NumericalError"
+    assert not (out / "stability_grid.csv").exists()
+
+
 def test_unexpected_exception_exits_1_with_strict_manifest(tmp_path,
                                                            monkeypatch):
     from drivenchain import cli
@@ -320,6 +333,8 @@ def strict_manifest(out: Path) -> dict:
     ("spectrum", {"histogram_bins": 10**9}),
     ("spectrum", {"sector": 6}),
     ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
+    ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
+                  "sample_dt_ns": "1.0"}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from drivenchain.semiclassical import (SemiclassicalParams, default_grid_axes,
+from drivenchain.semiclassical import (STABILITY_TOLERANCE,
+                                       SemiclassicalParams, _integrate_group,
+                                       _monodromy_steps, default_grid_axes,
                                        energy, monodromy_matrix,
                                        monodromy_trace, potential_contours,
                                        stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
-from oracles import classical_rhs, integrate_trajectory
+from oracles import classical_rhs, full_period_monodromy, integrate_trajectory
 
 J = rad_ns_from_mhz(11.5)
 D0 = 3 * J
@@ -176,6 +179,83 @@ def test_operating_point_adjacent_to_tongue():
     omegas = [omega_op - cell, omega_op, omega_op + cell]
     grid = stability_grid(omegas, [D0], params, 2048)
     assert np.any(~grid.stable)
+
+
+def oracle_monodromy(omega, delta1, params, steps_per_period):
+    """Full-period matrices with the package's per-cell step counts."""
+    omega, delta1 = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                        np.asarray(delta1, dtype=float))
+    omega_flat, delta1_flat = omega.ravel(), delta1.ravel()
+    steps = _monodromy_steps(omega_flat, delta1_flat, params, steps_per_period)
+    out = np.empty(steps.shape + (2, 2))
+    for count in np.unique(steps):
+        mask = steps == count
+        out[mask] = full_period_monodromy(omega_flat[mask], delta1_flat[mask],
+                                          params, int(count))
+    return out.reshape(omega.shape + (2, 2))
+
+
+def assert_trace_matches(abs_trace, reference):
+    # roundoff in cells whose entries reach ~1e2 is ~1e-8 under either scheme
+    reference = np.abs(reference)
+    checked = reference <= 10.0
+    error = np.abs(np.asarray(abs_trace) - reference)
+    assert np.all(error[checked] <= 1e-7 * np.maximum(1.0, reference[checked]))
+
+
+@pytest.mark.parametrize("steps_per_period", [255, 256, 257])
+def test_half_period_matches_full_period_oracle(steps_per_period):
+    # resolution 8 spans four or five step-count groups; an odd floor keeps
+    # the fast cells odd, which exercises the split middle drift
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 8)
+    om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
+    steps = _monodromy_steps(om.ravel(), d1.ravel(), params, steps_per_period)
+    assert len(np.unique(steps)) >= 3
+    reference = oracle_monodromy(om, d1, params, steps_per_period)
+    ref_trace = np.abs(reference[..., 0, 0] + reference[..., 1, 1])
+    grid = stability_grid(omega_values, delta1_values, params, steps_per_period)
+    ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
+    assert np.array_equal(grid.stable, ref_stable)
+    assert_trace_matches(grid.abs_trace, ref_trace)
+    for i, j in ((0, 0), (0, 7), (4, 3), (7, 0), (7, 7)):
+        m = monodromy_matrix(omega_values[i], delta1_values[j], params,
+                             steps_per_period)
+        assert_trace_matches(abs(np.trace(m)), ref_trace[i, j])
+        if np.abs(m).max() <= 8.0:
+            assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+def test_half_period_identity_at_few_steps(steps):
+    # the identity is exact for any step count, not only converged ones
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 6)
+    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
+    half = _integrate_group(om, d1, params, steps)
+    full = full_period_monodromy(om, d1, params, steps)
+    scale = np.maximum(1.0, np.abs(full).max(axis=(-2, -1)))
+    assert np.all(np.abs(half - full).max(axis=(-2, -1)) <= 1e-12 * scale**2)
+
+
+DEFAULT_OMEGAS = default_grid_axes(make_params())[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(omega=DEFAULT_OMEGAS[-1], delta1=D0, steps_floor=255)   # odd count
+@given(omega=st.sampled_from(list(DEFAULT_OMEGAS)),
+       delta1=st.floats(0.0, 2 * D0),
+       steps_floor=st.sampled_from([1, 2, 3, 255, 1024]))
+def test_monodromy_trace_matches_full_period_oracle(omega, delta1,
+                                                    steps_floor):
+    params = make_params()
+    trace = monodromy_trace(omega, delta1, params, steps_floor)
+    reference = abs(np.trace(oracle_monodromy(omega, delta1, params,
+                                              steps_floor)))
+    if reference <= 10.0:
+        assert_trace_matches(trace, reference)
+    else:
+        assert trace > 2.0 + STABILITY_TOLERANCE
 
 
 def test_potential_contour_extrema():
