@@ -17,13 +17,11 @@ from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, build_potential,
                     resonance_drive_frequency, sample_disorder)
-from .observables import czz_expectation, observable_series, populations
+from .observables import observable_series, populations
 from .propagate import evolve_state, floquet_operator
-from .semiclassical import (SemiclassicalParams, monodromy_matrix,
-                            potential_contours, stability_grid)
+from .semiclassical import SemiclassicalParams, potential_contours, stability_grid
 from .spectrum import (coe_cdf, coe_density, coe_mean, gap_ratios, ks_distance,
-                       poisson_cdf, poisson_density, poisson_mean,
-                       quasienergies, sample_coe_reference)
+                       poisson_cdf, poisson_density, poisson_mean, quasienergies)
 
 __all__ = [
     "build_sector_basis", "fock_state",
@@ -34,11 +32,9 @@ __all__ = [
     "SectorModel",
     "ChainSpec", "DisorderSpec", "DriveSpec", "build_potential",
     "resonance_drive_frequency", "sample_disorder",
-    "czz_expectation", "observable_series", "populations",
+    "observable_series", "populations",
     "evolve_state", "floquet_operator",
-    "SemiclassicalParams", "monodromy_matrix", "potential_contours",
-    "stability_grid",
+    "SemiclassicalParams", "potential_contours", "stability_grid",
     "coe_cdf", "coe_density", "coe_mean", "gap_ratios", "ks_distance",
     "poisson_cdf", "poisson_density", "poisson_mean", "quasienergies",
-    "sample_coe_reference",
 ]

@@ -22,6 +22,7 @@ import sys
 import time
 import traceback
 from dataclasses import fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +44,25 @@ from .units import mhz_from_rad_ns
 _FLOAT_FMT = "%.12g"
 
 
-def _format_row(values) -> str:
-    parts = []
-    for v in values:
-        if isinstance(v, (bool, np.bool_)):
-            parts.append("1" if v else "0")
-        elif isinstance(v, (int, np.integer)):
-            parts.append(str(int(v)))
-        else:
-            parts.append(_FLOAT_FMT % float(v))
-    return ",".join(parts)
+def write_csv(path: Path, header, fmt: str, rows) -> None:
+    """Write the header line, then every row tuple through one format line.
+
+    ``fmt`` holds one %-conversion per column: ``%.12g`` for floats, ``%d``
+    for integers and flags.  ``rows`` is usually a generator over
+    ``.tolist()`` columns, so a large table is formatted one block at a
+    time as it streams into the open file.
+    """
+    line = fmt + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(line % row for row in rows)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(_format_row(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _grid_rows(x_values, y_values, *fields):
+    """(x, y, field values...) rows in x-major order, one x-row at a time."""
+    y_list = y_values.tolist()
+    for i, x in enumerate(x_values.tolist()):
+        yield from zip(repeat(x), y_list, *(field[i].tolist() for field in fields))
 
 
 def _sha256(path: Path) -> str:
@@ -116,8 +120,10 @@ def _dynamics_series(run: ResolvedRun, initial_site: int, disorder_index: int = 
 def _write_population_csv(path: Path, times, populations,
                           manifest: ManifestWriter) -> None:
     """``time_ns, n_1..n_N`` rows of (time, site) populations."""
-    header = ["time_ns"] + [f"n_{l}" for l in range(1, populations.shape[1] + 1)]
-    write_csv(path, header, ([t] + list(row) for t, row in zip(times, populations)))
+    n_sites = populations.shape[1]
+    header = ["time_ns"] + [f"n_{l}" for l in range(1, n_sites + 1)]
+    write_csv(path, header, ",".join([_FLOAT_FMT] * (n_sites + 1)),
+              zip(times.tolist(), *populations.T.tolist()))
     manifest.record_output(path)
 
 
@@ -127,11 +133,12 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
                           series.populations, manifest)
 
     czz_path = out / "czz.csv"
-    rows = []
-    for (i, j), values in sorted(series.correlations.items()):
-        for k, t in enumerate(series.times):
-            rows.append([t, i, j, values[k]])
-    write_csv(czz_path, ["time_ns", "i", "j", "value"], rows)
+    times = series.times.tolist()
+    rows = chain.from_iterable(
+        zip(times, repeat(i), repeat(j), values.tolist())
+        for (i, j), values in sorted(series.correlations.items()))
+    write_csv(czz_path, ["time_ns", "i", "j", "value"],
+              f"{_FLOAT_FMT},%d,%d,{_FLOAT_FMT}", rows)
     manifest.record_output(czz_path)
     manifest.extra(steps_per_period=run.config.steps_per_period,
                    drive_frequency_mhz=run.drive_frequency_mhz)
@@ -173,11 +180,11 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     hist_path = out / "ratio_histogram.csv"
-    rows = [[edges[k], edges[k + 1], density[k],
-             float(poisson_density(centers[k])), float(coe_density(centers[k]))]
-            for k in range(cfg.histogram_bins)]
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(),
+               poisson_density(centers).tolist(), coe_density(centers).tolist())
     write_csv(hist_path, ["r_bin_lo", "r_bin_hi", "empirical_density",
-                          "poisson_density", "coe_density"], rows)
+                          "poisson_density", "coe_density"],
+              ",".join([_FLOAT_FMT] * 5), rows)
     manifest.record_output(hist_path)
 
     summary = {
@@ -207,7 +214,9 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     grid = stability_grid(omega_values, delta1_values, params)
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
-              grid.iter_rows())
+              f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d",
+              _grid_rows(grid.omega_values, grid.delta1_values,
+                         grid.abs_trace, grid.stable))
     manifest.record_output(path)
     manifest.extra(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency))
@@ -219,12 +228,9 @@ def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     q_values = np.linspace(0.0, 2.0 * np.pi, res)
     p_values = np.linspace(-np.pi, np.pi, res)
     field = potential_contours(q_values, p_values, params)
-    rows = []
-    for i, q in enumerate(q_values):
-        for j, p in enumerate(p_values):
-            rows.append([q, p, field[i, j]])
     path = out / "contours.csv"
-    write_csv(path, ["q", "p", "value"], rows)
+    write_csv(path, ["q", "p", "value"], ",".join([_FLOAT_FMT] * 3),
+              _grid_rows(q_values, p_values, field))
     manifest.record_output(path)
 
 

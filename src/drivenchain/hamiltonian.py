@@ -86,15 +86,6 @@ class SectorModel:
         """H0 = hopping + static diagonal (real symmetric)."""
         return self.hopping + np.diag(self.static_diagonal)
 
-    def diagonal(self, t: float) -> np.ndarray:
-        return self.static_diagonal + self.drive.modulation(t) * self.drive_diagonal
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """H(t) = H0 + f(t) D; the hopping has no diagonal entries."""
-        h = self.hopping.astype(complex)
-        np.fill_diagonal(h, self.diagonal(t))
-        return h
-
     def with_potential(self, potential: PotentialSpec) -> "SectorModel":
         model = SectorModel(self.chain, self.drive, potential, self.basis)
         model.__dict__["hopping"] = self.hopping     # same chain and basis

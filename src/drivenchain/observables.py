@@ -40,11 +40,6 @@ def _czz(weights: np.ndarray, basis: SectorBasis, site_i: int, site_j: int):
     return weights @ (sz_i * sz_j) - (weights @ sz_i) * (weights @ sz_j)
 
 
-def czz_expectation(state: QuantumState, site_i: int, site_j: int) -> float:
-    """ZZ correlation as <sz_i sz_j> - <sz_i><sz_j> with sz = 2*[n>=1] - 1."""
-    return float(_czz(np.abs(state.amplitudes) ** 2, state.basis, site_i, site_j))
-
-
 @dataclass(frozen=True)
 class ObservableSeries:
     """Populations and selected pair correlations along a trajectory."""

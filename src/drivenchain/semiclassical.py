@@ -203,16 +203,6 @@ def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
     return result.reshape(shape + (2, 2))
 
 
-def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams,
-                     steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> np.ndarray:
-    """One-period monodromy matrix of the linearized flow (2x2)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return _monodromy_batch(np.asarray(omega, dtype=float),
-                            np.asarray(delta1, dtype=float),
-                            params, steps_per_period)
-
-
 def _check_determinants(m: np.ndarray) -> None:
     """Verify det M = 1 to 1e-8 wherever that is measurable.
 
@@ -233,14 +223,6 @@ def _check_determinants(m: np.ndarray) -> None:
         raise NumericalError(f"monodromy determinant deviates by {worst:.3e}")
 
 
-def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,
-                    steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> float:
-    """|tr M| of the one-period monodromy; stable iff |tr M| <= 2."""
-    m = monodromy_matrix(omega, delta1, params, steps_per_period)
-    _check_determinants(m)
-    return float(abs(np.trace(m)))
-
-
 @dataclass(frozen=True)
 class StabilityGrid:
     """|tr M| and the stability flag on an (omega, delta1) grid."""
@@ -249,12 +231,6 @@ class StabilityGrid:
     delta1_values: np.ndarray       # length n_delta1
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
-
-    def iter_rows(self):
-        """Yield (omega, delta1, abs_trace, stable) in omega-major order."""
-        for i, omega in enumerate(self.omega_values):
-            for j, delta1 in enumerate(self.delta1_values):
-                yield omega, delta1, self.abs_trace[i, j], bool(self.stable[i, j])
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,

@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the package against.
 
-None of these is on a path the command line runs; each is an independent
-second way to compute something the package computes (or, for
-``coe_density_divergent``, a known-bad transcription kept to document why
-it is bad).  They live here so that the package carries only what its
-pipelines use.
+None of these is on a path the command line runs.  Most are an
+independent second way to compute something the package computes.  A few
+(``sector_diagonal``, ``sector_hamiltonian``, ``czz_expectation``,
+``monodromy_matrix`` and ``monodromy_trace``) are single-input views of
+package internals that only the tests call, and ``coe_density_divergent`` is a known-bad transcription
+kept to document why it is bad.  They live here so that the package
+carries only what its pipelines use.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from drivenchain.basis import QuantumState
 from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, PotentialSpec
-from drivenchain.observables import _check_pair
+from drivenchain.observables import _check_pair, _czz
 from drivenchain.propagate import floquet_operator
-from drivenchain.semiclassical import YOSHIDA_WEIGHTS, SemiclassicalParams
+from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, YOSHIDA_WEIGHTS,
+                                       SemiclassicalParams, _check_determinants,
+                                       _monodromy_batch)
+from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample,
+                                  _ratios_from_sorted)
 from drivenchain.units import TWO_PI
 
 _PROBABILITY_TOL = 1e-9
@@ -34,6 +40,22 @@ def diagonal_frequencies(t: float, drive: DriveSpec,
                          potential: PotentialSpec) -> np.ndarray:
     """All N offsets g_l(t) - gbar at time t, in rad/ns."""
     return potential.static_offsets + drive.modulation(t) * drive.spatial_weights
+
+
+# ---------------------------------------------------------------------------
+# instantaneous sector Hamiltonian
+
+
+def sector_diagonal(model: SectorModel, t: float) -> np.ndarray:
+    """Diagonal of H(t): the static diagonal plus f(t) D."""
+    return model.static_diagonal + model.drive.modulation(t) * model.drive_diagonal
+
+
+def sector_hamiltonian(model: SectorModel, t: float) -> np.ndarray:
+    """H(t) = H0 + f(t) D; the hopping has no diagonal entries."""
+    h = model.hopping.astype(complex)
+    np.fill_diagonal(h, sector_diagonal(model, t))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +110,67 @@ def czz_from_counts(p00: float, p01: float, p10: float, p11: float,
     return (p00 + p11 - p01 - p10) - (p0_i - p1_i) * (p0_j - p1_j)
 
 
+def czz_expectation(state: QuantumState, site_i: int, site_j: int) -> float:
+    """ZZ correlation as <sz_i sz_j> - <sz_i><sz_j> with sz = 2*[n>=1] - 1."""
+    return float(_czz(np.abs(state.amplitudes) ** 2, state.basis, site_i, site_j))
+
+
 def czz(state: QuantumState, site_i: int, site_j: int) -> float:
     """ZZ correlation via the counting estimator."""
     jp = joint_probabilities(state, site_i, site_j)
     return czz_from_counts(jp.p00, jp.p01, jp.p10, jp.p11,
                            jp.p0_i, jp.p1_i, jp.p0_j, jp.p1_j)
+
+
+# ---------------------------------------------------------------------------
+# gap ratios and the empirical COE reference
+
+
+def ratios_from_sorted_loop(values: np.ndarray, degeneracy_tol: float):
+    """Gap ratios of a sorted sequence, one consecutive gap pair at a time."""
+    gaps = np.diff(values)
+    ratios = []
+    discarded = 0
+    for k in range(len(gaps) - 1):
+        small = min(gaps[k], gaps[k + 1])
+        large = max(gaps[k], gaps[k + 1])
+        if small < degeneracy_tol or large < degeneracy_tol:
+            discarded += 1
+            continue
+        ratios.append(small / large)
+    return ratios, discarded
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def sample_coe_reference(dim: int, count: int, seed: int = 0) -> RatioSample:
+    """Gap ratios of ``count`` COE matrices W^T W with W Haar on U(dim).
+
+    Eigenphases are sorted in (-pi, pi] and treated with the same linear
+    (no wrap-around) convention as the quasienergies.
+    """
+    if dim < 4:
+        raise ValueError("need dim >= 4 for meaningful ratio statistics")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = np.random.default_rng(seed)
+    all_ratios = []
+    discarded = 0
+    tol = DEGENERACY_RELATIVE_TOL * TWO_PI
+    for _ in range(count):
+        w = haar_unitary(dim, rng)
+        symmetric_unitary = w.T @ w
+        phases = np.sort(np.angle(np.linalg.eigvals(symmetric_unitary)))
+        ratios, dropped = _ratios_from_sorted(phases, tol)
+        all_ratios.extend(ratios)
+        discarded += dropped
+    return RatioSample(np.asarray(all_ratios), discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +293,25 @@ def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
 
 
 # ---------------------------------------------------------------------------
-# full-period monodromy
+# monodromy of single cells and the full-period integrator
+
+
+def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams,
+                     steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> np.ndarray:
+    """One-period monodromy matrix of the linearized flow (2x2)."""
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    return _monodromy_batch(np.asarray(omega, dtype=float),
+                            np.asarray(delta1, dtype=float),
+                            params, steps_per_period)
+
+
+def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,
+                    steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> float:
+    """|tr M| of the one-period monodromy; stable iff |tr M| <= 2."""
+    m = monodromy_matrix(omega, delta1, params, steps_per_period)
+    _check_determinants(m)
+    return float(abs(np.trace(m)))
 
 
 def full_period_monodromy(omega, delta1, params: SemiclassicalParams,

@@ -17,15 +17,15 @@ from drivenchain import (RunConfig, resolve, run_dynamics_ensemble,
                          run_spectrum_ensemble, fock_state, evolve_state,
                          sample_disorder, floquet_operator, quasienergies,
                          ks_distance, poisson_cdf, poisson_density,
-                         poisson_mean, coe_cdf, coe_mean, sample_coe_reference,
-                         resonance_drive_frequency, monodromy_matrix,
-                         stability_grid)
+                         poisson_mean, coe_cdf, coe_mean,
+                         resonance_drive_frequency, stability_grid)
 from drivenchain.cli import main as cli_main
 from drivenchain.propagate import unitarity_defect
 from drivenchain.semiclassical import default_grid_axes
 from drivenchain.units import TWO_PI
 from oracles import (coe_density_divergent, convergence_probe,
-                     integrate_trajectory)
+                     integrate_trajectory, monodromy_matrix,
+                     sample_coe_reference, sector_hamiltonian)
 
 
 def report(number: int, passed: bool, detail: str) -> bool:
@@ -120,7 +120,7 @@ def test_criterion_02_numerical_integrity(junction_run):
 
     herm_defect = 0.0
     for t in np.linspace(0.0, floq.period, 7):
-        h = model.hamiltonian(t)
+        h = sector_hamiltonian(model, t)
         herm_defect = max(herm_defect, float(np.abs(h - h.conj().T).max()))
 
     probe = convergence_probe(model, tol=1e-8)
@@ -156,7 +156,7 @@ def test_criterion_03_analytic_oracles():
                          build_sector_basis(3, 1, 1))
     samples = np.linspace(0.0, 120.0, 25)
     traj3 = evolve_state(model3, fock_state(model3.basis, 1), samples, 0.05)
-    evals, evecs = np.linalg.eigh(model3.hamiltonian(0.0))
+    evals, evecs = np.linalg.eigh(sector_hamiltonian(model3, 0.0))
     psi0 = fock_state(model3.basis, 1).amplitudes
     exact = np.array([(evecs * np.exp(-1j * evals * t)) @ (evecs.conj().T @ psi0)
                       for t in traj3.times])
@@ -175,7 +175,7 @@ def test_criterion_04_static_floquet_equivalence():
         run.potential.with_overlay(sample_disorder(run.disorder, 0)))
     floq = floquet_operator(model, 256)
     spec = quasienergies(floq)
-    evals = np.linalg.eigvalsh(model.hamiltonian(0.0))
+    evals = np.linalg.eigvalsh(sector_hamiltonian(model, 0.0))
     omega = floq.angular_frequency
     folded = (evals + 0.5 * omega) % omega - 0.5 * omega
     folded = np.where(folded <= -0.5 * omega, folded + omega, folded)

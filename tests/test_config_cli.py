@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import fields
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenchain.cli import main
+from drivenchain.cli import main, write_csv
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
 from drivenchain.device import bundled_table_path, load_device_table
 from drivenchain.errors import ConfigError
@@ -27,6 +30,28 @@ def write_config(path: Path, **overrides) -> Path:
 
 
 FAST = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=64, realizations=2)
+
+
+def test_write_csv_formats_floats_integers_and_flags(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "k", "flag"], "%.12g,%d,%d",
+              iter([(0.1, 3, True), (1.0 / 3.0, -2, False), (1e-300, 0, 1)]))
+    assert path.read_text() == ("x,k,flag\n0.1,3,1\n0.333333333333,-2,0\n"
+                                "1e-300,0,1\n")
+
+
+def test_cli_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test dependency only; the command line runs on numpy
+    code = ("import sys\n"
+            "from drivenchain.cli import main\n"
+            f"status = main(['spectrum', '--realizations', '2', "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "assert status == 0, status\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = Path(importlib.import_module("drivenchain").__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert (tmp_path / "ratio_histogram.csv").is_file()
 
 
 def test_parse_site_range():

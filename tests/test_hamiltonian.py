@@ -5,7 +5,7 @@ from drivenchain.basis import build_sector_basis
 from drivenchain.hamiltonian import SectorModel, hopping_matrix
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
 from drivenchain.units import rad_ns_from_mhz
-from oracles import diagonal_frequencies
+from oracles import diagonal_frequencies, sector_diagonal, sector_hamiltonian
 
 J = rad_ns_from_mhz(11.5)
 U = rad_ns_from_mhz(-250.0)
@@ -65,7 +65,7 @@ def test_zero_couplings_zero_matrix():
 
 def test_nonlinearity_inert_in_single_excitation_sector():
     model = junction_setup(n=1)
-    diag = model.diagonal(5.0)
+    diag = sector_diagonal(model, 5.0)
     freqs = diagonal_frequencies(5.0, model.drive, model.potential)
     assert np.allclose(diag, model.basis.states @ freqs)
 
@@ -75,7 +75,7 @@ def test_nonlinearity_counts_double_occupation():
     chain = ChainSpec.uniform(2, J, U, 2)
     drive = DriveSpec.cosine(2, 0.0, 0.0, 1.0)
     potential = build_potential("cosine", 2, 0.0)
-    diag = SectorModel(chain, drive, potential, basis).diagonal(0.0)
+    diag = sector_diagonal(SectorModel(chain, drive, potential, basis), 0.0)
     i20 = basis.index_of((2, 0))
     i11 = basis.index_of((1, 1))
     assert diag[i20] == pytest.approx(U)      # (U/2) * 2 * 1
@@ -86,8 +86,8 @@ def test_static_diagonal_when_ac_off():
     model = junction_setup()
     drive_off = DriveSpec.cosine(N, 3 * J, 0.0, rad_ns_from_mhz(19.665764))
     static = SectorModel(model.chain, drive_off, model.potential, model.basis)
-    d0 = static.diagonal(0.0)
-    d1 = static.diagonal(37.3)
+    d0 = sector_diagonal(static, 0.0)
+    d1 = sector_diagonal(static, 37.3)
     assert np.allclose(d0, d1)
 
 
@@ -95,7 +95,7 @@ def test_hermiticity_at_random_times():
     model = junction_setup(profile="flat", n=2, n_max=2)
     rng = np.random.default_rng(11)
     for t in rng.uniform(0.0, 200.0, 100):
-        h = model.hamiltonian(t)
+        h = sector_hamiltonian(model, t)
         assert np.abs(h - h.conj().T).max() < 1e-12
         assert np.all(np.isreal(np.diag(h)))
 
@@ -103,7 +103,7 @@ def test_hermiticity_at_random_times():
 def test_single_particle_trace_identity():
     model = junction_setup()
     for t in (0.0, 7.7, 42.0):
-        h = model.hamiltonian(t)
+        h = sector_hamiltonian(model, t)
         freqs = diagonal_frequencies(t, model.drive, model.potential)
         assert np.trace(h).real == pytest.approx(freqs.sum(), rel=1e-12)
 
@@ -112,8 +112,8 @@ def test_periodicity_elementwise():
     model = junction_setup(profile="flat")
     period = model.drive.period
     for t in (0.0, 11.1, 37.9):
-        assert np.allclose(model.hamiltonian(t), model.hamiltonian(t + period),
-                           atol=1e-12)
+        assert np.allclose(sector_hamiltonian(model, t),
+                           sector_hamiltonian(model, t + period), atol=1e-12)
 
 
 def test_junction_decomposition():
@@ -134,7 +134,7 @@ def test_junction_decomposition():
 def test_single_particle_limit_matches_tight_binding():
     model = junction_setup()
     t = 3.21
-    h = model.hamiltonian(t)
+    h = sector_hamiltonian(model, t)
     freqs = diagonal_frequencies(t, model.drive, model.potential)
     expected = (np.diag(freqs).astype(complex)
                 + np.diag(np.full(N - 1, J), 1) + np.diag(np.full(N - 1, J), -1))

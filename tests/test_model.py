@@ -8,6 +8,7 @@ from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, cosine_profile,
                                resonance_drive_frequency, sample_disorder)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
+from oracles import sector_diagonal
 
 J = rad_ns_from_mhz(11.5)
 N = 12
@@ -23,7 +24,7 @@ def site_frequency(drive, potential, site, t):
                         build_sector_basis(N, 1, 1))
     occupation = [0] * N
     occupation[site - 1] = 1
-    return model.diagonal(t)[model.basis.index_of(occupation)]
+    return sector_diagonal(model, t)[model.basis.index_of(occupation)]
 
 
 def test_cosine_profile_zero_based():

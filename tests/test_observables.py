@@ -4,11 +4,10 @@ import pytest
 from drivenchain.basis import QuantumState, build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
-from drivenchain.observables import (czz_expectation, observable_series,
-                                     populations)
+from drivenchain.observables import observable_series, populations
 from drivenchain.propagate import evolve_state
 from drivenchain.units import rad_ns_from_mhz
-from oracles import czz, czz_from_counts, joint_probabilities
+from oracles import czz, czz_expectation, czz_from_counts, joint_probabilities
 
 N = 12
 J = rad_ns_from_mhz(11.5)

@@ -6,7 +6,7 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
 from drivenchain.propagate import evolve_state, floquet_operator, unitarity_defect
 from drivenchain.units import rad_ns_from_mhz
-from oracles import convergence_probe
+from oracles import convergence_probe, sector_hamiltonian
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -55,7 +55,7 @@ def test_three_site_chain_matches_diagonalization_oracle():
     psi0 = fock_state(model.basis, 1)
     t_end = np.pi / (np.sqrt(2) * J)
     traj = evolve_state(model, psi0, [t_end], step=t_end / 1024)
-    h = model.hamiltonian(0.0)
+    h = sector_hamiltonian(model, 0.0)
     evals, evecs = np.linalg.eigh(h)
     exact = (evecs * np.exp(-1j * evals * traj.times[0])) @ \
         (evecs.conj().T @ psi0.amplitudes)
@@ -101,7 +101,7 @@ def test_floquet_period_value():
 def test_floquet_static_limit_is_matrix_exponential():
     model = make_model(12, ac=0.0)
     op = floquet_operator(model, 32)
-    h = model.hamiltonian(0.0)
+    h = sector_hamiltonian(model, 0.0)
     evals, evecs = np.linalg.eigh(h)
     exact = (evecs * np.exp(-1j * evals * op.period)) @ evecs.conj().T
     assert np.abs(op.matrix - exact).max() < 1e-10

@@ -5,11 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 from drivenchain.semiclassical import (STABILITY_TOLERANCE,
                                        SemiclassicalParams, _integrate_group,
                                        _monodromy_steps, default_grid_axes,
-                                       energy, monodromy_matrix,
-                                       monodromy_trace, potential_contours,
+                                       energy, potential_contours,
                                        stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
-from oracles import classical_rhs, full_period_monodromy, integrate_trajectory
+from oracles import (classical_rhs, full_period_monodromy, integrate_trajectory,
+                     monodromy_matrix, monodromy_trace)
 
 J = rad_ns_from_mhz(11.5)
 D0 = 3 * J

@@ -7,13 +7,14 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, build_potential
 from drivenchain.propagate import FloquetOperator, floquet_operator
-from drivenchain.spectrum import (QuasienergySpectrum, RatioSample, coe_cdf,
+from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, QuasienergySpectrum,
+                                  RatioSample, coe_cdf,
                                   coe_density, coe_mean, gap_ratios,
                                   ks_distance, poisson_cdf, poisson_density,
-                                  poisson_mean, quasienergies,
-                                  sample_coe_reference)
+                                  poisson_mean, quasienergies)
 from drivenchain.units import rad_ns_from_mhz
-from oracles import coe_density_divergent
+from oracles import (coe_density_divergent, ratios_from_sorted_loop,
+                     sample_coe_reference, sector_hamiltonian)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -37,7 +38,7 @@ def test_static_limit_matches_folded_eigenvalues():
     model = make_model(ac=0.0)
     op = floquet_operator(model, 64)
     spec = quasienergies(op)
-    evals = np.linalg.eigvalsh(model.hamiltonian(0.0))
+    evals = np.linalg.eigvalsh(sector_hamiltonian(model, 0.0))
     omega = op.angular_frequency
     folded = (evals + 0.5 * omega) % omega - 0.5 * omega
     folded = np.where(folded <= -0.5 * omega, folded + omega, folded)
@@ -81,6 +82,51 @@ def test_gap_ratio_shift_invariance():
     assert np.allclose(a.ratios, b.ratios)
 
 
+def _pooled_loop_ratios(spectra):
+    ratios, discarded = [], 0
+    for spec in spectra:
+        tol = DEGENERACY_RELATIVE_TOL * spec.angular_frequency
+        kept, dropped = ratios_from_sorted_loop(spec.values, tol)
+        ratios.extend(kept)
+        discarded += dropped
+    return np.asarray(ratios, dtype=float), discarded
+
+
+def _assert_matches_loop(spectra):
+    sample = gap_ratios(spectra)
+    ratios, discarded = _pooled_loop_ratios(spectra)
+    assert sample.ratios.tobytes() == ratios.tobytes()
+    assert sample.discarded_degenerate == discarded
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gap_ratios_match_loop_oracle_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    spectra = []
+    # runs of equal sizes and zones (pooled in one call) and changes of both;
+    # the zones differ 4x, so a gap judged against the wrong zone flips
+    for omega in rng.uniform(0.5, 3.0) * np.array([1.0, 4.0]):
+        tol = DEGENERACY_RELATIVE_TOL * omega
+        for dim in rng.choice([3, 12, 30], size=6):
+            vals = np.sort(rng.uniform(-0.45 * omega, 0.45 * omega, dim))
+            # inject exact, below- and just-above-tolerance gaps, some adjacent
+            for k in rng.integers(0, dim - 1, size=3):
+                vals[k + 1] = vals[k] + rng.choice([0.0, 0.5 * tol, 2.0 * tol])
+            spectra.append(QuasienergySpectrum(vals, angular_frequency=omega))
+    _assert_matches_loop(spectra)
+    assert gap_ratios(spectra).discarded_degenerate > 0
+
+
+def test_gap_ratios_match_loop_oracle_at_the_tolerance():
+    tol = DEGENERACY_RELATIVE_TOL
+    vals = np.array([-0.3, 0.0, tol, 2 * tol, 0.2, 0.2, 0.2 + 0.5 * tol, 0.4])
+    spec = QuasienergySpectrum(vals, angular_frequency=1.0)
+    _assert_matches_loop([spec])
+    all_degenerate = QuasienergySpectrum(np.zeros(5), angular_frequency=1.0)
+    _assert_matches_loop([all_degenerate, spec])
+    assert gap_ratios(all_degenerate).count == 0
+
+
 def test_gap_ratio_needs_three_levels():
     with pytest.raises(ValueError):
         gap_ratios(QuasienergySpectrum(np.array([0.0, 0.1]),
@@ -119,6 +165,13 @@ def test_coe_closed_form_value_at_one():
 def test_coe_mean_quadrature_value():
     # frozen quadrature result, cross-checked against the sampler below
     assert coe_mean() == pytest.approx(0.5269216860, abs=1e-6)
+
+
+def test_coe_mean_matches_adaptive_quadrature():
+    # the fixed Gauss-Legendre rule against scipy's adaptive quadrature
+    reference, _ = quad(lambda r: r * float(coe_density(r)), 0.0, 1.0,
+                        points=[1e-6], limit=200)
+    assert abs(coe_mean() - reference) <= 2e-16
 
 
 def test_divergent_transcription_misbehaves():
