@@ -32,10 +32,6 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.states)
 
-    @property
-    def tag(self) -> str:
-        return f"N{self.n_sites}n{self.total_excitations}c{self.boson_cutoff}"
-
     def index_of(self, occupation) -> int:
         """Dense index of an occupation vector; raises on invalid input."""
         key = tuple(int(x) for x in occupation)
@@ -112,10 +108,6 @@ class QuantumState:
                 f"dimension {self.basis.dim}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def basis_tag(self) -> str:
-        return self.basis.tag
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -32,10 +32,7 @@ from .config import ResolvedRun, RunConfig, load_config, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
-from .model import sample_disorder
-from .basis import fock_state
 from .observables import observable_series
-from .propagate import evolve_state
 from .semiclassical import default_grid_axes, potential_contours, stability_grid
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
@@ -102,21 +99,6 @@ class ManifestWriter:
         return path
 
 
-def _dynamics_series(run: ResolvedRun, initial_site: int, disorder_index: int = 0):
-    """One trajectory (optionally with a single disorder realization)."""
-    cfg = run.config
-    potential = run.potential
-    if cfg.disorder_w_over_j > 0:
-        potential = potential.with_overlay(sample_disorder(run.disorder,
-                                                           disorder_index))
-    model = run.model.with_potential(potential)
-    psi0 = fock_state(run.basis, initial_site)
-    trajectory = evolve_state(model, psi0, run.sample_times(), run.step_ns)
-    ref = cfg.czz_reference_site
-    pairs = [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref]
-    return observable_series(trajectory, run.basis, pairs)
-
-
 def _write_population_csv(path: Path, times, populations,
                           manifest: ManifestWriter) -> None:
     """``time_ns, n_1..n_N`` rows of (time, site) populations."""
@@ -128,34 +110,41 @@ def _write_population_csv(path: Path, times, populations,
 
 
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
-    series = _dynamics_series(run, run.config.init_site)
-    _write_population_csv(out / "populations.csv", series.times,
-                          series.populations, manifest)
+    cfg = run.config
+    # one trajectory: realization 0 of the disorder ensemble
+    result = run_dynamics_ensemble(
+        run.model, replace(run.disorder, realization_count=1), cfg.init_site,
+        run.sample_times(), run.step_ns)
+    ref = cfg.czz_reference_site
+    populations, correlations = observable_series(
+        result.weights[0], run.basis,
+        [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref])
+    _write_population_csv(out / "populations.csv", result.times, populations,
+                          manifest)
 
     czz_path = out / "czz.csv"
-    times = series.times.tolist()
+    times = result.times.tolist()
     rows = chain.from_iterable(
         zip(times, repeat(i), repeat(j), values.tolist())
-        for (i, j), values in sorted(series.correlations.items()))
+        for (i, j), values in sorted(correlations.items()))
     write_csv(czz_path, ["time_ns", "i", "j", "value"],
               f"{_FLOAT_FMT},%d,%d,{_FLOAT_FMT}", rows)
     manifest.record_output(czz_path)
-    manifest.extra(steps_per_period=run.config.steps_per_period,
+    manifest.extra(steps_per_period=cfg.steps_per_period,
                    drive_frequency_mhz=run.drive_frequency_mhz)
 
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    result = run_dynamics_ensemble(
-        run.model, run.disorder, cfg.init_site, run.sample_times(),
-        run.step_ns, keep_realizations=cfg.keep_realizations)
+    result = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
+                                   run.sample_times(), run.step_ns)
     _write_population_csv(out / "ensemble_populations.csv", result.times,
                           result.mean_populations, manifest)
 
     if cfg.keep_realizations:
         raw_dir = out / "realizations"
         raw_dir.mkdir(parents=True, exist_ok=True)
-        for idx, pops in enumerate(result.per_realization):
+        for idx, pops in enumerate(result.populations):
             _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
                                   result.times, pops, manifest)
 
@@ -239,7 +228,8 @@ def cmd_device_check(table_path, out: Path, manifest: ManifestWriter) -> None:
     table = load_device_table(path)
     warnings = consistency_report(table)
     report = {
-        "table": str(path),
+        "table": path.name,
+        "table_sha256": _sha256(path),
         "n_sites": table.n_sites,
         "rotating_frame_ghz": table.rotating_frame_ghz("cosine"),
         "dc_amplitude_mhz": table.dc_amplitude_mhz("cosine"),

@@ -1,12 +1,13 @@
 """Disorder-ensemble runners: dynamics averages and pooled spectral statistics.
 
-All R realizations are propagated as one block by the batched functions of
-:mod:`drivenchain.propagate`; aggregation is an ordered fold over
-realization index, so results are a pure function of (model, disorder spec)
-and equal, bit for bit, what the single-realization functions give for each
-realization.  A failed numerical check aborts the whole ensemble with a
-:class:`~drivenchain.errors.NumericalError` whose ``realization_index``
-names the first realization that failed.
+An ensemble stays one block of arrays from the (R, N) disorder offsets to
+the data file: one (R, dim, dim) stack of static Hamiltonians, one batched
+propagation by :mod:`drivenchain.propagate`, one batched eigenvalue call.
+Aggregation is an ordered fold over realization index, so results are a
+pure function of (model, disorder spec), and the ``dynamics`` command is
+realization 0 of this same path.  A failed numerical check aborts the
+whole ensemble with a :class:`~drivenchain.errors.NumericalError` whose
+``realization_index`` names the first realization that failed.
 """
 
 from __future__ import annotations
@@ -16,51 +17,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import fock_state
-from .errors import NumericalError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorder
-from .propagate import evolve_states, floquet_operators
+from .propagate import DEFAULT_STEPS_PER_PERIOD, evolve_states, floquet_operators
 from .spectrum import RatioSample, gap_ratios, quasienergies
 
 
-def _realizations(model: SectorModel, disorder: DisorderSpec) -> list:
-    return [model.with_potential(model.potential.with_overlay(
-        sample_disorder(disorder, idx)))
-        for idx in range(disorder.realization_count)]
+def _static_hamiltonians(model: SectorModel, disorder: DisorderSpec):
+    """H0 of every realization: the model's potential plus its disorder draw."""
+    draws = np.stack([sample_disorder(disorder, idx)
+                      for idx in range(disorder.realization_count)])
+    return model.static_hamiltonians(model.potential.static_offsets + draws)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Deterministic aggregate over disorder realizations."""
+    """Per-realization evolution of one initial state."""
 
     times: np.ndarray                   # actual sample times (ns)
-    mean_populations: np.ndarray        # (time, site)
-    per_realization: tuple = ()         # optional (time, site) arrays
+    weights: np.ndarray                 # (realization, time, dim) |psi|^2
+    populations: np.ndarray             # (realization, time, site)
+
+    @property
+    def mean_populations(self) -> np.ndarray:
+        """(time, site) mean over realizations."""
+        return self.populations.mean(axis=0)
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          initial_site: int, t_samples, step: float,
-                          keep_realizations: bool = False) -> EnsembleResult:
-    """Mean populations over R disorder realizations of one initial state."""
-    psi0 = fock_state(model.basis, initial_site)
-    models = _realizations(model, disorder)
-    trajectories = evolve_states(models, psi0, t_samples, step)
-    stack = np.stack([np.abs(traj.amplitudes) ** 2 @ model.basis.states
-                      for traj in trajectories])
-    return EnsembleResult(
-        trajectories[0].times, stack.mean(axis=0),
-        per_realization=tuple(stack) if keep_realizations else ())
+                          initial_site: int, t_samples, step: float
+                          ) -> EnsembleResult:
+    """Populations over R disorder realizations of one initial state."""
+    trajectory = evolve_states(model, _static_hamiltonians(model, disorder),
+                               fock_state(model.basis, initial_site),
+                               t_samples, step)
+    weights = np.abs(trajectory.amplitudes) ** 2
+    return EnsembleResult(trajectory.times, weights,
+                          weights @ model.basis.states)
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          steps_per_period: int = 256) -> RatioSample:
+                          steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
+                          ) -> RatioSample:
     """Pooled quasienergy gap ratios over R disorder realizations."""
-    models = _realizations(model, disorder)
-    spectra = []
-    for idx, operator in enumerate(floquet_operators(models, steps_per_period)):
-        try:
-            spectra.append(quasienergies(operator))
-        except NumericalError as exc:
-            raise NumericalError(f"realization {idx}: {exc}",
-                                 realization_index=idx) from exc
-    return gap_ratios(spectra)
+    operators = floquet_operators(model, _static_hamiltonians(model, disorder),
+                                  steps_per_period)
+    return gap_ratios(quasienergies(operators))

@@ -15,7 +15,7 @@ propagators are built on this split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,26 +67,29 @@ class SectorModel:
         return _frozen_array(hopping_matrix(self.chain, self.basis))
 
     @cached_property
-    def static_diagonal(self) -> np.ndarray:
-        """Time-independent diagonal: static site offsets plus the nonlinearity."""
-        states = self.basis.states
-        diag = states @ self.potential.static_offsets
-        if self.chain.onsite_nonlinearity != 0.0:
-            diag = diag + 0.5 * self.chain.onsite_nonlinearity * (
-                states * (states - 1)).sum(axis=1)
-        return _frozen_array(diag)
-
-    @cached_property
     def drive_diagonal(self) -> np.ndarray:
         """D in H(t) = H0 + f(t) D: the drive's spatial weights in the sector."""
         return _frozen_array(self.basis.states @ self.drive.spatial_weights)
 
-    @property
-    def static_hamiltonian(self) -> np.ndarray:
-        """H0 = hopping + static diagonal (real symmetric)."""
-        return self.hopping + np.diag(self.static_diagonal)
+    def static_hamiltonians(self, offsets=None) -> np.ndarray:
+        """(R, dim, dim) stack of H0 = hopping + static diagonal (real symmetric).
+
+        One H0 per row of ``offsets`` (R, N), static site offsets in rad/ns;
+        by default the model's own potential, R = 1.
+        """
+        if offsets is None:
+            offsets = self.potential.static_offsets[None]
+        states = self.basis.states
+        # row by row: one matrix product would sum three or more terms per
+        # entry in another order, so a realization would depend on R
+        diag = np.stack([states @ row for row in offsets])
+        if self.chain.onsite_nonlinearity != 0.0:
+            diag = diag + 0.5 * self.chain.onsite_nonlinearity * (
+                states * (states - 1)).sum(axis=1)
+        h0 = np.repeat(self.hopping[None], len(diag), axis=0)
+        index = np.arange(self.basis.dim)
+        h0[:, index, index] += diag         # the hopping has no diagonal entries
+        return h0
 
     def with_potential(self, potential: PotentialSpec) -> "SectorModel":
-        model = SectorModel(self.chain, self.drive, potential, self.basis)
-        model.__dict__["hopping"] = self.hopping     # same chain and basis
-        return model
+        return replace(self, potential=potential)

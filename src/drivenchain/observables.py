@@ -3,6 +3,8 @@
 The correlation is the sigma-z expectation value.  The tests keep a second,
 independent form, assembled from joint counting probabilities the way a
 readout-based estimator does, and require the two to agree on any state.
+Along a trajectory, :func:`observable_series` reads the |psi|^2 weights of
+a (time, dim) amplitude array, such as one realization of an ensemble.
 
 For boson cutoffs above one, "qubit state one" means occupation >= 1: the
 binary readout distinguishes the ground state from the excited manifold.
@@ -10,12 +12,9 @@ binary readout distinguishes the ground state from the excited manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import QuantumState, SectorBasis
-from .propagate import StateTrajectory
 
 
 def populations(state: QuantumState) -> np.ndarray:
@@ -40,22 +39,11 @@ def _czz(weights: np.ndarray, basis: SectorBasis, site_i: int, site_j: int):
     return weights @ (sz_i * sz_j) - (weights @ sz_i) * (weights @ sz_j)
 
 
-@dataclass(frozen=True)
-class ObservableSeries:
-    """Populations and selected pair correlations along a trajectory."""
-
-    times: np.ndarray                   # actual sample times (ns)
-    populations: np.ndarray             # (time, site)
-    correlations: dict                  # (i, j) -> array over time
-
-
-def observable_series(trajectory: StateTrajectory, basis: SectorBasis,
-                      pairs=()) -> ObservableSeries:
-    """Evaluate populations (and optional ZZ pairs) at every sample time."""
-    if trajectory.basis_tag != basis.tag:
-        raise ValueError("trajectory was produced with a different basis")
-    weights = np.abs(trajectory.amplitudes) ** 2
-    pops = weights @ basis.states
+def observable_series(weights: np.ndarray, basis: SectorBasis, pairs=()):
+    """(time, site) populations and {(i, j): ZZ over time} from the
+    |psi|^2 ``weights`` (time, dim) of a trajectory in ``basis``."""
+    if weights.shape[-1] != basis.dim:
+        raise ValueError(f"weights of dimension {weights.shape[-1]} do not "
+                         f"fit basis dimension {basis.dim}")
     correlations = {(i, j): _czz(weights, basis, i, j) for (i, j) in pairs}
-    return ObservableSeries(trajectory.times, np.asarray(pops, dtype=float),
-                            correlations)
+    return weights @ basis.states, correlations

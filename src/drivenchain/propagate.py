@@ -8,15 +8,16 @@ a static Hamiltonian.  One eigendecomposition of H0 per realization gives
 the two distinct exponentials; adjacent half-phases are merged.
 
 The core advances a block (R, dim, k) of R realizations that share drive
-and basis: k = dim for propagators, k = 1 for states.  A realization's
-arithmetic does not depend on R, so the batched functions return bit for
-bit what the single-realization ones return.  Dynamics steps directly, so
-sample times need not fall on whole periods.
+and basis and differ in H0: k = dim for propagators, k = 1 for states.
+The batched functions take H0 as an (R, dim, dim) stack and the single
+ones are their R = 1 case; a realization's arithmetic does not depend on
+R, so it is bit for bit the same in any batch.  Dynamics steps directly,
+so sample times need not fall on whole periods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,14 +55,15 @@ def _phase_table(model: SectorModel, step: float, first: int, count: int):
             np.exp(-1j * half[1:, 2, None, None] * diag))
 
 
-def _advance(models, block: np.ndarray, step: float, n_steps: int,
-             emit_steps) -> np.ndarray:
+def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
+             step: float, n_steps: int, emit_steps) -> np.ndarray:
     """Advance ``block`` (R, dim, k) by ``n_steps`` steps from t = 0.
 
-    Realization r evolves under ``models[r]``.  Returns the block after each
-    step count in the ascending ``emit_steps``: (len(emit_steps), R, dim, k).
+    Realization r evolves under H0 = ``h0[r]`` and the drive of ``model``.
+    Returns the block after each step count in the ascending
+    ``emit_steps``: (len(emit_steps), R, dim, k).
     """
-    lam, vec = np.linalg.eigh(np.stack([m.static_hamiltonian for m in models]))
+    lam, vec = np.linalg.eigh(h0)
     # H0 is real symmetric, so its eigenvectors are real: V^H = V^T
     outer, inner = ((vec * np.exp(-1j * w * step * lam)[..., None, :])
                     @ vec.swapaxes(-1, -2) for w in _WEIGHTS[:2])
@@ -74,7 +76,7 @@ def _advance(models, block: np.ndarray, step: float, n_steps: int,
         if k == n_steps:
             return out
         if k % _PHASE_CHUNK == 0:
-            merged, trail = _phase_table(models[0], step, k,
+            merged, trail = _phase_table(model, step, k,
                                          min(_PHASE_CHUNK, n_steps - k))
         for phase, unitary in zip(merged[k % _PHASE_CHUNK], (outer, inner, outer)):
             psi *= phase
@@ -99,11 +101,10 @@ def unitarity_defect(matrix: np.ndarray):
 
 @dataclass(frozen=True)
 class FloquetOperator:
-    """One-period propagator U(T) together with the drive period used."""
+    """One-period propagator U(T), or an (R, dim, dim) stack, and its period."""
 
     matrix: np.ndarray
     period: float
-    steps_per_period: int
 
     @property
     def angular_frequency(self) -> float:
@@ -112,20 +113,16 @@ class FloquetOperator:
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """States sampled along one evolution.
+    """States sampled along one evolution, or along R of them at once."""
 
-    ``times`` are the actual (step-aligned) emission times; ``requested_times``
-    are what the caller asked for before snapping to the step grid.
-    """
-
-    requested_times: np.ndarray
-    times: np.ndarray
-    amplitudes: np.ndarray      # (len(times), dim)
-    basis_tag: str
+    times: np.ndarray           # actual (step-aligned) emission times
+    amplitudes: np.ndarray      # (len(times), dim), or (R, len(times), dim)
 
 
-def evolve_states(models, psi0: QuantumState, t_samples, step: float) -> list:
-    """:func:`evolve_state` for a batch of models sharing drive and basis."""
+def evolve_states(model: SectorModel, h0: np.ndarray, psi0: QuantumState,
+                  t_samples, step: float) -> StateTrajectory:
+    """:func:`evolve_state` for the R static parts of an ``h0`` stack from
+    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim)."""
     if step <= 0:
         raise ValueError("step must be positive")
     requested = np.asarray(list(t_samples), dtype=float)
@@ -139,14 +136,13 @@ def evolve_states(models, psi0: QuantumState, t_samples, step: float) -> list:
 
     sample_steps = np.rint(requested / step).astype(int)
     block = np.broadcast_to(psi0.amplitudes.astype(complex)[:, None],
-                            (len(models), psi0.basis.dim, 1))
-    states = _advance(models, block, step, int(sample_steps[-1]),
+                            (len(h0), psi0.basis.dim, 1))
+    states = _advance(model, h0, block, step, int(sample_steps[-1]),
                       sample_steps)[..., 0]
     drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
     _check_each(drift, NORM_TOL, "norm drift")
-    actual = sample_steps * step
-    return [StateTrajectory(requested, actual, amps, models[0].basis.tag)
-            for amps in np.ascontiguousarray(states.swapaxes(0, 1))]
+    return StateTrajectory(sample_steps * step,
+                           np.ascontiguousarray(states.swapaxes(0, 1)))
 
 
 def evolve_state(model: SectorModel, psi0: QuantumState, t_samples,
@@ -154,29 +150,34 @@ def evolve_state(model: SectorModel, psi0: QuantumState, t_samples,
     """Propagate psi0 from t=0, emitting states at the sample times.
 
     Sample times are snapped to the nearest multiple of ``step``; the
-    returned trajectory reports both the requested and the actual times.
-    Norm conservation is enforced to 1e-10 at every emission.
+    returned trajectory reports the actual times.  Norm conservation is
+    enforced to 1e-10 at every emission.
     """
-    return evolve_states([model], psi0, t_samples, step)[0]
+    batch = evolve_states(model, model.static_hamiltonians(), psi0, t_samples,
+                          step)
+    return replace(batch, amplitudes=batch.amplitudes[0])
 
 
-def floquet_operators(models, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                      ) -> list:
-    """:func:`floquet_operator` for a batch of models sharing drive and basis."""
+def floquet_operators(model: SectorModel, h0: np.ndarray,
+                      steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
+                      ) -> FloquetOperator:
+    """:func:`floquet_operator` for the R static parts of an ``h0`` stack."""
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
-    period = models[0].drive.period
-    dim = models[0].basis.dim
-    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(models), dim, dim))
-    matrices = _advance(models, block, period / steps_per_period,
+    period = model.drive.period
+    dim = model.basis.dim
+    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
+    matrices = _advance(model, h0, block, period / steps_per_period,
                         steps_per_period, [steps_per_period])[0]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
-    return [FloquetOperator(m, period, steps_per_period) for m in matrices]
+    return FloquetOperator(matrices, period)
 
 
 def floquet_operator(model: SectorModel,
                      steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
                      ) -> FloquetOperator:
     """One-period propagator starting at t=0."""
-    return floquet_operators([model], steps_per_period)[0]
+    stack = floquet_operators(model, model.static_hamiltonians(),
+                              steps_per_period)
+    return replace(stack, matrix=stack.matrix[0])

@@ -23,12 +23,12 @@ from itertools import groupby
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NumericalError
-from .propagate import FloquetOperator
+from .propagate import FloquetOperator, _check_each
 from .units import TWO_PI
 
 EIGENVALUE_MODULUS_TOL = 1e-9
 DEGENERACY_RELATIVE_TOL = 1e-12
+COE_CDF_POINTS = 8193           # trapezoid table behind coe_cdf
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,23 @@ class RatioSample:
         return float(self.ratios.mean())
 
 
-def quasienergies(floquet: FloquetOperator) -> QuasienergySpectrum:
-    """Quasienergies of a Floquet operator, sorted ascending.
+def quasienergies(floquet: FloquetOperator):
+    """Quasienergies of a Floquet operator; a tuple of R for an (R, dim, dim) stack.
 
-    Eigenvalues exp(-i*eps*T) must lie on the unit circle to 1e-9; the
-    eigenphase at the zone edge -omega/2 is folded to +omega/2.
+    Eigenvalues exp(-i*eps*T) must lie on the unit circle to 1e-9 (the
+    first realization that does not is named); the eigenphase at the zone
+    edge -omega/2 is folded to +omega/2.
     """
     eigenvalues = np.linalg.eigvals(floquet.matrix)
-    moduli = np.abs(eigenvalues)
-    worst = float(np.abs(moduli - 1.0).max())
-    if worst > EIGENVALUE_MODULUS_TOL:
-        raise NumericalError(
-            f"Floquet eigenvalue modulus deviates from 1 by {worst:.3e}")
+    deviation = np.abs(np.abs(eigenvalues) - 1.0).max(axis=-1)
+    _check_each(np.atleast_1d(deviation), EIGENVALUE_MODULUS_TOL,
+                "Floquet eigenvalue modulus deviation")
     omega = floquet.angular_frequency
     eps = -np.angle(eigenvalues) / floquet.period     # in [-omega/2, omega/2)
     eps = np.where(eps <= -0.5 * omega, eps + omega, eps)
-    return QuasienergySpectrum(np.sort(eps), omega)
+    if eps.ndim == 1:
+        return QuasienergySpectrum(eps, omega)
+    return tuple(QuasienergySpectrum(row, omega) for row in eps)
 
 
 def _ratios_from_sorted(values: np.ndarray, degeneracy_tol):
@@ -183,9 +184,9 @@ def coe_mean() -> float:
     return float(0.5 * np.dot(weights, r * coe_density(r)))
 
 
-@lru_cache(maxsize=8)
-def _coe_cdf_table(n_points: int = 8193):
-    grid = np.linspace(0.0, 1.0, n_points)
+@lru_cache(maxsize=1)
+def _coe_cdf_table():
+    grid = np.linspace(0.0, 1.0, COE_CDF_POINTS)
     pdf = np.concatenate([[0.0], coe_density(grid[1:])])
     cdf = np.concatenate([[0.0],
                           np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])

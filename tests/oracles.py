@@ -48,7 +48,8 @@ def diagonal_frequencies(t: float, drive: DriveSpec,
 
 def sector_diagonal(model: SectorModel, t: float) -> np.ndarray:
     """Diagonal of H(t): the static diagonal plus f(t) D."""
-    return model.static_diagonal + model.drive.modulation(t) * model.drive_diagonal
+    static = np.diagonal(model.static_hamiltonians()[0])
+    return static + model.drive.modulation(t) * model.drive_diagonal
 
 
 def sector_hamiltonian(model: SectorModel, t: float) -> np.ndarray:

@@ -95,5 +95,4 @@ def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState(np.zeros(3, dtype=complex), basis)
     state = QuantumState(np.full(4, 0.5 + 0j), basis)
-    assert state.basis_tag == basis.tag
     state.check_normalized()

@@ -225,6 +225,23 @@ def test_cmd_device_check_bundled(tmp_path, capsys):
     assert "warning:" in printed
 
 
+def test_cmd_device_check_report_independent_of_table_directory(tmp_path):
+    # the report names the table by file name and content hash, not its path
+    reports = []
+    for name in ("a", "b"):
+        table = tmp_path / name / bundled_table_path().name
+        table.parent.mkdir()
+        table.write_bytes(bundled_table_path().read_bytes())
+        out = tmp_path / name / "out"
+        assert main(["device-check", "--table", str(table), "--out",
+                     str(out)]) == 0
+        reports.append((out / "device_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert report["table"] == bundled_table_path().name
+    assert report["table_sha256"] == sha(bundled_table_path())
+
+
 def test_cmd_device_check_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -243,23 +260,37 @@ def test_config_error_exit_code_and_manifest(tmp_path):
 
 
 def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
+    # a check that fails in realization 2 alone names realization 2
     from drivenchain import propagate
     real_defect = propagate.unitarity_defect
+    real_eigvals = np.linalg.eigvals
 
     def defect_in_realization_2(matrix):
         defects = np.array(real_defect(matrix))
         defects[2] = 1.0
         return defects
 
-    monkeypatch.setattr(propagate, "unitarity_defect", defect_in_realization_2)
+    def modulus_off_in_realization_2(matrices):
+        eigenvalues = real_eigvals(matrices)
+        eigenvalues[2] *= 1.0 + 1e-6        # one batched call for the stack
+        return eigenvalues
+
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
-    out = tmp_path / "out"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert manifest["realization_index"] == 2
-    assert "realization 2" in manifest["error"]
+    for owner, name, fake, check in (
+            (propagate, "unitarity_defect", defect_in_realization_2,
+             "unitarity"),
+            (np.linalg, "eigvals", modulus_off_in_realization_2, "modulus")):
+        out = tmp_path / name
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fake)
+            assert main(["spectrum", "--config", str(cfg), "--out",
+                         str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["realization_index"] == 2
+        assert "realization 2" in manifest["error"]
+        assert check in manifest["error"]
 
 
 @pytest.mark.parametrize("command,module,tolerance", [

@@ -44,11 +44,10 @@ def test_zero_disorder_average_equals_single_run():
 
 def test_mean_is_arithmetic_mean_of_kept_realizations():
     model = make_model()
-    result = run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP,
-                                   keep_realizations=True)
-    stacked = np.stack(result.per_realization)
+    result = run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
+    stacked = result.populations
     assert np.abs(stacked.mean(axis=0) - result.mean_populations).max() < 1e-12
-    assert len(result.per_realization) == 4
+    assert len(result.populations) == 4
 
 
 def test_population_bounds_and_conservation():
@@ -66,25 +65,28 @@ def realization_models(model, spec):
 
 
 def test_batch_equals_single_realizations_bitwise():
-    # one batch of R realizations against R batches of one
+    # one block of R realizations against R runs of one
     model = make_model()
     spec = disorder(3.0, count=6)
     models = realization_models(model, spec)
+    h0 = model.static_hamiltonians(
+        np.stack([m.potential.static_offsets for m in models]))
+    for stacked, m in zip(h0, models):
+        assert np.array_equal(stacked, m.static_hamiltonians()[0])
     psi0 = fock_state(model.basis, 3)
-    batch = evolve_states(models, psi0, T_SAMPLES, STEP)
+    batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
     singles = [evolve_state(m, psi0, T_SAMPLES, STEP) for m in models]
-    for b, s in zip(batch, singles):
-        assert np.array_equal(b.amplitudes, s.amplitudes)
-        assert np.array_equal(b.times, s.times)
-    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP,
-                                   keep_realizations=True)
-    for pops, s in zip(result.per_realization, singles):
+    for amplitudes, s in zip(batch.amplitudes, singles):
+        assert np.array_equal(amplitudes, s.amplitudes)
+        assert np.array_equal(batch.times, s.times)
+    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+    for pops, s in zip(result.populations, singles):
         assert np.array_equal(pops, np.abs(s.amplitudes) ** 2 @ model.basis.states)
 
-    operators = floquet_operators(models, 64)
+    operators = floquet_operators(model, h0, 64)
     single_ops = [floquet_operator(m, 64) for m in models]
-    for b, s in zip(operators, single_ops):
-        assert np.array_equal(b.matrix, s.matrix)
+    for matrix, s in zip(operators.matrix, single_ops):
+        assert np.array_equal(matrix, s.matrix)
     pooled = run_spectrum_ensemble(model, spec, 64)
     direct = gap_ratios([quasienergies(s) for s in single_ops])
     assert np.array_equal(pooled.ratios, direct.ratios)

@@ -3,7 +3,7 @@ import pytest
 
 from drivenchain.basis import build_sector_basis
 from drivenchain.hamiltonian import SectorModel, hopping_matrix
-from drivenchain.model import ChainSpec, DriveSpec, build_potential
+from drivenchain.model import ChainSpec, DriveSpec, PotentialSpec, build_potential
 from drivenchain.units import rad_ns_from_mhz
 from oracles import diagonal_frequencies, sector_diagonal, sector_hamiltonian
 
@@ -149,3 +149,16 @@ def test_sector_model_consistency_checks():
         SectorModel(chain, drive, potential, build_sector_basis(10, 1, 1))
     with pytest.raises(ValueError):
         SectorModel(chain, drive, potential, build_sector_basis(N, 1, 2))
+
+
+def test_static_hamiltonians_block_equals_single_rows_bitwise():
+    # three excitations sum three offsets per diagonal entry: each row of a
+    # block must add them in the order a block of one does
+    model = junction_setup(profile="flat", n=3)
+    rng = np.random.default_rng(5)
+    offsets = model.potential.static_offsets + rng.uniform(-3 * J, 3 * J, (5, N))
+    block = model.static_hamiltonians(offsets)
+    for row, h0 in zip(offsets, block):
+        alone = model.with_potential(PotentialSpec(row)).static_hamiltonians()
+        assert np.array_equal(h0, alone[0])
+    assert np.allclose(np.diagonal(block[0]), model.basis.states @ offsets[0])

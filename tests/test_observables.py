@@ -145,13 +145,14 @@ def test_observable_series_on_trajectory():
     traj = evolve_state(model, fock_state(basis, 3),
                         np.arange(0.0, 30.0, 2.0), step=0.2)
     pairs = [(l, 7) for l in range(1, N + 1) if l != 7]
-    series = observable_series(traj, basis, pairs)
-    assert series.populations.shape == (len(series.times), N)
-    assert len(series.correlations) == N - 1
-    assert np.abs(series.populations.sum(axis=1) - 1.0).max() < 1e-9
+    pops, correlations = observable_series(np.abs(traj.amplitudes) ** 2,
+                                           basis, pairs)
+    assert pops.shape == (len(traj.times), N)
+    assert len(correlations) == N - 1
+    assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-9
     # closed form holds along the trajectory
-    for (i, j), values in series.correlations.items():
-        expected = -4.0 * series.populations[:, i - 1] * series.populations[:, j - 1]
+    for (i, j), values in correlations.items():
+        expected = -4.0 * pops[:, i - 1] * pops[:, j - 1]
         assert np.abs(values - expected).max() < 1e-12
 
 
@@ -164,8 +165,9 @@ def test_observable_series_matches_per_sample_czz():
     traj = evolve_state(model, fock_state(basis, 3),
                         np.arange(0.0, 40.0, 2.0), step=0.2)
     pairs = [(l, 7) for l in range(1, N + 1) if l != 7] + [(2, 11)]
-    series = observable_series(traj, basis, pairs)
-    for (i, j), values in series.correlations.items():
+    _, correlations = observable_series(np.abs(traj.amplitudes) ** 2, basis,
+                                        pairs)
+    for (i, j), values in correlations.items():
         expected = [czz_expectation(QuantumState(amps, basis), i, j)
                     for amps in traj.amplitudes]
         assert np.abs(values - expected).max() <= 1e-14
@@ -178,5 +180,6 @@ def test_observable_series_rejects_foreign_basis():
     basis = build_sector_basis(4, 1, 1)
     model = SectorModel(chain, drive, potential, basis)
     traj = evolve_state(model, fock_state(basis, 1), [0.0], step=0.1)
-    with pytest.raises(ValueError):
-        observable_series(traj, build_sector_basis(4, 2, 1))
+    weights = np.abs(traj.amplitudes) ** 2
+    with pytest.raises(ValueError, match="do not fit basis dimension 6"):
+        observable_series(weights, build_sector_basis(4, 2, 1))

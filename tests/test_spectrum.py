@@ -29,7 +29,7 @@ def make_model(ac=3 * J):
 
 
 def test_identity_floquet_all_zero():
-    op = FloquetOperator(np.eye(5, dtype=complex), period=10.0, steps_per_period=1)
+    op = FloquetOperator(np.eye(5, dtype=complex), period=10.0)
     spec = quasienergies(op)
     assert np.allclose(spec.values, 0.0)
 
@@ -52,8 +52,7 @@ def test_driven_sector_dimension():
 
 
 def test_quasienergies_reject_nonunitary():
-    op = FloquetOperator(np.eye(4, dtype=complex) * 1.5, period=1.0,
-                         steps_per_period=1)
+    op = FloquetOperator(np.eye(4, dtype=complex) * 1.5, period=1.0)
     with pytest.raises(NumericalError):
         quasienergies(op)
 
