@@ -33,6 +33,7 @@ from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
+from .propagate import floquet_steps
 from .semiclassical import default_grid_axes, potential_contours, stability_grid
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
@@ -154,9 +155,8 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
-    cfg = run.config
-    sample = run_spectrum_ensemble(run.model, run.disorder,
-                                   steps_per_period=cfg.steps_per_period)
+    cfg, steps = run.config, run.config.steps_per_period
+    sample = run_spectrum_ensemble(run.model, run.disorder, steps)
     if sample.count == 0:
         raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
                           f"a degenerate quasienergy gap (below "
@@ -192,8 +192,8 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path = out / "spectrum_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
-    manifest.extra(master_seed=cfg.master_seed,
-                   steps_per_period=cfg.steps_per_period)
+    manifest.extra(master_seed=cfg.master_seed, steps_per_period=steps,
+                   floquet_steps_integrated=floquet_steps(run.drive, steps))
 
 
 def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

@@ -98,6 +98,8 @@ class DriveSpec:
         weights = _frozen_array(self.spatial_weights)
         if not np.all(np.isfinite(weights)):
             raise ConfigError("spatial weights must be finite")
+        if not math.isfinite(self.effective_phase):
+            raise ConfigError("drive phase - omega * time_origin must be finite")
         object.__setattr__(self, "spatial_weights", weights)
 
     @classmethod
@@ -128,6 +130,11 @@ class DriveSpec:
     @property
     def period(self) -> float:
         return TWO_PI / self.angular_frequency
+
+    @property
+    def effective_phase(self) -> float:
+        """psi in f(t) = ac * cos(omega*t + psi), the phase at t = 0."""
+        return self.phase - self.angular_frequency * self.time_origin
 
     def modulation(self, t):
         """Drive amplitude f(t) = ac * cos(omega*(t-t0) + phase); t may be an array."""

@@ -12,11 +12,14 @@ and basis and differ in H0: k = dim for propagators, k = 1 for states.
 The batched functions take H0 as an (R, dim, dim) stack and the single
 ones are their R = 1 case; a realization's arithmetic does not depend on
 R, so it is bit for bit the same in any batch.  Dynamics steps directly,
-so sample times need not fall on whole periods.
+so sample times need not fall on whole periods.  Every substep is symmetric
+(H0 real symmetric, D real diagonal), so for f even about T/2 and an even
+step count the Floquet operator is U(T) = V^T V from the half-period V.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +27,7 @@ import numpy as np
 from .basis import QuantumState
 from .errors import NumericalError
 from .hamiltonian import SectorModel
+from .model import DriveSpec
 from .semiclassical import YOSHIDA_WEIGHTS
 from .units import TWO_PI
 
@@ -158,17 +162,28 @@ def evolve_state(model: SectorModel, psi0: QuantumState, t_samples,
     return replace(batch, amplitudes=batch.amplitudes[0])
 
 
+def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
+    """Steps the Floquet product integrates: half of them when U = V^T V."""
+    if steps_per_period % 2 or math.remainder(drive.effective_phase, math.pi):
+        return steps_per_period
+    return steps_per_period // 2
+
+
 def floquet_operators(model: SectorModel, h0: np.ndarray,
                       steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
                       ) -> FloquetOperator:
-    """:func:`floquet_operator` for the R static parts of an ``h0`` stack."""
+    """:func:`floquet_operator` for the R static parts of an ``h0`` stack;
+    V^T V from the half-period product V where :func:`floquet_steps` halves."""
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
+    n_steps = floquet_steps(model.drive, steps_per_period)
     matrices = _advance(model, h0, block, period / steps_per_period,
-                        steps_per_period, [steps_per_period])[0]
+                        n_steps, [n_steps])[0]
+    if n_steps < steps_per_period:
+        matrices = matrices.swapaxes(-1, -2) @ matrices
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
     return FloquetOperator(matrices, period)

@@ -21,7 +21,9 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import floquet_operator
+from drivenchain.propagate import (UNITARITY_TOL, FloquetOperator, _advance,
+                                   _check_each, floquet_operator,
+                                   unitarity_defect)
 from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, YOSHIDA_WEIGHTS,
                                        SemiclassicalParams, _check_determinants,
                                        _monodromy_batch)
@@ -199,7 +201,24 @@ def coe_density_divergent(r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Floquet step-count probe
+# Floquet operator: full-period product and step-count probe
+
+
+def full_period_floquet(model: SectorModel, h0: np.ndarray,
+                        steps: int) -> FloquetOperator:
+    """One-period propagators of an ``h0`` stack, stepped over the whole period.
+
+    The product the package built before it used time-reversal symmetry:
+    the same core, but no transpose palindrome assumed, so it holds for any
+    drive phase and step count.
+    """
+    period = model.drive.period
+    dim = model.basis.dim
+    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
+    matrices = _advance(model, h0, block, period / steps, steps, [steps])[0]
+    _check_each(unitarity_defect(matrices), UNITARITY_TOL,
+                "propagator unitarity defect")
+    return FloquetOperator(matrices, period)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,22 @@ def test_cmd_spectrum_outputs_and_rerun_byte_identical(tmp_path):
                       "poisson_density,coe_density")
 
 
+@pytest.mark.parametrize("settings_,steps,integrated", [
+    ({}, 64, 32),                           # f even about T/2: half a period
+    ({"drive_phase_rad": "0.3"}, 64, 64),
+    ({"steps_per_period": 63}, 63, 63),
+])
+def test_cmd_spectrum_manifest_names_the_floquet_product(tmp_path, settings_,
+                                                          steps, integrated):
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       **{**FAST, **settings_})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = strict_manifest(out)
+    assert manifest["steps_per_period"] == steps
+    assert manifest["floquet_steps_integrated"] == integrated
+
+
 def test_cmd_spectrum_clean_single_realization(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        **{**FAST, "realizations": 1})
@@ -408,6 +424,20 @@ INT_KEYS = [f.name for f in fields(RunConfig) if type(f.default) is int]
 INT_EXTREMES = [-1, 0, 1, 10**9]
 TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
             stability_resolution=4, contour_resolution=5)
+
+
+@pytest.mark.parametrize("command", ["dynamics", "ensemble", "spectrum"])
+def test_overflowing_drive_phase_exits_2(tmp_path, command):
+    # omega * time_origin overflows to inf: rejected where the config is read
+    cfg = write_config(tmp_path / "run.cfg", time_origin_ns="1e308",
+                       drive_frequency_mhz=1000, **FAST)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = strict_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "ConfigError"
+    assert "time_origin" in manifest["error"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

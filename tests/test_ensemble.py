@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from drivenchain import propagate
 from drivenchain.basis import build_sector_basis, fock_state
+from drivenchain.config import RunConfig, resolve
 from drivenchain.ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
@@ -16,11 +18,11 @@ OMEGA = rad_ns_from_mhz(19.665764062481905)
 N = 12
 
 
-def make_model():
+def make_model(sector=1):
     chain = ChainSpec.uniform(N, J)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, OMEGA)
     potential = build_potential("flat", N, 3 * J)
-    basis = build_sector_basis(N, 1, 1)
+    basis = build_sector_basis(N, sector, 1)
     return SectorModel(chain, drive, potential, basis)
 
 
@@ -90,6 +92,36 @@ def test_batch_equals_single_realizations_bitwise():
     pooled = run_spectrum_ensemble(model, spec, 64)
     direct = gap_ratios([quasienergies(s) for s in single_ops])
     assert np.array_equal(pooled.ratios, direct.ratios)
+
+    # the V^T V stack product at a second size: sector 2, dim 66
+    model = make_model(sector=2)
+    spec = disorder(3.0, count=3)
+    models = realization_models(model, spec)
+    h0 = model.static_hamiltonians(
+        np.stack([m.potential.static_offsets for m in models]))
+    operators = floquet_operators(model, h0, 64)
+    single_ops = [floquet_operator(m, 64) for m in models]
+    assert operators.matrix.shape == (3, 66, 66)
+    for matrix, s in zip(operators.matrix, single_ops):
+        assert np.array_equal(matrix, s.matrix)
+    pooled = run_spectrum_ensemble(model, spec, 64)
+    direct = gap_ratios([quasienergies(s) for s in single_ops])
+    assert np.array_equal(pooled.ratios, direct.ratios)
+
+
+def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
+    # a refactor that brings back the full-period product fails here
+    real_advance, calls = propagate._advance, []
+
+    def recording_advance(model, h0, block, step, n_steps, emit_steps):
+        calls.append(n_steps)
+        return real_advance(model, h0, block, step, n_steps, emit_steps)
+
+    monkeypatch.setattr(propagate, "_advance", recording_advance)
+    run = resolve(RunConfig())
+    run_spectrum_ensemble(run.model, run.disorder, run.config.steps_per_period)
+    assert run.config.steps_per_period == 256
+    assert calls == [128]
 
 
 def test_ensemble_reruns_bitwise():

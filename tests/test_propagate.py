@@ -1,12 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import ChainSpec, DriveSpec, build_potential
-from drivenchain.propagate import evolve_state, floquet_operator, unitarity_defect
+from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
+                               build_potential, sample_disorder)
+from drivenchain.propagate import (evolve_state, floquet_operator,
+                                   floquet_operators, floquet_steps,
+                                   unitarity_defect)
+from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
-from oracles import convergence_probe, sector_hamiltonian
+from oracles import convergence_probe, full_period_floquet, sector_hamiltonian
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -165,3 +172,61 @@ def test_convergence_probe_rejects_bad_tolerance():
     model = make_model(2)
     with pytest.raises(ValueError):
         convergence_probe(model, tol=0.0)
+
+
+def disordered_stack(model, count=3, seed=12345):
+    disorder = DisorderSpec(model.chain.n_sites, 3 * J, master_seed=seed,
+                            realization_count=count)
+    return model.static_hamiltonians(model.potential.static_offsets + np.stack(
+        [sample_disorder(disorder, i) for i in range(count)]))
+
+
+def with_drive(model, **changes):
+    return replace(model, drive=replace(model.drive, **changes))
+
+
+@pytest.mark.parametrize("phase", [0.0, math.pi])
+def test_floquet_operator_is_symmetric_for_even_drive(phase):
+    # time-reversal symmetry of a drive even about T/2: U = U^T
+    model = with_drive(make_model(12, "flat"), phase=phase)
+    assert floquet_steps(model.drive, 256) == 128
+    matrices = floquet_operators(model, disordered_stack(model)).matrix
+    assert len(matrices) == 3
+    asymmetry = np.linalg.norm(matrices - matrices.swapaxes(-1, -2),
+                               axis=(-2, -1))
+    assert asymmetry.max() <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [2, 16, 256])
+def test_half_period_product_matches_full_period_oracle(steps):
+    model = make_model(12, "flat")
+    h0 = disordered_stack(model)
+    assert floquet_steps(model.drive, steps) == steps // 2
+    half = floquet_operators(model, h0, steps).matrix
+    full = full_period_floquet(model, h0, steps).matrix
+    assert np.abs(half - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("steps,changes", [
+    (255, {}),
+    (257, {}),
+    (256, {"phase": 0.3}),
+    (256, {"time_origin": 1.7}),
+])
+def test_asymmetric_cases_take_the_full_period_product(steps, changes):
+    model = with_drive(make_model(12, "flat"), **changes)
+    h0 = disordered_stack(model)
+    assert floquet_steps(model.drive, steps) == steps
+    assert np.array_equal(floquet_operators(model, h0, steps).matrix,
+                          full_period_floquet(model, h0, steps).matrix)
+
+
+@pytest.mark.parametrize("changes", [{"phase": 0.3}, {"time_origin": 1.7}])
+def test_quasienergies_do_not_depend_on_the_time_origin(changes):
+    # the full-period product at a shifted origin against U = V^T V at 0
+    model = flat_model_with_disorder()
+    shifted = with_drive(model, **changes)
+    reference = quasienergies(floquet_operator(model)).values
+    moved = quasienergies(floquet_operator(shifted)).values
+    omega = model.drive.angular_frequency
+    assert np.abs(moved - reference).max() <= 1e-9 * omega
