@@ -208,7 +208,8 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
                          grid.abs_trace, grid.stable))
     manifest.record_output(path)
     manifest.extra(small_oscillation_frequency_mhz=mhz_from_rad_ns(
-        params.small_oscillation_frequency))
+        params.small_oscillation_frequency),
+        monodromy_groups=grid.monodromy_groups)
 
 
 def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

@@ -23,7 +23,9 @@ integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
 discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  An odd step count puts
 T/2 at the centre of the middle step's w0 drift, which is split there.  The
 kicks sit at fixed fractions of each cell's period, so their cosines come
-from one short table per step-count group.
+from one short table per step-count group.  Groups above the step floor
+hold few cells, so their half period runs as parallel chunks from the
+identity whose products fold into H.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -104,8 +106,17 @@ def _monodromy_steps(omega, delta1, params: SemiclassicalParams,
     return np.maximum(steps_floor, quantized).astype(int)
 
 
+def _chunk_count(steps: int, steps_floor: int) -> int:
+    """Parallel chunks of a group's half period: one at the floor or an odd
+    count, else a power of two of >= max(floor, 1024) / 2 steps each."""
+    if steps == steps_floor or steps % 2:
+        return 1
+    most = steps // max(steps_floor, DEFAULT_MONODROMY_STEPS)
+    return 1 << (max(1, most).bit_length() - 1)
+
+
 def _integrate_group(omega, delta1, params: SemiclassicalParams,
-                     steps: int) -> np.ndarray:
+                     steps: int, chunks: int = 1) -> np.ndarray:
     """Fourth-order symplectic composition for one batch of cells.
 
     The linearized flow
@@ -123,7 +134,9 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     diag(1, -1)), M = R adj(H) R H.  T/2 splits the merged kick at a step
     boundary (even steps) or the middle step's w0 drift (odd steps).  Kicks
     sit at fixed fractions of the period, so the group shares one cosine
-    table; H is two contiguous (2, n) rows updated in place.
+    table.  The half period runs as C = ``chunks`` equal chunks side by
+    side from the identity, in (2, C, n) rows updated in place (chunk 0
+    alone starts at t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
@@ -138,15 +151,23 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     dc_half, dc_mid = (0.5 * w1 * dc) * h, (w_mid * dc) * h
     dc_w1 = (w1 * dc) * h
     ac_h = c0 * delta1 * h
-    # kick instants of step k as fractions of the period: k+w1, k+1-w1, k+1
+    # kick instants of step k as fractions of the period: k+w1, k+1-w1, k+1;
+    # ac_w[j] holds the (kick, chunk) weights of step j of every chunk
     offsets = np.arange(half + odd)[:, None] + np.array([w1, 1.0 - w1, 1.0])
     cosines = np.cos(TWO_PI * offsets / steps)
+    ac_w = cosines[:half].reshape(chunks, -1, 3).transpose(1, 2, 0)[..., None]
+    ac_w = np.array([w_mid, w_mid, w1])[:, None, None] * ac_w
+    dc_end = np.tile(dc_w1, (chunks, 1))
+    if not odd:                          # first half of T/2's kick
+        ac_w[-1, 2, -1] *= 0.5
+        dc_end[-1] = dc_half
 
-    q = np.zeros((2,) + omega.shape)
+    q = np.zeros((2, chunks) + omega.shape)
     p = np.zeros_like(q)
     q[0] = 1.0
     p[1] = 1.0
-    kappa = np.empty_like(omega)
+    p[0, 0] = ac_h * (0.5 * w1) + dc_half             # t = 0, cos = 1
+    kappa = np.empty_like(q[0])
     tmp = np.empty_like(q)
 
     def kick(dc_weighted, ac_weight):
@@ -159,24 +180,23 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
         np.multiply(p, factor, out=tmp)
         np.add(q, tmp, out=q)
 
-    kick(dc_half, 0.5 * w1)                          # t = 0, cos = 1
-    for k in range(half):
-        cos_a, cos_b, cos_c = cosines[k]
+    for k, (ac_a, ac_b, ac_c) in enumerate(ac_w, 1):
         drift(drift_w1)
-        kick(dc_mid, w_mid * cos_a)
+        kick(dc_mid, ac_a)
         drift(drift_w0)
-        kick(dc_mid, w_mid * cos_b)
+        kick(dc_mid, ac_b)
         drift(drift_w1)
-        if k + 1 < half or odd:
-            kick(dc_w1, w1 * cos_c)
-        else:                                        # first half of T/2's kick
-            kick(dc_half, 0.5 * w1 * cos_c)
+        kick(dc_w1 if k < len(ac_w) else dc_end, ac_c)
     if odd:
         drift(drift_w1)
         kick(dc_mid, w_mid * cosines[half, 0])
         drift(0.5 * drift_w0)
 
-    (h11, h12), (h21, h22) = q, p
+    (h11, h12), (h21, h22) = q[:, 0], p[:, 0]
+    for j in range(1, chunks):                       # H <- M_j H
+        (a11, a12), (a21, a22) = q[:, j], p[:, j]
+        h11, h12, h21, h22 = (a11 * h11 + a12 * h21, a11 * h12 + a12 * h22,
+                              a21 * h11 + a22 * h21, a21 * h12 + a22 * h22)
     m = np.empty(omega.shape + (2, 2))
     m[..., 0, 0] = h11 * h22 + h12 * h21
     m[..., 1, 1] = m[..., 0, 0]
@@ -187,8 +207,8 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
 
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
                      params: SemiclassicalParams,
-                     steps_per_period: int) -> np.ndarray:
-    """Monodromy matrices for parameter arrays (cell-intrinsic stepping)."""
+                     steps_per_period: int) -> tuple:
+    """Monodromy matrices of parameter arrays, and their step-count groups."""
     omega = np.asarray(omega, dtype=float)
     delta1 = np.asarray(delta1, dtype=float)
     shape = np.broadcast_shapes(omega.shape, delta1.shape)
@@ -196,11 +216,14 @@ def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
     delta1_flat = np.broadcast_to(delta1, shape).ravel()
     steps = _monodromy_steps(omega_flat, delta1_flat, params, steps_per_period)
     result = np.empty((omega_flat.size, 2, 2))
-    for count in np.unique(steps):
-        mask = steps == count
+    groups = []
+    for count, cells in zip(*np.unique(steps, return_counts=True)):
+        count, mask = int(count), steps == count
+        chunks = _chunk_count(count, steps_per_period)
         result[mask] = _integrate_group(omega_flat[mask], delta1_flat[mask],
-                                        params, int(count))
-    return result.reshape(shape + (2, 2))
+                                        params, count, chunks)
+        groups.append({"steps": count, "cells": int(cells), "chunks": chunks})
+    return result.reshape(shape + (2, 2)), groups
 
 
 def _check_determinants(m: np.ndarray) -> None:
@@ -231,6 +254,7 @@ class StabilityGrid:
     delta1_values: np.ndarray       # length n_delta1
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
+    monodromy_groups: list          # {steps, cells, chunks} per step count
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
@@ -244,11 +268,11 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
     if np.any(omega_values <= 0):
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m = _monodromy_batch(om, d1, params, steps_per_period)
+    m, groups = _monodromy_batch(om, d1, params, steps_per_period)
     _check_determinants(m)
     abs_trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
-    return StabilityGrid(omega_values, delta1_values, abs_trace, stable)
+    return StabilityGrid(omega_values, delta1_values, abs_trace, stable, groups)
 
 
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):

@@ -204,27 +204,17 @@ def coe_cdf(r) -> np.ndarray:
 # distribution distance
 
 
-def ks_distance(sample, reference) -> float:
-    """Sup-norm distance between empirical CDFs (or empirical vs analytic).
+def ks_distance(sample, cdf) -> float:
+    """Sup-norm distance between an empirical CDF and an analytic ``cdf``.
 
-    ``sample`` is a RatioSample or a 1-d array; ``reference`` is a callable
-    CDF, a RatioSample, or a 1-d array.
+    ``sample`` is a RatioSample or a 1-d array; ``cdf`` is a callable.
     """
     xs = np.sort(np.asarray(sample.ratios if isinstance(sample, RatioSample)
                             else sample, dtype=float))
     if len(xs) == 0:
         raise ValueError("empty sample")
     n = len(xs)
-    if callable(reference):
-        ref = np.asarray(reference(xs), dtype=float)
-        upper = np.abs(np.arange(1, n + 1) / n - ref).max()
-        lower = np.abs(np.arange(0, n) / n - ref).max()
-        return float(max(upper, lower))
-    ys = np.sort(np.asarray(reference.ratios if isinstance(reference, RatioSample)
-                            else reference, dtype=float))
-    if len(ys) == 0:
-        raise ValueError("empty reference sample")
-    pooled = np.concatenate([xs, ys])
-    cdf_x = np.searchsorted(xs, pooled, side="right") / n
-    cdf_y = np.searchsorted(ys, pooled, side="right") / len(ys)
-    return float(np.abs(cdf_x - cdf_y).max())
+    ref = np.asarray(cdf(xs), dtype=float)
+    upper = np.abs(np.arange(1, n + 1) / n - ref).max()
+    lower = np.abs(np.arange(0, n) / n - ref).max()
+    return float(max(upper, lower))

@@ -5,8 +5,10 @@ independent second way to compute something the package computes.  A few
 (``sector_diagonal``, ``sector_hamiltonian``, ``czz_expectation``,
 ``monodromy_matrix`` and ``monodromy_trace``) are single-input views of
 package internals that only the tests call, and ``coe_density_divergent`` is a known-bad transcription
-kept to document why it is bad.  They live here so that the package
-carries only what its pipelines use.
+kept to document why it is bad.  ``serial_half_period_monodromy`` is the
+package's former serial monodromy loop, kept to pin its one-chunk path bit
+for bit.  They live here so that the package carries only what its
+pipelines use.
 """
 
 from __future__ import annotations
@@ -176,6 +178,21 @@ def sample_coe_reference(dim: int, count: int, seed: int = 0) -> RatioSample:
     return RatioSample(np.asarray(all_ratios), discarded)
 
 
+def ks_distance_two_sample(sample, reference) -> float:
+    """Sup-norm distance between the empirical CDFs of two samples.
+
+    Each argument is a RatioSample or a 1-d array.
+    """
+    xs, ys = (np.sort(np.asarray(s.ratios if isinstance(s, RatioSample) else s,
+                                 dtype=float)) for s in (sample, reference))
+    if len(xs) == 0 or len(ys) == 0:
+        raise ValueError("empty sample")
+    pooled = np.concatenate([xs, ys])
+    cdf_x = np.searchsorted(xs, pooled, side="right") / len(xs)
+    cdf_y = np.searchsorted(ys, pooled, side="right") / len(ys)
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
 # ---------------------------------------------------------------------------
 # COE surmise, divergent transcription
 
@@ -323,7 +340,7 @@ def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams,
         raise ValueError("omega must be positive")
     return _monodromy_batch(np.asarray(omega, dtype=float),
                             np.asarray(delta1, dtype=float),
-                            params, steps_per_period)
+                            params, steps_per_period)[0]
 
 
 def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,
@@ -380,4 +397,70 @@ def full_period_monodromy(omega, delta1, params: SemiclassicalParams,
         drift(w1)
         t = t + w1 * h
         kick(t, w1 if k + 1 < steps else 0.5 * w1)
+    return m
+
+
+def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
+                                 steps: int) -> np.ndarray:
+    """The half-period integrator as one serial loop over the half period.
+
+    ``drivenchain.semiclassical._integrate_group`` with one chunk must
+    reproduce it bit for bit.
+    """
+    n_sites = params.n_sites
+    a = 8.0 * np.pi * params.hopping / n_sites
+    c0 = 4.0 * np.pi / n_sites
+    dc = c0 * params.dc_amplitude
+    h = (TWO_PI / omega) / steps
+    w1, w0, _ = YOSHIDA_WEIGHTS
+    w_mid = 0.5 * (w1 + w0)
+    half, odd = divmod(steps, 2)
+
+    drift_w1, drift_w0 = (-a * w1) * h, (-a * w0) * h
+    dc_half, dc_mid = (0.5 * w1 * dc) * h, (w_mid * dc) * h
+    dc_w1 = (w1 * dc) * h
+    ac_h = c0 * delta1 * h
+    offsets = np.arange(half + odd)[:, None] + np.array([w1, 1.0 - w1, 1.0])
+    cosines = np.cos(TWO_PI * offsets / steps)
+
+    q = np.zeros((2,) + omega.shape)
+    p = np.zeros_like(q)
+    q[0] = 1.0
+    p[1] = 1.0
+    kappa = np.empty_like(omega)
+    tmp = np.empty_like(q)
+
+    def kick(dc_weighted, ac_weight):
+        np.multiply(ac_h, ac_weight, out=kappa)
+        np.add(kappa, dc_weighted, out=kappa)
+        np.multiply(q, kappa, out=tmp)
+        np.add(p, tmp, out=p)
+
+    def drift(factor):
+        np.multiply(p, factor, out=tmp)
+        np.add(q, tmp, out=q)
+
+    kick(dc_half, 0.5 * w1)
+    for k in range(half):
+        cos_a, cos_b, cos_c = cosines[k]
+        drift(drift_w1)
+        kick(dc_mid, w_mid * cos_a)
+        drift(drift_w0)
+        kick(dc_mid, w_mid * cos_b)
+        drift(drift_w1)
+        if k + 1 < half or odd:
+            kick(dc_w1, w1 * cos_c)
+        else:
+            kick(dc_half, 0.5 * w1 * cos_c)
+    if odd:
+        drift(drift_w1)
+        kick(dc_mid, w_mid * cosines[half, 0])
+        drift(0.5 * drift_w0)
+
+    (h11, h12), (h21, h22) = q, p
+    m = np.empty(omega.shape + (2, 2))
+    m[..., 0, 0] = h11 * h22 + h12 * h21
+    m[..., 1, 1] = m[..., 0, 0]
+    m[..., 0, 1] = 2.0 * h12 * h22
+    m[..., 1, 0] = 2.0 * h11 * h21
     return m

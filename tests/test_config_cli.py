@@ -232,6 +232,31 @@ def test_cmd_stability_and_contours(tmp_path):
     assert contour_rows.shape == (81, 3)
 
 
+def test_cmd_stability_manifest_records_monodromy_groups(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    groups = strict_manifest(out)["monodromy_groups"]
+    assert all(sorted(g) == ["cells", "chunks", "steps"] for g in groups)
+    steps = [g["steps"] for g in groups]
+    assert steps == sorted(set(steps)) and steps[0] == 1024 and len(steps) > 1
+    assert sum(g["cells"] for g in groups) == 144
+    assert [g["chunks"] for g in groups] == [max(1, s // 1024) for s in steps]
+    header = (out / "stability_grid.csv").read_text().splitlines()[0]
+    assert header == "omega,delta1,abs_trace,stable"
+
+
+def test_default_stability_groups_loop_at_most_512_steps(tmp_path):
+    # the parallel-in-time chunks bound the Python loop of every group, so
+    # the slow high-step groups cost no more numpy calls than the floor
+    out = tmp_path / "out"
+    assert main(["stability", "--out", str(out)]) == 0
+    groups = strict_manifest(out)["monodromy_groups"]
+    assert sum(g["cells"] for g in groups) == 200 * 200
+    assert max(g["steps"] for g in groups) == 32768
+    assert all(g["steps"] // (2 * g["chunks"]) <= 512 for g in groups)
+
+
 def test_cmd_device_check_bundled(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["device-check", "--out", str(out)]) == 0

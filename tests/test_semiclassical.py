@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from drivenchain.semiclassical import (STABILITY_TOLERANCE,
-                                       SemiclassicalParams, _integrate_group,
-                                       _monodromy_steps, default_grid_axes,
-                                       energy, potential_contours,
-                                       stability_grid)
+from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS,
+                                       STABILITY_TOLERANCE,
+                                       SemiclassicalParams, _chunk_count,
+                                       _integrate_group, _monodromy_batch,
+                                       _monodromy_steps,
+                                       default_grid_axes, energy,
+                                       potential_contours, stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (classical_rhs, full_period_monodromy, integrate_trajectory,
-                     monodromy_matrix, monodromy_trace)
+                     monodromy_matrix, monodromy_trace,
+                     serial_half_period_monodromy)
 
 J = rad_ns_from_mhz(11.5)
 D0 = 3 * J
@@ -256,6 +259,75 @@ def test_monodromy_trace_matches_full_period_oracle(omega, delta1,
         assert_trace_matches(trace, reference)
     else:
         assert trace > 2.0 + STABILITY_TOLERANCE
+
+
+@pytest.fixture(scope="module")
+def high_group_cells():
+    """Three cells of every default-grid group above the floor, with the
+    lowest-omega row's ends, and their full-period oracle traces."""
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params)
+    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
+                                             indexing="ij"))
+    steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
+    assert om[0] == om[199] == omega_values[0]
+    picked = [0, 199]
+    for count in np.unique(steps[steps > DEFAULT_MONODROMY_STEPS]):
+        where = np.flatnonzero(steps == count)
+        picked += [where[0], where[len(where) // 2], where[-1]]
+    om, d1 = om[picked], d1[picked]
+    assert set(steps[picked]) == {2048, 4096, 8192, 16384, 32768}
+    reference = oracle_monodromy(om, d1, params, DEFAULT_MONODROMY_STEPS)
+    return om, d1, np.abs(reference[..., 0, 0] + reference[..., 1, 1])
+
+
+@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255, 2048])
+def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
+    # every picked cell needs >= 2048 steps, so its step count and oracle
+    # are the same at each floor while its group's chunking changes
+    om, d1, ref_trace = high_group_cells
+    params = make_params()
+    steps = _monodromy_steps(om, d1, params, steps_floor)
+    assert any(_chunk_count(int(c), steps_floor) > 1 for c in steps)
+    m, groups = _monodromy_batch(om, d1, params, steps_floor)
+    assert sum(g["chunks"] > 1 for g in groups) >= 4
+    trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
+    ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
+    assert np.array_equal(trace <= 2.0 + STABILITY_TOLERANCE, ref_stable)
+    assert_trace_matches(trace, ref_trace)
+
+
+def test_chunk_count_depends_on_steps_and_floor_only():
+    assert [_chunk_count(s, 1024) for s in (1024, 2048, 4096, 32768)] \
+        == [1, 2, 4, 32]
+    assert [_chunk_count(s, 255) for s in (255, 256, 1024, 2048)] == [1, 1, 1, 2]
+    assert [_chunk_count(s, 2048) for s in (2048, 4096, 32768)] == [1, 2, 16]
+    assert _chunk_count(1025, 1) == 1                  # odd: the split drift
+
+
+def test_chunked_group_independent_of_cell_count():
+    params = make_params()
+    omega = default_grid_axes(params)[0][0]
+    delta1 = np.linspace(0.0, 2 * D0, 200)
+    chunks = _chunk_count(32768, DEFAULT_MONODROMY_STEPS)
+    many = _integrate_group(np.full(200, omega), delta1, params, 32768, chunks)
+    for j in (0, 117, 199):
+        one = _integrate_group(np.array([omega]), delta1[j:j + 1], params,
+                               32768, chunks)
+        assert np.array_equal(one[0], many[j])
+
+
+@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255])
+def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 50)
+    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
+    floor = _monodromy_steps(om, d1, params, steps_floor) == steps_floor
+    om, d1 = om[floor], d1[floor]
+    assert _chunk_count(steps_floor, steps_floor) == 1 and om.size > 200
+    assert np.array_equal(_integrate_group(om, d1, params, steps_floor),
+                          serial_half_period_monodromy(om, d1, params,
+                                                       steps_floor))
 
 
 def test_potential_contour_extrema():

@@ -13,8 +13,9 @@ from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, QuasienergySpectrum,
                                   ks_distance, poisson_cdf, poisson_density,
                                   poisson_mean, quasienergies)
 from drivenchain.units import rad_ns_from_mhz
-from oracles import (coe_density_divergent, ratios_from_sorted_loop,
-                     sample_coe_reference, sector_hamiltonian)
+from oracles import (coe_density_divergent, ks_distance_two_sample,
+                     ratios_from_sorted_loop, sample_coe_reference,
+                     sector_hamiltonian)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -204,9 +205,9 @@ def test_empirical_coe_matches_closed_form():
 def test_ks_distance_identity_and_samples():
     rng = np.random.default_rng(10)
     xs = rng.uniform(0, 1, 400)
-    assert ks_distance(xs, xs) == pytest.approx(0.0)
+    assert ks_distance_two_sample(xs, xs) == pytest.approx(0.0)
     sample = RatioSample(np.sort(xs) * 0.999 + 5e-4)
-    assert ks_distance(sample, sample) == pytest.approx(0.0)
+    assert ks_distance_two_sample(sample, sample) == pytest.approx(0.0)
 
 
 def test_ks_distance_poisson_sampling_oracle():
@@ -217,7 +218,7 @@ def test_ks_distance_poisson_sampling_oracle():
     assert ks_distance(draws, poisson_cdf) < 0.02
     # the two references are far apart
     coe_sample = sample_coe_reference(dim=50, count=200, seed=1)
-    assert ks_distance(draws, coe_sample) > 0.1
+    assert ks_distance_two_sample(draws, coe_sample) > 0.1
 
 
 def test_ks_distance_rejects_empty():
