@@ -16,8 +16,11 @@ once :func:`~drivenchain.config.resolve` has accepted it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 import traceback
@@ -34,7 +37,8 @@ from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
 from .propagate import floquet_steps
-from .semiclassical import default_grid_axes, potential_contours, stability_grid
+from .semiclassical import (DEFAULT_MONODROMY_STEPS, default_grid_axes,
+                            potential_contours, stability_grid, usable_cpus)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
 from .units import mhz_from_rad_ns
@@ -67,6 +71,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """What the run ran on: Python, numpy and its BLAS, and the CPUs."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]
+        blas = build["blas"]["name"]
+    except (TypeError, KeyError):           # numpy < 1.26 has no dict mode
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "cpu_count": os.cpu_count(),
+            "usable_cpus": usable_cpus()}
+
+
 class ManifestWriter:
     """Collects run metadata and guarantees a manifest on every exit path."""
 
@@ -78,6 +94,7 @@ class ManifestWriter:
             "version": __version__,
             "command": command,
             "config": None,
+            "environment": _environment(),
             "outputs": [],
             "status": "running",
         }
@@ -200,7 +217,10 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     params = run.semiclassical_params()
     omega_values, delta1_values = default_grid_axes(
         params, run.config.stability_resolution)
-    grid = stability_grid(omega_values, delta1_values, params)
+    # the monodromy step floor is fixed; steps_per_period sets the quantum
+    # propagator only
+    grid = stability_grid(omega_values, delta1_values, params,
+                          DEFAULT_MONODROMY_STEPS)
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
               f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d",
@@ -209,7 +229,9 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     manifest.record_output(path)
     manifest.extra(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
-        monodromy_groups=grid.monodromy_groups)
+        monodromy_steps_floor=DEFAULT_MONODROMY_STEPS,
+        monodromy_groups=grid.monodromy_groups,
+        monodromy_workers=grid.monodromy_workers)
 
 
 def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -254,7 +276,10 @@ def cmd_device_check(table_path, out: Path, manifest: ManifestWriter) -> None:
         print("  no inconsistencies found")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="drivenchain",
         description="Driven-chain simulator: dynamics, disorder ensembles, "
@@ -268,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed override")
         p.add_argument("--realizations", type=int, help="ensemble size override")
         p.add_argument("--steps-per-period", type=int,
-                       help="propagator steps per drive period")
+                       help="quantum propagator steps per drive period "
+                            "(stability keeps its own monodromy floor)")
         p.add_argument("--profile", choices=("cosine", "flat", "table"),
                        help="potential profile override")
         p.add_argument("--disorder-w", dest="disorder_w_over_j", type=float,

@@ -25,7 +25,8 @@ T/2 at the centre of the middle step's w0 drift, which is split there.  The
 kicks sit at fixed fractions of each cell's period, so their cosines come
 from one short table per step-count group.  Groups above the step floor
 hold few cells, so their half period runs as parallel chunks from the
-identity whose products fold into H.
+identity whose products fold into H.  Every group is cut into cache-sized
+blocks of cells, which run on one thread per usable CPU.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -34,6 +35,8 @@ MHz inputs is units.rad_ns_from_mhz.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,9 @@ DEFAULT_MONODROMY_STEPS = 1024
 #: period points) must not flip on integrator roundoff.  The cushion moves
 #: tongue boundaries by orders of magnitude less than one default grid cell.
 STABILITY_TOLERANCE = 1e-4
+#: chunk x cell columns of one monodromy block: about 1.2 MB of float64
+#: state and per-cell factors, which stays inside a core's L2 cache
+BLOCK_COLUMNS = 12_000
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,8 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     table.  The half period runs as C = ``chunks`` equal chunks side by
     side from the identity, in (2, C, n) rows updated in place (chunk 0
     alone starts at t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
+    A step's three kick strengths are computed together into one (3, C, n)
+    buffer, with the same operations per element as one kick at a time.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
@@ -157,22 +165,21 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     cosines = np.cos(TWO_PI * offsets / steps)
     ac_w = cosines[:half].reshape(chunks, -1, 3).transpose(1, 2, 0)[..., None]
     ac_w = np.array([w_mid, w_mid, w1])[:, None, None] * ac_w
-    dc_end = np.tile(dc_w1, (chunks, 1))
-    if not odd:                          # first half of T/2's kick
-        ac_w[-1, 2, -1] *= 0.5
-        dc_end[-1] = dc_half
 
     q = np.zeros((2, chunks) + omega.shape)
     p = np.zeros_like(q)
     q[0] = 1.0
     p[1] = 1.0
     p[0, 0] = ac_h * (0.5 * w1) + dc_half             # t = 0, cos = 1
-    kappa = np.empty_like(q[0])
     tmp = np.empty_like(q)
+    # a step's three kick strengths, one (3, C, n) buffer filled per step
+    kap = np.empty((3,) + q.shape[1:])
+    kap_a, kap_b, kap_c = kap
+    dc3 = np.empty_like(kap)
+    dc3[:2] = dc_mid
+    dc3[2] = dc_w1
 
-    def kick(dc_weighted, ac_weight):
-        np.multiply(ac_h, ac_weight, out=kappa)
-        np.add(kappa, dc_weighted, out=kappa)
+    def kick(kappa):
         np.multiply(q, kappa, out=tmp)
         np.add(p, tmp, out=p)
 
@@ -180,16 +187,23 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
         np.multiply(p, factor, out=tmp)
         np.add(q, tmp, out=q)
 
-    for k, (ac_a, ac_b, ac_c) in enumerate(ac_w, 1):
+    for k, ac_weights in enumerate(ac_w, 1):
+        if k == len(ac_w) and not odd:   # first half of T/2's kick
+            ac_weights[2, -1] *= 0.5
+            dc3[2, -1] = dc_half
+        np.multiply(ac_h, ac_weights, out=kap)
+        np.add(kap, dc3, out=kap)
         drift(drift_w1)
-        kick(dc_mid, ac_a)
+        kick(kap_a)
         drift(drift_w0)
-        kick(dc_mid, ac_b)
+        kick(kap_b)
         drift(drift_w1)
-        kick(dc_w1 if k < len(ac_w) else dc_end, ac_c)
+        kick(kap_c)
     if odd:
+        np.multiply(ac_h, w_mid * cosines[half, 0], out=kap_a)
+        np.add(kap_a, dc_mid, out=kap_a)
         drift(drift_w1)
-        kick(dc_mid, w_mid * cosines[half, 0])
+        kick(kap_a)
         drift(0.5 * drift_w0)
 
     (h11, h12), (h21, h22) = q[:, 0], p[:, 0]
@@ -205,24 +219,68 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     return m
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for the monodromy blocks: one per usable CPU, at most one
+    per block."""
+    return max(1, min(usable_cpus(), blocks))
+
+
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
                      params: SemiclassicalParams,
                      steps_per_period: int) -> tuple:
-    """Monodromy matrices of parameter arrays, and their step-count groups."""
+    """Monodromy matrices of parameter arrays, and their step-count groups.
+
+    Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
+    columns (a single cell may exceed it), and the blocks run largest
+    first on one thread per usable CPU: numpy's loops release the GIL.  A
+    cell's arithmetic depends neither on its block nor on its thread.
+    """
     omega = np.asarray(omega, dtype=float)
     delta1 = np.asarray(delta1, dtype=float)
     shape = np.broadcast_shapes(omega.shape, delta1.shape)
     omega_flat = np.broadcast_to(omega, shape).ravel()
     delta1_flat = np.broadcast_to(delta1, shape).ravel()
     steps = _monodromy_steps(omega_flat, delta1_flat, params, steps_per_period)
-    result = np.empty((omega_flat.size, 2, 2))
-    groups = []
+    blocks, groups = [], []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
-        count, mask = int(count), steps == count
+        count, cells = int(count), int(cells)
         chunks = _chunk_count(count, steps_per_period)
-        result[mask] = _integrate_group(omega_flat[mask], delta1_flat[mask],
-                                        params, count, chunks)
-        groups.append({"steps": count, "cells": int(cells), "chunks": chunks})
+        pieces = min(cells, -(-cells * chunks // BLOCK_COLUMNS))
+        blocks += [(count, chunks, idx) for idx in
+                   np.array_split(np.flatnonzero(steps == count), pieces)]
+        groups.append({"steps": count, "cells": cells, "chunks": chunks,
+                       "blocks": pieces})
+    blocks.sort(key=lambda block: block[0] * block[2].size, reverse=True)
+    pending = deque(blocks)             # popleft() is atomic across threads
+    result = np.empty((omega_flat.size, 2, 2))
+
+    def drain():
+        while True:
+            try:
+                count, chunks, idx = pending.popleft()
+            except IndexError:          # every block is taken
+                return
+            result[idx] = _integrate_group(omega_flat[idx], delta1_flat[idx],
+                                           params, count, chunks)
+
+    workers = _worker_count(len(blocks))
+    if workers == 1:
+        drain()
+    else:                               # this thread is one of the workers
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
     return result.reshape(shape + (2, 2)), groups
 
 
@@ -254,7 +312,8 @@ class StabilityGrid:
     delta1_values: np.ndarray       # length n_delta1
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
-    monodromy_groups: list          # {steps, cells, chunks} per step count
+    monodromy_groups: list          # {steps, cells, chunks, blocks} per group
+    monodromy_workers: int          # threads the blocks ran on
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
@@ -272,7 +331,9 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
     _check_determinants(m)
     abs_trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
-    return StabilityGrid(omega_values, delta1_values, abs_trace, stable, groups)
+    workers = _worker_count(sum(g["blocks"] for g in groups))
+    return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
+                         groups, workers)
 
 
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):

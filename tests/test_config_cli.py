@@ -237,7 +237,8 @@ def test_cmd_stability_manifest_records_monodromy_groups(tmp_path):
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
     groups = strict_manifest(out)["monodromy_groups"]
-    assert all(sorted(g) == ["cells", "chunks", "steps"] for g in groups)
+    assert all(sorted(g) == ["blocks", "cells", "chunks", "steps"]
+               for g in groups)
     steps = [g["steps"] for g in groups]
     assert steps == sorted(set(steps)) and steps[0] == 1024 and len(steps) > 1
     assert sum(g["cells"] for g in groups) == 144
@@ -255,6 +256,56 @@ def test_default_stability_groups_loop_at_most_512_steps(tmp_path):
     assert sum(g["cells"] for g in groups) == 200 * 200
     assert max(g["steps"] for g in groups) == 32768
     assert all(g["steps"] // (2 * g["chunks"]) <= 512 for g in groups)
+
+
+def test_stability_manifest_records_environment_and_workers(tmp_path):
+    # --steps-per-period sets the quantum propagator; the floor stays 1024
+    cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out),
+                 "--steps-per-period", "64"]) == 0
+    manifest = strict_manifest(out)
+    env = manifest["environment"]
+    assert sorted(env) == ["blas", "cpu_count", "numpy", "python",
+                           "usable_cpus"]
+    assert env["numpy"] == np.__version__
+    assert 1 <= env["usable_cpus"] <= env["cpu_count"]
+    assert manifest["monodromy_steps_floor"] == 1024
+    assert manifest["monodromy_groups"][0]["steps"] == 1024
+    blocks = sum(g["blocks"] for g in manifest["monodromy_groups"])
+    assert 1 <= manifest["monodromy_workers"] <= blocks
+    assert manifest["monodromy_workers"] == min(env["usable_cpus"], blocks)
+
+
+def test_stability_on_one_cpu_starts_no_thread_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool constructed on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = strict_manifest(out)
+    assert manifest["monodromy_workers"] == 1
+    assert manifest["environment"]["usable_cpus"] == 1
+    assert sum(g["blocks"] for g in manifest["monodromy_groups"]) > 1
+
+
+def test_consecutive_main_calls_share_no_parser_state(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg", **FAST)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(first),
+                 "--keep-realizations", "--seed", "7"]) == 0
+    assert main(["ensemble", "--config", str(cfg), "--out", str(second)]) == 0
+    assert strict_manifest(first)["config"]["keep_realizations"] is True
+    config = strict_manifest(second)["config"]
+    assert config["keep_realizations"] is False
+    assert config["master_seed"] == RunConfig().master_seed
+    assert not (second / "realizations").exists()
 
 
 def test_cmd_device_check_bundled(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS,
+from drivenchain import semiclassical
+from drivenchain.semiclassical import (BLOCK_COLUMNS, DEFAULT_MONODROMY_STEPS,
                                        STABILITY_TOLERANCE,
                                        SemiclassicalParams, _chunk_count,
                                        _integrate_group, _monodromy_batch,
@@ -328,6 +331,82 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
     assert np.array_equal(_integrate_group(om, d1, params, steps_floor),
                           serial_half_period_monodromy(om, d1, params,
                                                        steps_floor))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 255, 1025, 256])
+def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
+    # one (3, C, n) kick-strength buffer per step, odd tails included
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 12)
+    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
+    assert np.array_equal(_integrate_group(om, d1, params, steps),
+                          serial_half_period_monodromy(om, d1, params, steps))
+
+
+@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255, 2048])
+def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
+                                                        steps_floor):
+    # lowest to highest default omega: every group has >= 3 cells, so a
+    # budget of a third of the smallest group's columns splits all of them
+    params = make_params()
+    om = np.geomspace(*default_grid_axes(params)[0][[0, -1]], 16)
+    d1 = np.linspace(0.0, 2 * D0, 4)
+    groups = _monodromy_batch(*np.meshgrid(om, d1, indexing="ij"), params,
+                              steps_floor)[1]
+    assert len(groups) >= 4 and min(g["cells"] for g in groups) >= 3
+    split = min(g["cells"] * g["chunks"] for g in groups) // 3
+    matrices, batch = [], semiclassical._monodromy_batch
+
+    def recording_batch(*args):                    # keep what each grid ran
+        result = batch(*args)
+        matrices.append(result[0])
+        return result
+
+    monkeypatch.setattr(semiclassical, "_monodromy_batch", recording_batch)
+    runs = []
+    for budget in (BLOCK_COLUMNS, split, 10**18):
+        for workers in (1, 2):
+            monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", budget)
+            monkeypatch.setattr(semiclassical, "usable_cpus", lambda: workers)
+            grid = stability_grid(om, d1, params, steps_floor)
+            blocks = [g["blocks"] for g in grid.monodromy_groups]
+            if budget == split:
+                assert min(blocks) >= 3
+            if budget == 10**18:
+                assert set(blocks) == {1}
+            assert grid.monodromy_workers == min(workers, sum(blocks))
+            runs.append((matrices[-1], grid))
+    ref_m, ref = runs[0]
+    for m, grid in runs[1:]:
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(grid.abs_trace, ref.abs_trace)
+        assert np.array_equal(grid.stable, ref.stable)
+
+
+def test_block_threads_take_every_block_once(monkeypatch):
+    # more threads than cores, switching as often as possible: each block
+    # leaves the shared queue exactly once and lands in its own rows
+    params = make_params()
+    om, d1 = np.meshgrid(*default_grid_axes(params, 10), indexing="ij")
+    reference = _monodromy_batch(om, d1, params, 64)[0]
+    sizes, integrate = [], semiclassical._integrate_group
+
+    def counted(omega, *args):
+        sizes.append(omega.size)
+        return integrate(omega, *args)
+
+    monkeypatch.setattr(semiclassical, "_integrate_group", counted)
+    monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        m, groups = _monodromy_batch(om, d1, params, 64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sizes) == sum(g["blocks"] for g in groups) > 8
+    assert sum(sizes) == om.size
+    assert np.array_equal(m, reference)
 
 
 def test_potential_contour_extrema():
