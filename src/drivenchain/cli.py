@@ -61,10 +61,15 @@ def write_csv(path: Path, header, fmt: str, rows) -> None:
 
 
 def _grid_rows(x_values, y_values, *fields):
-    """(x, y, field values...) rows in x-major order, one x-row at a time."""
-    y_list = y_values.tolist()
+    """(x, y, field values...) rows in x-major order, one x-row at a time.
+
+    x and y come as text, each distinct value formatted once through
+    _FLOAT_FMT, so the row format takes them with ``%s``.
+    """
+    y_text = [_FLOAT_FMT % y for y in y_values.tolist()]
     for i, x in enumerate(x_values.tolist()):
-        yield from zip(repeat(x), y_list, *(field[i].tolist() for field in fields))
+        yield from zip(repeat(_FLOAT_FMT % x), y_text,
+                       *(field[i].tolist() for field in fields))
 
 
 def _sha256(path: Path) -> str:
@@ -223,7 +228,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
                           DEFAULT_MONODROMY_STEPS)
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
-              f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d",
+              f"%s,%s,{_FLOAT_FMT},%d",
               _grid_rows(grid.omega_values, grid.delta1_values,
                          grid.abs_trace, grid.stable))
     manifest.record_output(path)
@@ -241,7 +246,7 @@ def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     p_values = np.linspace(-np.pi, np.pi, res)
     field = potential_contours(q_values, p_values, params)
     path = out / "contours.csv"
-    write_csv(path, ["q", "p", "value"], ",".join([_FLOAT_FMT] * 3),
+    write_csv(path, ["q", "p", "value"], f"%s,%s,{_FLOAT_FMT}",
               _grid_rows(q_values, p_values, field))
     manifest.record_output(path)
 

@@ -28,13 +28,14 @@ from .basis import QuantumState
 from .errors import NumericalError
 from .hamiltonian import SectorModel
 from .model import DriveSpec
-from .semiclassical import YOSHIDA_WEIGHTS
 from .units import TWO_PI
 
 DEFAULT_STEPS_PER_PERIOD = 256
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
 _WEIGHTS = np.array(YOSHIDA_WEIGHTS)
 _MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS   # in units of the step
 _PHASE_CHUNK = DEFAULT_STEPS_PER_PERIOD             # bounds the table's memory

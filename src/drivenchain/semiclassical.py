@@ -15,13 +15,14 @@ parametrically modulated oscillator with small-oscillation frequency
 Omega = (4*pi/N) * sqrt(2*d0*J).  Driving near omega = 2*Omega/m makes the
 fixed point unstable (parametric resonance); stability is classified by the
 trace of the one-period monodromy matrix M of the linearized flow, computed
-by direct numerical integration (a fourth-order composition of shears).
+by direct numerical integration (SRKN6b, a fourth-order Runge-Kutta-Nystrom
+splitting into shears).
 
 The linearized flow is Hill's equation with an even coefficient c(t), and
 the shear sequence is a palindrome, so only the half-period product H is
 integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
 discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  An odd step count puts
-T/2 at the centre of the middle step's w0 drift, which is split there.  The
+T/2 at the centre of the middle step's B4 kick, which is split there.  The
 kicks sit at fixed fractions of each cell's period, so their cosines come
 from one short table per step-count group.  Groups above the step floor
 hold few cells, so their half period runs as parallel chunks from the
@@ -45,7 +46,7 @@ from .errors import ConfigError, NumericalError
 from .units import TWO_PI
 
 DETERMINANT_TOL = 1e-8
-DEFAULT_MONODROMY_STEPS = 1024
+DEFAULT_MONODROMY_STEPS = 256
 #: classification cushion on |tr M| <= 2: marginally stable cells (the whole
 #: zero-modulation column sits at |tr| = 2|cos(Omega T)| <= 2, touching 2 at
 #: period points) must not flip on integrator roundoff.  The cushion moves
@@ -87,9 +88,14 @@ def energy(q, p, params: SemiclassicalParams) -> np.ndarray:
             + 2.0 * params.hopping * np.cos(p))
 
 
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
-MIN_STEPS_PER_OSCILLATION = 256
+MIN_STEPS_PER_OSCILLATION = 64
+#: SRKN6b of Blanes and Moan, J. Comput. Appl. Math. 142 (2002) 313: one
+#: step is the palindrome B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1 of kicks
+#: (weights b1..b4) and drifts (weights a1..a3)
+_B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+_A1, _A2 = 0.245298957184271, 0.604872665711080
+SRKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
+SRKN_DRIFTS = (_A1, _A2, 0.5 - _A1 - _A2)
 
 
 def _monodromy_steps(omega, delta1, params: SemiclassicalParams,
@@ -114,7 +120,8 @@ def _monodromy_steps(omega, delta1, params: SemiclassicalParams,
 
 def _chunk_count(steps: int, steps_floor: int) -> int:
     """Parallel chunks of a group's half period: one at the floor or an odd
-    count, else a power of two of >= max(floor, 1024) / 2 steps each."""
+    count, else a power of two of >= max(floor, DEFAULT_MONODROMY_STEPS) / 2
+    steps each, so every group loops at most that often."""
     if steps == steps_floor or steps % 2:
         return 1
     most = steps // max(steps_floor, DEFAULT_MONODROMY_STEPS)
@@ -123,88 +130,83 @@ def _chunk_count(steps: int, steps_floor: int) -> int:
 
 def _integrate_group(omega, delta1, params: SemiclassicalParams,
                      steps: int, chunks: int = 1) -> np.ndarray:
-    """Fourth-order symplectic composition for one batch of cells.
+    """Fourth-order RKN splitting (SRKN6b) for one batch of cells.
 
     The linearized flow
         d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
         d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
-    is separable, so each substep is a pair of shears (exact unit
-    determinant); the triple-weight composition restores fourth-order
-    accuracy of the trace for the time-dependent modulation.  Adjacent
-    half-kicks (within a step and across step boundaries) are merged: they
-    act at the same instant, so the combined update is the same shear.
+    is a second-order equation y'' = f(y, t), so each substep is a shear
+    (exact unit determinant): a kick of dP by c(t) dQ at the current time,
+    or a drift of dQ by -a dP that also advances the time.  Blanes and
+    Moan's SRKN6b palindrome is fourth order with a far smaller error
+    constant than a triple-jump composition.  The B1 kicks that end one
+    step and open the next act at the same instant and are merged, so a
+    step is six drifts, each followed by a kick.
 
     Only the half-period product H is integrated: the period's shear
     sequence is a palindrome and c(t) is even, so the second half is the
     first mirrored, and since R S^-1 R = S for every shear S (R =
-    diag(1, -1)), M = R adj(H) R H.  T/2 splits the merged kick at a step
-    boundary (even steps) or the middle step's w0 drift (odd steps).  Kicks
-    sit at fixed fractions of the period, so the group shares one cosine
-    table.  The half period runs as C = ``chunks`` equal chunks side by
-    side from the identity, in (2, C, n) rows updated in place (chunk 0
+    diag(1, -1)), M = R adj(H) R H.  T/2 splits the merged B1 kick at a
+    step boundary (even steps) or the middle step's B4 kick (odd steps).
+    Kicks sit at fixed fractions of the period, so the group shares one
+    cosine table.  The half period runs as C = ``chunks`` equal chunks side
+    by side from the identity, in (2, C, n) rows updated in place (chunk 0
     alone starts at t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
-    A step's three kick strengths are computed together into one (3, C, n)
-    buffer, with the same operations per element as one kick at a time.
+    A step's six kick strengths are computed together into one (6, C, n)
+    buffer, with the same operations per element as one kick at a time; its
+    dc part depends on the kick and the cell only and is broadcast over
+    the chunks.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
     dc = c0 * params.dc_amplitude
     h = (TWO_PI / omega) / steps
-    w1, w0, _ = YOSHIDA_WEIGHTS
-    w_mid = 0.5 * (w1 + w0)
+    b1, b2, b3, b4 = SRKN_KICKS
+    a1, a2, a3 = SRKN_DRIFTS
     half, odd = divmod(steps, 2)
 
-    drift_w1, drift_w0 = (-a * w1) * h, (-a * w0) * h
-    dc_half, dc_mid = (0.5 * w1 * dc) * h, (w_mid * dc) * h
-    dc_w1 = (w1 * dc) * h
-    ac_h = c0 * delta1 * h
-    # kick instants of step k as fractions of the period: k+w1, k+1-w1, k+1;
+    # a step's six (drift, kick) pairs; the kicks act at these step fractions
+    weights = np.array([b2, b3, b4, b3, b2, 2.0 * b1])
+    drifts = [(-a * w) * h for w in (a1, a2, a3)]
+    drifts += drifts[::-1]
+    instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
+    cosines = np.cos(TWO_PI * (np.arange(half + odd)[:, None] + instants)
+                     / steps)
     # ac_w[j] holds the (kick, chunk) weights of step j of every chunk
-    offsets = np.arange(half + odd)[:, None] + np.array([w1, 1.0 - w1, 1.0])
-    cosines = np.cos(TWO_PI * offsets / steps)
-    ac_w = cosines[:half].reshape(chunks, -1, 3).transpose(1, 2, 0)[..., None]
-    ac_w = np.array([w_mid, w_mid, w1])[:, None, None] * ac_w
+    ac_w = cosines[:half].reshape(chunks, -1, 6).transpose(1, 2, 0)[..., None]
+    ac_w = weights[:, None, None] * ac_w
+    dc_w = np.multiply.outer(weights * dc, h)[:, None]       # (6, 1, n)
+    ac_h = c0 * delta1 * h
 
     q = np.zeros((2, chunks) + omega.shape)
     p = np.zeros_like(q)
     q[0] = 1.0
     p[1] = 1.0
-    p[0, 0] = ac_h * (0.5 * w1) + dc_half             # t = 0, cos = 1
+    p[0, 0] = ac_h * b1 + (b1 * dc) * h                 # t = 0, cos = 1
     tmp = np.empty_like(q)
-    # a step's three kick strengths, one (3, C, n) buffer filled per step
-    kap = np.empty((3,) + q.shape[1:])
-    kap_a, kap_b, kap_c = kap
-    dc3 = np.empty_like(kap)
-    dc3[:2] = dc_mid
-    dc3[2] = dc_w1
+    kap = np.empty((6,) + q.shape[1:])
+    pairs = list(zip(drifts, kap))
 
-    def kick(kappa):
-        np.multiply(q, kappa, out=tmp)
-        np.add(p, tmp, out=p)
-
-    def drift(factor):
-        np.multiply(p, factor, out=tmp)
-        np.add(q, tmp, out=q)
+    def advance(pairs):
+        for factor, kappa in pairs:
+            np.multiply(p, factor, out=tmp)             # drift
+            np.add(q, tmp, out=q)
+            np.multiply(q, kappa, out=tmp)              # kick
+            np.add(p, tmp, out=p)
 
     for k, ac_weights in enumerate(ac_w, 1):
-        if k == len(ac_w) and not odd:   # first half of T/2's kick
-            ac_weights[2, -1] *= 0.5
-            dc3[2, -1] = dc_half
         np.multiply(ac_h, ac_weights, out=kap)
-        np.add(kap, dc3, out=kap)
-        drift(drift_w1)
-        kick(kap_a)
-        drift(drift_w0)
-        kick(kap_b)
-        drift(drift_w1)
-        kick(kap_c)
-    if odd:
-        np.multiply(ac_h, w_mid * cosines[half, 0], out=kap_a)
-        np.add(kap_a, dc_mid, out=kap_a)
-        drift(drift_w1)
-        kick(kap_a)
-        drift(0.5 * drift_w0)
+        np.add(kap, dc_w, out=kap)
+        if k == len(ac_w) and not odd:   # T/2 halves the merged B1 kick;
+            kap[5, -1] *= 0.5            # halving is exact in floating point
+        advance(pairs)
+    if odd:                              # T/2 halves the middle B4 kick
+        np.multiply(ac_h, (weights[:3] * cosines[half, :3])[:, None, None],
+                    out=kap[:3])
+        np.add(kap[:3], dc_w[:3], out=kap[:3])
+        kap[2] *= 0.5
+        advance(pairs[:3])
 
     (h11, h12), (h21, h22) = q[:, 0], p[:, 0]
     for j in range(1, chunks):                       # H <- M_j H

@@ -6,8 +6,10 @@ independent second way to compute something the package computes.  A few
 ``monodromy_matrix`` and ``monodromy_trace``) are single-input views of
 package internals that only the tests call, and ``coe_density_divergent`` is a known-bad transcription
 kept to document why it is bad.  ``serial_half_period_monodromy`` is the
-package's former serial monodromy loop, kept to pin its one-chunk path bit
-for bit.  They live here so that the package carries only what its
+package's monodromy loop written serially, kept to pin its one-chunk path
+bit for bit, and ``yoshida_full_period_monodromy`` is the package's former
+monodromy scheme, kept as a converged reference at 8x the steps.  They
+live here so that the package carries only what its
 pipelines use.
 """
 
@@ -23,12 +25,12 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import (UNITARITY_TOL, FloquetOperator, _advance,
-                                   _check_each, floquet_operator,
-                                   unitarity_defect)
-from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, YOSHIDA_WEIGHTS,
-                                       SemiclassicalParams, _check_determinants,
-                                       _monodromy_batch)
+from drivenchain.propagate import (UNITARITY_TOL, YOSHIDA_WEIGHTS,
+                                   FloquetOperator, _advance, _check_each,
+                                   floquet_operator, unitarity_defect)
+from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, SRKN_DRIFTS,
+                                       SRKN_KICKS, SemiclassicalParams,
+                                       _check_determinants, _monodromy_batch)
 from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample,
                                   _ratios_from_sorted)
 from drivenchain.units import TWO_PI
@@ -351,28 +353,14 @@ def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,
     return float(abs(np.trace(m)))
 
 
-def full_period_monodromy(omega, delta1, params: SemiclassicalParams,
-                          steps: int) -> np.ndarray:
-    """Fourth-order symplectic composition for one batch of cells.
-
-    The linearized flow
-        d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
-        d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
-    is separable, so each substep is a pair of shears (exact unit
-    determinant); the triple-weight composition restores fourth-order
-    accuracy of the trace for the time-dependent modulation.  Adjacent
-    half-kicks (within a step and across step boundaries) are merged: they
-    act at the same instant, so the combined update is the same shear.
-
-    Integrates the whole period with cos(omega*t) evaluated per cell, the
-    independent second way to compute what the half-period integrator of
-    ``drivenchain.semiclassical`` returns.
-    """
+def _linearized_shears(omega, delta1, params: SemiclassicalParams,
+                       steps: int):
+    """Identity matrices and in-place kick(t, weight) and drift(weight)
+    shears of the linearized flow, over the step h = T / steps."""
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
     h = (TWO_PI / omega) / steps
-    w1, w0, _ = YOSHIDA_WEIGHTS
 
     m = np.zeros(omega.shape + (2, 2))
     m[..., 0, 0] = 1.0
@@ -385,18 +373,55 @@ def full_period_monodromy(omega, delta1, params: SemiclassicalParams,
     def drift(weight):
         m[..., 0, :] += (-a * weight * h)[..., None] * m[..., 1, :]
 
+    return m, h, kick, drift
+
+
+def full_period_monodromy(omega, delta1, params: SemiclassicalParams,
+                          steps: int) -> np.ndarray:
+    """SRKN6b over the whole period, one shear of the palindrome at a time.
+
+    The linearized flow
+        d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
+        d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
+    is split into kicks of dP at the current time and drifts of dQ that
+    advance the time; each step is B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1.
+    Nothing is merged, no symmetry is used, and cos(omega*t) is evaluated
+    per cell at the accumulated time: the independent second way to
+    compute what the half-period integrator of ``drivenchain.semiclassical``
+    returns.
+    """
+    m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
+    b1, b2, b3, b4 = SRKN_KICKS
+    a1, a2, a3 = SRKN_DRIFTS
+    kicks = (b1, b2, b3, b4, b3, b2, b1)
+    drifts = (a1, a2, a3, a3, a2, a1, 0.0)
     t = np.zeros_like(omega)
-    kick(t, 0.5 * w1)
-    for k in range(steps):
-        drift(w1)
-        t = t + w1 * h
-        kick(t, 0.5 * (w1 + w0))
-        drift(w0)
-        t = t + w0 * h
-        kick(t, 0.5 * (w0 + w1))
-        drift(w1)
-        t = t + w1 * h
-        kick(t, w1 if k + 1 < steps else 0.5 * w1)
+    for _ in range(steps):
+        for b, a in zip(kicks, drifts):
+            kick(t, b)
+            if a:
+                drift(a)
+                t = t + a * h
+    return m
+
+
+def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
+                                  steps: int) -> np.ndarray:
+    """Yoshida triple jump over the whole period, a converged reference.
+
+    The package's former scheme: each step composes three Strang steps
+    (half kick, drift, half kick) with the weights (w1, w0, w1).  At equal
+    step counts its error in tr M is hundreds of times SRKN6b's, so it
+    serves as a reference only at >= 8x the step count it is compared with.
+    """
+    m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
+    t = np.zeros_like(omega)
+    for _ in range(steps):
+        for w in YOSHIDA_WEIGHTS:
+            kick(t, 0.5 * w)
+            drift(w)
+            t = t + w * h
+            kick(t, 0.5 * w)
     return m
 
 
@@ -405,23 +430,25 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
     """The half-period integrator as one serial loop over the half period.
 
     ``drivenchain.semiclassical._integrate_group`` with one chunk must
-    reproduce it bit for bit.
+    reproduce it bit for bit: the same merged B1 kicks at step boundaries,
+    and T/2 splitting the last of them (even steps) or the middle step's
+    B4 kick (odd steps), one kick strength at a time.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
     dc = c0 * params.dc_amplitude
     h = (TWO_PI / omega) / steps
-    w1, w0, _ = YOSHIDA_WEIGHTS
-    w_mid = 0.5 * (w1 + w0)
+    b1, b2, b3, b4 = SRKN_KICKS
+    a1, a2, a3 = SRKN_DRIFTS
     half, odd = divmod(steps, 2)
 
-    drift_w1, drift_w0 = (-a * w1) * h, (-a * w0) * h
-    dc_half, dc_mid = (0.5 * w1 * dc) * h, (w_mid * dc) * h
-    dc_w1 = (w1 * dc) * h
+    kicks = (b2, b3, b4, b3, b2, 2.0 * b1)
+    drifts = (a1, a2, a3, a3, a2, a1)
+    instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
+    cosines = np.cos(TWO_PI * (np.arange(half + odd)[:, None] + instants)
+                     / steps)
     ac_h = c0 * delta1 * h
-    offsets = np.arange(half + odd)[:, None] + np.array([w1, 1.0 - w1, 1.0])
-    cosines = np.cos(TWO_PI * offsets / steps)
 
     q = np.zeros((2,) + omega.shape)
     p = np.zeros_like(q)
@@ -430,32 +457,27 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
     kappa = np.empty_like(omega)
     tmp = np.empty_like(q)
 
-    def kick(dc_weighted, ac_weight):
-        np.multiply(ac_h, ac_weight, out=kappa)
-        np.add(kappa, dc_weighted, out=kappa)
+    def kick(weight, cos):
+        np.multiply(ac_h, weight * cos, out=kappa)
+        np.add(kappa, (weight * dc) * h, out=kappa)
         np.multiply(q, kappa, out=tmp)
         np.add(p, tmp, out=p)
 
-    def drift(factor):
-        np.multiply(p, factor, out=tmp)
+    def drift(weight):
+        np.multiply(p, (-a * weight) * h, out=tmp)
         np.add(q, tmp, out=q)
 
-    kick(dc_half, 0.5 * w1)
+    kick(b1, 1.0)
     for k in range(half):
-        cos_a, cos_b, cos_c = cosines[k]
-        drift(drift_w1)
-        kick(dc_mid, w_mid * cos_a)
-        drift(drift_w0)
-        kick(dc_mid, w_mid * cos_b)
-        drift(drift_w1)
-        if k + 1 < half or odd:
-            kick(dc_w1, w1 * cos_c)
-        else:
-            kick(dc_half, 0.5 * w1 * cos_c)
+        for j, (b, w) in enumerate(zip(kicks, drifts)):
+            drift(w)
+            if k + 1 == half and j == 5 and not odd:
+                b = b1
+            kick(b, cosines[k, j])
     if odd:
-        drift(drift_w1)
-        kick(dc_mid, w_mid * cosines[half, 0])
-        drift(0.5 * drift_w0)
+        for j, (b, w) in enumerate(zip((b2, b3, 0.5 * b4), drifts)):
+            drift(w)
+            kick(b, cosines[half, j])
 
     (h11, h12), (h21, h22) = q, p
     m = np.empty(omega.shape + (2, 2))

@@ -240,26 +240,26 @@ def test_cmd_stability_manifest_records_monodromy_groups(tmp_path):
     assert all(sorted(g) == ["blocks", "cells", "chunks", "steps"]
                for g in groups)
     steps = [g["steps"] for g in groups]
-    assert steps == sorted(set(steps)) and steps[0] == 1024 and len(steps) > 1
+    assert steps == sorted(set(steps)) and steps[0] == 256 and len(steps) > 1
     assert sum(g["cells"] for g in groups) == 144
-    assert [g["chunks"] for g in groups] == [max(1, s // 1024) for s in steps]
+    assert [g["chunks"] for g in groups] == [max(1, s // 256) for s in steps]
     header = (out / "stability_grid.csv").read_text().splitlines()[0]
     assert header == "omega,delta1,abs_trace,stable"
 
 
-def test_default_stability_groups_loop_at_most_512_steps(tmp_path):
+def test_default_stability_groups_loop_at_most_128_steps(tmp_path):
     # the parallel-in-time chunks bound the Python loop of every group, so
     # the slow high-step groups cost no more numpy calls than the floor
     out = tmp_path / "out"
     assert main(["stability", "--out", str(out)]) == 0
     groups = strict_manifest(out)["monodromy_groups"]
     assert sum(g["cells"] for g in groups) == 200 * 200
-    assert max(g["steps"] for g in groups) == 32768
-    assert all(g["steps"] // (2 * g["chunks"]) <= 512 for g in groups)
+    assert max(g["steps"] for g in groups) == 8192
+    assert all(g["steps"] // (2 * g["chunks"]) <= 128 for g in groups)
 
 
 def test_stability_manifest_records_environment_and_workers(tmp_path):
-    # --steps-per-period sets the quantum propagator; the floor stays 1024
+    # --steps-per-period sets the quantum propagator; the floor stays 256
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out),
@@ -270,8 +270,8 @@ def test_stability_manifest_records_environment_and_workers(tmp_path):
                            "usable_cpus"]
     assert env["numpy"] == np.__version__
     assert 1 <= env["usable_cpus"] <= env["cpu_count"]
-    assert manifest["monodromy_steps_floor"] == 1024
-    assert manifest["monodromy_groups"][0]["steps"] == 1024
+    assert manifest["monodromy_steps_floor"] == 256
+    assert manifest["monodromy_groups"][0]["steps"] == 256
     blocks = sum(g["blocks"] for g in manifest["monodromy_groups"])
     assert 1 <= manifest["monodromy_workers"] <= blocks
     assert manifest["monodromy_workers"] == min(env["usable_cpus"], blocks)

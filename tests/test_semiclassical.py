@@ -15,7 +15,8 @@ from drivenchain.semiclassical import (BLOCK_COLUMNS, DEFAULT_MONODROMY_STEPS,
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (classical_rhs, full_period_monodromy, integrate_trajectory,
                      monodromy_matrix, monodromy_trace,
-                     serial_half_period_monodromy)
+                     serial_half_period_monodromy,
+                     yoshida_full_period_monodromy)
 
 J = rad_ns_from_mhz(11.5)
 D0 = 3 * J
@@ -211,10 +212,12 @@ def assert_trace_matches(abs_trace, reference):
 
 @pytest.mark.parametrize("steps_per_period", [255, 256, 257])
 def test_half_period_matches_full_period_oracle(steps_per_period):
-    # resolution 8 spans four or five step-count groups; an odd floor keeps
-    # the fast cells odd, which exercises the split middle drift
+    # a quarter of the resolution-8 omegas spans four or five step-count
+    # groups; an odd floor keeps the fast cells odd, which exercises the
+    # split middle kick
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 8)
+    omega_values = omega_values / 4
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
     steps = _monodromy_steps(om.ravel(), d1.ravel(), params, steps_per_period)
     assert len(np.unique(steps)) >= 3
@@ -264,10 +267,59 @@ def test_monodromy_trace_matches_full_period_oracle(omega, delta1,
         assert trace > 2.0 + STABILITY_TOLERANCE
 
 
+def test_trace_error_falls_16x_per_step_doubling():
+    # the lowest-omega row converges slowest; measured step-halving
+    # differences of tr M shrink 16.2x from 2048 -> 4096 to 4096 -> 8192
+    # steps (its default count), a fourth-order scheme
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params)
+    om = np.full(200, omega_values[0])
+    assert set(_monodromy_steps(om, delta1_values, params,
+                                DEFAULT_MONODROMY_STEPS)) == {8192}
+    trace = {}
+    for steps in (2048, 4096, 8192):
+        m = _integrate_group(om, delta1_values, params, steps,
+                             _chunk_count(steps, DEFAULT_MONODROMY_STEPS))
+        trace[steps] = m[:, 0, 0] + m[:, 1, 1]
+    checked = np.abs(trace[8192]) <= 10.0
+    scale = np.maximum(1.0, np.abs(trace[8192][checked]))
+    err_2048, err_4096 = (np.abs(trace[s] - trace[2 * s])[checked] / scale
+                          for s in (2048, 4096))
+    assert 12.0 < err_2048.max() / err_4096.max() < 20.0
+    # Richardson estimate of the default count's error, well inside the
+    # classification cushion
+    assert err_4096.max() / 15.0 < 0.1 * STABILITY_TOLERANCE
+
+
+def test_default_steps_match_yoshida_reference():
+    # the former triple-jump scheme at 8x each cell's default step count
+    # (measured agreement 4.3e-9 over these 180 cells of the 256-, 512-
+    # and 1024-step groups)
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params)
+    omega_values, delta1_values = omega_values[7::12], delta1_values[::20]
+    grid = stability_grid(omega_values, delta1_values, params)
+    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
+                                             indexing="ij"))
+    steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
+    assert set(steps) == {256, 512, 1024}
+    reference = np.empty(om.size)
+    for count in np.unique(steps):
+        mask = steps == count
+        m = yoshida_full_period_monodromy(om[mask], d1[mask], params,
+                                          8 * int(count))
+        reference[mask] = np.abs(m[..., 0, 0] + m[..., 1, 1])
+    reference = reference.reshape(grid.abs_trace.shape)
+    assert np.array_equal(grid.stable,
+                          reference <= 2.0 + STABILITY_TOLERANCE)
+    assert_trace_matches(grid.abs_trace, reference)
+
+
 @pytest.fixture(scope="module")
 def high_group_cells():
     """Three cells of every default-grid group above the floor, with the
-    lowest-omega row's ends, and their full-period oracle traces."""
+    lowest-omega row's ends, and their full-period oracle traces at a
+    given floor (each step count integrated once)."""
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
@@ -279,21 +331,30 @@ def high_group_cells():
         where = np.flatnonzero(steps == count)
         picked += [where[0], where[len(where) // 2], where[-1]]
     om, d1 = om[picked], d1[picked]
-    assert set(steps[picked]) == {2048, 4096, 8192, 16384, 32768}
-    reference = oracle_monodromy(om, d1, params, DEFAULT_MONODROMY_STEPS)
-    return om, d1, np.abs(reference[..., 0, 0] + reference[..., 1, 1])
+    assert set(steps[picked]) == {512, 1024, 2048, 4096, 8192}
+    traces = {}
+
+    def reference(steps_floor):
+        counts = _monodromy_steps(om, d1, params, steps_floor)
+        for count in set(counts.tolist()) - set(traces):
+            m = full_period_monodromy(om, d1, params, count)
+            traces[count] = np.abs(m[..., 0, 0] + m[..., 1, 1])
+        return np.array([traces[c][i] for i, c in enumerate(counts.tolist())])
+
+    return om, d1, reference
 
 
-@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255, 2048])
+@pytest.mark.parametrize("steps_floor",
+                         [DEFAULT_MONODROMY_STEPS, 1024, 255, 2048])
 def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
-    # every picked cell needs >= 2048 steps, so its step count and oracle
-    # are the same at each floor while its group's chunking changes
-    om, d1, ref_trace = high_group_cells
+    # every picked cell needs >= 512 steps; a higher floor raises some of
+    # them to the floor group, and every group above it is chunked
+    om, d1, reference = high_group_cells
+    ref_trace = reference(steps_floor)
     params = make_params()
-    steps = _monodromy_steps(om, d1, params, steps_floor)
-    assert any(_chunk_count(int(c), steps_floor) > 1 for c in steps)
     m, groups = _monodromy_batch(om, d1, params, steps_floor)
-    assert sum(g["chunks"] > 1 for g in groups) >= 4
+    assert len(groups) >= 3
+    assert all(g["chunks"] > 1 for g in groups if g["steps"] > steps_floor)
     trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
     assert np.array_equal(trace <= 2.0 + STABILITY_TOLERANCE, ref_stable)
@@ -303,7 +364,9 @@ def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
 def test_chunk_count_depends_on_steps_and_floor_only():
     assert [_chunk_count(s, 1024) for s in (1024, 2048, 4096, 32768)] \
         == [1, 2, 4, 32]
-    assert [_chunk_count(s, 255) for s in (255, 256, 1024, 2048)] == [1, 1, 1, 2]
+    assert [_chunk_count(s, 256) for s in (256, 512, 1024, 8192)] \
+        == [1, 2, 4, 32]
+    assert [_chunk_count(s, 255) for s in (255, 256, 1024, 2048)] == [1, 1, 4, 8]
     assert [_chunk_count(s, 2048) for s in (2048, 4096, 32768)] == [1, 2, 16]
     assert _chunk_count(1025, 1) == 1                  # odd: the split drift
 
@@ -312,15 +375,15 @@ def test_chunked_group_independent_of_cell_count():
     params = make_params()
     omega = default_grid_axes(params)[0][0]
     delta1 = np.linspace(0.0, 2 * D0, 200)
-    chunks = _chunk_count(32768, DEFAULT_MONODROMY_STEPS)
-    many = _integrate_group(np.full(200, omega), delta1, params, 32768, chunks)
+    chunks = _chunk_count(8192, DEFAULT_MONODROMY_STEPS)
+    many = _integrate_group(np.full(200, omega), delta1, params, 8192, chunks)
     for j in (0, 117, 199):
         one = _integrate_group(np.array([omega]), delta1[j:j + 1], params,
-                               32768, chunks)
+                               8192, chunks)
         assert np.array_equal(one[0], many[j])
 
 
-@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255])
+@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 1024, 255])
 def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 50)
@@ -335,7 +398,7 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
 
 @pytest.mark.parametrize("steps", [1, 3, 255, 1025, 256])
 def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
-    # one (3, C, n) kick-strength buffer per step, odd tails included
+    # one (6, C, n) kick-strength buffer per step, odd tails included
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 12)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
@@ -343,13 +406,16 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
                           serial_half_period_monodromy(om, d1, params, steps))
 
 
-@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 255, 2048])
+@pytest.mark.parametrize("steps_floor",
+                         [DEFAULT_MONODROMY_STEPS, 1024, 255, 2048])
 def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
                                                         steps_floor):
-    # lowest to highest default omega: every group has >= 3 cells, so a
-    # budget of a third of the smallest group's columns splits all of them
+    # half the lowest to the highest default omega: every group has >= 3
+    # cells, so a budget of a third of the smallest group's columns splits
+    # all of them
     params = make_params()
-    om = np.geomspace(*default_grid_axes(params)[0][[0, -1]], 16)
+    low, high = default_grid_axes(params)[0][[0, -1]]
+    om = np.geomspace(low / 2, high, 16)
     d1 = np.linspace(0.0, 2 * D0, 4)
     groups = _monodromy_batch(*np.meshgrid(om, d1, indexing="ij"), params,
                               steps_floor)[1]
