@@ -17,7 +17,7 @@ from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, build_potential,
                     resonance_drive_frequency, sample_disorder)
-from .observables import observable_series, populations
+from .observables import observable_series
 from .propagate import evolve_state, floquet_operator
 from .semiclassical import SemiclassicalParams, potential_contours, stability_grid
 from .spectrum import (coe_cdf, coe_density, coe_mean, gap_ratios, ks_distance,
@@ -32,7 +32,7 @@ __all__ = [
     "SectorModel",
     "ChainSpec", "DisorderSpec", "DriveSpec", "build_potential",
     "resonance_drive_frequency", "sample_disorder",
-    "observable_series", "populations",
+    "observable_series",
     "evolve_state", "floquet_operator",
     "SemiclassicalParams", "potential_contours", "stability_grid",
     "coe_cdf", "coe_density", "coe_mean", "gap_ratios", "ks_distance",

@@ -63,13 +63,6 @@ class ChainSpec:
             raise ConfigError("onsite nonlinearity must be finite")
         object.__setattr__(self, "bond_couplings", couplings)
 
-    @classmethod
-    def uniform(cls, n_sites: int, coupling: float, onsite_nonlinearity: float = 0.0,
-                boson_cutoff: int = 1) -> "ChainSpec":
-        """Chain with one common nearest-neighbour coupling (rad/ns)."""
-        return cls(n_sites, np.full(n_sites - 1, float(coupling)),
-                   onsite_nonlinearity, boson_cutoff)
-
     @property
     def mean_coupling(self) -> float:
         return float(self.bond_couplings.mean())

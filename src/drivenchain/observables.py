@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import QuantumState, SectorBasis
-
-
-def populations(state: QuantumState) -> np.ndarray:
-    """Per-site mean occupation <n_l>, length N."""
-    weights = np.abs(state.amplitudes) ** 2
-    return weights @ state.basis.states
+from .basis import SectorBasis
 
 
 def _check_pair(basis: SectorBasis, site_i: int, site_j: int) -> None:

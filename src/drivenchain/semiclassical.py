@@ -21,13 +21,14 @@ splitting into shears).
 The linearized flow is Hill's equation with an even coefficient c(t), and
 the shear sequence is a palindrome, so only the half-period product H is
 integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
-discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  An odd step count puts
-T/2 at the centre of the middle step's B4 kick, which is split there.  The
-kicks sit at fixed fractions of each cell's period, so their cosines come
-from one short table per step-count group.  Groups above the step floor
-hold few cells, so their half period runs as parallel chunks from the
-identity whose products fold into H.  Every group is cut into cache-sized
-blocks of cells, which run on one thread per usable CPU.
+discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  The step floor must be
+a power of two >= 2, so every cell's step count is one too and T/2 falls
+on a step boundary.  The kicks sit at fixed fractions of each cell's
+period, so their cosines come from one short table per step-count group.
+Groups above the step floor hold few cells, so their half period runs as
+parallel chunks from the identity whose products fold into H.  Every
+group is cut into cache-sized blocks of cells, which a pool of one thread
+per usable CPU takes largest first.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +119,11 @@ def _monodromy_steps(omega, delta1, params: SemiclassicalParams,
 
 
 def _chunk_count(steps: int, steps_floor: int) -> int:
-    """Parallel chunks of a group's half period: one at the floor or an odd
-    count, else a power of two of >= max(floor, DEFAULT_MONODROMY_STEPS) / 2
-    steps each, so every group loops at most that often."""
-    if steps == steps_floor or steps % 2:
-        return 1
-    most = steps // max(steps_floor, DEFAULT_MONODROMY_STEPS)
-    return 1 << (max(1, most).bit_length() - 1)
+    """Parallel chunks of a group's half period: enough for chunks of at
+    most max(floor, DEFAULT_MONODROMY_STEPS) / 2 steps, so no group loops
+    more often.  Step counts and the floor are powers of two, so the
+    chunks split the half period evenly."""
+    return max(1, steps // max(steps_floor, DEFAULT_MONODROMY_STEPS))
 
 
 def _integrate_group(omega, delta1, params: SemiclassicalParams,
@@ -146,12 +144,12 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     Only the half-period product H is integrated: the period's shear
     sequence is a palindrome and c(t) is even, so the second half is the
     first mirrored, and since R S^-1 R = S for every shear S (R =
-    diag(1, -1)), M = R adj(H) R H.  T/2 splits the merged B1 kick at a
-    step boundary (even steps) or the middle step's B4 kick (odd steps).
-    Kicks sit at fixed fractions of the period, so the group shares one
-    cosine table.  The half period runs as C = ``chunks`` equal chunks side
-    by side from the identity, in (2, C, n) rows updated in place (chunk 0
-    alone starts at t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
+    diag(1, -1)), M = R adj(H) R H.  ``steps`` is a power of two, so T/2
+    splits the merged B1 kick at a step boundary.  Kicks sit at fixed
+    fractions of the period, so the group shares one cosine table.  The
+    half period runs as C = ``chunks`` equal chunks side by side from the
+    identity, in (2, C, n) rows updated in place (chunk 0 alone starts at
+    t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
     A step's six kick strengths are computed together into one (6, C, n)
     buffer, with the same operations per element as one kick at a time; its
     dc part depends on the kick and the cell only and is broadcast over
@@ -164,17 +162,16 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     h = (TWO_PI / omega) / steps
     b1, b2, b3, b4 = SRKN_KICKS
     a1, a2, a3 = SRKN_DRIFTS
-    half, odd = divmod(steps, 2)
 
     # a step's six (drift, kick) pairs; the kicks act at these step fractions
     weights = np.array([b2, b3, b4, b3, b2, 2.0 * b1])
     drifts = [(-a * w) * h for w in (a1, a2, a3)]
     drifts += drifts[::-1]
     instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
-    cosines = np.cos(TWO_PI * (np.arange(half + odd)[:, None] + instants)
+    cosines = np.cos(TWO_PI * (np.arange(steps // 2)[:, None] + instants)
                      / steps)
     # ac_w[j] holds the (kick, chunk) weights of step j of every chunk
-    ac_w = cosines[:half].reshape(chunks, -1, 6).transpose(1, 2, 0)[..., None]
+    ac_w = cosines.reshape(chunks, -1, 6).transpose(1, 2, 0)[..., None]
     ac_w = weights[:, None, None] * ac_w
     dc_w = np.multiply.outer(weights * dc, h)[:, None]       # (6, 1, n)
     ac_h = c0 * delta1 * h
@@ -186,27 +183,18 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     p[0, 0] = ac_h * b1 + (b1 * dc) * h                 # t = 0, cos = 1
     tmp = np.empty_like(q)
     kap = np.empty((6,) + q.shape[1:])
-    pairs = list(zip(drifts, kap))
+    pairs = list(zip(drifts, kap))                  # views made once
 
-    def advance(pairs):
+    for k, ac_weights in enumerate(ac_w, 1):
+        np.multiply(ac_h, ac_weights, out=kap)
+        np.add(kap, dc_w, out=kap)
+        if k == len(ac_w):               # T/2 halves the merged B1 kick;
+            kap[5, -1] *= 0.5            # halving is exact in floating point
         for factor, kappa in pairs:
             np.multiply(p, factor, out=tmp)             # drift
             np.add(q, tmp, out=q)
             np.multiply(q, kappa, out=tmp)              # kick
             np.add(p, tmp, out=p)
-
-    for k, ac_weights in enumerate(ac_w, 1):
-        np.multiply(ac_h, ac_weights, out=kap)
-        np.add(kap, dc_w, out=kap)
-        if k == len(ac_w) and not odd:   # T/2 halves the merged B1 kick;
-            kap[5, -1] *= 0.5            # halving is exact in floating point
-        advance(pairs)
-    if odd:                              # T/2 halves the middle B4 kick
-        np.multiply(ac_h, (weights[:3] * cosines[half, :3])[:, None, None],
-                    out=kap[:3])
-        np.add(kap[:3], dc_w[:3], out=kap[:3])
-        kap[2] *= 0.5
-        advance(pairs[:3])
 
     (h11, h12), (h21, h22) = q[:, 0], p[:, 0]
     for j in range(1, chunks):                       # H <- M_j H
@@ -229,22 +217,22 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(blocks: int) -> int:
-    """Threads for the monodromy blocks: one per usable CPU, at most one
-    per block."""
-    return max(1, min(usable_cpus(), blocks))
-
-
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
                      params: SemiclassicalParams,
                      steps_per_period: int) -> tuple:
-    """Monodromy matrices of parameter arrays, and their step-count groups.
+    """Monodromy matrices of parameter arrays, their step-count groups and
+    the number of threads the groups' blocks ran on.
 
+    ``steps_per_period``, the step floor, must be a power of two >= 2.
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
-    columns (a single cell may exceed it), and the blocks run largest
-    first on one thread per usable CPU: numpy's loops release the GIL.  A
-    cell's arithmetic depends neither on its block nor on its thread.
+    columns (a single cell may exceed it).  A pool of one thread per
+    usable CPU, at most one per block, maps the blocks largest first:
+    numpy's loops release the GIL.  A cell's arithmetic depends neither on
+    its block nor on its thread.
     """
+    if steps_per_period < 2 or steps_per_period & (steps_per_period - 1):
+        raise ValueError("the monodromy step floor must be a power of two "
+                         f">= 2, got {steps_per_period}")
     omega = np.asarray(omega, dtype=float)
     delta1 = np.asarray(delta1, dtype=float)
     shape = np.broadcast_shapes(omega.shape, delta1.shape)
@@ -261,29 +249,22 @@ def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
         groups.append({"steps": count, "cells": cells, "chunks": chunks,
                        "blocks": pieces})
     blocks.sort(key=lambda block: block[0] * block[2].size, reverse=True)
-    pending = deque(blocks)             # popleft() is atomic across threads
     result = np.empty((omega_flat.size, 2, 2))
 
-    def drain():
-        while True:
-            try:
-                count, chunks, idx = pending.popleft()
-            except IndexError:          # every block is taken
-                return
-            result[idx] = _integrate_group(omega_flat[idx], delta1_flat[idx],
-                                           params, count, chunks)
+    def integrate(block):
+        count, chunks, idx = block
+        result[idx] = _integrate_group(omega_flat[idx], delta1_flat[idx],
+                                       params, count, chunks)
 
-    workers = _worker_count(len(blocks))
+    workers = max(1, min(usable_cpus(), len(blocks)))
     if workers == 1:
-        drain()
-    else:                               # this thread is one of the workers
+        for block in blocks:
+            integrate(block)
+    else:           # imported here: it would add ~5 ms to every CLI start
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
-            drain()
-            for helper in helpers:
-                helper.result()
-    return result.reshape(shape + (2, 2)), groups
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(integrate, blocks))   # re-raises a block's error
+    return result.reshape(shape + (2, 2)), groups, workers
 
 
 def _check_determinants(m: np.ndarray) -> None:
@@ -297,11 +278,9 @@ def _check_determinants(m: np.ndarray) -> None:
     not resolvable at 1e-8 by any scheme.
     """
     entries = np.abs(m).max(axis=(-2, -1))
-    checkable = np.isfinite(entries) & (entries <= 8.0)
-    if not np.any(checkable):
-        return
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    worst = float(np.abs(det - 1.0)[checkable].max())
+    m = m[np.isfinite(entries) & (entries <= 8.0)]
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    worst = float(np.abs(det - 1.0).max(initial=0.0))
     if worst > DETERMINANT_TOL:
         raise NumericalError(f"monodromy determinant deviates by {worst:.3e}")
 
@@ -329,11 +308,10 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
     if np.any(omega_values <= 0):
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m, groups = _monodromy_batch(om, d1, params, steps_per_period)
+    m, groups, workers = _monodromy_batch(om, d1, params, steps_per_period)
     _check_determinants(m)
     abs_trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
-    workers = _worker_count(sum(g["blocks"] for g in groups))
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
                          groups, workers)
 

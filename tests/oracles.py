@@ -3,9 +3,11 @@
 None of these is on a path the command line runs.  Most are an
 independent second way to compute something the package computes.  A few
 (``sector_diagonal``, ``sector_hamiltonian``, ``czz_expectation``,
-``monodromy_matrix`` and ``monodromy_trace``) are single-input views of
-package internals that only the tests call, and ``coe_density_divergent`` is a known-bad transcription
-kept to document why it is bad.  ``serial_half_period_monodromy`` is the
+``populations``, ``monodromy_matrix`` and ``monodromy_trace``) are
+single-input views of package internals that only the tests call,
+``uniform_chain`` builds the tests' one-coupling chains, and
+``coe_density_divergent`` is a known-bad transcription kept to document
+why it is bad.  ``serial_half_period_monodromy`` is the
 package's monodromy loop written serially, kept to pin its one-chunk path
 bit for bit, and ``yoshida_full_period_monodromy`` is the package's former
 monodromy scheme, kept as a converged reference at 8x the steps.  They
@@ -23,7 +25,7 @@ import numpy as np
 from drivenchain.basis import QuantumState
 from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import DriveSpec, PotentialSpec
+from drivenchain.model import ChainSpec, DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
 from drivenchain.propagate import (UNITARITY_TOL, YOSHIDA_WEIGHTS,
                                    FloquetOperator, _advance, _check_each,
@@ -39,7 +41,14 @@ _PROBABILITY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# site frequencies
+# uniform chains and site frequencies
+
+
+def uniform_chain(n_sites: int, coupling: float, onsite_nonlinearity: float = 0.0,
+                  boson_cutoff: int = 1) -> ChainSpec:
+    """Chain with one common nearest-neighbour coupling (rad/ns)."""
+    return ChainSpec(n_sites, np.full(n_sites - 1, float(coupling)),
+                     onsite_nonlinearity, boson_cutoff)
 
 
 def diagonal_frequencies(t: float, drive: DriveSpec,
@@ -66,7 +75,13 @@ def sector_hamiltonian(model: SectorModel, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# counting ZZ estimator
+# populations and the counting ZZ estimator
+
+
+def populations(state: QuantumState) -> np.ndarray:
+    """Per-site mean occupation <n_l>, length N."""
+    weights = np.abs(state.amplitudes) ** 2
+    return weights @ state.basis.states
 
 
 @dataclass(frozen=True)
@@ -431,8 +446,8 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
 
     ``drivenchain.semiclassical._integrate_group`` with one chunk must
     reproduce it bit for bit: the same merged B1 kicks at step boundaries,
-    and T/2 splitting the last of them (even steps) or the middle step's
-    B4 kick (odd steps), one kick strength at a time.
+    and T/2 splitting the last of them, one kick strength at a time.  The
+    step count is even, as every count the package integrates is.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
@@ -441,13 +456,12 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
     h = (TWO_PI / omega) / steps
     b1, b2, b3, b4 = SRKN_KICKS
     a1, a2, a3 = SRKN_DRIFTS
-    half, odd = divmod(steps, 2)
+    half = steps // 2
 
     kicks = (b2, b3, b4, b3, b2, 2.0 * b1)
     drifts = (a1, a2, a3, a3, a2, a1)
     instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
-    cosines = np.cos(TWO_PI * (np.arange(half + odd)[:, None] + instants)
-                     / steps)
+    cosines = np.cos(TWO_PI * (np.arange(half)[:, None] + instants) / steps)
     ac_h = c0 * delta1 * h
 
     q = np.zeros((2,) + omega.shape)
@@ -471,13 +485,9 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
     for k in range(half):
         for j, (b, w) in enumerate(zip(kicks, drifts)):
             drift(w)
-            if k + 1 == half and j == 5 and not odd:
+            if k + 1 == half and j == 5:
                 b = b1
             kick(b, cosines[k, j])
-    if odd:
-        for j, (b, w) in enumerate(zip((b2, b3, 0.5 * b4), drifts)):
-            drift(w)
-            kick(b, cosines[half, j])
 
     (h11, h12), (h21, h22) = q, p
     m = np.empty(omega.shape + (2, 2))

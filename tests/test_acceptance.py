@@ -25,7 +25,7 @@ from drivenchain.semiclassical import default_grid_axes
 from drivenchain.units import TWO_PI
 from oracles import (coe_density_divergent, convergence_probe,
                      integrate_trajectory, monodromy_matrix,
-                     sample_coe_reference, sector_hamiltonian)
+                     sample_coe_reference, sector_hamiltonian, uniform_chain)
 
 
 def report(number: int, passed: bool, detail: str) -> bool:
@@ -136,12 +136,12 @@ def test_criterion_02_numerical_integrity(junction_run):
 
 
 def test_criterion_03_analytic_oracles():
-    from drivenchain import ChainSpec, DriveSpec, SectorModel, build_potential
+    from drivenchain import DriveSpec, SectorModel, build_potential
     from drivenchain import build_sector_basis
     from drivenchain.units import rad_ns_from_mhz
 
     j = rad_ns_from_mhz(11.5)
-    chain2 = ChainSpec.uniform(2, j)
+    chain2 = uniform_chain(2, j)
     drive2 = DriveSpec.cosine(2, 0.0, 0.0, 1.0)
     model2 = SectorModel(chain2, drive2, build_potential("cosine", 2, 0.0),
                          build_sector_basis(2, 1, 1))
@@ -150,7 +150,7 @@ def test_criterion_03_analytic_oracles():
     rabi = np.abs(traj.amplitudes[:, 1]) ** 2
     rabi_err = float(np.abs(rabi - np.sin(j * traj.times) ** 2).max())
 
-    chain3 = ChainSpec.uniform(3, j)
+    chain3 = uniform_chain(3, j)
     model3 = SectorModel(chain3, DriveSpec.cosine(3, 0, 0, 1.0),
                          build_potential("cosine", 3, 0.0),
                          build_sector_basis(3, 1, 1))

@@ -18,10 +18,11 @@ import pytest
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.cli import main
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
-                               build_potential, sample_disorder)
+from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
+                               sample_disorder)
 from drivenchain.propagate import evolve_state, floquet_operator
 from drivenchain.units import rad_ns_from_mhz
+from oracles import uniform_chain
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,7 +63,7 @@ def test_counters_read_parameters_the_targets_have(tracing):
 
 def test_reference_api_on_a_tiny_model():
     n, j = 4, rad_ns_from_mhz(11.5)
-    model = SectorModel(ChainSpec.uniform(n, j),
+    model = SectorModel(uniform_chain(n, j),
                         DriveSpec.cosine(n, 3 * j, 3 * j, rad_ns_from_mhz(20.0)),
                         build_potential("flat", n, 3 * j),
                         build_sector_basis(n, 1, 1))

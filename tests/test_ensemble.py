@@ -6,12 +6,13 @@ from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.config import RunConfig, resolve
 from drivenchain.ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
-                               build_potential, sample_disorder)
+from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
+                               sample_disorder)
 from drivenchain.propagate import (evolve_state, evolve_states,
                                    floquet_operator, floquet_operators)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
+from oracles import uniform_chain
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -19,7 +20,7 @@ N = 12
 
 
 def make_model(sector=1):
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, OMEGA)
     potential = build_potential("flat", N, 3 * J)
     basis = build_sector_basis(N, sector, 1)

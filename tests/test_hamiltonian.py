@@ -5,7 +5,8 @@ from drivenchain.basis import build_sector_basis
 from drivenchain.hamiltonian import SectorModel, hopping_matrix
 from drivenchain.model import ChainSpec, DriveSpec, PotentialSpec, build_potential
 from drivenchain.units import rad_ns_from_mhz
-from oracles import diagonal_frequencies, sector_diagonal, sector_hamiltonian
+from oracles import (diagonal_frequencies, sector_diagonal, sector_hamiltonian,
+                     uniform_chain)
 
 J = rad_ns_from_mhz(11.5)
 U = rad_ns_from_mhz(-250.0)
@@ -13,7 +14,7 @@ N = 12
 
 
 def junction_setup(profile="cosine", n=1, n_max=1, nonlinearity=U):
-    chain = ChainSpec.uniform(N, J, nonlinearity, n_max)
+    chain = uniform_chain(N, J, nonlinearity, n_max)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.665764))
     potential = build_potential(profile, N, 3 * J)
     basis = build_sector_basis(N, n, n_max)
@@ -22,7 +23,7 @@ def junction_setup(profile="cosine", n=1, n_max=1, nonlinearity=U):
 
 def test_single_particle_hopping_is_tridiagonal():
     basis = build_sector_basis(N, 1, 1)
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     hop = hopping_matrix(chain, basis)
     expected = np.diag(np.full(N - 1, J), 1) + np.diag(np.full(N - 1, J), -1)
     assert np.allclose(hop, expected)
@@ -33,7 +34,7 @@ def test_bosonic_matrix_element_sqrt2():
     # explicit operator algebra (a1 moves 1->0 with sqrt(1), a2+ 1->2 with
     # sqrt(2))
     basis = build_sector_basis(2, 2, 2)
-    chain = ChainSpec.uniform(2, J, 0.0, 2)
+    chain = uniform_chain(2, J, 0.0, 2)
     hop = hopping_matrix(chain, basis)
     i20 = basis.index_of((2, 0))
     i11 = basis.index_of((1, 1))
@@ -47,7 +48,7 @@ def test_bosonic_matrix_element_sqrt2():
 def test_cutoff_blocks_moves():
     # hardcore: no matrix element may create double occupation
     basis = build_sector_basis(3, 2, 1)
-    chain = ChainSpec.uniform(3, J)
+    chain = uniform_chain(3, J)
     hop = hopping_matrix(chain, basis)
     i110 = basis.index_of((1, 1, 0))
     i101 = basis.index_of((1, 0, 1))
@@ -59,7 +60,7 @@ def test_cutoff_blocks_moves():
 
 def test_zero_couplings_zero_matrix():
     basis = build_sector_basis(N, 1, 1)
-    chain = ChainSpec.uniform(N, 0.0)
+    chain = uniform_chain(N, 0.0)
     assert np.all(hopping_matrix(chain, basis) == 0.0)
 
 
@@ -72,7 +73,7 @@ def test_nonlinearity_inert_in_single_excitation_sector():
 
 def test_nonlinearity_counts_double_occupation():
     basis = build_sector_basis(2, 2, 2)
-    chain = ChainSpec.uniform(2, J, U, 2)
+    chain = uniform_chain(2, J, U, 2)
     drive = DriveSpec.cosine(2, 0.0, 0.0, 1.0)
     potential = build_potential("cosine", 2, 0.0)
     diag = sector_diagonal(SectorModel(chain, drive, potential, basis), 0.0)
@@ -119,7 +120,7 @@ def test_periodicity_elementwise():
 def test_junction_decomposition():
     # full chain equals block-diagonal halves plus the single junction bond
     basis = build_sector_basis(N, 1, 1)
-    chain_full = ChainSpec.uniform(N, J)
+    chain_full = uniform_chain(N, J)
     couplings_cut = np.full(N - 1, J)
     couplings_cut[5] = 0.0                      # remove the 6-7 bond
     chain_cut = ChainSpec(N, couplings_cut)
@@ -142,7 +143,7 @@ def test_single_particle_limit_matches_tight_binding():
 
 
 def test_sector_model_consistency_checks():
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     drive = DriveSpec.cosine(N, 0, 0, 1.0)
     potential = build_potential("cosine", N, 0.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, cosine_profile,
                                resonance_drive_frequency, sample_disorder)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
-from oracles import sector_diagonal
+from oracles import sector_diagonal, uniform_chain
 
 J = rad_ns_from_mhz(11.5)
 N = 12
@@ -20,7 +20,7 @@ def default_drive(dc=3 * J, ac=3 * J, omega=rad_ns_from_mhz(19.66)):
 
 def site_frequency(drive, potential, site, t):
     """g_l(t) - gbar of a site: the diagonal entry of its one-excitation state."""
-    model = SectorModel(ChainSpec.uniform(N, J), drive, potential,
+    model = SectorModel(uniform_chain(N, J), drive, potential,
                         build_sector_basis(N, 1, 1))
     occupation = [0] * N
     occupation[site - 1] = 1
@@ -46,7 +46,7 @@ def test_chain_spec_validation():
         ChainSpec(12, np.full(11, np.inf))
     with pytest.raises(ConfigError):
         ChainSpec(12, np.full(11, J), boson_cutoff=0)
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     assert chain.mean_coupling == pytest.approx(J)
     with pytest.raises(ValueError):
         chain.bond_couplings[0] = 0.0          # frozen

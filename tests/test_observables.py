@@ -3,11 +3,12 @@ import pytest
 
 from drivenchain.basis import QuantumState, build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import ChainSpec, DriveSpec, build_potential
-from drivenchain.observables import observable_series, populations
+from drivenchain.model import DriveSpec, build_potential
+from drivenchain.observables import observable_series
 from drivenchain.propagate import evolve_state
 from drivenchain.units import rad_ns_from_mhz
-from oracles import czz, czz_expectation, czz_from_counts, joint_probabilities
+from oracles import (czz, czz_expectation, czz_from_counts, joint_probabilities,
+                     populations, uniform_chain)
 
 N = 12
 J = rad_ns_from_mhz(11.5)
@@ -137,7 +138,7 @@ def test_czz_soft_cutoff_binarization():
 
 
 def test_observable_series_on_trajectory():
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.665764))
     potential = build_potential("cosine", N, 3 * J)
     basis = build_sector_basis(N, 1, 1)
@@ -157,7 +158,7 @@ def test_observable_series_on_trajectory():
 
 
 def test_observable_series_matches_per_sample_czz():
-    chain = ChainSpec.uniform(N, J)
+    chain = uniform_chain(N, J)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.665764))
     potential = build_potential("flat", N, 3 * J)
     basis = build_sector_basis(N, 1, 1)
@@ -174,7 +175,7 @@ def test_observable_series_matches_per_sample_czz():
 
 
 def test_observable_series_rejects_foreign_basis():
-    chain = ChainSpec.uniform(4, J)
+    chain = uniform_chain(4, J)
     drive = DriveSpec.cosine(4, 0, 0, 1.0)
     potential = build_potential("cosine", 4, 0.0)
     basis = build_sector_basis(4, 1, 1)

@@ -6,14 +6,15 @@ import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
-                               build_potential, sample_disorder)
+from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
+                               sample_disorder)
 from drivenchain.propagate import (evolve_state, floquet_operator,
                                    floquet_operators, floquet_steps,
                                    unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
-from oracles import convergence_probe, full_period_floquet, sector_hamiltonian
+from oracles import (convergence_probe, full_period_floquet, sector_hamiltonian,
+                     uniform_chain)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -21,7 +22,7 @@ OMEGA = rad_ns_from_mhz(19.665764062481905)
 
 def make_model(n_sites, profile="cosine", dc=3 * J, ac=3 * J, coupling=J,
                n=1, n_max=1, flat_fraction=1.0):
-    chain = ChainSpec.uniform(n_sites, coupling, 0.0, n_max)
+    chain = uniform_chain(n_sites, coupling, 0.0, n_max)
     drive = DriveSpec.cosine(n_sites, dc, ac, OMEGA)
     potential = build_potential(profile, n_sites, dc,
                                 flat_level_fraction=flat_fraction)

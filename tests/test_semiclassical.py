@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drivenchain import semiclassical
+from drivenchain.errors import NumericalError
 from drivenchain.semiclassical import (BLOCK_COLUMNS, DEFAULT_MONODROMY_STEPS,
                                        STABILITY_TOLERANCE,
-                                       SemiclassicalParams, _chunk_count,
+                                       SemiclassicalParams,
+                                       _check_determinants, _chunk_count,
                                        _integrate_group, _monodromy_batch,
                                        _monodromy_steps,
                                        default_grid_axes, energy,
@@ -210,11 +212,10 @@ def assert_trace_matches(abs_trace, reference):
     assert np.all(error[checked] <= 1e-7 * np.maximum(1.0, reference[checked]))
 
 
-@pytest.mark.parametrize("steps_per_period", [255, 256, 257])
+@pytest.mark.parametrize("steps_per_period", [128, 256, 512])
 def test_half_period_matches_full_period_oracle(steps_per_period):
-    # a quarter of the resolution-8 omegas spans four or five step-count
-    # groups; an odd floor keeps the fast cells odd, which exercises the
-    # split middle kick
+    # a quarter of the resolution-8 omegas spans three to five step-count
+    # groups
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 8)
     omega_values = omega_values / 4
@@ -235,9 +236,10 @@ def test_half_period_matches_full_period_oracle(steps_per_period):
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps", [2, 4, 8, 16])
 def test_half_period_identity_at_few_steps(steps):
-    # the identity is exact for any step count, not only converged ones
+    # the identity is exact for any power-of-two step count, not only
+    # converged ones
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 6)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
@@ -251,10 +253,10 @@ DEFAULT_OMEGAS = default_grid_axes(make_params())[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@example(omega=DEFAULT_OMEGAS[-1], delta1=D0, steps_floor=255)   # odd count
+@example(omega=DEFAULT_OMEGAS[-1], delta1=D0, steps_floor=2)  # 32 steps
 @given(omega=st.sampled_from(list(DEFAULT_OMEGAS)),
        delta1=st.floats(0.0, 2 * D0),
-       steps_floor=st.sampled_from([1, 2, 3, 255, 1024]))
+       steps_floor=st.sampled_from([2, 128, 512, 1024]))
 def test_monodromy_trace_matches_full_period_oracle(omega, delta1,
                                                     steps_floor):
     params = make_params()
@@ -345,14 +347,14 @@ def high_group_cells():
 
 
 @pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 1024, 255, 2048])
+                         [DEFAULT_MONODROMY_STEPS, 1024, 512, 2048])
 def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
     # every picked cell needs >= 512 steps; a higher floor raises some of
     # them to the floor group, and every group above it is chunked
     om, d1, reference = high_group_cells
     ref_trace = reference(steps_floor)
     params = make_params()
-    m, groups = _monodromy_batch(om, d1, params, steps_floor)
+    m, groups, _ = _monodromy_batch(om, d1, params, steps_floor)
     assert len(groups) >= 3
     assert all(g["chunks"] > 1 for g in groups if g["steps"] > steps_floor)
     trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
@@ -366,9 +368,9 @@ def test_chunk_count_depends_on_steps_and_floor_only():
         == [1, 2, 4, 32]
     assert [_chunk_count(s, 256) for s in (256, 512, 1024, 8192)] \
         == [1, 2, 4, 32]
-    assert [_chunk_count(s, 255) for s in (255, 256, 1024, 2048)] == [1, 1, 4, 8]
+    assert [_chunk_count(s, 128) for s in (128, 256, 1024, 2048)] == [1, 1, 4, 8]
     assert [_chunk_count(s, 2048) for s in (2048, 4096, 32768)] == [1, 2, 16]
-    assert _chunk_count(1025, 1) == 1                  # odd: the split drift
+    assert [_chunk_count(s, 2) for s in (2, 32, 512)] == [1, 1, 2]
 
 
 def test_chunked_group_independent_of_cell_count():
@@ -383,7 +385,7 @@ def test_chunked_group_independent_of_cell_count():
         assert np.array_equal(one[0], many[j])
 
 
-@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 1024, 255])
+@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 1024, 128])
 def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 50)
@@ -396,9 +398,9 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
                                                        steps_floor))
 
 
-@pytest.mark.parametrize("steps", [1, 3, 255, 1025, 256])
+@pytest.mark.parametrize("steps", [2, 4, 128, 1024, 256])
 def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
-    # one (6, C, n) kick-strength buffer per step, odd tails included
+    # one (6, C, n) kick-strength buffer per step, from a single step up
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 12)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
@@ -407,7 +409,7 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
 
 
 @pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 1024, 255, 2048])
+                         [DEFAULT_MONODROMY_STEPS, 1024, 128, 2048])
 def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
                                                         steps_floor):
     # half the lowest to the highest default omega: every group has >= 3
@@ -467,12 +469,35 @@ def test_block_threads_take_every_block_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        m, groups = _monodromy_batch(om, d1, params, 64)
+        m, groups, workers = _monodromy_batch(om, d1, params, 64)
     finally:
         sys.setswitchinterval(interval)
+    assert workers == 8
     assert len(sizes) == sum(g["blocks"] for g in groups) > 8
     assert sum(sizes) == om.size
     assert np.array_equal(m, reference)
+
+
+def test_stability_grid_rejects_floor_not_power_of_two():
+    # 384 is even, but it would cut a 2048-step cell's 1024 half steps
+    # into 2048 // 384 = 5 chunks
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 4)
+    for floor in (0, 1, 3, 255, 384):
+        with pytest.raises(ValueError, match="power of two"):
+            stability_grid(omega_values, delta1_values, params, floor)
+
+
+def test_determinant_check_skips_overflowing_cells():
+    # det M of cells with 1e200 entries would overflow; they are exempt
+    # and must not reach the product under the error::RuntimeWarning filter
+    unit = np.array([[2.0, 3.0], [1.0, 2.0]])
+    m = np.stack([unit, np.full((2, 2), 1e200), np.eye(2)])
+    _check_determinants(m)
+    bad = m.copy()
+    bad[2, 0, 0] = 1.0 + 1e-6
+    with pytest.raises(NumericalError, match="determinant"):
+        _check_determinants(bad)
 
 
 def test_potential_contour_extrema():

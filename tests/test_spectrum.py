@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from drivenchain.basis import build_sector_basis
 from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import ChainSpec, DriveSpec, build_potential
+from drivenchain.model import DriveSpec, build_potential
 from drivenchain.propagate import FloquetOperator, floquet_operator
 from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, QuasienergySpectrum,
                                   RatioSample, coe_cdf,
@@ -15,14 +15,14 @@ from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, QuasienergySpectrum,
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (coe_density_divergent, ks_distance_two_sample,
                      ratios_from_sorted_loop, sample_coe_reference,
-                     sector_hamiltonian)
+                     sector_hamiltonian, uniform_chain)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
 
 
 def make_model(ac=3 * J):
-    chain = ChainSpec.uniform(12, J)
+    chain = uniform_chain(12, J)
     drive = DriveSpec.cosine(12, 3 * J, ac, OMEGA)
     potential = build_potential("cosine", 12, 3 * J)
     basis = build_sector_basis(12, 1, 1)
