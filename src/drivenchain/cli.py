@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 import traceback
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
             run = resolve(replace(config, **{
                 f.name: getattr(args, f.name) for f in fields(RunConfig)
                 if getattr(args, f.name, None) is not None}))
-            manifest.extra(config=run.config.to_dict())
+            manifest.extra(config=asdict(run.config))
             _check_sector(args.command, run)
             _COMMANDS[args.command](run, out, manifest)
     except ConfigError as exc:

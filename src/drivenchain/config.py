@@ -164,13 +164,6 @@ class RunConfig:
             raise ConfigError("resonance_order must be >= 1")
         return self
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 

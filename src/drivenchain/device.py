@@ -20,14 +20,6 @@ from .errors import ConfigError
 from .model import ChainSpec, PotentialSpec, cosine_profile
 from .units import rad_ns_from_ghz, rad_ns_from_mhz
 
-_PER_QUBIT_FIELDS = (
-    "readout_ghz", "max_ghz", "idle_ghz", "cosine_ghz", "flat_ghz",
-    "t1_us", "t2s_us", "eta_mhz", "chi_mhz", "f00", "f11",
-    "visibility", "integration_ns",
-)
-_POSITIVE_FREQUENCY_FIELDS = ("readout_ghz", "max_ghz", "idle_ghz",
-                              "cosine_ghz", "flat_ghz")
-
 
 @dataclass(frozen=True)
 class DeviceTable:
@@ -49,7 +41,8 @@ class DeviceTable:
     couplings_mhz: tuple
 
     def __post_init__(self):
-        for name in _PER_QUBIT_FIELDS:
+        rows = [f.name for f in fields(self) if f.name != "couplings_mhz"]
+        for name in rows:
             row = tuple(float(x) for x in getattr(self, name))
             if len(row) != self.n_sites:
                 raise ConfigError(f"device table row {name!r} must have "
@@ -60,8 +53,8 @@ class DeviceTable:
             raise ConfigError(f"device table needs {self.n_sites - 1} couplings, "
                               f"got {len(couplings)}")
         object.__setattr__(self, "couplings_mhz", couplings)
-        for name in _POSITIVE_FREQUENCY_FIELDS:
-            if any(x <= 0 for x in getattr(self, name)):
+        for name in rows:
+            if name.endswith("_ghz") and any(x <= 0 for x in getattr(self, name)):
                 raise ConfigError(f"device table row {name!r} must be positive")
         if any(x <= 0 for x in couplings):
             raise ConfigError("device table couplings must be positive")

@@ -26,9 +26,10 @@ a power of two >= 2, so every cell's step count is one too and T/2 falls
 on a step boundary.  The kicks sit at fixed fractions of each cell's
 period, so their cosines come from one short table per step-count group.
 Groups above the step floor hold few cells, so their half period runs as
-parallel chunks from the identity whose products fold into H.  Every
-group is cut into cache-sized blocks of cells, which a pool of one thread
-per usable CPU takes largest first.
+parallel chunks from the identity whose products fold into H.  The
+integrator takes the grid's cells as flat arrays; every group is cut into
+cache-sized blocks of cells, which the calling thread and one pool thread
+per further usable CPU take largest first.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -220,25 +221,22 @@ def usable_cpus() -> int:
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
                      params: SemiclassicalParams,
                      steps_per_period: int) -> tuple:
-    """Monodromy matrices of parameter arrays, their step-count groups and
-    the number of threads the groups' blocks ran on.
+    """Monodromy matrices, shape (n, 2, 2), of n cells given as flat
+    ``omega`` and ``delta1`` arrays, their step-count groups and the number
+    of threads the groups' blocks ran on.
 
     ``steps_per_period``, the step floor, must be a power of two >= 2.
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
-    columns (a single cell may exceed it).  A pool of one thread per
-    usable CPU, at most one per block, maps the blocks largest first:
-    numpy's loops release the GIL.  A cell's arithmetic depends neither on
-    its block nor on its thread.
+    columns (a single cell may exceed it).  The calling thread and one pool
+    thread per further usable CPU, at most one thread per block, take the
+    blocks largest first from one shared iterator: numpy's loops release
+    the GIL.  A cell's arithmetic depends neither on its block nor on its
+    thread.
     """
     if steps_per_period < 2 or steps_per_period & (steps_per_period - 1):
         raise ValueError("the monodromy step floor must be a power of two "
                          f">= 2, got {steps_per_period}")
-    omega = np.asarray(omega, dtype=float)
-    delta1 = np.asarray(delta1, dtype=float)
-    shape = np.broadcast_shapes(omega.shape, delta1.shape)
-    omega_flat = np.broadcast_to(omega, shape).ravel()
-    delta1_flat = np.broadcast_to(delta1, shape).ravel()
-    steps = _monodromy_steps(omega_flat, delta1_flat, params, steps_per_period)
+    steps = _monodromy_steps(omega, delta1, params, steps_per_period)
     blocks, groups = [], []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
         count, cells = int(count), int(cells)
@@ -249,22 +247,25 @@ def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
         groups.append({"steps": count, "cells": cells, "chunks": chunks,
                        "blocks": pieces})
     blocks.sort(key=lambda block: block[0] * block[2].size, reverse=True)
-    result = np.empty((omega_flat.size, 2, 2))
+    result = np.empty((omega.size, 2, 2))
+    pending = iter(blocks)          # next() on a list iterator is atomic
 
-    def integrate(block):
-        count, chunks, idx = block
-        result[idx] = _integrate_group(omega_flat[idx], delta1_flat[idx],
-                                       params, count, chunks)
+    def drain():
+        for count, chunks, idx in pending:
+            result[idx] = _integrate_group(omega[idx], delta1[idx], params,
+                                           count, chunks)
 
     workers = max(1, min(usable_cpus(), len(blocks)))
     if workers == 1:
-        for block in blocks:
-            integrate(block)
+        drain()
     else:           # imported here: it would add ~5 ms to every CLI start
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(integrate, blocks))   # re-raises a block's error
-    return result.reshape(shape + (2, 2)), groups, workers
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+        for helper in helpers:
+            helper.result()                 # re-raises a block's error
+    return result, groups, workers
 
 
 def _check_determinants(m: np.ndarray) -> None:
@@ -308,9 +309,10 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
     if np.any(omega_values <= 0):
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m, groups, workers = _monodromy_batch(om, d1, params, steps_per_period)
+    m, groups, workers = _monodromy_batch(om.ravel(), d1.ravel(), params,
+                                          steps_per_period)
     _check_determinants(m)
-    abs_trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
+    abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(om.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
                          groups, workers)

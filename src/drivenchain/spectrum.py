@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -106,7 +105,8 @@ def _ratios_from_sorted(values: np.ndarray, degeneracy_tol):
 
 
 def gap_ratios(spectra) -> RatioSample:
-    """Pool min/max consecutive-gap ratios across one or more spectra.
+    """Pool min/max consecutive-gap ratios across spectra of one size and
+    one zone (or a single spectrum).
 
     Gaps come from the sorted linear sequence inside the zone (no
     wrap-around).  Ratios touching a gap below 1e-12*omega are dropped and
@@ -115,19 +115,14 @@ def gap_ratios(spectra) -> RatioSample:
     """
     if isinstance(spectra, QuasienergySpectrum):
         spectra = [spectra]
-    all_ratios = [np.empty(0)]
-    discarded = 0
-    # each run of consecutive spectra with one size and zone is one 2-d call
-    for (dim, omega), run in groupby(
-            spectra, key=lambda spec: (spec.dim, spec.angular_frequency)):
-        if dim < 3:
-            raise ValueError("need at least 3 levels per spectrum for gap ratios")
-        ratios, dropped = _ratios_from_sorted(
-            np.stack([spec.values for spec in run]),
-            DEGENERACY_RELATIVE_TOL * omega)
-        all_ratios.append(ratios)
-        discarded += dropped
-    return RatioSample(np.concatenate(all_ratios), discarded)
+    if len({(spec.dim, spec.angular_frequency) for spec in spectra}) != 1:
+        raise ValueError("gap ratios pool spectra of one size and one zone")
+    if spectra[0].dim < 3:
+        raise ValueError("need at least 3 levels per spectrum for gap ratios")
+    ratios, dropped = _ratios_from_sorted(
+        np.stack([spec.values for spec in spectra]),
+        DEGENERACY_RELATIVE_TOL * spectra[0].angular_frequency)
+    return RatioSample(ratios, dropped)
 
 
 # ---------------------------------------------------------------------------

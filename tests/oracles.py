@@ -355,9 +355,9 @@ def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams,
     """One-period monodromy matrix of the linearized flow (2x2)."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return _monodromy_batch(np.asarray(omega, dtype=float),
-                            np.asarray(delta1, dtype=float),
-                            params, steps_per_period)[0]
+    return _monodromy_batch(np.array([omega], dtype=float),
+                            np.array([delta1], dtype=float),
+                            params, steps_per_period)[0][0]
 
 
 def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -432,7 +432,7 @@ def test_unexpected_exception_exits_1_with_strict_manifest(tmp_path,
     assert manifest["status"] == "failed"
     assert manifest["error_type"] == "RuntimeError"
     assert manifest["error"] == "injected defect"
-    assert manifest["config"] == RunConfig().to_dict()
+    assert manifest["config"] == json.loads(json.dumps(asdict(RunConfig())))
 
 
 def test_cli_overrides_take_precedence(tmp_path):

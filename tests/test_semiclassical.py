@@ -1,4 +1,6 @@
+import itertools
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +31,12 @@ def make_params(delta1=D0, omega=None, order=3):
     target = omega if omega is not None else \
         2 * base.small_oscillation_frequency / order
     return SemiclassicalParams(12, D0, delta1, target, J)
+
+
+def flat_grid(omega_values, delta1_values):
+    """The cells of a rectangular (omega, delta1) grid as two flat arrays."""
+    return [a.ravel() for a in np.meshgrid(omega_values, delta1_values,
+                                           indexing="ij")]
 
 
 def test_small_oscillation_frequency_formula():
@@ -419,8 +427,7 @@ def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
     low, high = default_grid_axes(params)[0][[0, -1]]
     om = np.geomspace(low / 2, high, 16)
     d1 = np.linspace(0.0, 2 * D0, 4)
-    groups = _monodromy_batch(*np.meshgrid(om, d1, indexing="ij"), params,
-                              steps_floor)[1]
+    groups = _monodromy_batch(*flat_grid(om, d1), params, steps_floor)[1]
     assert len(groups) >= 4 and min(g["cells"] for g in groups) >= 3
     split = min(g["cells"] * g["chunks"] for g in groups) // 3
     matrices, batch = [], semiclassical._monodromy_batch
@@ -455,7 +462,7 @@ def test_block_threads_take_every_block_once(monkeypatch):
     # more threads than cores, switching as often as possible: each block
     # leaves the shared queue exactly once and lands in its own rows
     params = make_params()
-    om, d1 = np.meshgrid(*default_grid_axes(params, 10), indexing="ij")
+    om, d1 = flat_grid(*default_grid_axes(params, 10))
     reference = _monodromy_batch(om, d1, params, 64)[0]
     sizes, integrate = [], semiclassical._integrate_group
 
@@ -476,6 +483,42 @@ def test_block_threads_take_every_block_once(monkeypatch):
     assert len(sizes) == sum(g["blocks"] for g in groups) > 8
     assert sum(sizes) == om.size
     assert np.array_equal(m, reference)
+
+
+def test_calling_thread_takes_blocks_too(monkeypatch):
+    # with two usable CPUs one pool thread helps the calling thread, which
+    # takes blocks itself instead of waiting
+    params = make_params()
+    om, d1 = flat_grid(*default_grid_axes(params, 10))
+    threads, integrate = set(), semiclassical._integrate_group
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return integrate(*args)
+
+    monkeypatch.setattr(semiclassical, "_integrate_group", recorded)
+    monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: 2)
+    assert _monodromy_batch(om, d1, params, 64)[2] == 2
+    assert threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_error_reaches_the_caller(monkeypatch, workers):
+    params = make_params()
+    om, d1 = flat_grid(*default_grid_axes(params, 10))
+    calls, integrate = itertools.count(), semiclassical._integrate_group
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise FloatingPointError("injected block error")
+        return integrate(*args)
+
+    monkeypatch.setattr(semiclassical, "_integrate_group", failing)
+    monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
+    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: workers)
+    with pytest.raises(FloatingPointError, match="injected block error"):
+        _monodromy_batch(om, d1, params, 64)
 
 
 def test_stability_grid_rejects_floor_not_power_of_two():

@@ -102,19 +102,23 @@ def _assert_matches_loop(spectra):
 @pytest.mark.parametrize("seed", range(6))
 def test_gap_ratios_match_loop_oracle_bitwise(seed):
     rng = np.random.default_rng(seed)
-    spectra = []
-    # runs of equal sizes and zones (pooled in one call) and changes of both;
-    # the zones differ 4x, so a gap judged against the wrong zone flips
+    discarded = 0
+    # each run of one size and zone is pooled in its own call; the zones
+    # differ 4x, so a gap judged against the wrong zone flips
     for omega in rng.uniform(0.5, 3.0) * np.array([1.0, 4.0]):
         tol = DEGENERACY_RELATIVE_TOL * omega
+        runs = {}
         for dim in rng.choice([3, 12, 30], size=6):
             vals = np.sort(rng.uniform(-0.45 * omega, 0.45 * omega, dim))
             # inject exact, below- and just-above-tolerance gaps, some adjacent
             for k in rng.integers(0, dim - 1, size=3):
                 vals[k + 1] = vals[k] + rng.choice([0.0, 0.5 * tol, 2.0 * tol])
-            spectra.append(QuasienergySpectrum(vals, angular_frequency=omega))
-    _assert_matches_loop(spectra)
-    assert gap_ratios(spectra).discarded_degenerate > 0
+            runs.setdefault(dim, []).append(
+                QuasienergySpectrum(vals, angular_frequency=omega))
+        for run in runs.values():
+            _assert_matches_loop(run)
+            discarded += gap_ratios(run).discarded_degenerate
+    assert discarded > 0
 
 
 def test_gap_ratios_match_loop_oracle_at_the_tolerance():
@@ -123,8 +127,17 @@ def test_gap_ratios_match_loop_oracle_at_the_tolerance():
     spec = QuasienergySpectrum(vals, angular_frequency=1.0)
     _assert_matches_loop([spec])
     all_degenerate = QuasienergySpectrum(np.zeros(5), angular_frequency=1.0)
-    _assert_matches_loop([all_degenerate, spec])
+    _assert_matches_loop([all_degenerate])
     assert gap_ratios(all_degenerate).count == 0
+
+
+def test_gap_ratios_reject_mixed_sizes_and_zones():
+    vals = np.array([-0.3, 0.0, 0.1, 0.4])
+    spec = QuasienergySpectrum(vals, angular_frequency=1.0)
+    for other in (QuasienergySpectrum(vals[:3], angular_frequency=1.0),
+                  QuasienergySpectrum(vals, angular_frequency=2.0)):
+        with pytest.raises(ValueError, match="one size and one zone"):
+            gap_ratios([spec, other])
 
 
 def test_gap_ratio_needs_three_levels():
