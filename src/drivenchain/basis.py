@@ -15,8 +15,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import NumericalError
-
 
 @dataclass(frozen=True)
 class SectorBasis:
@@ -93,34 +91,8 @@ def build_sector_basis(n_sites: int, total_excitations: int,
     return SectorBasis(n_sites, total_excitations, boson_cutoff, arr, index_map)
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Complex amplitudes over a sector basis."""
-
-    amplitudes: np.ndarray
-    basis: SectorBasis
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (self.basis.dim,):
-            raise ValueError(
-                f"amplitude vector of length {amps.shape} does not fit basis "
-                f"dimension {self.basis.dim}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def check_normalized(self, tol: float = 1e-10) -> "QuantumState":
-        if abs(self.norm() - 1.0) > tol:
-            raise NumericalError(f"state norm {self.norm()} deviates from 1 by "
-                                 f"more than {tol}")
-        return self
-
-
-def fock_state(basis: SectorBasis, site: int) -> QuantumState:
-    """Single excitation localized at a 1-based site (n=1 sector only)."""
+def fock_state(basis: SectorBasis, site: int) -> np.ndarray:
+    """Read-only (dim,) amplitudes of one excitation at a 1-based site (n=1)."""
     if basis.total_excitations != 1:
         raise ValueError("fock_state needs the single-excitation sector")
     if not 1 <= site <= basis.n_sites:
@@ -129,4 +101,5 @@ def fock_state(basis: SectorBasis, site: int) -> QuantumState:
     occupation[site - 1] = 1
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(occupation)] = 1.0
-    return QuantumState(amps, basis)
+    amps.flags.writeable = False
+    return amps

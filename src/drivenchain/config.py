@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
                     build_potential, resonance_drive_frequency)
+from .propagate import DEFAULT_STEPS_PER_PERIOD
 from .semiclassical import SemiclassicalParams
 from .units import rad_ns_from_mhz
 
@@ -43,7 +44,7 @@ MAX_HISTOGRAM_BINS = 10_000
 def parse_site_range(text: str, n_sites: int, field_name: str) -> tuple:
     """Parse "7-12" or "7,9,11" into a tuple of 1-based site numbers."""
     text = str(text).strip()
-    if not text or text.lower() == "none":
+    if not text:
         return ()
     sites: list = []
     for chunk in text.split(","):
@@ -93,7 +94,7 @@ class RunConfig:
     realizations: int = 50
     t_max_ns: float = 150.0
     sample_dt_ns: float = 1.0
-    steps_per_period: int = 256
+    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     init_site: int = 3
     czz_reference_site: int = 7
     histogram_bins: int = 20
@@ -254,7 +255,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if config.profile == "table":
         table_path = config.device_table or bundled_table_path()
         device = load_device_table(table_path)
-        chain = device.chain_spec(config.boson_cutoff)
+        chain = device.chain_spec()
         dc_mhz = device.dc_amplitude_mhz(config.device_row)
         potential = device.potential_spec(config.device_row)
     else:
@@ -263,7 +264,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
             couplings = couplings * (n - 1)
         chain = ChainSpec(
             n, np.array([rad_ns_from_mhz(j) for j in couplings]),
-            rad_ns_from_mhz(config.nonlinearity_mhz), config.boson_cutoff)
+            rad_ns_from_mhz(config.nonlinearity_mhz))
         dc_mhz = config.dc_amplitude_over_j * (1e3 / (2 * np.pi)) \
             * chain.mean_coupling  # mean coupling back to MHz
         potential = build_potential(

@@ -81,11 +81,11 @@ class DeviceTable:
         amp_ghz = float(weights @ (row - row.mean()) / (weights @ weights))
         return 1e3 * amp_ghz
 
-    def chain_spec(self, boson_cutoff: int = 1) -> ChainSpec:
+    def chain_spec(self) -> ChainSpec:
         """Chain with the tabulated couplings; U approximated by mean eta."""
         couplings = np.array([rad_ns_from_mhz(j) for j in self.couplings_mhz])
         nonlinearity = rad_ns_from_mhz(float(np.mean(self.eta_mhz)))
-        return ChainSpec(self.n_sites, couplings, nonlinearity, boson_cutoff)
+        return ChainSpec(self.n_sites, couplings, nonlinearity)
 
     def potential_spec(self, profile: str = "cosine") -> PotentialSpec:
         """Static offsets of a working row, relative to the frame frequency."""

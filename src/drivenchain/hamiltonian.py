@@ -33,7 +33,7 @@ def hopping_matrix(chain: ChainSpec, basis: SectorBasis) -> np.ndarray:
         v = states[col]
         for bond in range(chain.n_sites - 1):
             # move one excitation from bond -> bond+1
-            if v[bond] > 0 and v[bond + 1] < chain.boson_cutoff:
+            if v[bond] > 0 and v[bond + 1] < basis.boson_cutoff:
                 target = v.copy()
                 target[bond] -= 1
                 target[bond + 1] += 1
@@ -47,7 +47,7 @@ def hopping_matrix(chain: ChainSpec, basis: SectorBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorModel:
-    """Chain + drive + potential + basis bundled for the propagators."""
+    """Chain + drive + potential + basis (the sector, cutoff included)."""
 
     chain: ChainSpec
     drive: DriveSpec
@@ -59,8 +59,6 @@ class SectorModel:
         if self.potential.n_sites != n or self.drive.n_sites != n \
                 or self.basis.n_sites != n:
             raise ValueError("chain, drive, potential and basis disagree on N")
-        if self.basis.boson_cutoff != self.chain.boson_cutoff:
-            raise ValueError("basis and chain disagree on the boson cutoff")
 
     @cached_property
     def hopping(self) -> np.ndarray:

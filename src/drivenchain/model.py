@@ -36,22 +36,20 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Static chain data: size, bond couplings, onsite nonlinearity, cutoff.
+    """Static chain data: size, bond couplings, onsite nonlinearity.
 
     Couplings and the nonlinearity are angular frequencies in rad/ns.
     ``bond_couplings[k]`` couples sites k+1 and k+2 (1-based site numbers).
+    The boson cutoff belongs to the sector, :class:`SectorBasis`.
     """
 
     n_sites: int
     bond_couplings: np.ndarray
     onsite_nonlinearity: float = 0.0
-    boson_cutoff: int = 1
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ConfigError("n_sites must be >= 2")
-        if self.boson_cutoff < 1:
-            raise ConfigError("boson_cutoff must be >= 1")
         couplings = _frozen_array(self.bond_couplings)
         if couplings.shape != (self.n_sites - 1,):
             raise ConfigError(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import QuantumState
 from .errors import NumericalError
 from .hamiltonian import SectorModel
 from .model import DriveSpec
@@ -124,7 +123,7 @@ class StateTrajectory:
     amplitudes: np.ndarray      # (len(times), dim), or (R, len(times), dim)
 
 
-def evolve_states(model: SectorModel, h0: np.ndarray, psi0: QuantumState,
+def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
                   t_samples, step: float) -> StateTrajectory:
     """:func:`evolve_state` for the R static parts of an ``h0`` stack from
     :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim)."""
@@ -137,26 +136,30 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: QuantumState,
         raise ValueError("sample times must be ascending")
     if requested[0] < 0:
         raise ValueError("sample times must be >= 0")
-    psi0.check_normalized()
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (model.basis.dim,):
+        raise ValueError(f"initial state of shape {psi0.shape} does not fit "
+                         f"basis dimension {model.basis.dim}")
 
     sample_steps = np.rint(requested / step).astype(int)
-    block = np.broadcast_to(psi0.amplitudes.astype(complex)[:, None],
-                            (len(h0), psi0.basis.dim, 1))
+    block = np.broadcast_to(psi0[:, None], (len(h0), len(psi0), 1))
     states = _advance(model, h0, block, step, int(sample_steps[-1]),
                       sample_steps)[..., 0]
+    # the steps keep psi0's norm, so this also rejects an unnormalized psi0
     drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
     _check_each(drift, NORM_TOL, "norm drift")
     return StateTrajectory(sample_steps * step,
                            np.ascontiguousarray(states.swapaxes(0, 1)))
 
 
-def evolve_state(model: SectorModel, psi0: QuantumState, t_samples,
+def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
                  step: float) -> StateTrajectory:
-    """Propagate psi0 from t=0, emitting states at the sample times.
+    """Propagate the (dim,) amplitudes psi0 from t=0 to the sample times.
 
     Sample times are snapped to the nearest multiple of ``step``; the
-    returned trajectory reports the actual times.  Norm conservation is
-    enforced to 1e-10 at every emission.
+    returned trajectory reports the actual times.  A NumericalError is raised
+    unless every emitted state has unit norm to 1e-10, so an unnormalized
+    psi0 fails too.
     """
     batch = evolve_states(model, model.static_hamiltonians(), psi0, t_samples,
                           step)

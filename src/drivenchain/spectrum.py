@@ -8,16 +8,16 @@ wrap-around gap is taken across the zone edge.
 Two analytic references are provided: the uncorrelated (Poisson) density
 2/(1+r)^2 and a closed-form three-level surmise for the circular orthogonal
 ensemble, derived by integrating the joint eigenphase density
-sin(x/2) sin(y/2) sin(z/2) over the simplex x+y+z = 2*pi.  The surmise is
-smooth on [0, 1], so its mean comes from a fixed 27-point Gauss-Legendre
-rule; the module needs numpy only.  The tests keep an empirical COE
-sampler as ground truth for the closed form.
+sin(x/2) sin(y/2) sin(z/2) over the simplex x+y+z = 2*pi.  Its CDF has a
+closed form; its mean needs the sine and cosine integrals, so it comes
+from a fixed 27-point Gauss-Legendre rule and the module needs numpy
+only.  The tests keep an empirical COE sampler as ground truth for the
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,7 +27,6 @@ from .units import TWO_PI
 
 EIGENVALUE_MODULUS_TOL = 1e-9
 DEGENERACY_RELATIVE_TOL = 1e-12
-COE_CDF_POINTS = 8193           # trapezoid table behind coe_cdf
 
 
 @dataclass(frozen=True)
@@ -179,20 +178,17 @@ def coe_mean() -> float:
     return float(0.5 * np.dot(weights, r * coe_density(r)))
 
 
-@lru_cache(maxsize=1)
-def _coe_cdf_table():
-    grid = np.linspace(0.0, 1.0, COE_CDF_POINTS)
-    pdf = np.concatenate([[0.0], coe_density(grid[1:])])
-    cdf = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-    cdf /= cdf[-1]
-    return grid, cdf
-
-
 def coe_cdf(r) -> np.ndarray:
-    """CDF of the closed-form COE surmise (dense-grid trapezoid table)."""
-    grid, cdf = _coe_cdf_table()
-    return np.interp(np.asarray(r, dtype=float), grid, cdf)
+    """CDF of the closed-form COE surmise, exact on [0, 1].
+
+    The antiderivative of :func:`coe_density` (with u + v = 2*pi, so
+    sin v = -sin u and cos v = cos u) is
+    4/3 - 2/(3(1+r)) - (2/3)(1+r) sinc(2r/(1+r)), sinc(x) = sin(pi x)/(pi x),
+    which is finite at r = 0.
+    """
+    r = np.asarray(r, dtype=float)
+    return (4.0 / 3.0 - 2.0 / (3.0 * (1.0 + r))
+            - (2.0 / 3.0) * (1.0 + r) * np.sinc(2.0 * r / (1.0 + r)))
 
 
 # ---------------------------------------------------------------------------

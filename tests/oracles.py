@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drivenchain.basis import QuantumState
+from drivenchain.basis import SectorBasis
 from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DriveSpec, PotentialSpec
@@ -44,11 +44,11 @@ _PROBABILITY_TOL = 1e-9
 # uniform chains and site frequencies
 
 
-def uniform_chain(n_sites: int, coupling: float, onsite_nonlinearity: float = 0.0,
-                  boson_cutoff: int = 1) -> ChainSpec:
+def uniform_chain(n_sites: int, coupling: float,
+                  onsite_nonlinearity: float = 0.0) -> ChainSpec:
     """Chain with one common nearest-neighbour coupling (rad/ns)."""
     return ChainSpec(n_sites, np.full(n_sites - 1, float(coupling)),
-                     onsite_nonlinearity, boson_cutoff)
+                     onsite_nonlinearity)
 
 
 def diagonal_frequencies(t: float, drive: DriveSpec,
@@ -78,10 +78,9 @@ def sector_hamiltonian(model: SectorModel, t: float) -> np.ndarray:
 # populations and the counting ZZ estimator
 
 
-def populations(state: QuantumState) -> np.ndarray:
+def populations(amplitudes: np.ndarray, basis: SectorBasis) -> np.ndarray:
     """Per-site mean occupation <n_l>, length N."""
-    weights = np.abs(state.amplitudes) ** 2
-    return weights @ state.basis.states
+    return np.abs(amplitudes) ** 2 @ basis.states
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,11 @@ class JointProbabilities:
     p1_j: float
 
 
-def joint_probabilities(state: QuantumState, site_i: int, site_j: int
-                        ) -> JointProbabilities:
+def joint_probabilities(amplitudes: np.ndarray, basis: SectorBasis,
+                        site_i: int, site_j: int) -> JointProbabilities:
     """P_ab(i, j) with a, b in {0, 1}; occupation >= 1 counts as "one"."""
-    basis = state.basis
     _check_pair(basis, site_i, site_j)
-    weights = np.abs(state.amplitudes) ** 2
+    weights = np.abs(amplitudes) ** 2
     occ_i = basis.states[:, site_i - 1] >= 1
     occ_j = basis.states[:, site_j - 1] >= 1
     p11 = float(weights[occ_i & occ_j].sum())
@@ -132,14 +130,16 @@ def czz_from_counts(p00: float, p01: float, p10: float, p11: float,
     return (p00 + p11 - p01 - p10) - (p0_i - p1_i) * (p0_j - p1_j)
 
 
-def czz_expectation(state: QuantumState, site_i: int, site_j: int) -> float:
+def czz_expectation(amplitudes: np.ndarray, basis: SectorBasis,
+                    site_i: int, site_j: int) -> float:
     """ZZ correlation as <sz_i sz_j> - <sz_i><sz_j> with sz = 2*[n>=1] - 1."""
-    return float(_czz(np.abs(state.amplitudes) ** 2, state.basis, site_i, site_j))
+    return float(_czz(np.abs(amplitudes) ** 2, basis, site_i, site_j))
 
 
-def czz(state: QuantumState, site_i: int, site_j: int) -> float:
+def czz(amplitudes: np.ndarray, basis: SectorBasis, site_i: int,
+        site_j: int) -> float:
     """ZZ correlation via the counting estimator."""
-    jp = joint_probabilities(state, site_i, site_j)
+    jp = joint_probabilities(amplitudes, basis, site_i, site_j)
     return czz_from_counts(jp.p00, jp.p01, jp.p10, jp.p11,
                            jp.p0_i, jp.p1_i, jp.p0_j, jp.p1_j)
 

@@ -157,7 +157,7 @@ def test_criterion_03_analytic_oracles():
     samples = np.linspace(0.0, 120.0, 25)
     traj3 = evolve_state(model3, fock_state(model3.basis, 1), samples, 0.05)
     evals, evecs = np.linalg.eigh(sector_hamiltonian(model3, 0.0))
-    psi0 = fock_state(model3.basis, 1).amplitudes
+    psi0 = fock_state(model3.basis, 1)
     exact = np.array([(evecs * np.exp(-1j * evals * t)) @ (evecs.conj().T @ psi0)
                       for t in traj3.times])
     three_err = float(np.abs(np.abs(exact) ** 2

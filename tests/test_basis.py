@@ -4,8 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from drivenchain.basis import (QuantumState, build_sector_basis, fock_state,
-                               sector_dimension)
+from drivenchain.basis import build_sector_basis, fock_state, sector_dimension
 
 
 def brute_force_states(n_sites, n, n_max):
@@ -70,6 +69,8 @@ def test_sector_bounds():
         build_sector_basis(12, 13, 1)
     with pytest.raises(ValueError):
         build_sector_basis(12, -1, 1)
+    with pytest.raises(ValueError):
+        build_sector_basis(12, 1, 0)           # boson cutoff below 1
     assert build_sector_basis(12, 0, 1).dim == 1
 
 
@@ -77,10 +78,11 @@ def test_fock_state_one_hot():
     basis = build_sector_basis(12, 1, 1)
     for site in (3, 9):
         state = fock_state(basis, site)
-        pops = np.abs(state.amplitudes) ** 2 @ basis.states
+        pops = np.abs(state) ** 2 @ basis.states
         assert pops[site - 1] == pytest.approx(1.0)
         assert pops.sum() == pytest.approx(1.0)
-        assert state.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(state) == pytest.approx(1.0)
+        assert state.shape == (basis.dim,) and not state.flags.writeable
 
 
 def test_fock_state_needs_single_excitation_sector():
@@ -89,10 +91,3 @@ def test_fock_state_needs_single_excitation_sector():
     with pytest.raises(ValueError):
         fock_state(build_sector_basis(12, 1, 1), 0)
 
-
-def test_quantum_state_validation():
-    basis = build_sector_basis(4, 1, 1)
-    with pytest.raises(ValueError):
-        QuantumState(np.zeros(3, dtype=complex), basis)
-    state = QuantumState(np.full(4, 0.5 + 0j), basis)
-    state.check_normalized()

@@ -47,7 +47,9 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
             f"status = main(['spectrum', '--realizations', '2', "
             f"'--out', {str(tmp_path)!r}])\n"
             "assert status == 0, status\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            # the monodromy thread pool is imported only where it runs
+            "assert 'concurrent.futures' not in sys.modules\n")
     src = Path(importlib.import_module("drivenchain").__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -62,6 +64,8 @@ def test_parse_site_range():
         parse_site_range("0-3", 12, "x")
     with pytest.raises(ConfigError):
         parse_site_range("abc", 12, "x")
+    with pytest.raises(ConfigError):
+        parse_site_range("None", 12, "x")      # no alias for the empty list
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -483,6 +487,8 @@ def strict_manifest(out: Path) -> dict:
     ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
     ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
                   "sample_dt_ns": "1.0"}),
+    ("dynamics", {"driven_sites": "none"}),
+    ("ensemble", {"disordered_sites": "none", "disorder_w_over_j": 3.0}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)

@@ -14,7 +14,7 @@ N = 12
 
 
 def junction_setup(profile="cosine", n=1, n_max=1, nonlinearity=U):
-    chain = uniform_chain(N, J, nonlinearity, n_max)
+    chain = uniform_chain(N, J, nonlinearity)
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.665764))
     potential = build_potential(profile, N, 3 * J)
     basis = build_sector_basis(N, n, n_max)
@@ -34,7 +34,7 @@ def test_bosonic_matrix_element_sqrt2():
     # explicit operator algebra (a1 moves 1->0 with sqrt(1), a2+ 1->2 with
     # sqrt(2))
     basis = build_sector_basis(2, 2, 2)
-    chain = uniform_chain(2, J, 0.0, 2)
+    chain = uniform_chain(2, J)
     hop = hopping_matrix(chain, basis)
     i20 = basis.index_of((2, 0))
     i11 = basis.index_of((1, 1))
@@ -73,7 +73,7 @@ def test_nonlinearity_inert_in_single_excitation_sector():
 
 def test_nonlinearity_counts_double_occupation():
     basis = build_sector_basis(2, 2, 2)
-    chain = uniform_chain(2, J, U, 2)
+    chain = uniform_chain(2, J, U)
     drive = DriveSpec.cosine(2, 0.0, 0.0, 1.0)
     potential = build_potential("cosine", 2, 0.0)
     diag = sector_diagonal(SectorModel(chain, drive, potential, basis), 0.0)
@@ -148,8 +148,6 @@ def test_sector_model_consistency_checks():
     potential = build_potential("cosine", N, 0.0)
     with pytest.raises(ValueError):
         SectorModel(chain, drive, potential, build_sector_basis(10, 1, 1))
-    with pytest.raises(ValueError):
-        SectorModel(chain, drive, potential, build_sector_basis(N, 1, 2))
 
 
 def test_static_hamiltonians_block_equals_single_rows_bitwise():

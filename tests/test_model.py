@@ -44,8 +44,6 @@ def test_chain_spec_validation():
         ChainSpec(12, np.full(10, J))          # wrong bond count
     with pytest.raises(ConfigError):
         ChainSpec(12, np.full(11, np.inf))
-    with pytest.raises(ConfigError):
-        ChainSpec(12, np.full(11, J), boson_cutoff=0)
     chain = uniform_chain(N, J)
     assert chain.mean_coupling == pytest.approx(J)
     with pytest.raises(ValueError):

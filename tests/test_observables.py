@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drivenchain.basis import QuantumState, build_sector_basis, fock_state
+from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, build_potential
 from drivenchain.observables import observable_series
@@ -17,15 +17,15 @@ J = rad_ns_from_mhz(11.5)
 def random_single_excitation_state(rng, basis):
     amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     amps /= np.linalg.norm(amps)
-    return QuantumState(amps, basis)
+    return amps
 
 
 def test_populations_one_hot_and_superposition():
     basis = build_sector_basis(N, 1, 1)
-    assert np.allclose(populations(fock_state(basis, 3)),
+    assert np.allclose(populations(fock_state(basis, 3), basis),
                        np.eye(N)[2])
-    uniform = QuantumState(np.full(N, 1 / np.sqrt(N), dtype=complex), basis)
-    assert np.allclose(populations(uniform), np.full(N, 1 / N))
+    uniform = np.full(N, 1 / np.sqrt(N), dtype=complex)
+    assert np.allclose(populations(uniform, basis), np.full(N, 1 / N))
 
 
 def test_population_completeness_random_states():
@@ -33,12 +33,12 @@ def test_population_completeness_random_states():
     rng = np.random.default_rng(5)
     for _ in range(20):
         state = random_single_excitation_state(rng, basis)
-        assert populations(state).sum() == pytest.approx(1.0, abs=1e-12)
+        assert populations(state, basis).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_probabilities_fock():
     basis = build_sector_basis(N, 1, 1)
-    jp = joint_probabilities(fock_state(basis, 4), 4, 7)
+    jp = joint_probabilities(fock_state(basis, 4), basis, 4, 7)
     assert (jp.p00, jp.p01, jp.p10, jp.p11) == pytest.approx((0, 0, 1, 0))
     assert jp.p1_i == pytest.approx(1.0)
     assert jp.p0_j == pytest.approx(1.0)
@@ -50,29 +50,28 @@ def test_joint_p11_vanishes_single_excitation():
     for _ in range(25):
         state = random_single_excitation_state(rng, basis)
         for (i, j) in ((1, 2), (3, 7), (5, 12)):
-            assert joint_probabilities(state, i, j).p11 == 0.0
+            assert joint_probabilities(state, basis, i, j).p11 == 0.0
 
 
 def test_joint_probabilities_bell_like_pair():
     basis = build_sector_basis(N, 1, 1)
     amps = np.zeros(N, dtype=complex)
     amps[1] = amps[7] = 1 / np.sqrt(2)       # sites 2 and 8
-    state = QuantumState(amps, basis)
-    jp = joint_probabilities(state, 2, 8)
+    jp = joint_probabilities(amps, basis, 2, 8)
     assert jp.p10 == pytest.approx(0.5)
     assert jp.p01 == pytest.approx(0.5)
     assert jp.p00 == pytest.approx(0.0)
     assert jp.p11 == pytest.approx(0.0)
-    assert czz(state, 2, 8) == pytest.approx(-1.0)
+    assert czz(amps, basis, 2, 8) == pytest.approx(-1.0)
 
 
 def test_joint_probabilities_rejects_same_site():
     basis = build_sector_basis(N, 1, 1)
     state = fock_state(basis, 1)
     with pytest.raises(ValueError):
-        joint_probabilities(state, 3, 3)
+        joint_probabilities(state, basis, 3, 3)
     with pytest.raises(ValueError):
-        czz_expectation(state, 5, 5)
+        czz_expectation(state, basis, 5, 5)
 
 
 def test_czz_from_counts_uncorrelated_product():
@@ -93,8 +92,8 @@ def test_czz_forms_agree_on_random_states():
     for _ in range(100):
         state = random_single_excitation_state(rng, basis)
         i, j = rng.choice(np.arange(1, N + 1), size=2, replace=False)
-        a = czz(state, int(i), int(j))
-        b = czz_expectation(state, int(i), int(j))
+        a = czz(state, basis, int(i), int(j))
+        b = czz_expectation(state, basis, int(i), int(j))
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -104,10 +103,10 @@ def test_czz_closed_form_single_excitation():
     rng = np.random.default_rng(8)
     for _ in range(50):
         state = random_single_excitation_state(rng, basis)
-        pops = populations(state)
+        pops = populations(state, basis)
         i, j = rng.choice(np.arange(1, N + 1), size=2, replace=False)
         expected = -4.0 * pops[i - 1] * pops[j - 1]
-        assert czz_expectation(state, int(i), int(j)) == pytest.approx(
+        assert czz_expectation(state, basis, int(i), int(j)) == pytest.approx(
             expected, abs=1e-12)
 
 
@@ -116,14 +115,14 @@ def test_czz_symmetry():
     rng = np.random.default_rng(9)
     state = random_single_excitation_state(rng, basis)
     for (i, j) in ((1, 5), (2, 7), (9, 12)):
-        assert czz_expectation(state, i, j) == pytest.approx(
-            czz_expectation(state, j, i), abs=1e-14)
+        assert czz_expectation(state, basis, i, j) == pytest.approx(
+            czz_expectation(state, basis, j, i), abs=1e-14)
 
 
 def test_czz_zero_when_unoccupied():
     basis = build_sector_basis(N, 1, 1)
     state = fock_state(basis, 3)
-    assert czz_expectation(state, 5, 7) == pytest.approx(0.0)
+    assert czz_expectation(state, basis, 5, 7) == pytest.approx(0.0)
 
 
 def test_czz_soft_cutoff_binarization():
@@ -131,10 +130,10 @@ def test_czz_soft_cutoff_binarization():
     basis = build_sector_basis(2, 2, 2)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of((2, 0))] = 1.0
-    state = QuantumState(amps, basis)
-    jp = joint_probabilities(state, 1, 2)
+    jp = joint_probabilities(amps, basis, 1, 2)
     assert jp.p10 == pytest.approx(1.0)
-    assert czz(state, 1, 2) == pytest.approx(czz_expectation(state, 1, 2))
+    assert czz(amps, basis, 1, 2) == pytest.approx(
+        czz_expectation(amps, basis, 1, 2))
 
 
 def test_observable_series_on_trajectory():
@@ -169,7 +168,7 @@ def test_observable_series_matches_per_sample_czz():
     _, correlations = observable_series(np.abs(traj.amplitudes) ** 2, basis,
                                         pairs)
     for (i, j), values in correlations.items():
-        expected = [czz_expectation(QuantumState(amps, basis), i, j)
+        expected = [czz_expectation(amps, basis, i, j)
                     for amps in traj.amplitudes]
         assert np.abs(values - expected).max() <= 1e-14
 

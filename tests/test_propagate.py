@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state
+from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
@@ -22,7 +23,7 @@ OMEGA = rad_ns_from_mhz(19.665764062481905)
 
 def make_model(n_sites, profile="cosine", dc=3 * J, ac=3 * J, coupling=J,
                n=1, n_max=1, flat_fraction=1.0):
-    chain = uniform_chain(n_sites, coupling, 0.0, n_max)
+    chain = uniform_chain(n_sites, coupling)
     drive = DriveSpec.cosine(n_sites, dc, ac, OMEGA)
     potential = build_potential(profile, n_sites, dc,
                                 flat_level_fraction=flat_fraction)
@@ -66,7 +67,7 @@ def test_three_site_chain_matches_diagonalization_oracle():
     h = sector_hamiltonian(model, 0.0)
     evals, evecs = np.linalg.eigh(h)
     exact = (evecs * np.exp(-1j * evals * traj.times[0])) @ \
-        (evecs.conj().T @ psi0.amplitudes)
+        (evecs.conj().T @ psi0)
     assert np.abs(np.abs(exact) ** 2 - np.abs(traj.amplitudes[0]) ** 2).max() < 1e-8
 
 
@@ -86,6 +87,15 @@ def test_evolve_state_validation():
         evolve_state(model, psi0, [1.0, 0.5], step=0.1)
     with pytest.raises(ValueError):
         evolve_state(model, psi0, [], step=0.1)
+    # the initial vector must fit the basis and have unit norm
+    model = make_model(4)
+    with pytest.raises(ValueError, match="basis dimension 4"):
+        evolve_state(model, np.full(3, 1 / np.sqrt(3) + 0j), [0.0], step=0.1)
+    with pytest.raises(NumericalError, match="norm drift"):
+        evolve_state(model, np.full(4, 0.6 + 0j), [0.0], step=0.1)
+    # normalized but not a Fock state
+    traj = evolve_state(model, np.full(4, 0.5 + 0j), [0.0, 1.0], step=0.1)
+    assert np.allclose(traj.amplitudes[0], 0.5)
 
 
 def test_norm_conservation_along_driven_trajectory():
@@ -139,7 +149,7 @@ def test_evolve_state_matches_floquet_powers():
     # each period of the evolution uses its own phase table; F uses one
     model = flat_model_with_disorder()
     period = model.drive.period
-    psi = fock_state(model.basis, 3).amplitudes
+    psi = fock_state(model.basis, 3)
     traj = evolve_state(model, fock_state(model.basis, 3),
                         [period, 2 * period, 3 * period], period / 256)
     f = floquet_operator(model, 256).matrix
@@ -152,8 +162,8 @@ def test_time_reversal_returns_initial_state():
     model = flat_model_with_disorder()
     psi0 = fock_state(model.basis, 3)
     u = floquet_operator(model, 256).matrix
-    roundtrip = u.conj().T @ (u @ psi0.amplitudes)
-    assert np.abs(roundtrip - psi0.amplitudes).max() < 1e-8
+    roundtrip = u.conj().T @ (u @ psi0)
+    assert np.abs(roundtrip - psi0).max() < 1e-8
 
 
 def test_convergence_probe_driven_model():

@@ -187,6 +187,13 @@ def test_coe_mean_matches_adaptive_quadrature():
     assert abs(coe_mean() - reference) <= 2e-16
 
 
+@pytest.mark.parametrize("r", [0.0, 1e-6, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0])
+def test_coe_cdf_matches_adaptive_quadrature(r):
+    # the closed-form CDF against scipy's adaptive quadrature of the density
+    reference, _ = quad(lambda x: float(coe_density(x)), 0.0, r, limit=200)
+    assert abs(coe_cdf(r) - reference) <= 1e-13
+
+
 def test_divergent_transcription_misbehaves():
     # the variant with cos/(2 pi r^2): negative near the origin and far from
     # normalizable, which is why the corrected form is the reference
