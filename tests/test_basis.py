@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state, sector_dimension
+from drivenchain.errors import NumericalError
+from drivenchain.hamiltonian import SectorModel
+from drivenchain.model import DriveSpec, build_potential
+from drivenchain.propagate import evolve_state
+from oracles import uniform_chain
 
 
 def brute_force_states(n_sites, n, n_max):
@@ -91,3 +96,16 @@ def test_fock_state_needs_single_excitation_sector():
     with pytest.raises(ValueError):
         fock_state(build_sector_basis(12, 1, 1), 0)
 
+
+def test_quantum_state_validation():
+    # a state is a plain (dim,) vector; evolve_state checks its length and norm
+    basis = build_sector_basis(4, 1, 1)
+    model = SectorModel(uniform_chain(4, 1.0), DriveSpec.cosine(4, 0.0, 0.0, 1.0),
+                        build_potential("cosine", 4, 0.0), basis)
+    with pytest.raises(ValueError, match="basis dimension 4"):
+        evolve_state(model, np.full(3, 1 / np.sqrt(3) + 0j), [0.0], step=0.1)
+    with pytest.raises(NumericalError, match="norm drift"):
+        evolve_state(model, np.full(4, 0.6 + 0j), [0.0], step=0.1)
+    # normalized but not a Fock state
+    traj = evolve_state(model, np.full(4, 0.5 + 0j), [0.0, 1.0], step=0.1)
+    assert np.allclose(traj.amplitudes[0], 0.5)
