@@ -18,16 +18,15 @@ import numpy as np
 
 from .basis import fock_state
 from .hamiltonian import SectorModel
-from .model import DisorderSpec, sample_disorder
+from .model import DisorderSpec, sample_disorders
 from .propagate import DEFAULT_STEPS_PER_PERIOD, evolve_states, floquet_operators
 from .spectrum import RatioSample, gap_ratios, quasienergies
 
 
 def _static_hamiltonians(model: SectorModel, disorder: DisorderSpec):
     """H0 of every realization: the model's potential plus its disorder draw."""
-    draws = np.stack([sample_disorder(disorder, idx)
-                      for idx in range(disorder.realization_count)])
-    return model.static_hamiltonians(model.potential.static_offsets + draws)
+    return model.static_hamiltonians(model.potential.static_offsets
+                                     + sample_disorders(disorder))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
+import operator
 
 import numpy as np
 
@@ -183,8 +184,11 @@ class DisorderSpec:
     def __post_init__(self):
         if self.strength < 0:
             raise ConfigError("disorder strength must be >= 0")
-        if self.realization_count < 1:
-            raise ConfigError("realization count must be >= 1")
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        if self.master_seed < 0:
+            raise ConfigError("master seed must be >= 0")
+        if not 1 <= self.realization_count <= 2 ** 32:     # one spawn-key word
+            raise ConfigError("realization count must lie in 1..2**32")
         sites = tuple(self.disordered_sites) or tuple(
             range(self.n_sites // 2 + 1, self.n_sites + 1))
         if any(s < 1 or s > self.n_sites for s in sites):
@@ -192,24 +196,82 @@ class DisorderSpec:
         object.__setattr__(self, "disordered_sites", sites)
 
 
-def sample_disorder(spec: DisorderSpec, realization_index: int) -> np.ndarray:
-    """Per-site disorder offsets G_l for one realization (length N).
+_MASK32, _MASK64, _MASK128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT2, _PCG_MULT1 = _PCG_MULT ** 2 & _MASK128, _PCG_MULT + 1
 
-    Sites outside ``spec.disordered_sites`` get 0.  Deterministic in
-    (master_seed, realization_index, site); realizations are independent.
+
+def _hash_constants(initial: int, multiplier: int, first: int) -> np.ndarray:
+    """The SeedSequence hash constants of calls first .. first+8."""
+    return np.array([initial * pow(multiplier, k, 1 << 32) & _MASK32
+                     for k in range(first, first + 9)], dtype=np.uint32)
+
+
+def _hashmix(values, consts):
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    mixed = 0xCA01F9DD * x - 0x4973F715 * y
+    return mixed ^ (mixed >> 16)
+
+
+_STATE_CONSTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 0)
+
+
+def sample_disorders(spec: DisorderSpec, indices=None) -> np.ndarray:
+    """Disorder offsets of the realizations ``indices`` (default all), shape
+    (len(indices), N), 0 off ``spec.disordered_sites``.
+
+    Realization r draws at site l numpy's ``default_rng(SeedSequence(
+    master_seed, spawn_key=(r, l))).uniform(-W, W)`` bit for bit, for all
+    keys at once: the spawn-key words are hashed as uint32 arrays, then
+    PCG64's seeding and first XSL-RR output run in 128-bit integers.
     """
-    if not 0 <= realization_index < spec.realization_count:
-        raise ValueError(
-            f"realization index {realization_index} outside 0..{spec.realization_count - 1}")
-    offsets = np.zeros(spec.n_sites)
+    count = spec.realization_count
+    indices = np.arange(count) if indices is None else np.asarray(indices)
+    bad = indices[(indices < 0) | (indices >= count)]
+    if bad.size:
+        raise ValueError(f"realization index {bad[0]} outside 0..{count - 1}")
+    offsets = np.zeros((len(indices), spec.n_sites))
     if spec.strength == 0.0:
         return offsets
-    for site in spec.disordered_sites:
-        seq = np.random.SeedSequence(entropy=spec.master_seed,
-                                     spawn_key=(realization_index, site))
-        rng = np.random.default_rng(seq)
-        offsets[site - 1] = rng.uniform(-spec.strength, spec.strength)
+    # the pool after the master seed's words, padded to four, then each
+    # spawn-key word mixed into every pool word
+    seed = spec.master_seed
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(32, seed.bit_length()), 32)]
+    words += [0] * (4 - len(words))
+    pool = np.random.SeedSequence(words).pool
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * len(words))
+    pool = _mix(pool, _hashmix(indices.astype(np.uint32)[:, None], consts[:5]))
+    sites = np.array(spec.disordered_sites, dtype=np.uint32)[:, None]
+    pool = _mix(pool[:, None], _hashmix(sites, consts[4:]))
+    # generate_state(4, np.uint64): the pool hashed twice over, word pairs
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS).astype(np.uint64)
+    state = state[..., 0::2] | state[..., 1::2] << np.uint64(32)
+    # PCG64 seeds state = inc, adds the seed and steps the LCG twice before
+    # its first XSL-RR output; one row at a time, since the Python ints of
+    # every key at once would add 0.3 MB to the peak RSS of R = 200
+    mantissas = []
+    for row in state.reshape(-1, 4):
+        seed_hi, seed_lo, inc_hi, inc_lo = row.tolist()
+        inc = inc_hi << 65 | inc_lo << 1 | 1
+        lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT2
+               + inc * _PCG_MULT1) & _MASK128
+        x, rot = (lcg >> 64 ^ lcg) & _MASK64, lcg >> 122
+        mantissas.append((x >> rot | x << (64 - rot) & _MASK64) >> 11)
+    unit = np.reshape(mantissas, state.shape[:2]) * 2.0 ** -53
+    offsets[:, np.subtract(spec.disordered_sites, 1)] = (
+        -spec.strength + 2 * spec.strength * unit)
     return offsets
+
+
+def sample_disorder(spec: DisorderSpec, realization_index: int) -> np.ndarray:
+    """Row ``realization_index`` of :func:`sample_disorders` (length N):
+    realizations are independent, and each is its own key's draw."""
+    return sample_disorders(spec, [realization_index])[0]
 
 
 def build_potential(profile: str, n_sites: int, dc_amplitude: float,

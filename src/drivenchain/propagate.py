@@ -1,11 +1,13 @@
 """Time-ordered unitary evolution and the one-period Floquet operator.
 
 Only the diagonal depends on time, H(t) = H0 + f(t) D.  A step of size h
-composes three Strang steps exp(-i f D tau/2) exp(-i H0 tau) exp(-i f D tau/2),
-tau = w h, with the Yoshida triple-jump weights (w1, w0, w1) and f frozen at
-each substep midpoint: fourth order, unitary by construction, and exact for
-a static Hamiltonian.  One eigendecomposition of H0 per realization gives
-the two distinct exponentials; adjacent half-phases are merged.
+composes Strang steps exp(-i f D tau/2) exp(-i H0 tau) exp(-i f D tau/2),
+tau = w h, over a palindrome of weights w with f frozen at each substep
+midpoint: fourth order, unitary, and exact for a static H0.  States take
+Yoshida's (w1, w0, w1) at the dynamics step, the Floquet product Suzuki's
+(p, p, 1-4p, p, p) at twice that step.  One eigendecomposition of H0 per
+realization gives one exponential per distinct weight; adjacent
+half-phases are merged.
 
 The core advances a block (R, dim, k) of R realizations that share drive
 and basis and differ in H0: k = dim for propagators, k = 1 for states.
@@ -35,42 +37,48 @@ NORM_TOL = 1e-10
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
-_WEIGHTS = np.array(YOSHIDA_WEIGHTS)
-_MIDPOINTS = np.cumsum(_WEIGHTS) - 0.5 * _WEIGHTS   # in units of the step
+_SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+SUZUKI_WEIGHTS = (_SUZUKI_P, _SUZUKI_P, 1.0 - 4.0 * _SUZUKI_P, _SUZUKI_P,
+                  _SUZUKI_P)
 _PHASE_CHUNK = DEFAULT_STEPS_PER_PERIOD             # bounds the table's memory
 
 
-def _phase_table(model: SectorModel, step: float, first: int, count: int):
+def _phase_table(model: SectorModel, weights: np.ndarray, step: float,
+                 first: int, count: int):
     """Phases for steps first .. first+count-1.
 
     Returns the merged phases applied before each substep exponential,
-    (count, 3, dim, 1), and the half-phase that completes each step,
-    (count, dim, 1).
+    (count, len(weights), dim, 1), and the half-phase that completes each
+    step, (count, dim, 1).
     """
+    stages = len(weights)
+    midpoints = np.cumsum(weights) - 0.5 * weights      # in units of the step
     steps = np.arange(first - 1, first + count)[:, None]
-    half = (model.drive.modulation((steps + _MIDPOINTS) * step)
-            * (0.5 * step * _WEIGHTS))
+    half = (model.drive.modulation((steps + midpoints) * step)
+            * (0.5 * step * weights))
     if first == 0:
         half[0] = 0.0                   # no step precedes the first one
     flat = half.ravel()
-    merged = (flat[3:] + flat[2:-1]).reshape(count, 3)
+    merged = (flat[stages:] + flat[stages - 1:-1]).reshape(count, stages)
     diag = model.drive_diagonal[:, None]
     return (np.exp(-1j * merged[..., None, None] * diag),
-            np.exp(-1j * half[1:, 2, None, None] * diag))
+            np.exp(-1j * half[1:, -1, None, None] * diag))
 
 
 def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
-             step: float, n_steps: int, emit_steps) -> np.ndarray:
-    """Advance ``block`` (R, dim, k) by ``n_steps`` steps from t = 0.
+             weights, step: float, n_steps: int, emit_steps) -> np.ndarray:
+    """Advance ``block`` (R, dim, k) by ``n_steps`` steps of ``weights``.
 
     Realization r evolves under H0 = ``h0[r]`` and the drive of ``model``.
     Returns the block after each step count in the ascending
     ``emit_steps``: (len(emit_steps), R, dim, k).
     """
+    weights = np.asarray(weights)
     lam, vec = np.linalg.eigh(h0)
     # H0 is real symmetric, so its eigenvectors are real: V^H = V^T
-    outer, inner = ((vec * np.exp(-1j * w * step * lam)[..., None, :])
-                    @ vec.swapaxes(-1, -2) for w in _WEIGHTS[:2])
+    exponentials = {w: (vec * np.exp(-1j * w * step * lam)[..., None, :])
+                    @ vec.swapaxes(-1, -2) for w in set(weights)}
+    unitaries = [exponentials[w] for w in weights]
     out = np.empty((len(emit_steps),) + block.shape, dtype=complex)
     psi, trailing, next_emit = block.copy(), np.ones((block.shape[1], 1)), 0
     for k in range(n_steps + 1):
@@ -80,9 +88,9 @@ def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
         if k == n_steps:
             return out
         if k % _PHASE_CHUNK == 0:
-            merged, trail = _phase_table(model, step, k,
+            merged, trail = _phase_table(model, weights, step, k,
                                          min(_PHASE_CHUNK, n_steps - k))
-        for phase, unitary in zip(merged[k % _PHASE_CHUNK], (outer, inner, outer)):
+        for phase, unitary in zip(merged[k % _PHASE_CHUNK], unitaries):
             psi *= phase
             psi = unitary @ psi
         trailing = trail[k % _PHASE_CHUNK]
@@ -143,8 +151,8 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
 
     sample_steps = np.rint(requested / step).astype(int)
     block = np.broadcast_to(psi0[:, None], (len(h0), len(psi0), 1))
-    states = _advance(model, h0, block, step, int(sample_steps[-1]),
-                      sample_steps)[..., 0]
+    states = _advance(model, h0, block, YOSHIDA_WEIGHTS, step,
+                      int(sample_steps[-1]), sample_steps)[..., 0]
     # the steps keep psi0's norm, so this also rejects an unnormalized psi0
     drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
     _check_each(drift, NORM_TOL, "norm drift")
@@ -167,10 +175,13 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
 
 
 def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
-    """Steps the Floquet product integrates: half of them when U = V^T V."""
-    if steps_per_period % 2 or math.remainder(drive.effective_phase, math.pi):
-        return steps_per_period
-    return steps_per_period // 2
+    """Steps the Floquet product integrates: SUZUKI_WEIGHTS at
+    max(1, steps_per_period // 2) steps per period, half of them when that
+    count is even and f even about T/2, so that U = V^T V."""
+    per_period = max(1, steps_per_period // 2)
+    if per_period % 2 or math.remainder(drive.effective_phase, math.pi):
+        return per_period
+    return per_period // 2
 
 
 def floquet_operators(model: SectorModel, h0: np.ndarray,
@@ -183,10 +194,11 @@ def floquet_operators(model: SectorModel, h0: np.ndarray,
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
+    per_period = max(1, steps_per_period // 2)
     n_steps = floquet_steps(model.drive, steps_per_period)
-    matrices = _advance(model, h0, block, period / steps_per_period,
+    matrices = _advance(model, h0, block, SUZUKI_WEIGHTS, period / per_period,
                         n_steps, [n_steps])[0]
-    if n_steps < steps_per_period:
+    if n_steps < per_period:
         matrices = matrices.swapaxes(-1, -2) @ matrices
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")

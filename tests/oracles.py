@@ -5,7 +5,9 @@ independent second way to compute something the package computes.  A few
 (``sector_diagonal``, ``sector_hamiltonian``, ``czz_expectation``,
 ``populations``, ``monodromy_matrix`` and ``monodromy_trace``) are
 single-input views of package internals that only the tests call,
-``uniform_chain`` builds the tests' one-coupling chains, and
+``uniform_chain`` builds the tests' one-coupling chains,
+``sample_disorder_loop`` is the per-site generator loop the vectorized
+disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
 why it is bad.  ``serial_half_period_monodromy`` is the
 package's monodromy loop written serially, kept to pin its one-chunk path
@@ -25,11 +27,12 @@ import numpy as np
 from drivenchain.basis import SectorBasis
 from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import ChainSpec, DriveSpec, PotentialSpec
+from drivenchain.model import ChainSpec, DisorderSpec, DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import (UNITARITY_TOL, YOSHIDA_WEIGHTS,
-                                   FloquetOperator, _advance, _check_each,
-                                   floquet_operator, unitarity_defect)
+from drivenchain.propagate import (SUZUKI_WEIGHTS, UNITARITY_TOL,
+                                   YOSHIDA_WEIGHTS, FloquetOperator, _advance,
+                                   _check_each, floquet_operator,
+                                   unitarity_defect)
 from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, SRKN_DRIFTS,
                                        SRKN_KICKS, SemiclassicalParams,
                                        _check_determinants, _monodromy_batch)
@@ -49,6 +52,24 @@ def uniform_chain(n_sites: int, coupling: float,
     """Chain with one common nearest-neighbour coupling (rad/ns)."""
     return ChainSpec(n_sites, np.full(n_sites - 1, float(coupling)),
                      onsite_nonlinearity)
+
+
+def sample_disorder_loop(spec: DisorderSpec,
+                         realization_index: int) -> np.ndarray:
+    """Disorder offsets of one realization, one numpy generator per site:
+    the loop that ``drivenchain.model.sample_disorders`` reproduces."""
+    if not 0 <= realization_index < spec.realization_count:
+        raise ValueError(
+            f"realization index {realization_index} outside 0..{spec.realization_count - 1}")
+    offsets = np.zeros(spec.n_sites)
+    if spec.strength == 0.0:
+        return offsets
+    for site in spec.disordered_sites:
+        seq = np.random.SeedSequence(entropy=spec.master_seed,
+                                     spawn_key=(realization_index, site))
+        rng = np.random.default_rng(seq)
+        offsets[site - 1] = rng.uniform(-spec.strength, spec.strength)
+    return offsets
 
 
 def diagonal_frequencies(t: float, drive: DriveSpec,
@@ -238,9 +259,10 @@ def coe_density_divergent(r) -> np.ndarray:
 # Floquet operator: full-period product and step-count probe
 
 
-def full_period_floquet(model: SectorModel, h0: np.ndarray,
-                        steps: int) -> FloquetOperator:
-    """One-period propagators of an ``h0`` stack, stepped over the whole period.
+def full_period_floquet(model: SectorModel, h0: np.ndarray, steps: int,
+                        weights=SUZUKI_WEIGHTS) -> FloquetOperator:
+    """One-period propagators of an ``h0`` stack, ``steps`` steps of the
+    composition ``weights`` over the whole period.
 
     The product the package built before it used time-reversal symmetry:
     the same core, but no transpose palindrome assumed, so it holds for any
@@ -249,7 +271,8 @@ def full_period_floquet(model: SectorModel, h0: np.ndarray,
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
-    matrices = _advance(model, h0, block, period / steps, steps, [steps])[0]
+    matrices = _advance(model, h0, block, weights, period / steps, steps,
+                        [steps])[0]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
     return FloquetOperator(matrices, period)

@@ -198,9 +198,9 @@ def test_cmd_spectrum_outputs_and_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("settings_,steps,integrated", [
-    ({}, 64, 32),                           # f even about T/2: half a period
-    ({"drive_phase_rad": "0.3"}, 64, 64),
-    ({"steps_per_period": 63}, 63, 63),
+    ({}, 64, 16),           # 32 Suzuki steps, f even about T/2: half of them
+    ({"drive_phase_rad": "0.3"}, 64, 32),
+    ({"steps_per_period": 63}, 63, 31),     # 31 Suzuki steps: odd, all of them
 ])
 def test_cmd_spectrum_manifest_names_the_floquet_product(tmp_path, settings_,
                                                           steps, integrated):

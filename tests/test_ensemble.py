@@ -111,18 +111,20 @@ def test_batch_equals_single_realizations_bitwise():
 
 
 def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
-    # a refactor that brings back the full-period product fails here
+    # Suzuki-5 at 128 steps per period, half of them; a refactor that brings
+    # back the full-period product or the dynamics step count fails here
     real_advance, calls = propagate._advance, []
 
-    def recording_advance(model, h0, block, step, n_steps, emit_steps):
-        calls.append(n_steps)
-        return real_advance(model, h0, block, step, n_steps, emit_steps)
+    def recording_advance(model, h0, block, weights, step, n_steps, emit_steps):
+        calls.append((weights, n_steps))
+        return real_advance(model, h0, block, weights, step, n_steps,
+                            emit_steps)
 
     monkeypatch.setattr(propagate, "_advance", recording_advance)
     run = resolve(RunConfig())
     run_spectrum_ensemble(run.model, run.disorder, run.config.steps_per_period)
     assert run.config.steps_per_period == 256
-    assert calls == [128]
+    assert calls == [(propagate.SUZUKI_WEIGHTS, 64)]
 
 
 def test_ensemble_reruns_bitwise():

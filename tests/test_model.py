@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from drivenchain.basis import build_sector_basis
+from drivenchain.config import MAX_REALIZATIONS
 from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, cosine_profile,
-                               resonance_drive_frequency, sample_disorder)
+                               resonance_drive_frequency, sample_disorder,
+                               sample_disorders)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
-from oracles import sector_diagonal, uniform_chain
+from oracles import sample_disorder_loop, sector_diagonal, uniform_chain
 
 J = rad_ns_from_mhz(11.5)
 N = 12
@@ -114,6 +117,46 @@ def test_disorder_determinism_and_support():
     assert np.array_equal(a, sample_disorder(spec, 3))
     with pytest.raises(ValueError):
         sample_disorder(spec, 10)
+
+
+EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128 - 1, 2 ** 128, 3 ** 100)
+LAST = MAX_REALIZATIONS - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2 ** 200),
+       indices=st.lists(st.sampled_from([0, LAST]) | st.integers(0, LAST),
+                        min_size=1, max_size=4),
+       sites=st.sampled_from([(1,), (N,), (7, 9, 11), ()])
+       | st.lists(st.integers(1, N), min_size=1, max_size=N, unique=True),
+       strength=st.sampled_from([0.0, 3 * J]) | st.floats(0.0, 1e3))
+@example(seed=0, indices=[0, LAST], sites=(1,), strength=3 * J)
+@example(seed=2 ** 32 - 1, indices=[LAST], sites=(N,), strength=3 * J)
+@example(seed=2 ** 32, indices=[0], sites=(7, 9, 11), strength=3 * J)
+@example(seed=2 ** 64, indices=[LAST, 0], sites=(), strength=5 * J)
+@example(seed=2 ** 128 - 1, indices=[0, LAST], sites=(7, 9, 11), strength=J)
+@example(seed=2 ** 128, indices=[LAST], sites=(1, N), strength=3 * J)
+@example(seed=3 ** 100, indices=[0, 1, LAST], sites=(), strength=3 * J)
+@example(seed=12345, indices=[0, LAST], sites=(7, 9, 11), strength=0.0)
+def test_vectorized_draws_match_the_per_site_generator_loop(seed, indices,
+                                                            sites, strength):
+    spec = DisorderSpec(N, strength, tuple(sites), seed, MAX_REALIZATIONS)
+    expected = np.array([sample_disorder_loop(spec, i) for i in indices])
+    assert np.array_equal(sample_disorders(spec, indices), expected)
+    assert np.array_equal(sample_disorder(spec, indices[-1]), expected[-1])
+
+
+def test_draws_cover_every_realization_index_of_one_key_word():
+    spec = DisorderSpec(N, 3 * J, (7, 9, 11), 2 ** 32, 2 ** 32)
+    last = [2 ** 32 - 1]
+    assert np.array_equal(sample_disorders(spec, last),
+                          [sample_disorder_loop(spec, last[0])])
+    with pytest.raises(ConfigError):
+        DisorderSpec(N, 3 * J, master_seed=1, realization_count=2 ** 32 + 1)
+    with pytest.raises(ConfigError):
+        DisorderSpec(N, 3 * J, master_seed=-1)
+    with pytest.raises(ValueError):
+        sample_disorders(spec, [0, 2 ** 32])
 
 
 def test_disorder_monte_carlo_statistics():

@@ -8,9 +8,10 @@ from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
-from drivenchain.propagate import (evolve_state, floquet_operator,
-                                   floquet_operators, floquet_steps,
-                                   unitarity_defect)
+from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, SUZUKI_WEIGHTS,
+                                   YOSHIDA_WEIGHTS, evolve_state,
+                                   floquet_operator, floquet_operators,
+                                   floquet_steps, unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (convergence_probe, full_period_floquet, sector_hamiltonian,
@@ -136,13 +137,15 @@ def test_floquet_default_steps_match_fine_reference():
 
 
 def test_evolve_state_matches_floquet_powers():
-    # each period of the evolution uses its own phase table; F uses one
+    # each period of the evolution uses its own phase table; F, the same
+    # Yoshida steps over one period, uses one
     model = flat_model_with_disorder()
     period = model.drive.period
     psi = fock_state(model.basis, 3)
     traj = evolve_state(model, fock_state(model.basis, 3),
                         [period, 2 * period, 3 * period], period / 256)
-    f = floquet_operator(model, 256).matrix
+    f = full_period_floquet(model, model.static_hamiltonians(), 256,
+                            YOSHIDA_WEIGHTS).matrix[0]
     for amps in traj.amplitudes:
         psi = f @ psi
         assert np.abs(psi - amps).max() < 1e-12
@@ -190,7 +193,7 @@ def with_drive(model, **changes):
 def test_floquet_operator_is_symmetric_for_even_drive(phase):
     # time-reversal symmetry of a drive even about T/2: U = U^T
     model = with_drive(make_model(12, "flat"), phase=phase)
-    assert floquet_steps(model.drive, 256) == 128
+    assert floquet_steps(model.drive, 256) == 64
     matrices = floquet_operators(model, disordered_stack(model)).matrix
     assert len(matrices) == 3
     asymmetry = np.linalg.norm(matrices - matrices.swapaxes(-1, -2),
@@ -200,26 +203,46 @@ def test_floquet_operator_is_symmetric_for_even_drive(phase):
 
 @pytest.mark.parametrize("steps", [2, 16, 256])
 def test_half_period_product_matches_full_period_oracle(steps):
+    # steps Suzuki-5 steps per period: steps_per_period = 2 * steps
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
-    assert floquet_steps(model.drive, steps) == steps // 2
-    half = floquet_operators(model, h0, steps).matrix
-    full = full_period_floquet(model, h0, steps).matrix
+    assert floquet_steps(model.drive, 2 * steps) == steps // 2
+    half = floquet_operators(model, h0, 2 * steps).matrix
+    full = full_period_floquet(model, h0, steps, SUZUKI_WEIGHTS).matrix
     assert np.abs(half - full).max() <= 1e-12
 
 
 @pytest.mark.parametrize("steps,changes", [
     (255, {}),
-    (257, {}),
+    (258, {}),
     (256, {"phase": 0.3}),
     (256, {"time_origin": 1.7}),
+    (1, {}),
 ])
 def test_asymmetric_cases_take_the_full_period_product(steps, changes):
+    # an odd Suzuki step count max(1, steps // 2), or a drive not even
+    # about T/2, integrates the whole period
     model = with_drive(make_model(12, "flat"), **changes)
     h0 = disordered_stack(model)
-    assert floquet_steps(model.drive, steps) == steps
+    per_period = max(1, steps // 2)
+    assert floquet_steps(model.drive, steps) == per_period
     assert np.array_equal(floquet_operators(model, h0, steps).matrix,
-                          full_period_floquet(model, h0, steps).matrix)
+                          full_period_floquet(model, h0, per_period).matrix)
+
+
+def test_floquet_halving_error_not_above_yoshida_at_default_steps():
+    # Suzuki-5 at 128 steps per period against the Yoshida product the
+    # Floquet operator used before, at 256
+    model = make_model(12, "flat")
+    h0 = disordered_stack(model)
+    default = DEFAULT_STEPS_PER_PERIOD
+    suzuki = np.abs(floquet_operators(model, h0, default).matrix
+                    - floquet_operators(model, h0, default // 2).matrix).max()
+    yoshida = np.abs(
+        full_period_floquet(model, h0, default, YOSHIDA_WEIGHTS).matrix
+        - full_period_floquet(model, h0, default // 2, YOSHIDA_WEIGHTS).matrix
+    ).max()
+    assert suzuki <= yoshida
 
 
 @pytest.mark.parametrize("changes", [{"phase": 0.3}, {"time_origin": 1.7}])

@@ -487,12 +487,20 @@ def test_block_threads_take_every_block_once(monkeypatch):
 
 def test_calling_thread_takes_blocks_too(monkeypatch):
     # with two usable CPUs one pool thread helps the calling thread, which
-    # takes blocks itself instead of waiting
+    # takes blocks itself instead of waiting.  The helper holds its first
+    # block until the calling thread has taken one, so a helper scheduled
+    # first cannot drain every block.
     params = make_params()
     om, d1 = flat_grid(*default_grid_axes(params, 10))
     threads, integrate = set(), semiclassical._integrate_group
+    caller, caller_took_one = threading.get_ident(), threading.Event()
 
     def recorded(*args):
+        if threading.get_ident() == caller:
+            caller_took_one.set()
+        else:
+            caller_took_one.wait(timeout=10)
+            caller_took_one.set()           # wait once, even on a timeout
         threads.add(threading.get_ident())
         return integrate(*args)
 
