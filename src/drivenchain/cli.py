@@ -9,8 +9,9 @@ hashes); data files are byte-identical for identical config and seed.
 Exit codes: 0 success, 1 internal error (a defect: the manifest records
 its ``error_type``), 2 configuration error, 3 numerical failure.  A failed
 check on one disorder realization records its ``realization_index`` in the
-manifest.  Every exit code writes the manifest; it holds the config only
-once :func:`~drivenchain.config.resolve` has accepted it.
+manifest.  Every exit code writes the manifest, except a usage error and
+an output directory that cannot be made; it holds the config only once
+:func:`~drivenchain.config.resolve` has accepted it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ResolvedRun, RunConfig, load_config, resolve
+from .config import ResolvedRun, RunConfig, load_config, parse_value, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
@@ -108,18 +109,13 @@ class ManifestWriter:
         self.data["outputs"].append(
             {"path": path.name, "sha256": _sha256(path)})
 
-    def extra(self, **kwargs) -> None:
-        self.data.update(kwargs)
-
-    def finish(self, status: str, error: str = "") -> Path:
+    def finish(self, status: str, error: str = "") -> None:
         self.data["status"] = status
         if error:
             self.data["error"] = error
         self.data["wall_clock_s"] = round(time.monotonic() - self.started, 6)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
-        return path
+        (self.out_dir / "manifest.json").write_text(
+            json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_population_csv(path: Path, times, populations,
@@ -134,10 +130,9 @@ def _write_population_csv(path: Path, times, populations,
 
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    # one trajectory: realization 0 of the disorder ensemble
-    result = run_dynamics_ensemble(
-        run.model, replace(run.disorder, realization_count=1), cfg.init_site,
-        run.sample_times(), run.step_ns)
+    # one trajectory: main resolves dynamics as a one-realization ensemble
+    result = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
+                                   run.sample_times(), run.step_ns)
     ref = cfg.czz_reference_site
     populations, correlations = observable_series(
         result.weights[0], run.basis,
@@ -153,8 +148,6 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     write_csv(czz_path, ["time_ns", "i", "j", "value"],
               f"{_FLOAT_FMT},%d,%d,{_FLOAT_FMT}", rows)
     manifest.record_output(czz_path)
-    manifest.extra(steps_per_period=cfg.steps_per_period,
-                   drive_frequency_mhz=run.drive_frequency_mhz)
 
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -170,10 +163,6 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
         for idx, pops in enumerate(result.populations):
             _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
                                   result.times, pops, manifest)
-
-    manifest.extra(steps_per_period=cfg.steps_per_period,
-                   master_seed=cfg.master_seed,
-                   drive_frequency_mhz=run.drive_frequency_mhz)
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -214,8 +203,7 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path = out / "spectrum_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
-    manifest.extra(master_seed=cfg.master_seed, steps_per_period=steps,
-                   floquet_steps_integrated=floquet_steps(run.drive, steps))
+    manifest.data["floquet_steps_integrated"] = floquet_steps(run.drive, steps)
 
 
 def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -232,7 +220,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
               _grid_rows(grid.omega_values, grid.delta1_values,
                          grid.abs_trace, grid.stable))
     manifest.record_output(path)
-    manifest.extra(small_oscillation_frequency_mhz=mhz_from_rad_ns(
+    manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
         monodromy_steps_floor=DEFAULT_MONODROMY_STEPS,
         monodromy_groups=grid.monodromy_groups,
@@ -281,58 +269,49 @@ def cmd_device_check(table_path, out: Path, manifest: ManifestWriter) -> None:
         print("  no inconsistencies found")
 
 
+_COMMANDS = {
+    "dynamics": (cmd_dynamics, "single-run populations and ZZ correlations"),
+    "ensemble": (cmd_ensemble, "disorder-averaged population dynamics"),
+    "spectrum": (cmd_spectrum, "pooled quasienergy gap-ratio statistics"),
+    "stability": (cmd_stability, "semiclassical stability grid"),
+    "contours": (cmd_contours, "undriven semiclassical energy contours"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
-    state in it, each call returns a fresh namespace."""
+    state in it.  Value flags keep their text for the config parser."""
     parser = argparse.ArgumentParser(
         prog="drivenchain",
         description="Driven-chain simulator: dynamics, disorder ensembles, "
                     "quasienergy statistics, and semiclassical stability.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, doc) in _COMMANDS.items():
+        p = sub.add_parser(name, help=doc)
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--seed", dest="master_seed", type=int,
-                       help="master seed override")
-        p.add_argument("--realizations", type=int, help="ensemble size override")
-        p.add_argument("--steps-per-period", type=int,
+        p.add_argument("--seed", dest="master_seed", help="master seed override")
+        p.add_argument("--realizations", help="ensemble size override")
+        p.add_argument("--steps-per-period",
                        help="quantum propagator steps per drive period "
                             "(stability keeps its own monodromy floor)")
-        p.add_argument("--profile", choices=("cosine", "flat", "table"),
-                       help="potential profile override")
-        p.add_argument("--disorder-w", dest="disorder_w_over_j", type=float,
+        p.add_argument("--profile", help="potential profile override")
+        p.add_argument("--disorder-w", dest="disorder_w_over_j",
                        metavar="W_OVER_J",
                        help="disorder strength in units of the mean coupling")
-        p.add_argument("--init-site", type=int, help="initial excitation site")
-        p.add_argument("--sector", type=int, help="total excitation number")
+        p.add_argument("--init-site", help="initial excitation site")
+        p.add_argument("--sector", help="total excitation number")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
-        p.add_argument("--keep-realizations", action="store_true", default=None,
-                       help="also dump per-realization data")
-
-    for name, doc in (("dynamics", "single-run populations and ZZ correlations"),
-                      ("ensemble", "disorder-averaged population dynamics"),
-                      ("spectrum", "pooled quasienergy gap-ratio statistics"),
-                      ("stability", "semiclassical stability grid"),
-                      ("contours", "undriven semiclassical energy contours")):
-        add_common(sub.add_parser(name, help=doc))
+        p.add_argument("--keep-realizations", action="store_const",
+                       const="true", help="also dump per-realization data")
 
     check = sub.add_parser("device-check", help="validate a device table")
     check.add_argument("--table", type=Path, help="device table JSON "
                        "(default: bundled table)")
     check.add_argument("--out", type=Path, default=Path("out"))
     return parser
-
-
-_COMMANDS = {
-    "dynamics": cmd_dynamics,
-    "ensemble": cmd_ensemble,
-    "spectrum": cmd_spectrum,
-    "stability": cmd_stability,
-    "contours": cmd_contours,
-}
 
 
 def _check_sector(command: str, run: ResolvedRun) -> None:
@@ -346,7 +325,7 @@ def _check_sector(command: str, run: ResolvedRun) -> None:
 
 def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
-    manifest.extra(error_type=type(exc).__name__)
+    manifest.data["error_type"] = type(exc).__name__
     manifest.finish("failed", str(exc))
     return code
 
@@ -354,25 +333,35 @@ def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> in
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out: Path = args.out
-    manifest = ManifestWriter(out, args.command)
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:          # no directory, so no manifest either
+        print(f"config error: cannot create output directory {out}: {exc}",
+              file=sys.stderr)
+        return 2
+    manifest = ManifestWriter(out, args.command)
+    try:
         if args.command == "device-check":
             cmd_device_check(args.table, out, manifest)
         else:
             config = load_config(args.config) if args.config else RunConfig()
             # a flag left out is None and never overrides the file
-            run = resolve(replace(config, **{
-                f.name: getattr(args, f.name) for f in fields(RunConfig)
-                if getattr(args, f.name, None) is not None}))
-            manifest.extra(config=asdict(run.config))
+            config = replace(config, **{
+                f.name: parse_value(f.name, getattr(args, f.name))
+                for f in fields(RunConfig)
+                if getattr(args, f.name, None) is not None})
+            if args.command == "dynamics":
+                config.realizations = 1     # the one trajectory it runs
+            run = resolve(config)
+            manifest.data.update(config=asdict(run.config),
+                                 drive_frequency_mhz=run.drive_frequency_mhz)
             _check_sector(args.command, run)
-            _COMMANDS[args.command](run, out, manifest)
+            _COMMANDS[args.command][0](run, out, manifest)
     except ConfigError as exc:
         return _fail(manifest, "config error", exc, 2)
     except NumericalError as exc:
         if exc.realization_index is not None:
-            manifest.extra(realization_index=exc.realization_index)
+            manifest.data["realization_index"] = exc.realization_index
         return _fail(manifest, "numerical failure", exc, 3)
     except Exception as exc:        # a defect: report it, never lose the manifest
         traceback.print_exc()

@@ -42,27 +42,20 @@ MAX_HISTOGRAM_BINS = 10_000
 
 
 def parse_site_range(text: str, n_sites: int, field_name: str) -> tuple:
-    """Parse "7-12" or "7,9,11" into a tuple of 1-based site numbers."""
+    """Parse "7-12" or "7,9,11" into 1-based sites; "7" is the range "7-7"."""
     text = str(text).strip()
     if not text:
         return ()
     sites: list = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if "-" in chunk:
-            lo, _, hi = chunk.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError(f"{field_name}: bad range {chunk!r}") from exc
-            if lo_i > hi_i:
-                raise ConfigError(f"{field_name}: empty range {chunk!r}")
-            sites.extend(range(lo_i, hi_i + 1))
-        else:
-            try:
-                sites.append(int(chunk))
-            except ValueError as exc:
-                raise ConfigError(f"{field_name}: bad site {chunk!r}") from exc
+        lo, dash, hi = chunk.partition("-")
+        try:
+            lo_i, hi_i = int(lo), int(hi if dash else lo)
+        except ValueError as exc:
+            raise ConfigError(f"{field_name}: bad range {chunk.strip()!r}") from exc
+        if lo_i > hi_i:
+            raise ConfigError(f"{field_name}: empty range {chunk.strip()!r}")
+        sites.extend(range(lo_i, hi_i + 1))
     if any(s < 1 or s > n_sites for s in sites):
         raise ConfigError(f"{field_name}: sites outside 1..{n_sites}")
     return tuple(sites)
@@ -169,8 +162,9 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    """Parse ``raw`` as the type of the key's default (bool before int)."""
+def parse_value(key: str, raw: str):
+    """Parse ``raw``, a config-file value or a flag's text, as the type of
+    the key's default (bool before int)."""
     if key not in _DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
     default, raw = _DEFAULTS[key], raw.strip()
@@ -207,7 +201,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     return replace(RunConfig(), **values)
 
 

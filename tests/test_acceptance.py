@@ -222,9 +222,12 @@ def test_criterion_06_spectral_statistics_direction(fig1e_data):
                          f"W=10J closest to Poisson: {ks_flip_w10}")
 
 
-@pytest.mark.xfail(reason="a 0.06 separation exceeds the model's true "
-                          "effect (~0.056 at R=200); direction and distance "
-                          "ordering hold robustly", strict=False)
+@pytest.mark.xfail(reason="a 0.06 separation exceeds the model's effect: "
+                          "0.056 +- 0.010 at R=200 (jackknife; the SD over "
+                          "master seeds 1-40 agrees); the W=3J ordering, "
+                          "KS to COE below KS to Poisson, is a near-tie "
+                          "that holds at the pinned seed (it fails in 14 of "
+                          "those 40 seeds)", strict=False)
 def test_criterion_06_literal_separation_threshold(fig1e_data):
     sample_w3, sample_w10 = fig1e_data
     assert sample_w3.mean() - sample_w10.mean() >= 0.06

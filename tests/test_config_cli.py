@@ -60,6 +60,14 @@ def test_parse_site_range():
     assert parse_site_range("7-12", 12, "x") == (7, 8, 9, 10, 11, 12)
     assert parse_site_range("1,3,5", 12, "x") == (1, 3, 5)
     assert parse_site_range("", 12, "x") == ()
+    # a single site is a one-site range
+    assert parse_site_range("7-7", 12, "x") == parse_site_range("7", 12, "x")
+    assert parse_site_range("7-7", 12, "x") == (7,)
+    assert parse_site_range("1-3,7", 12, "x") == (1, 2, 3, 7)
+    assert parse_site_range(" 7 - 9 ", 12, "x") == (7, 8, 9)
+    for bad in ("-3", "3-", "9-7", "1,,3", "7-8-9", "3.0"):
+        with pytest.raises(ConfigError, match="x: "):
+            parse_site_range(bad, 12, "x")
     with pytest.raises(ConfigError):
         parse_site_range("0-3", 12, "x")
     with pytest.raises(ConfigError):
@@ -162,7 +170,8 @@ def test_cmd_ensemble_single_realization_matches_dynamics(tmp_path):
                       skiprows=1)
     assert np.array_equal(single, mean)
     manifest = json.loads((out_e / "manifest.json").read_text())
-    assert manifest["master_seed"] == RunConfig().master_seed
+    assert manifest["config"]["master_seed"] == RunConfig().master_seed
+    assert "master_seed" not in manifest        # stated once, in the config
     assert "realization_seeds" not in manifest
 
 
@@ -209,7 +218,8 @@ def test_cmd_spectrum_manifest_names_the_floquet_product(tmp_path, settings_,
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = strict_manifest(out)
-    assert manifest["steps_per_period"] == steps
+    assert manifest["config"]["steps_per_period"] == steps
+    assert "steps_per_period" not in manifest   # stated once, in the config
     assert manifest["floquet_steps_integrated"] == integrated
 
 
@@ -451,10 +461,88 @@ def test_cli_overrides_take_precedence(tmp_path):
     assert manifest["config"]["master_seed"] == 77
     # flags left out keep the file's values
     assert manifest["config"]["keep_realizations"] is True
-    assert manifest["config"]["realizations"] == FAST["realizations"]
     assert manifest["config"]["steps_per_period"] == FAST["steps_per_period"]
+    # dynamics is resolved as the one trajectory it runs
+    assert manifest["config"]["realizations"] == 1
     rows = np.loadtxt(out / "populations.csv", delimiter=",", skiprows=1)
     assert rows[0, 9] == pytest.approx(1.0)      # excitation starts at site 9
+    ensemble_out = tmp_path / "ensemble"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(ensemble_out),
+                 "--seed", "77"]) == 0
+    config = strict_manifest(ensemble_out)["config"]
+    assert config["realizations"] == FAST["realizations"]
+    assert config["master_seed"] == 77
+
+
+# every value flag, the config key it sets, a malformed text and a valid one
+VALUE_FLAGS = [
+    ("--seed", "master_seed", "abc", "0x10"),
+    ("--realizations", "realizations", "2.5", "0x3"),
+    ("--steps-per-period", "steps_per_period", "064", "0x10"),
+    ("--profile", "profile", "sawtooth", "flat"),
+    ("--disorder-w", "disorder_w_over_j", "three", "2.5"),
+    ("--init-site", "init_site", "", "5"),
+    ("--sector", "sector", "1e0", "0x1"),
+]
+FLAG_IDS = [flag for flag, *_ in VALUE_FLAGS]
+
+
+@pytest.mark.parametrize("flag,key,bad,good", VALUE_FLAGS, ids=FLAG_IDS)
+def test_malformed_flag_fails_like_the_config_line(tmp_path, flag, key, bad,
+                                                   good):
+    # a flag value goes through the config parser: exit 2, a strict failed
+    # manifest, and the error the same text gives in a config file
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert main(["ensemble", "--out", str(by_flag), flag, bad]) == 2
+    cfg = write_config(tmp_path / "run.cfg", **{key: bad})
+    assert main(["ensemble", "--config", str(cfg), "--out", str(by_file)]) == 2
+    manifest = strict_manifest(by_flag)
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "ConfigError"
+    assert manifest["config"] is None
+    assert key in manifest["error"]
+    assert manifest["error"] == strict_manifest(by_file)["error"]
+    assert [p.name for p in by_flag.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("flag,key,bad,good", VALUE_FLAGS, ids=FLAG_IDS)
+def test_flag_and_config_line_resolve_alike(tmp_path, flag, key, bad, good):
+    base = dict(contour_resolution=5, **FAST)
+    cfg = write_config(tmp_path / "base.cfg", **base)
+    line = write_config(tmp_path / "line.cfg", **{**base, key: good})
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert main(["contours", "--config", str(cfg), "--out", str(by_flag),
+                 flag, good]) == 0
+    assert main(["contours", "--config", str(line), "--out",
+                 str(by_file)]) == 0
+    expected = asdict(resolve(load_config(line)).config)
+    assert strict_manifest(by_flag)["config"] == strict_manifest(by_file)[
+        "config"] == json.loads(json.dumps(expected))
+    if good.startswith("0x"):
+        assert expected[key] == int(good, 16)
+
+
+def test_dynamics_resolves_one_realization(tmp_path):
+    # a config shared with an ensemble too large to hold (5000 x 1001
+    # samples x 12 amplitudes > MAX_AMPLITUDES) still runs the one
+    # trajectory dynamics makes
+    cfg = write_config(tmp_path / "run.cfg", realizations=5000, t_max_ns=1000)
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    assert strict_manifest(out)["config"]["realizations"] == 1
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "realizations x samples" in strict_manifest(out)["error"]
+
+
+def test_out_naming_a_file_exits_2_without_raising(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["contours", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory ")
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def _reject_constant(name):
