@@ -15,6 +15,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class SectorBasis:
@@ -94,7 +96,7 @@ def build_sector_basis(n_sites: int, total_excitations: int,
 def fock_state(basis: SectorBasis, site: int) -> np.ndarray:
     """Read-only (dim,) amplitudes of one excitation at a 1-based site (n=1)."""
     if basis.total_excitations != 1:
-        raise ValueError("fock_state needs the single-excitation sector")
+        raise ConfigError("a single-excitation initial state needs sector = 1")
     if not 1 <= site <= basis.n_sites:
         raise ValueError(f"site {site} outside 1..{basis.n_sites}")
     occupation = [0] * basis.n_sites

@@ -314,15 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_sector(command: str, run: ResolvedRun) -> None:
-    """Reject a sector the command has no initial state or statistics in."""
-    if command in ("dynamics", "ensemble") and run.basis.total_excitations != 1:
-        raise ConfigError(f"{command} starts from a single excitation: "
-                          f"it needs sector = 1")
-    if command == "spectrum" and run.basis.dim < 3:
-        raise ConfigError("spectrum needs a sector with at least 3 states")
-
-
 def _fail(manifest: ManifestWriter, label: str, exc: Exception, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     manifest.data["error_type"] = type(exc).__name__
@@ -355,7 +346,6 @@ def main(argv=None) -> int:
             run = resolve(config)
             manifest.data.update(config=asdict(run.config),
                                  drive_frequency_mhz=run.drive_frequency_mhz)
-            _check_sector(args.command, run)
             _COMMANDS[args.command][0](run, out, manifest)
     except ConfigError as exc:
         return _fail(manifest, "config error", exc, 2)

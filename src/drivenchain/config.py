@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import SectorBasis, build_sector_basis, sector_dimension
 from .device import load_device_table, bundled_table_path
+from .ensemble import MAX_BLOCK
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
@@ -26,16 +27,8 @@ from .units import rad_ns_from_mhz
 _PROFILES = ("cosine", "flat", "table")
 #: most samples one trajectory may emit (t_max_ns / sample_dt_ns)
 MAX_SAMPLES = 100_000
-#: most split-operator steps one propagation may take: a period for spectra,
-#: t_max_ns for dynamics
-MAX_STEPS = 1_000_000
 MAX_SITES = 100
 MAX_REALIZATIONS = 10_000
-#: most entries of the realizations x dim x dim block an ensemble propagates
-MAX_BLOCK = 2_000_000
-#: most complex amplitudes (realizations x samples x dim, 800 MB) a dynamics
-#: ensemble holds at once
-MAX_AMPLITUDES = 50_000_000
 #: most points along each axis of the stability and contour grids
 MAX_RESOLUTION = 1_000
 MAX_HISTOGRAM_BINS = 10_000
@@ -120,29 +113,17 @@ class RunConfig:
             raise ConfigError("coupling_mhz needs 1 or n_sites-1 values")
         if self.disorder_w_over_j < 0:
             raise ConfigError("disorder_w_over_j must be >= 0")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ConfigError(f"realizations outside 1..{MAX_REALIZATIONS}")
+        # ahead of build_sector_basis: no sector one H0 could not hold
         dim = sector_dimension(self.n_sites, self.sector, self.boson_cutoff)
-        block = self.realizations * dim ** 2
-        if block > MAX_BLOCK:
-            raise ConfigError(f"realizations x sector dimension^2 = {block:.3g} "
-                              f"exceeds {MAX_BLOCK}: lower realizations, "
-                              f"n_sites, sector or boson_cutoff")
+        if dim ** 2 > MAX_BLOCK:
+            raise ConfigError(f"sector dimension^2 = {dim ** 2:.3g} exceeds "
+                              f"{MAX_BLOCK}: lower n_sites, sector or boson_cutoff")
         if self.steps_per_period < 1:
             raise ConfigError("steps_per_period must be >= 1")
         if self.t_max_ns <= 0 or self.sample_dt_ns <= 0:
             raise ConfigError("t_max_ns and sample_dt_ns must be positive")
-        if self.t_max_ns / self.sample_dt_ns > MAX_SAMPLES:
-            raise ConfigError(f"t_max_ns / sample_dt_ns exceeds {MAX_SAMPLES} samples")
-        amplitudes = (self.realizations * dim
-                      * (int(round(self.t_max_ns / self.sample_dt_ns)) + 1))
-        if amplitudes > MAX_AMPLITUDES:
-            raise ConfigError(f"realizations x samples x sector dimension = "
-                              f"{amplitudes:.3g} exceeds {MAX_AMPLITUDES}: lower "
-                              f"realizations, t_max_ns or n_sites, or raise "
-                              f"sample_dt_ns")
         if self.drive_frequency_mhz < 0:
             raise ConfigError("drive_frequency_mhz must be >= 0 (0 selects the resonance)")
         if not 1 <= self.init_site <= self.n_sites:
@@ -227,8 +208,10 @@ class ResolvedRun:
 
     def sample_times(self) -> np.ndarray:
         cfg = self.config
-        count = int(round(cfg.t_max_ns / cfg.sample_dt_ns))
-        return np.arange(count + 1) * cfg.sample_dt_ns
+        count = cfg.t_max_ns / cfg.sample_dt_ns
+        if count > MAX_SAMPLES:
+            raise ConfigError(f"t_max_ns / sample_dt_ns exceeds {MAX_SAMPLES} samples")
+        return np.arange(int(round(count)) + 1) * cfg.sample_dt_ns
 
     def semiclassical_params(self) -> SemiclassicalParams:
         return SemiclassicalParams(
@@ -267,16 +250,9 @@ def resolve(config: RunConfig) -> ResolvedRun:
             flat_level_fraction=config.flat_level_fraction)
 
     mean_coupling_mhz = chain.mean_coupling * 1e3 / (2 * np.pi)
-    if config.drive_frequency_mhz > 0:
-        drive_mhz = config.drive_frequency_mhz
-    else:
-        dc_for_resonance = config.dc_amplitude_over_j * mean_coupling_mhz
-        if dc_for_resonance * mean_coupling_mhz <= 0:
-            raise ConfigError(
-                "drive_frequency_mhz must be given explicitly when the "
-                "resonance condition is undefined (dc amplitude * J <= 0)")
-        drive_mhz = resonance_drive_frequency(
-            n, dc_for_resonance, mean_coupling_mhz, config.resonance_order)
+    drive_mhz = config.drive_frequency_mhz or resonance_drive_frequency(
+        n, config.dc_amplitude_over_j * mean_coupling_mhz, mean_coupling_mhz,
+        config.resonance_order)
 
     driven = parse_site_range(config.driven_sites, n, "driven_sites") or None
     drive = DriveSpec.cosine(
@@ -288,13 +264,6 @@ def resolve(config: RunConfig) -> ResolvedRun:
         phase=config.drive_phase_rad,
         time_origin=config.time_origin_ns,
     )
-    # the period is known only now (resonance, device couplings)
-    steps = config.steps_per_period * max(1.0, config.t_max_ns / drive.period)
-    if steps > MAX_STEPS:
-        raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
-                          f"than {MAX_STEPS}: lower the drive frequency, "
-                          f"t_max_ns or steps_per_period")
-
     disorder = DisorderSpec(
         n_sites=n,
         strength=config.disorder_w_over_j * chain.mean_coupling,

@@ -314,7 +314,9 @@ def resonance_drive_frequency(n_sites: int, dc_amplitude_mhz: float,
     if order < 1 or int(order) != order:
         raise ValueError("resonance order must be a positive integer")
     if dc_amplitude_mhz * coupling_mhz <= 0:
-        raise ValueError("dc amplitude and coupling must have a positive product")
+        raise ConfigError("drive_frequency_mhz must be given explicitly when "
+                          "the resonance condition is undefined "
+                          "(dc amplitude * J <= 0)")
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
     omega_small = (4.0 * np.pi / n_sites) * math.sqrt(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import ConfigError
 from .propagate import FloquetOperator, _check_each
 from .units import TWO_PI
 
@@ -117,7 +118,7 @@ def gap_ratios(spectra) -> RatioSample:
     if len({(spec.dim, spec.angular_frequency) for spec in spectra}) != 1:
         raise ValueError("gap ratios pool spectra of one size and one zone")
     if spectra[0].dim < 3:
-        raise ValueError("need at least 3 levels per spectrum for gap ratios")
+        raise ConfigError("gap ratios need a sector with at least 3 states")
     ratios, dropped = _ratios_from_sorted(
         np.stack([spec.values for spec in spectra]),
         DEGENERACY_RELATIVE_TOL * spectra[0].angular_frequency)

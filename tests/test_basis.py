@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state, sector_dimension
-from drivenchain.errors import NumericalError
+from drivenchain.errors import ConfigError, NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, build_potential
 from drivenchain.propagate import evolve_state
@@ -95,6 +95,12 @@ def test_fock_state_needs_single_excitation_sector():
         fock_state(build_sector_basis(12, 2, 1), 3)
     with pytest.raises(ValueError):
         fock_state(build_sector_basis(12, 1, 1), 0)
+
+
+def test_fock_state_sector_refusal_is_a_config_error():
+    # the one owner of the rule that dynamics and ensembles need sector 1
+    with pytest.raises(ConfigError, match="sector = 1"):
+        fock_state(build_sector_basis(12, 0, 1), 3)
 
 
 def test_quantum_state_validation():

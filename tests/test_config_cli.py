@@ -577,6 +577,8 @@ def strict_manifest(out: Path) -> dict:
                   "sample_dt_ns": "1.0"}),
     ("dynamics", {"driven_sites": "none"}),
     ("ensemble", {"disordered_sites": "none", "disorder_w_over_j": 3.0}),
+    ("dynamics", {"drive_frequency_mhz": "1e308"}),
+    ("dynamics", {"drive_frequency_mhz": "1e308", "steps_per_period": 10**20}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -586,6 +588,96 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     assert time.monotonic() - started < 5.0
     assert strict_manifest(out)["status"] == "failed"
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command,flags,settings_", [
+    ("stability", ["--realizations", "1000", "--sector", "2"], {}),
+    ("contours", ["--realizations", "1000", "--sector", "2"], {}),
+    ("contours", [], {"t_max_ns": "1e6"}),
+    ("stability", ["--steps-per-period", "10000000"],
+     {"t_max_ns": "1e6", "sample_dt_ns": "0.5", "stability_resolution": 8}),
+    ("spectrum", ["--steps-per-period", "8192", "--realizations", "2"],
+     {"t_max_ns": 40000}),
+])
+def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
+                                             settings_):
+    # realization blocks, samples and t_max_ns steps that only the dynamics
+    # and ensemble runners spend refuse no other command
+    cfg = write_config(tmp_path / "run.cfg", **settings_)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 0
+    manifest = strict_manifest(out)
+    assert manifest["status"] == "success" and "error" not in manifest
+
+
+@pytest.mark.parametrize("command,settings_,message", [
+    ("ensemble", {"realizations": 5000, "t_max_ns": 1000},
+     "realizations x samples"),
+    ("spectrum", {"realizations": 1000, "sector": 2},
+     "realizations x sector dimension^2"),
+    ("spectrum", {"steps_per_period": 4_000_008}, "propagator steps"),
+    ("dynamics", {"t_max_ns": "1e5", "steps_per_period": 4096},
+     "propagator steps"),
+    ("ensemble", {"t_max_ns": "1e6"}, "samples"),
+    ("dynamics", {"sector": 2}, "sector = 1"),
+    ("spectrum", {"sector": 0}, "at least 3 states"),
+])
+def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
+                                                      settings_, message):
+    # the runner that spends a budget refuses it, after resolve accepted
+    # the config, so the failed manifest holds that config
+    cfg = write_config(tmp_path / "run.cfg", **settings_)
+    out = tmp_path / "out"
+    started = time.monotonic()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.monotonic() - started < 5.0
+    manifest = strict_manifest(out)
+    assert manifest["error_type"] == "ConfigError"
+    assert message in manifest["error"]
+    assert manifest["config"]["n_sites"] == 12
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["dynamics", "ensemble"])
+@pytest.mark.parametrize("frequency", ["2", "0.001"])
+def test_samples_closer_than_the_step_exit_2(tmp_path, command, frequency):
+    # a 1.95 ns (or 3.9 us) step under 1 ns samples would write rows that
+    # repeat one time_ns
+    cfg = write_config(tmp_path / "run.cfg", drive_frequency_mhz=frequency)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = strict_manifest(out)
+    assert manifest["error_type"] == "ConfigError"
+    assert "steps_per_period" in manifest["error"]
+    assert "sample_dt_ns" in manifest["error"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_samples_one_step_apart_keep_every_row(tmp_path):
+    # a 256 ns period at 256 steps: the step is the 1 ns sample spacing
+    cfg = write_config(tmp_path / "run.cfg", drive_frequency_mhz=3.90625,
+                       t_max_ns=20)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    times = np.loadtxt(out / "populations.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(times) == 21 and np.all(np.diff(times) > 0)
+
+
+def test_sector_ceiling_comes_before_the_basis(monkeypatch):
+    from drivenchain import config
+
+    def never(*args):
+        raise AssertionError("build_sector_basis ran")
+
+    monkeypatch.setattr(config, "build_sector_basis", never)
+    with pytest.raises(ConfigError, match=r"^sector dimension\^2"):
+        resolve(RunConfig(n_sites=30, sector=15))
+
+
+def test_sample_times_own_the_sample_budget():
+    run = resolve(RunConfig(t_max_ns=1e6))
+    with pytest.raises(ConfigError, match="100000 samples"):
+        run.sample_times()
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]

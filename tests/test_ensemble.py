@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from drivenchain import propagate
+from drivenchain import ensemble, propagate
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.config import RunConfig, resolve
-from drivenchain.ensemble import run_dynamics_ensemble, run_spectrum_ensemble
+from drivenchain.ensemble import (MAX_AMPLITUDES, MAX_BLOCK, MAX_STEPS,
+                                  run_dynamics_ensemble, run_spectrum_ensemble)
+from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
@@ -173,3 +175,54 @@ def test_failure_names_realization():
     # an input every realization rejects is not pinned on one realization
     with pytest.raises(ValueError, match="sample times must be >= 0"):
         run_dynamics_ensemble(model, disorder(3.0), 3, [-1.0], STEP)
+
+
+@pytest.fixture
+def no_h0(monkeypatch):
+    """A sentinel in place of the H0 stack: a runner that gets this far
+    raises AssertionError instead of allocating."""
+    def sentinel(model, disorder):
+        raise AssertionError("the H0 stack was built")
+
+    monkeypatch.setattr(ensemble, "_static_hamiltonians", sentinel)
+
+
+def test_spectrum_block_over_budget_refused_before_h0(no_h0):
+    model = make_model(sector=2)                        # dim 66
+    over = disorder(3.0, count=MAX_BLOCK // 66 ** 2 + 1)
+    with pytest.raises(ConfigError, match="realizations x sector dimension"):
+        run_spectrum_ensemble(model, over, 64)
+    with pytest.raises(AssertionError, match="H0"):     # one fewer fits
+        run_spectrum_ensemble(model, disorder(3.0, count=MAX_BLOCK // 66 ** 2),
+                              64)
+
+
+def test_spectrum_counts_the_steps_its_product_takes(no_h0):
+    # 4M + 8 steps per period: Suzuki at half, then half a period, M + 2
+    with pytest.raises(ConfigError, match="propagator steps"):
+        run_spectrum_ensemble(make_model(), disorder(3.0), 4 * MAX_STEPS + 8)
+    with pytest.raises(AssertionError, match="H0"):     # M steps fit
+        run_spectrum_ensemble(make_model(), disorder(3.0), 4 * MAX_STEPS)
+
+
+def test_dynamics_budgets_refused_before_h0(no_h0):
+    model = make_model()
+    with pytest.raises(ConfigError, match="realizations x sector dimension"):
+        run_dynamics_ensemble(model, disorder(3.0, count=MAX_BLOCK // 144 + 1),
+                              3, T_SAMPLES, STEP)
+    with pytest.raises(ConfigError, match="propagator steps"):
+        run_dynamics_ensemble(model, disorder(3.0), 3,
+                              [0.0, (MAX_STEPS + 1) * STEP], STEP)
+    with pytest.raises(ConfigError, match="inf propagator steps"):
+        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, 0.0)
+    # 13,888 x 301 samples x 12 amplitudes just over MAX_AMPLITUDES
+    many = disorder(3.0, count=MAX_BLOCK // 144)
+    assert many.realization_count * 301 * 12 > MAX_AMPLITUDES
+    with pytest.raises(ConfigError, match="realizations x samples"):
+        run_dynamics_ensemble(model, many, 3, np.arange(301) * STEP, STEP)
+    with pytest.raises(ConfigError, match="sample_dt_ns"):
+        run_dynamics_ensemble(model, disorder(3.0), 3, [0.0, 0.1, 0.2], STEP)
+    with pytest.raises(AssertionError, match="H0"):     # one step apart fits
+        run_dynamics_ensemble(model, disorder(3.0), 3, np.arange(11) * STEP,
+                              STEP)
+

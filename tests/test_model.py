@@ -185,6 +185,13 @@ def test_resonance_drive_frequency_values():
         resonance_drive_frequency(12, 34.5, 11.5, 0)
 
 
+def test_undefined_resonance_is_a_config_error():
+    for dc, coupling in ((-34.5, 11.5), (34.5, 0.0)):
+        with pytest.raises(ConfigError, match="drive_frequency_mhz must be "
+                                              "given explicitly"):
+            resonance_drive_frequency(12, dc, coupling, 3)
+
+
 def test_drive_spec_validation():
     with pytest.raises(ConfigError):
         DriveSpec.cosine(N, 0.0, 0.0, -1.0)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from drivenchain.basis import build_sector_basis
-from drivenchain.errors import NumericalError
+from drivenchain.errors import ConfigError, NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, build_potential
 from drivenchain.propagate import FloquetOperator, floquet_operator
@@ -144,6 +144,12 @@ def test_gap_ratio_needs_three_levels():
     with pytest.raises(ValueError):
         gap_ratios(QuasienergySpectrum(np.array([0.0, 0.1]),
                                        angular_frequency=1.0))
+
+
+def test_too_few_levels_is_a_config_error():
+    # the one owner of the rule that spectrum needs 3 states
+    with pytest.raises(ConfigError, match="at least 3 states"):
+        gap_ratios(QuasienergySpectrum(np.array([0.0]), angular_frequency=1.0))
 
 
 def test_poisson_reference():
