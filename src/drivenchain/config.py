@@ -9,6 +9,7 @@ units and builds the immutable spec objects the simulation modules consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -115,11 +116,6 @@ class RunConfig:
             raise ConfigError("disorder_w_over_j must be >= 0")
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ConfigError(f"realizations outside 1..{MAX_REALIZATIONS}")
-        # ahead of build_sector_basis: no sector one H0 could not hold
-        dim = sector_dimension(self.n_sites, self.sector, self.boson_cutoff)
-        if dim ** 2 > MAX_BLOCK:
-            raise ConfigError(f"sector dimension^2 = {dim ** 2:.3g} exceeds "
-                              f"{MAX_BLOCK}: lower n_sites, sector or boson_cutoff")
         if self.steps_per_period < 1:
             raise ConfigError("steps_per_period must be >= 1")
         if self.t_max_ns <= 0 or self.sample_dt_ns <= 0:
@@ -195,8 +191,18 @@ class ResolvedRun:
     drive: DriveSpec
     potential: PotentialSpec            # clean (no disorder overlay)
     disorder: DisorderSpec
-    basis: SectorBasis
     drive_frequency_mhz: float
+
+    @cached_property
+    def basis(self) -> SectorBasis:
+        """The sector, enumerated on first read: only the quantum commands
+        read it, and a sector one H0 could not hold is refused first."""
+        cfg = self.config
+        dim = sector_dimension(cfg.n_sites, cfg.sector, cfg.boson_cutoff)
+        if dim ** 2 > MAX_BLOCK:
+            raise ConfigError(f"sector dimension^2 = {dim ** 2:.3g} exceeds "
+                              f"{MAX_BLOCK}: lower n_sites, sector or boson_cutoff")
+        return build_sector_basis(cfg.n_sites, cfg.sector, cfg.boson_cutoff)
 
     @property
     def model(self) -> SectorModel:
@@ -207,18 +213,18 @@ class ResolvedRun:
         return self.drive.period / self.config.steps_per_period
 
     def sample_times(self) -> np.ndarray:
+        """0, dt, 2 dt, ... up to t_max_ns: the whole spacings that fit, a
+        ratio within roundoff of an integer counting as that integer."""
         cfg = self.config
         count = cfg.t_max_ns / cfg.sample_dt_ns
         if count > MAX_SAMPLES:
             raise ConfigError(f"t_max_ns / sample_dt_ns exceeds {MAX_SAMPLES} samples")
-        return np.arange(int(round(count)) + 1) * cfg.sample_dt_ns
+        return np.arange(int(count + 1e-9) + 1) * cfg.sample_dt_ns
 
     def semiclassical_params(self) -> SemiclassicalParams:
         return SemiclassicalParams(
             n_sites=self.chain.n_sites,
             dc_amplitude=self.drive.dc_amplitude,
-            ac_amplitude=self.drive.ac_amplitude,
-            drive_angular_frequency=self.drive.angular_frequency,
             hopping=self.chain.mean_coupling,
         )
 
@@ -271,7 +277,4 @@ def resolve(config: RunConfig) -> ResolvedRun:
         master_seed=config.master_seed,
         realization_count=config.realizations,
     )
-
-    basis = build_sector_basis(n, config.sector, config.boson_cutoff)
-    return ResolvedRun(config, chain, drive, potential, disorder, basis,
-                       drive_mhz)
+    return ResolvedRun(config, chain, drive, potential, disorder, drive_mhz)

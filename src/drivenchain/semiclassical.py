@@ -64,8 +64,6 @@ class SemiclassicalParams:
 
     n_sites: int
     dc_amplitude: float
-    ac_amplitude: float
-    drive_angular_frequency: float
     hopping: float
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class SemiclassicalParams:
             raise ConfigError("n_sites must be even and >= 2")
         if self.dc_amplitude * self.hopping <= 0:
             raise ConfigError("dc amplitude and hopping must have positive product")
-        if self.drive_angular_frequency <= 0:
-            raise ConfigError("drive angular frequency must be positive")
 
     @property
     def small_oscillation_frequency(self) -> float:

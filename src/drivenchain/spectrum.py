@@ -9,10 +9,9 @@ Two analytic references are provided: the uncorrelated (Poisson) density
 2/(1+r)^2 and a closed-form three-level surmise for the circular orthogonal
 ensemble, derived by integrating the joint eigenphase density
 sin(x/2) sin(y/2) sin(z/2) over the simplex x+y+z = 2*pi.  Its CDF has a
-closed form; its mean needs the sine and cosine integrals, so it comes
-from a fixed 27-point Gauss-Legendre rule and the module needs numpy
-only.  The tests keep an empirical COE sampler as ground truth for the
-closed form.
+closed form; its mean needs the sine and cosine integrals, so it is a
+constant, which the tests check against adaptive quadrature.  The tests
+also keep an empirical COE sampler as ground truth for the closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError
 from .propagate import FloquetOperator, _check_each
@@ -164,19 +162,10 @@ def coe_density(r) -> np.ndarray:
                           - np.cos(u) / (r * (r + 1.0)))
 
 
-COE_MEAN_NODES = 27
-
-
 def coe_mean() -> float:
-    """Mean ratio of the closed-form COE surmise on [0, 1].
-
-    The integrand r * coe_density(r) is smooth on [0, 1] and vanishes at
-    r=0, so a fixed Gauss-Legendre rule mapped onto [0, 1] converges to
-    roundoff; the tests check it against adaptive quadrature.
-    """
-    nodes, weights = leggauss(COE_MEAN_NODES)
-    r = 0.5 * (nodes + 1.0)
-    return float(0.5 * np.dot(weights, r * coe_density(r)))
+    """Mean ratio of the closed-form COE surmise on [0, 1] to double
+    precision; the tests check it against adaptive quadrature."""
+    return 0.5269216860199516
 
 
 def coe_cdf(r) -> np.ndarray:

@@ -323,12 +323,12 @@ def convergence_probe(model: SectorModel, tol: float, start: int = 16,
 # classical trajectories
 
 
-def classical_rhs(q: float, p: float, t: float,
-                  params: SemiclassicalParams) -> tuple:
-    """Scaled canonical equations of motion (dQ/dt, dP/dt)."""
+def classical_rhs(q: float, p: float, t: float, params: SemiclassicalParams,
+                  *, ac: float = 0.0, omega: float = 1.0) -> tuple:
+    """Scaled canonical equations of motion (dQ/dt, dP/dt) under the drive
+    d0 + ac*cos(omega*t); undriven by default."""
     n = params.n_sites
-    modulation = params.dc_amplitude + params.ac_amplitude * math.cos(
-        params.drive_angular_frequency * t)
+    modulation = params.dc_amplitude + ac * math.cos(omega * t)
     dq = -(8.0 * np.pi * params.hopping / n) * math.sin(p)
     dp = (4.0 * np.pi / n) * modulation * math.sin(q)
     return dq, dp
@@ -344,8 +344,11 @@ class Trajectory:
 
 
 def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
-                         params: SemiclassicalParams) -> Trajectory:
-    """Fixed-step fourth-order (RK4) integration from t = 0."""
+                         params: SemiclassicalParams, *, ac: float = 0.0,
+                         omega: float = 1.0) -> Trajectory:
+    """Fixed-step fourth-order (RK4) integration from t = 0 under the drive
+    d0 + ac*cos(omega*t); undriven by default."""
+    drive = dict(ac=ac, omega=omega)
     if step <= 0:
         raise ValueError("step must be positive")
     n_steps = int(round(duration / step))
@@ -356,13 +359,13 @@ def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
     times[0], qs[0], ps[0] = 0.0, q, p
     for k in range(n_steps):
         t = k * step
-        k1q, k1p = classical_rhs(q, p, t, params)
+        k1q, k1p = classical_rhs(q, p, t, params, **drive)
         k2q, k2p = classical_rhs(q + 0.5 * step * k1q, p + 0.5 * step * k1p,
-                                 t + 0.5 * step, params)
+                                 t + 0.5 * step, params, **drive)
         k3q, k3p = classical_rhs(q + 0.5 * step * k2q, p + 0.5 * step * k2p,
-                                 t + 0.5 * step, params)
+                                 t + 0.5 * step, params, **drive)
         k4q, k4p = classical_rhs(q + step * k3q, p + step * k3p,
-                                 t + step, params)
+                                 t + step, params, **drive)
         q += step / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
         p += step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         times[k + 1], qs[k + 1], ps[k + 1] = t + step, q, p

@@ -272,16 +272,16 @@ def test_criterion_08_ensemble_dynamics_direction(fig3_data):
 
 
 def test_criterion_09_semiclassical_suite():
-    from dataclasses import replace
-
     run = resolve(RunConfig())
     params = run.semiclassical_params()
+    # the operating drive lives in the quantum drive spec
+    ac, omega_op = run.drive.ac_amplitude, run.drive.angular_frequency
     omega_small = params.small_oscillation_frequency
 
     # measured small-oscillation frequency from zero crossings (drive off)
     period = TWO_PI / omega_small
     traj = integrate_trajectory(TWO_PI + 1e-5, 0.0, 40 * period, period / 512,
-                                replace(params, ac_amplitude=0.0))
+                                params)
     x = traj.q - TWO_PI
     flips = np.where(np.sign(x[:-1]) != np.sign(x[1:]))[0]
     crossings = (traj.times[flips]
@@ -308,15 +308,14 @@ def test_criterion_09_semiclassical_suite():
 
     # determinant on representative probe cells
     for omega in (0.8 * omega_small, 2 * omega_small / 3, 1.9 * omega_small):
-        mat = monodromy_matrix(omega, params.ac_amplitude, params)
+        mat = monodromy_matrix(omega, ac, params)
         if np.abs(mat).max() <= 8.0:
             det_defect = max(det_defect, abs(float(np.linalg.det(mat)) - 1.0))
     det_ok = det_defect < 1e-8
 
     # operating point: inside or within one grid cell of a tongue
-    omega_op = params.drive_angular_frequency
     op_grid = stability_grid([omega_op - cell, omega_op, omega_op + cell],
-                             [params.ac_amplitude], params,
+                             [ac], params,
                              steps_per_period=2048)
     op_ok = bool(np.any(~op_grid.stable))
 

@@ -48,6 +48,8 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
             f"'--out', {str(tmp_path)!r}])\n"
             "assert status == 0, status\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            # the COE mean is a constant, not a Gauss-Legendre rule
+            "assert 'numpy.polynomial' not in sys.modules\n"
             # the monodromy thread pool is imported only where it runs
             "assert 'concurrent.futures' not in sys.modules\n")
     src = Path(importlib.import_module("drivenchain").__file__).parents[1]
@@ -598,11 +600,13 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
      {"t_max_ns": "1e6", "sample_dt_ns": "0.5", "stability_resolution": 8}),
     ("spectrum", ["--steps-per-period", "8192", "--realizations", "2"],
      {"t_max_ns": 40000}),
+    ("stability", [], {"boson_cutoff": 2, "sector": 5}),
+    ("contours", [], {"boson_cutoff": 2, "sector": 5}),
 ])
 def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
                                              settings_):
-    # realization blocks, samples and t_max_ns steps that only the dynamics
-    # and ensemble runners spend refuse no other command
+    # realization blocks, samples, t_max_ns steps and sectors that only the
+    # quantum runners spend refuse no other command
     cfg = write_config(tmp_path / "run.cfg", **settings_)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 0
@@ -621,6 +625,8 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     ("ensemble", {"t_max_ns": "1e6"}, "samples"),
     ("dynamics", {"sector": 2}, "sector = 1"),
     ("spectrum", {"sector": 0}, "at least 3 states"),
+    ("spectrum", {"boson_cutoff": 2, "sector": 5}, "sector dimension^2"),
+    ("ensemble", {"boson_cutoff": 2, "sector": 5}, "sector dimension^2"),
 ])
 def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
                                                       settings_, message):
@@ -671,13 +677,24 @@ def test_sector_ceiling_comes_before_the_basis(monkeypatch):
 
     monkeypatch.setattr(config, "build_sector_basis", never)
     with pytest.raises(ConfigError, match=r"^sector dimension\^2"):
-        resolve(RunConfig(n_sites=30, sector=15))
+        resolve(RunConfig(n_sites=30, sector=15)).basis
 
 
 def test_sample_times_own_the_sample_budget():
     run = resolve(RunConfig(t_max_ns=1e6))
     with pytest.raises(ConfigError, match="100000 samples"):
         run.sample_times()
+
+
+@pytest.mark.parametrize("t_max_ns,sample_dt_ns,count", [
+    (3.0, 2.0, 2), (2.7, 1.0, 3), (0.3, 0.1, 4), (150.0, 1.0, 151)])
+def test_sample_times_stop_at_the_horizon(t_max_ns, sample_dt_ns, count):
+    # whole spacings that fit; a ratio within roundoff of an integer counts
+    # as that integer (0.3 / 0.1 = 2.9999999999999996)
+    times = resolve(RunConfig(t_max_ns=t_max_ns,
+                              sample_dt_ns=sample_dt_ns)).sample_times()
+    assert len(times) == count
+    assert times[-1] <= t_max_ns * (1 + 1e-12)
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]

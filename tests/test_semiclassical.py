@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drivenchain import semiclassical
+from drivenchain.config import RunConfig, resolve
 from drivenchain.errors import NumericalError
 from drivenchain.semiclassical import (BLOCK_COLUMNS, DEFAULT_MONODROMY_STEPS,
                                        STABILITY_TOLERANCE,
@@ -26,11 +27,12 @@ J = rad_ns_from_mhz(11.5)
 D0 = 3 * J
 
 
-def make_params(delta1=D0, omega=None, order=3):
-    base = SemiclassicalParams(12, D0, delta1, 1.0, J)
-    target = omega if omega is not None else \
-        2 * base.small_oscillation_frequency / order
-    return SemiclassicalParams(12, D0, delta1, target, J)
+def make_params():
+    return SemiclassicalParams(12, D0, J)
+
+
+#: the operating drive: the order-3 resonance at full amplitude d1 = d0
+OMEGA_OP = 2 * make_params().small_oscillation_frequency / 3
 
 
 def flat_grid(omega_values, delta1_values):
@@ -43,19 +45,20 @@ def test_small_oscillation_frequency_formula():
     params = make_params()
     expected = (4 * np.pi / 12) * np.sqrt(2 * D0 * J)
     assert params.small_oscillation_frequency == pytest.approx(expected)
-    # the operating drive equals two thirds of twice Omega
-    assert params.drive_angular_frequency == pytest.approx(2 * expected / 3)
+    # the operating drive of the nominal config is two thirds of twice Omega
+    assert resolve(RunConfig()).drive.angular_frequency == \
+        pytest.approx(2 * expected / 3)
 
 
 def test_fixed_point_has_zero_velocity():
     params = make_params()
-    dq, dp = classical_rhs(TWO_PI, 0.0, 1.3, params)
+    dq, dp = classical_rhs(TWO_PI, 0.0, 1.3, params, ac=D0, omega=OMEGA_OP)
     assert dq == pytest.approx(0.0, abs=1e-15)
     assert dp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_conservation_without_drive():
-    params = make_params(delta1=0.0)
+    params = make_params()
     period = TWO_PI / params.small_oscillation_frequency
     traj = integrate_trajectory(TWO_PI + 0.8, 0.3, 100 * period, period / 256,
                                 params)
@@ -66,14 +69,15 @@ def test_energy_conservation_without_drive():
 
 def test_stationary_fixed_point_trajectory():
     params = make_params()
-    traj = integrate_trajectory(TWO_PI, 0.0, 200.0, 0.05, params)
+    traj = integrate_trajectory(TWO_PI, 0.0, 200.0, 0.05, params, ac=D0,
+                                omega=OMEGA_OP)
     assert np.abs(traj.q - TWO_PI).max() < 1e-12
     assert np.abs(traj.p).max() < 1e-12
 
 
 def test_measured_small_oscillation_frequency():
     # zero crossings of a tiny-amplitude orbit against the formula
-    params = make_params(delta1=0.0)
+    params = make_params()
     omega_formula = params.small_oscillation_frequency
     period = TWO_PI / omega_formula
     traj = integrate_trajectory(TWO_PI + 1e-5, 0.0, 40 * period, period / 512,
@@ -88,7 +92,7 @@ def test_measured_small_oscillation_frequency():
 
 
 def test_trajectory_step_halving_convergence():
-    params = make_params(delta1=0.0)
+    params = make_params()
     period = TWO_PI / params.small_oscillation_frequency
     coarse = integrate_trajectory(TWO_PI + 0.5, 0.0, 10 * period, period / 256,
                                   params)
@@ -101,10 +105,9 @@ def test_trajectory_step_halving_convergence():
 def test_static_monodromy_closed_form():
     # constant frequency: tr M = 2 cos(Omega T), always stable
     for factor in (0.6, 1.0, 1.7):
-        params = make_params(delta1=0.0)
+        params = make_params()
         omega_small = params.small_oscillation_frequency
         omega_drive = factor * omega_small
-        params = make_params(delta1=0.0, omega=omega_drive)
         m = monodromy_matrix(omega_drive, 0.0, params, steps_per_period=4096)
         expected = 2 * np.cos(omega_small * TWO_PI / omega_drive)
         assert np.trace(m) == pytest.approx(expected, abs=1e-8)
@@ -114,7 +117,7 @@ def test_static_monodromy_closed_form():
 
 def test_primary_parametric_instability():
     # drive at 2*Omega with small amplitude: inside the widest tongue
-    params = make_params(delta1=0.0)
+    params = make_params()
     omega_drive = 2 * params.small_oscillation_frequency
     assert monodromy_trace(omega_drive, 0.15 * D0, params) > 2.0
 
@@ -191,9 +194,8 @@ def test_operating_point_adjacent_to_tongue():
     # the resonance choice m=3 with full drive amplitude sits inside or
     # within one default-grid cell of the third instability tongue
     params = make_params()
-    omega_op = params.drive_angular_frequency
     cell = 3 * params.small_oscillation_frequency / 200
-    omegas = [omega_op - cell, omega_op, omega_op + cell]
+    omegas = [OMEGA_OP - cell, OMEGA_OP, OMEGA_OP + cell]
     grid = stability_grid(omegas, [D0], params, 2048)
     assert np.any(~grid.stable)
 
@@ -577,8 +579,6 @@ def test_potential_contour_symmetry():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SemiclassicalParams(11, D0, D0, 1.0, J)      # odd N
+        SemiclassicalParams(11, D0, J)      # odd N
     with pytest.raises(ValueError):
-        SemiclassicalParams(12, -D0, D0, 1.0, J)     # negative product
-    with pytest.raises(ValueError):
-        SemiclassicalParams(12, D0, D0, 0.0, J)      # zero drive frequency
+        SemiclassicalParams(12, -D0, J)     # negative product

@@ -187,7 +187,7 @@ def test_coe_mean_quadrature_value():
 
 
 def test_coe_mean_matches_adaptive_quadrature():
-    # the fixed Gauss-Legendre rule against scipy's adaptive quadrature
+    # the constant against scipy's adaptive quadrature
     reference, _ = quad(lambda r: r * float(coe_density(r)), 0.0, 1.0,
                         points=[1e-6], limit=200)
     assert abs(coe_mean() - reference) <= 2e-16
