@@ -141,12 +141,13 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
                           manifest)
 
     czz_path = out / "czz.csv"
-    times = result.times.tolist()
+    # each time and each pair formatted once, as _grid_rows does
+    times = [_FLOAT_FMT % t for t in result.times.tolist()]
     rows = chain.from_iterable(
-        zip(times, repeat(i), repeat(j), values.tolist())
+        zip(times, repeat(f"{i},{j}"), values.tolist())
         for (i, j), values in sorted(correlations.items()))
     write_csv(czz_path, ["time_ns", "i", "j", "value"],
-              f"{_FLOAT_FMT},%d,%d,{_FLOAT_FMT}", rows)
+              f"%s,%s,{_FLOAT_FMT}", rows)
     manifest.record_output(czz_path)
 
 

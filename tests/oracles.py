@@ -29,10 +29,9 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DisorderSpec, DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import (SUZUKI_WEIGHTS, UNITARITY_TOL,
-                                   YOSHIDA_WEIGHTS, FloquetOperator, _advance,
-                                   _check_each, floquet_operator,
-                                   unitarity_defect)
+from drivenchain.propagate import (BLANES_MOAN_S6, UNITARITY_TOL, YOSHIDA,
+                                   FloquetOperator, _advance, _check_each,
+                                   floquet_operator, unitarity_defect)
 from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, SRKN_DRIFTS,
                                        SRKN_KICKS, SemiclassicalParams,
                                        _check_determinants, _monodromy_batch)
@@ -260,9 +259,9 @@ def coe_density_divergent(r) -> np.ndarray:
 
 
 def full_period_floquet(model: SectorModel, h0: np.ndarray, steps: int,
-                        weights=SUZUKI_WEIGHTS) -> FloquetOperator:
+                        scheme=BLANES_MOAN_S6) -> FloquetOperator:
     """One-period propagators of an ``h0`` stack, ``steps`` steps of the
-    composition ``weights`` over the whole period.
+    splitting ``scheme`` over the whole period.
 
     The product the package built before it used time-reversal symmetry:
     the same core, but no transpose palindrome assumed, so it holds for any
@@ -271,7 +270,7 @@ def full_period_floquet(model: SectorModel, h0: np.ndarray, steps: int,
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
-    matrices = _advance(model, h0, block, weights, period / steps, steps,
+    matrices = _advance(model, h0, block, scheme, period / steps, steps,
                         [steps])[0]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
@@ -458,7 +457,7 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
     m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
     t = np.zeros_like(omega)
     for _ in range(steps):
-        for w in YOSHIDA_WEIGHTS:
+        for w in YOSHIDA.drifts:
             kick(t, 0.5 * w)
             drift(w)
             t = t + w * h

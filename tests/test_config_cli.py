@@ -209,9 +209,9 @@ def test_cmd_spectrum_outputs_and_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("settings_,steps,integrated", [
-    ({}, 64, 16),           # 32 Suzuki steps, f even about T/2: half of them
-    ({"drive_phase_rad": "0.3"}, 64, 32),
-    ({"steps_per_period": 63}, 63, 31),     # 31 Suzuki steps: odd, all of them
+    ({}, 64, 8),            # 16 S6 steps, f even about T/2: half of them
+    ({"drive_phase_rad": "0.3"}, 64, 16),
+    ({"steps_per_period": 63}, 63, 15),     # 15 S6 steps: odd, all of them
 ])
 def test_cmd_spectrum_manifest_names_the_floquet_product(tmp_path, settings_,
                                                           steps, integrated):
@@ -619,7 +619,7 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
      "realizations x samples"),
     ("spectrum", {"realizations": 1000, "sector": 2},
      "realizations x sector dimension^2"),
-    ("spectrum", {"steps_per_period": 4_000_008}, "propagator steps"),
+    ("spectrum", {"steps_per_period": 8_000_016}, "propagator steps"),
     ("dynamics", {"t_max_ns": "1e5", "steps_per_period": 4096},
      "propagator steps"),
     ("ensemble", {"t_max_ns": "1e6"}, "samples"),

@@ -113,20 +113,20 @@ def test_batch_equals_single_realizations_bitwise():
 
 
 def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
-    # Suzuki-5 at 128 steps per period, half of them; a refactor that brings
+    # S6 at 64 steps per period, half of them; a refactor that brings
     # back the full-period product or the dynamics step count fails here
     real_advance, calls = propagate._advance, []
 
-    def recording_advance(model, h0, block, weights, step, n_steps, emit_steps):
-        calls.append((weights, n_steps))
-        return real_advance(model, h0, block, weights, step, n_steps,
+    def recording_advance(model, h0, block, scheme, step, n_steps, emit_steps):
+        calls.append((scheme, n_steps))
+        return real_advance(model, h0, block, scheme, step, n_steps,
                             emit_steps)
 
     monkeypatch.setattr(propagate, "_advance", recording_advance)
     run = resolve(RunConfig())
     run_spectrum_ensemble(run.model, run.disorder, run.config.steps_per_period)
     assert run.config.steps_per_period == 256
-    assert calls == [(propagate.SUZUKI_WEIGHTS, 64)]
+    assert calls == [(propagate.BLANES_MOAN_S6, 32)]
 
 
 def test_ensemble_reruns_bitwise():
@@ -198,11 +198,11 @@ def test_spectrum_block_over_budget_refused_before_h0(no_h0):
 
 
 def test_spectrum_counts_the_steps_its_product_takes(no_h0):
-    # 4M + 8 steps per period: Suzuki at half, then half a period, M + 2
+    # 8M + 16 steps per period: S6 at a quarter, then half a period, M + 2
     with pytest.raises(ConfigError, match="propagator steps"):
-        run_spectrum_ensemble(make_model(), disorder(3.0), 4 * MAX_STEPS + 8)
+        run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS + 16)
     with pytest.raises(AssertionError, match="H0"):     # M steps fit
-        run_spectrum_ensemble(make_model(), disorder(3.0), 4 * MAX_STEPS)
+        run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS)
 
 
 def test_dynamics_budgets_refused_before_h0(no_h0):

@@ -8,8 +8,8 @@ from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
-from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, SUZUKI_WEIGHTS,
-                                   YOSHIDA_WEIGHTS, evolve_state,
+from drivenchain.propagate import (BLANES_MOAN_S6, DEFAULT_STEPS_PER_PERIOD,
+                                   YOSHIDA, evolve_state,
                                    floquet_operator, floquet_operators,
                                    floquet_steps, unitarity_defect)
 from drivenchain.spectrum import quasienergies
@@ -130,10 +130,43 @@ def test_floquet_step_halving_converged_at_default():
 
 
 def test_floquet_default_steps_match_fine_reference():
+    # measured on this model: 4.71e-8 at the default, 16x less per doubling
     model = flat_model_with_disorder()
-    f256 = floquet_operator(model, 256).matrix
     f4096 = floquet_operator(model, 4096).matrix
-    assert np.abs(f256 - f4096).max() <= 1e-6
+    err128, err256 = (np.abs(floquet_operator(model, steps).matrix
+                             - f4096).max() for steps in (128, 256))
+    assert err256 <= 1.5 * 4.71e-8
+    assert 12.0 <= err128 / err256 <= 20.0
+
+
+def _exp_i(hermitian, t):
+    lam, vec = np.linalg.eigh(hermitian)
+    return (vec * np.exp(-1j * t * lam)) @ vec.conj().T
+
+
+def test_s6_coefficients_are_fourth_order():
+    # the weights alone, on exp(-i(A + B)) for a static A real symmetric and
+    # B diagonal: each doubling of the step count cuts the error 16x
+    drifts = np.array(BLANES_MOAN_S6.drifts)
+    kicks = BLANES_MOAN_S6.kick_angles(np.ones_like, 1.0, np.zeros((1, 1)))[0]
+    assert math.isclose(drifts.sum(), 1.0, abs_tol=1e-15)
+    assert math.isclose(kicks.sum(), 1.0, abs_tol=1e-15)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6))
+    a = (a + a.T) / np.linalg.norm(a + a.T, 2)
+    b = rng.uniform(-1.0, 1.0, 6)
+    exact = _exp_i(a + np.diag(b), 1.0)
+
+    def split(n):
+        step = np.exp(-1j * kicks[0] / n * b)[:, None] * np.eye(6)
+        for drift, kick in zip(drifts, kicks[1:]):
+            step = np.exp(-1j * kick / n * b)[:, None] * (_exp_i(a, drift / n)
+                                                          @ step)
+        return np.linalg.matrix_power(step, n)
+
+    errors = [np.abs(split(n) - exact).max() for n in (4, 8, 16)]
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+    assert 14.0 <= errors[1] / errors[2] <= 18.0
 
 
 def test_evolve_state_matches_floquet_powers():
@@ -145,7 +178,7 @@ def test_evolve_state_matches_floquet_powers():
     traj = evolve_state(model, fock_state(model.basis, 3),
                         [period, 2 * period, 3 * period], period / 256)
     f = full_period_floquet(model, model.static_hamiltonians(), 256,
-                            YOSHIDA_WEIGHTS).matrix[0]
+                            YOSHIDA).matrix[0]
     for amps in traj.amplitudes:
         psi = f @ psi
         assert np.abs(psi - amps).max() < 1e-12
@@ -193,7 +226,7 @@ def with_drive(model, **changes):
 def test_floquet_operator_is_symmetric_for_even_drive(phase):
     # time-reversal symmetry of a drive even about T/2: U = U^T
     model = with_drive(make_model(12, "flat"), phase=phase)
-    assert floquet_steps(model.drive, 256) == 64
+    assert floquet_steps(model.drive, 256) == 32
     matrices = floquet_operators(model, disordered_stack(model)).matrix
     assert len(matrices) == 3
     asymmetry = np.linalg.norm(matrices - matrices.swapaxes(-1, -2),
@@ -203,46 +236,45 @@ def test_floquet_operator_is_symmetric_for_even_drive(phase):
 
 @pytest.mark.parametrize("steps", [2, 16, 256])
 def test_half_period_product_matches_full_period_oracle(steps):
-    # steps Suzuki-5 steps per period: steps_per_period = 2 * steps
+    # steps S6 steps per period: steps_per_period = 4 * steps
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
-    assert floquet_steps(model.drive, 2 * steps) == steps // 2
-    half = floquet_operators(model, h0, 2 * steps).matrix
-    full = full_period_floquet(model, h0, steps, SUZUKI_WEIGHTS).matrix
+    assert floquet_steps(model.drive, 4 * steps) == steps // 2
+    half = floquet_operators(model, h0, 4 * steps).matrix
+    full = full_period_floquet(model, h0, steps).matrix
     assert np.abs(half - full).max() <= 1e-12
 
 
 @pytest.mark.parametrize("steps,changes", [
     (255, {}),
-    (258, {}),
+    (260, {}),
     (256, {"phase": 0.3}),
     (256, {"time_origin": 1.7}),
     (1, {}),
 ])
 def test_asymmetric_cases_take_the_full_period_product(steps, changes):
-    # an odd Suzuki step count max(1, steps // 2), or a drive not even
+    # an odd S6 step count max(1, steps // 4), or a drive not even
     # about T/2, integrates the whole period
     model = with_drive(make_model(12, "flat"), **changes)
     h0 = disordered_stack(model)
-    per_period = max(1, steps // 2)
+    per_period = max(1, steps // 4)
     assert floquet_steps(model.drive, steps) == per_period
     assert np.array_equal(floquet_operators(model, h0, steps).matrix,
                           full_period_floquet(model, h0, per_period).matrix)
 
 
 def test_floquet_halving_error_not_above_yoshida_at_default_steps():
-    # Suzuki-5 at 128 steps per period against the Yoshida product the
-    # Floquet operator used before, at 256
+    # S6 at 64 steps per period against the Yoshida product at 256
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
     default = DEFAULT_STEPS_PER_PERIOD
-    suzuki = np.abs(floquet_operators(model, h0, default).matrix
-                    - floquet_operators(model, h0, default // 2).matrix).max()
+    s6 = np.abs(floquet_operators(model, h0, default).matrix
+                - floquet_operators(model, h0, default // 2).matrix).max()
     yoshida = np.abs(
-        full_period_floquet(model, h0, default, YOSHIDA_WEIGHTS).matrix
-        - full_period_floquet(model, h0, default // 2, YOSHIDA_WEIGHTS).matrix
+        full_period_floquet(model, h0, default, YOSHIDA).matrix
+        - full_period_floquet(model, h0, default // 2, YOSHIDA).matrix
     ).max()
-    assert suzuki <= yoshida
+    assert s6 <= yoshida
 
 
 @pytest.mark.parametrize("changes", [{"phase": 0.3}, {"time_origin": 1.7}])
