@@ -26,7 +26,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, fields, replace
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,30 +47,47 @@ from .units import mhz_from_rad_ns
 _FLOAT_FMT = "%.12g"
 
 
-def write_csv(path: Path, header, fmt: str, rows) -> None:
-    """Write the header line, then every row tuple through one format line.
+#: rows of one formatted block of a table: bounds the flat value list
+BLOCK_ROWS = 1024
+
+
+def write_csv(path: Path, header, fmt: str, blocks) -> None:
+    """Write the header line, then each block of rows with one ``%``.
 
     ``fmt`` holds one %-conversion per column: ``%.12g`` for floats, ``%d``
-    for integers and flags.  ``rows`` is usually a generator over
-    ``.tolist()`` columns, so a large table is formatted one block at a
-    time as it streams into the open file.
+    for integers and flags, ``%s`` for values given as text.  ``blocks``
+    yields lists of equal-length columns (lists, or 1-d arrays read through
+    ``.tolist()``).  A block's columns are interleaved into one flat list,
+    row by row, and formatted through ``fmt`` repeated once per row.
     """
     line = fmt + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(line % row for row in rows)
+        for columns in blocks:
+            k, rows = len(columns), len(columns[0])
+            flat = [None] * (k * rows)
+            for j, column in enumerate(columns):
+                flat[j::k] = (column.tolist() if isinstance(column, np.ndarray)
+                              else column)
+            f.write((line * rows) % tuple(flat))
 
 
-def _grid_rows(x_values, y_values, *fields):
-    """(x, y, field values...) rows in x-major order, one x-row at a time.
+def _table_blocks(*columns):
+    """Equal-length columns cut into blocks of at most BLOCK_ROWS rows."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        yield [column[lo:lo + BLOCK_ROWS] for column in columns]
+
+
+def _grid_blocks(x_values, y_values, *fields):
+    """One block per x value: (x, y, field values...) in x-major order.
 
     x and y come as text, each distinct value formatted once through
     _FLOAT_FMT, so the row format takes them with ``%s``.
     """
     y_text = [_FLOAT_FMT % y for y in y_values.tolist()]
     for i, x in enumerate(x_values.tolist()):
-        yield from zip(repeat(_FLOAT_FMT % x), y_text,
-                       *(field[i].tolist() for field in fields))
+        yield [[_FLOAT_FMT % x] * len(y_text), y_text,
+               *(field[i] for field in fields)]
 
 
 def _sha256(path: Path) -> str:
@@ -124,7 +141,7 @@ def _write_population_csv(path: Path, times, populations,
     n_sites = populations.shape[1]
     header = ["time_ns"] + [f"n_{l}" for l in range(1, n_sites + 1)]
     write_csv(path, header, ",".join([_FLOAT_FMT] * (n_sites + 1)),
-              zip(times.tolist(), *populations.T.tolist()))
+              _table_blocks(times, *populations.T))
     manifest.record_output(path)
 
 
@@ -141,13 +158,13 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
                           manifest)
 
     czz_path = out / "czz.csv"
-    # each time and each pair formatted once, as _grid_rows does
+    # each time and each pair formatted once, as _grid_blocks does
     times = [_FLOAT_FMT % t for t in result.times.tolist()]
-    rows = chain.from_iterable(
-        zip(times, repeat(f"{i},{j}"), values.tolist())
+    blocks = chain.from_iterable(
+        _table_blocks(times, [f"{i},{j}"] * len(times), values)
         for (i, j), values in sorted(correlations.items()))
     write_csv(czz_path, ["time_ns", "i", "j", "value"],
-              f"%s,%s,{_FLOAT_FMT}", rows)
+              f"%s,%s,{_FLOAT_FMT}", blocks)
     manifest.record_output(czz_path)
 
 
@@ -181,11 +198,11 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     hist_path = out / "ratio_histogram.csv"
-    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(),
-               poisson_density(centers).tolist(), coe_density(centers).tolist())
     write_csv(hist_path, ["r_bin_lo", "r_bin_hi", "empirical_density",
                           "poisson_density", "coe_density"],
-              ",".join([_FLOAT_FMT] * 5), rows)
+              ",".join([_FLOAT_FMT] * 5),
+              _table_blocks(edges[:-1], edges[1:], density,
+                            poisson_density(centers), coe_density(centers)))
     manifest.record_output(hist_path)
 
     summary = {
@@ -218,8 +235,8 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
               f"%s,%s,{_FLOAT_FMT},%d",
-              _grid_rows(grid.omega_values, grid.delta1_values,
-                         grid.abs_trace, grid.stable))
+              _grid_blocks(grid.omega_values, grid.delta1_values,
+                           grid.abs_trace, grid.stable))
     manifest.record_output(path)
     manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
@@ -236,7 +253,7 @@ def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     field = potential_contours(q_values, p_values, params)
     path = out / "contours.csv"
     write_csv(path, ["q", "p", "value"], f"%s,%s,{_FLOAT_FMT}",
-              _grid_rows(q_values, p_values, field))
+              _grid_blocks(q_values, p_values, field))
     manifest.record_output(path)
 
 

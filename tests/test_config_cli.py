@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivenchain import cli
 from drivenchain.cli import main, write_csv
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
 from drivenchain.device import bundled_table_path, load_device_table
@@ -34,10 +35,57 @@ FAST = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=64, realizations=2)
 
 def test_write_csv_formats_floats_integers_and_flags(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["x", "k", "flag"], "%.12g,%d,%d",
-              iter([(0.1, 3, True), (1.0 / 3.0, -2, False), (1e-300, 0, 1)]))
+    # two blocks of (x, k, flag) columns, given as arrays or lists
+    blocks = [[np.array([0.1, 1.0 / 3.0]), [3, -2], np.array([True, False])],
+              [[1e-300], np.array([0]), [1]]]
+    write_csv(path, ["x", "k", "flag"], "%.12g,%d,%d", iter(blocks))
     assert path.read_text() == ("x,k,flag\n0.1,3,1\n0.333333333333,-2,0\n"
                                 "1e-300,0,1\n")
+
+
+def row_at_a_time_csv(header, fmt, rows) -> str:
+    """A CSV formatted the former way: one % operation per row tuple."""
+    return ",".join(header) + "\n" + "".join((fmt + "\n") % row
+                                             for row in rows)
+
+
+def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
+    # a population table of several blocks, czz and a stability grid, each
+    # byte for byte the rows of the same results formatted one at a time
+    results = {}
+    for name in ("run_dynamics_ensemble", "observable_series",
+                 "stability_grid"):
+        def recording(*args, _name=name, _func=getattr(cli, name), **kwargs):
+            results[_name] = _func(*args, **kwargs)
+            return results[_name]
+        monkeypatch.setattr(cli, name, recording)
+    cfg = write_config(tmp_path / "run.cfg", t_max_ns=1500, sample_dt_ns=1.0,
+                       stability_resolution=12)
+    out = tmp_path / "out"
+    for command in ("dynamics", "stability"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+    times = results["run_dynamics_ensemble"].times.tolist()
+    populations, correlations = results["observable_series"]
+    assert len(times) > cli.BLOCK_ROWS
+    n_sites = populations.shape[1]
+    expected = row_at_a_time_csv(
+        ["time_ns"] + [f"n_{l}" for l in range(1, n_sites + 1)],
+        ",".join(["%.12g"] * (n_sites + 1)),
+        zip(times, *populations.T.tolist()))
+    assert (out / "populations.csv").read_text() == expected
+    expected = row_at_a_time_csv(
+        ["time_ns", "i", "j", "value"], "%.12g,%d,%d,%.12g",
+        [(t, i, j, v) for (i, j), values in sorted(correlations.items())
+         for t, v in zip(times, values.tolist())])
+    assert (out / "czz.csv").read_text() == expected
+    grid = results["stability_grid"]
+    expected = row_at_a_time_csv(
+        ["omega", "delta1", "abs_trace", "stable"], "%.12g,%.12g,%.12g,%d",
+        [(x, y, grid.abs_trace[i, j], grid.stable[i, j])
+         for i, x in enumerate(grid.omega_values.tolist())
+         for j, y in enumerate(grid.delta1_values.tolist())])
+    assert (out / "stability_grid.csv").read_text() == expected
 
 
 def test_cli_runtime_never_imports_scipy(tmp_path):
