@@ -304,7 +304,7 @@ def test_cmd_stability_manifest_records_monodromy_groups(tmp_path):
     assert all(sorted(g) == ["blocks", "cells", "chunks", "steps"]
                for g in groups)
     steps = [g["steps"] for g in groups]
-    assert steps == sorted(set(steps)) and steps[0] == 256 and len(steps) > 1
+    assert steps == sorted(set(steps)) and steps[0] == 64 and len(steps) > 1
     assert sum(g["cells"] for g in groups) == 144
     assert [g["chunks"] for g in groups] == [max(1, s // 256) for s in steps]
     header = (out / "stability_grid.csv").read_text().splitlines()[0]
@@ -323,7 +323,7 @@ def test_default_stability_groups_loop_at_most_128_steps(tmp_path):
 
 
 def test_stability_manifest_records_environment_and_workers(tmp_path):
-    # --steps-per-period sets the quantum propagator; the floor stays 256
+    # --steps-per-period sets the quantum propagator; the floor stays 64
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out),
@@ -334,8 +334,8 @@ def test_stability_manifest_records_environment_and_workers(tmp_path):
                            "usable_cpus"]
     assert env["numpy"] == np.__version__
     assert 1 <= env["usable_cpus"] <= env["cpu_count"]
-    assert manifest["monodromy_steps_floor"] == 256
-    assert manifest["monodromy_groups"][0]["steps"] == 256
+    assert manifest["monodromy_steps_floor"] == 64
+    assert manifest["monodromy_groups"][0]["steps"] == 64
     blocks = sum(g["blocks"] for g in manifest["monodromy_groups"])
     assert 1 <= manifest["monodromy_workers"] <= blocks
     assert manifest["monodromy_workers"] == min(env["usable_cpus"], blocks)
@@ -467,6 +467,22 @@ def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
     assert manifest["status"] == "failed"
     assert manifest["realization_index"] == 0
     assert manifest["error"].startswith("realization 0: ")
+
+
+@pytest.mark.parametrize("command,overrides,flags", [
+    ("spectrum", dict(realizations=4), ["--steps-per-period", "32768"]),
+    ("dynamics", dict(t_max_ns=20000, sample_dt_ns=10.0), []),
+])
+def test_long_runs_pass_unitarity_and_norm_checks(tmp_path, command,
+                                                  overrides, flags):
+    # both exited 3 on roundoff in exponentials that were unitary to only
+    # 4.4e-15 (unitarity defect 1.791e-10, norm drift 2.214e-10)
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 *flags]) == 0
+    assert strict_manifest(out)["status"] == "success"
 
 
 def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):

@@ -99,6 +99,21 @@ def test_norm_conservation_along_driven_trajectory():
     assert np.abs(total - 1.0).max() < 1e-9
 
 
+def test_floquet_unitary_to_roundoff_at_fine_steps():
+    # each H0 exponential takes one Newton-Schulz step, so its roundoff no
+    # longer adds up coherently over the steps: flat W=3J, R=4 at 32768
+    # steps per period (4096 integrated S6 steps) reads 5.2e-12, against
+    # 1.79e-10 without the step
+    from drivenchain.config import RunConfig, resolve
+    from drivenchain.model import sample_disorders
+    run = resolve(RunConfig(profile="flat", disorder_w_over_j=3.0,
+                            realizations=4))
+    h0 = run.model.static_hamiltonians(run.model.potential.static_offsets
+                                       + sample_disorders(run.disorder))
+    op = floquet_operators(run.model, h0, 32768)
+    assert unitarity_defect(op.matrix).max() <= 1e-11
+
+
 def test_floquet_period_value():
     model = make_model(12)
     op = floquet_operator(model, 64)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from drivenchain import semiclassical
 from drivenchain.config import RunConfig, resolve
 from drivenchain.errors import NumericalError
-from drivenchain.semiclassical import (BLOCK_COLUMNS, DEFAULT_MONODROMY_STEPS,
+from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
+                                       DEFAULT_MONODROMY_STEPS,
                                        STABILITY_TOLERANCE,
                                        SemiclassicalParams,
                                        _check_determinants, _chunk_count,
@@ -305,8 +306,8 @@ def test_trace_error_falls_16x_per_step_doubling():
 
 def test_default_steps_match_yoshida_reference():
     # the former triple-jump scheme at 8x each cell's default step count
-    # (measured agreement 4.3e-9 over these 180 cells of the 256-, 512-
-    # and 1024-step groups)
+    # (measured agreement over these 170 cells: 2.2e-9 in the 64-step group,
+    # 2.3e-9 in the 128-step one and 4.3e-9 overall, in the 256-step one)
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     omega_values, delta1_values = omega_values[7::12], delta1_values[::20]
@@ -314,7 +315,7 @@ def test_default_steps_match_yoshida_reference():
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
                                              indexing="ij"))
     steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
-    assert set(steps) == {256, 512, 1024}
+    assert set(steps) == {64, 128, 256, 512, 1024}
     reference = np.empty(om.size)
     for count in np.unique(steps):
         mask = steps == count
@@ -327,9 +328,31 @@ def test_default_steps_match_yoshida_reference():
     assert_trace_matches(grid.abs_trace, reference)
 
 
+def test_default_floor_matches_former_256_step_floor():
+    # the 64-step floor against the former 256-step one on the default
+    # grid: no flag flips, relative |tr M| changes <= 1e-7 (measured
+    # 1.94e-8), and every cell with >= 256 steps, row 0 among them, is
+    # integrated bit for bit as before
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params)
+    grid = stability_grid(omega_values, delta1_values, params)
+    former = stability_grid(omega_values, delta1_values, params, 256)
+    assert grid.monodromy_groups[0]["steps"] == DEFAULT_MONODROMY_STEPS == 64
+    assert np.array_equal(grid.stable, former.stable)
+    steps = _monodromy_steps(*flat_grid(omega_values, delta1_values), params,
+                             DEFAULT_MONODROMY_STEPS).reshape(grid.stable.shape)
+    same = steps >= 256
+    assert same[0].all() and 0.2 < same.mean() < 0.3
+    assert np.array_equal(grid.abs_trace[same], former.abs_trace[same])
+    checked = former.abs_trace <= 10.0
+    change = (np.abs(grid.abs_trace - former.abs_trace)[checked]
+              / np.maximum(1.0, former.abs_trace[checked]))
+    assert change.max() <= 1e-7
+
+
 @pytest.fixture(scope="module")
 def high_group_cells():
-    """Three cells of every default-grid group above the floor, with the
+    """Three cells of every chunked default-grid group, with the
     lowest-omega row's ends, and their full-period oracle traces at a
     given floor (each step count integrated once)."""
     params = make_params()
@@ -339,7 +362,8 @@ def high_group_cells():
     steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
     assert om[0] == om[199] == omega_values[0]
     picked = [0, 199]
-    for count in np.unique(steps[steps > DEFAULT_MONODROMY_STEPS]):
+    chunked = [_chunk_count(s, DEFAULT_MONODROMY_STEPS) > 1 for s in steps]
+    for count in np.unique(steps[chunked]):
         where = np.flatnonzero(steps == count)
         picked += [where[0], where[len(where) // 2], where[-1]]
     om, d1 = om[picked], d1[picked]
@@ -360,13 +384,15 @@ def high_group_cells():
                          [DEFAULT_MONODROMY_STEPS, 1024, 512, 2048])
 def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
     # every picked cell needs >= 512 steps; a higher floor raises some of
-    # them to the floor group, and every group above it is chunked
+    # them to the floor group, and every group above max(floor, CHUNK_STEPS)
+    # is chunked
     om, d1, reference = high_group_cells
     ref_trace = reference(steps_floor)
     params = make_params()
     m, groups, _ = _monodromy_batch(om, d1, params, steps_floor)
     assert len(groups) >= 3
-    assert all(g["chunks"] > 1 for g in groups if g["steps"] > steps_floor)
+    assert all(g["chunks"] > 1 for g in groups
+               if g["steps"] > max(steps_floor, CHUNK_STEPS))
     trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
     assert np.array_equal(trace <= 2.0 + STABILITY_TOLERANCE, ref_stable)
