@@ -340,8 +340,8 @@ def test_default_floor_matches_former_256_step_floor():
     assert grid.monodromy_groups[0]["steps"] == DEFAULT_MONODROMY_STEPS == 64
     assert np.array_equal(grid.stable, former.stable)
     steps = _monodromy_steps(*flat_grid(omega_values, delta1_values), params,
-                             DEFAULT_MONODROMY_STEPS).reshape(grid.stable.shape)
-    same = steps >= 256
+                             DEFAULT_MONODROMY_STEPS)
+    same = steps.reshape(grid.stable.shape) >= 256
     assert same[0].all() and 0.2 < same.mean() < 0.3
     assert np.array_equal(grid.abs_trace[same], former.abs_trace[same])
     checked = former.abs_trace <= 10.0
