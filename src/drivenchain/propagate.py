@@ -111,6 +111,19 @@ def _phase_table(model: SectorModel, scheme: Splitting, step: float,
             np.exp(-1j * angles[1:, -1, None, None] * diag))
 
 
+def _newton_schulz(x: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step X(3I - X^H X)/2, taken as X + X(I - X^H X)/2
+    in place (Higham, Functions of Matrices, SIAM 2008, sec. 8.3).
+
+    It makes an H0 exponential unitary to roundoff: every step applies the
+    same few exponentials, so their defects would add up coherently.
+    """
+    y = x @ (np.eye(x.shape[-1]) - x.conj().swapaxes(-1, -2) @ x)
+    y *= 0.5
+    x += y
+    return x
+
+
 def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
              scheme: Splitting, step: float, n_steps: int,
              emit_steps) -> np.ndarray:
@@ -121,17 +134,10 @@ def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
     ``emit_steps``: (len(emit_steps), R, dim, k).
     """
     lam, vec = np.linalg.eigh(h0)
-    eye = np.eye(h0.shape[-1])
-    exponentials = {}
-    for w in set(scheme.drifts):
-        # H0 is real symmetric, so its eigenvectors are real: V^H = V^T
-        x = (vec * np.exp(-1j * w * step * lam)[..., None, :]) \
-            @ vec.swapaxes(-1, -2)
-        # one Newton-Schulz step X(3I - X^H X)/2, as X + X(I - X^H X)/2
-        # (Higham, Functions of Matrices, SIAM 2008, sec. 8.3): unitary to
-        # roundoff, since every step applies the same few exponentials and
-        # their defects would add up coherently
-        exponentials[w] = x + 0.5 * (x @ (eye - x.conj().swapaxes(-1, -2) @ x))
+    # H0 is real symmetric, so its eigenvectors are real: V^H = V^T
+    exponentials = {w: _newton_schulz((vec * np.exp(-1j * w * step * lam)
+                                       [..., None, :]) @ vec.swapaxes(-1, -2))
+                    for w in set(scheme.drifts)}
     unitaries = [exponentials[w] for w in scheme.drifts]
     del lam, vec                # the loop's peak holds every exponential
     out = np.empty((len(emit_steps),) + block.shape, dtype=complex)

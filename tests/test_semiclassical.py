@@ -362,8 +362,7 @@ def high_group_cells():
     steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
     assert om[0] == om[199] == omega_values[0]
     picked = [0, 199]
-    chunked = [_chunk_count(s, DEFAULT_MONODROMY_STEPS) > 1 for s in steps]
-    for count in np.unique(steps[chunked]):
+    for count in np.unique(steps[steps > CHUNK_STEPS]):
         where = np.flatnonzero(steps == count)
         picked += [where[0], where[len(where) // 2], where[-1]]
     om, d1 = om[picked], d1[picked]
@@ -381,7 +380,7 @@ def high_group_cells():
 
 
 @pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 1024, 512, 2048])
+                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 512, 2048])
 def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
     # every picked cell needs >= 512 steps; a higher floor raises some of
     # them to the floor group, and every group above max(floor, CHUNK_STEPS)
@@ -421,7 +420,8 @@ def test_chunked_group_independent_of_cell_count():
         assert np.array_equal(one[0], many[j])
 
 
-@pytest.mark.parametrize("steps_floor", [DEFAULT_MONODROMY_STEPS, 1024, 128])
+@pytest.mark.parametrize("steps_floor",
+                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 128])
 def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 50)
@@ -445,7 +445,7 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
 
 
 @pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 1024, 128, 2048])
+                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 128, 2048])
 def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
                                                         steps_floor):
     # half the lowest to the highest default omega: every group has >= 3
