@@ -39,7 +39,7 @@ from .errors import ConfigError, NumericalError
 from .observables import observable_series
 from .propagate import floquet_steps
 from .semiclassical import (DEFAULT_MONODROMY_STEPS, default_grid_axes,
-                            potential_contours, stability_grid, usable_cpus)
+                            potential_contours, stability_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
 from .units import mhz_from_rad_ns
@@ -92,6 +92,14 @@ def _grid_blocks(x_values, y_values, *fields):
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 def _environment() -> dict:
@@ -241,8 +249,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
         monodromy_steps_floor=DEFAULT_MONODROMY_STEPS,
-        monodromy_groups=grid.monodromy_groups,
-        monodromy_workers=grid.monodromy_workers)
+        monodromy_groups=grid.monodromy_groups)
 
 
 def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

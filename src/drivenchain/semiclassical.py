@@ -28,8 +28,8 @@ period, so their cosines come from one short table per step-count group.
 Groups above max(floor, CHUNK_STEPS) steps hold few cells, so their half
 period runs as parallel chunks from the identity whose products fold into
 H.  The integrator takes the grid's cells as flat arrays; every group is
-cut into cache-sized blocks of cells, which the calling thread and one
-pool thread per further usable CPU take largest first.
+cut into cache-sized blocks of cells, integrated one after another on the
+calling thread.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -38,7 +38,6 @@ MHz inputs is units.rad_ns_from_mhz.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,62 +210,33 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     return m
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                  # no affinity call on this OS
-        return os.cpu_count() or 1
-
-
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
                      params: SemiclassicalParams,
                      steps_per_period: int) -> tuple:
     """Monodromy matrices, shape (n, 2, 2), of n cells given as flat
-    ``omega`` and ``delta1`` arrays, their step-count groups and the number
-    of threads the groups' blocks ran on.
+    ``omega`` and ``delta1`` arrays, and their step-count groups.
 
     ``steps_per_period``, the step floor, must be a power of two >= 2.
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
-    columns (a single cell may exceed it).  The calling thread and one pool
-    thread per further usable CPU, at most one thread per block, take the
-    blocks largest first from one shared iterator: numpy's loops release
-    the GIL.  A cell's arithmetic depends neither on its block nor on its
-    thread.
+    columns (a single cell may exceed it), so a block's working set stays
+    in cache.  A cell's arithmetic does not depend on its block.
     """
     if steps_per_period < 2 or steps_per_period & (steps_per_period - 1):
         raise ValueError("the monodromy step floor must be a power of two "
                          f">= 2, got {steps_per_period}")
     steps = _monodromy_steps(omega, delta1, params, steps_per_period)
-    blocks, groups = [], []
+    result = np.empty((omega.size, 2, 2))
+    groups = []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
         count, cells = int(count), int(cells)
         chunks = _chunk_count(count, steps_per_period)
         pieces = min(cells, -(-cells * chunks // BLOCK_COLUMNS))
-        blocks += [(count, chunks, idx) for idx in
-                   np.array_split(np.flatnonzero(steps == count), pieces)]
-        groups.append({"steps": count, "cells": cells, "chunks": chunks,
-                       "blocks": pieces})
-    blocks.sort(key=lambda block: block[0] * block[2].size, reverse=True)
-    result = np.empty((omega.size, 2, 2))
-    pending = iter(blocks)          # next() on a list iterator is atomic
-
-    def drain():
-        for count, chunks, idx in pending:
+        for idx in np.array_split(np.flatnonzero(steps == count), pieces):
             result[idx] = _integrate_group(omega[idx], delta1[idx], params,
                                            count, chunks)
-
-    workers = max(1, min(usable_cpus(), len(blocks)))
-    if workers == 1:
-        drain()
-    else:           # imported here: it would add ~5 ms to every CLI start
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
-            drain()
-        for helper in helpers:
-            helper.result()                 # re-raises a block's error
-    return result, groups, workers
+        groups.append({"steps": count, "cells": cells, "chunks": chunks,
+                       "blocks": pieces})
+    return result, groups
 
 
 def _check_determinants(m: np.ndarray) -> None:
@@ -299,7 +269,6 @@ class StabilityGrid:
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
     monodromy_groups: list          # {steps, cells, chunks, blocks} per group
-    monodromy_workers: int          # threads the blocks ran on
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
@@ -313,13 +282,13 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
     if np.any(omega_values <= 0):
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m, groups, workers = _monodromy_batch(om.ravel(), d1.ravel(), params,
-                                          steps_per_period)
+    m, groups = _monodromy_batch(om.ravel(), d1.ravel(), params,
+                                 steps_per_period)
     _check_determinants(m)
     abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(om.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
-                         groups, workers)
+                         groups)
 
 
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):

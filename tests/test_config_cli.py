@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -98,7 +99,7 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
             # the COE mean is a constant, not a Gauss-Legendre rule
             "assert 'numpy.polynomial' not in sys.modules\n"
-            # the monodromy thread pool is imported only where it runs
+            # no command runs a thread pool
             "assert 'concurrent.futures' not in sys.modules\n")
     src = Path(importlib.import_module("drivenchain").__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -336,27 +337,29 @@ def test_stability_manifest_records_environment_and_workers(tmp_path):
     assert 1 <= env["usable_cpus"] <= env["cpu_count"]
     assert manifest["monodromy_steps_floor"] == 64
     assert manifest["monodromy_groups"][0]["steps"] == 64
-    blocks = sum(g["blocks"] for g in manifest["monodromy_groups"])
-    assert 1 <= manifest["monodromy_workers"] <= blocks
-    assert manifest["monodromy_workers"] == min(env["usable_cpus"], blocks)
+    assert "monodromy_workers" not in manifest
 
 
-def test_stability_on_one_cpu_starts_no_thread_pool(tmp_path, monkeypatch):
-    import concurrent.futures
+def test_stability_starts_no_thread_on_four_cpus(tmp_path, monkeypatch):
+    # the grid's blocks run on the calling thread however many CPUs are usable
+    def no_thread(self):
+        raise AssertionError("stability started a thread")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool constructed on one CPU")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = strict_manifest(out)
-    assert manifest["monodromy_workers"] == 1
-    assert manifest["environment"]["usable_cpus"] == 1
+    assert manifest["environment"]["usable_cpus"] == 4
     assert sum(g["blocks"] for g in manifest["monodromy_groups"]) > 1
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    # platforms without an affinity call report the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._environment()["usable_cpus"] == (os.cpu_count() or 1)
 
 
 def test_consecutive_main_calls_share_no_parser_state(tmp_path):

@@ -1,6 +1,4 @@
 import itertools
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -388,7 +386,7 @@ def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
     om, d1, reference = high_group_cells
     ref_trace = reference(steps_floor)
     params = make_params()
-    m, groups, _ = _monodromy_batch(om, d1, params, steps_floor)
+    m, groups = _monodromy_batch(om, d1, params, steps_floor)
     assert len(groups) >= 3
     assert all(g["chunks"] > 1 for g in groups
                if g["steps"] > max(steps_floor, CHUNK_STEPS))
@@ -446,8 +444,7 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
 
 @pytest.mark.parametrize("steps_floor",
                          [DEFAULT_MONODROMY_STEPS, 256, 1024, 128, 2048])
-def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
-                                                        steps_floor):
+def test_grid_bitwise_independent_of_blocks(monkeypatch, steps_floor):
     # half the lowest to the highest default omega: every group has >= 3
     # cells, so a budget of a third of the smallest group's columns splits
     # all of them
@@ -468,17 +465,14 @@ def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
     monkeypatch.setattr(semiclassical, "_monodromy_batch", recording_batch)
     runs = []
     for budget in (BLOCK_COLUMNS, split, 10**18):
-        for workers in (1, 2):
-            monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", budget)
-            monkeypatch.setattr(semiclassical, "usable_cpus", lambda: workers)
-            grid = stability_grid(om, d1, params, steps_floor)
-            blocks = [g["blocks"] for g in grid.monodromy_groups]
-            if budget == split:
-                assert min(blocks) >= 3
-            if budget == 10**18:
-                assert set(blocks) == {1}
-            assert grid.monodromy_workers == min(workers, sum(blocks))
-            runs.append((matrices[-1], grid))
+        monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", budget)
+        grid = stability_grid(om, d1, params, steps_floor)
+        blocks = [g["blocks"] for g in grid.monodromy_groups]
+        if budget == split:
+            assert min(blocks) >= 3
+        if budget == 10**18:
+            assert set(blocks) == {1}
+        runs.append((matrices[-1], grid))
     ref_m, ref = runs[0]
     for m, grid in runs[1:]:
         assert np.array_equal(m, ref_m)
@@ -486,61 +480,7 @@ def test_grid_bitwise_independent_of_blocks_and_workers(monkeypatch,
         assert np.array_equal(grid.stable, ref.stable)
 
 
-def test_block_threads_take_every_block_once(monkeypatch):
-    # more threads than cores, switching as often as possible: each block
-    # leaves the shared queue exactly once and lands in its own rows
-    params = make_params()
-    om, d1 = flat_grid(*default_grid_axes(params, 10))
-    reference = _monodromy_batch(om, d1, params, 64)[0]
-    sizes, integrate = [], semiclassical._integrate_group
-
-    def counted(omega, *args):
-        sizes.append(omega.size)
-        return integrate(omega, *args)
-
-    monkeypatch.setattr(semiclassical, "_integrate_group", counted)
-    monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
-    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        m, groups, workers = _monodromy_batch(om, d1, params, 64)
-    finally:
-        sys.setswitchinterval(interval)
-    assert workers == 8
-    assert len(sizes) == sum(g["blocks"] for g in groups) > 8
-    assert sum(sizes) == om.size
-    assert np.array_equal(m, reference)
-
-
-def test_calling_thread_takes_blocks_too(monkeypatch):
-    # with two usable CPUs one pool thread helps the calling thread, which
-    # takes blocks itself instead of waiting.  The helper holds its first
-    # block until the calling thread has taken one, so a helper scheduled
-    # first cannot drain every block.
-    params = make_params()
-    om, d1 = flat_grid(*default_grid_axes(params, 10))
-    threads, integrate = set(), semiclassical._integrate_group
-    caller, caller_took_one = threading.get_ident(), threading.Event()
-
-    def recorded(*args):
-        if threading.get_ident() == caller:
-            caller_took_one.set()
-        else:
-            caller_took_one.wait(timeout=10)
-            caller_took_one.set()           # wait once, even on a timeout
-        threads.add(threading.get_ident())
-        return integrate(*args)
-
-    monkeypatch.setattr(semiclassical, "_integrate_group", recorded)
-    monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
-    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: 2)
-    assert _monodromy_batch(om, d1, params, 64)[2] == 2
-    assert threading.get_ident() in threads
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_block_error_reaches_the_caller(monkeypatch, workers):
+def test_block_error_reaches_the_caller(monkeypatch):
     params = make_params()
     om, d1 = flat_grid(*default_grid_axes(params, 10))
     calls, integrate = itertools.count(), semiclassical._integrate_group
@@ -552,7 +492,6 @@ def test_block_error_reaches_the_caller(monkeypatch, workers):
 
     monkeypatch.setattr(semiclassical, "_integrate_group", failing)
     monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
-    monkeypatch.setattr(semiclassical, "usable_cpus", lambda: workers)
     with pytest.raises(FloatingPointError, match="injected block error"):
         _monodromy_batch(om, d1, params, 64)
 
