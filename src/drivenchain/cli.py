@@ -156,18 +156,18 @@ def _write_population_csv(path: Path, times, populations,
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
     # one trajectory: main resolves dynamics as a one-realization ensemble
-    result = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
-                                   run.sample_times(), run.step_ns)
+    trajectory = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
+                                       run.sample_times(), run.step_ns)
     ref = cfg.czz_reference_site
     populations, correlations = observable_series(
-        result.weights[0], run.basis,
+        trajectory.amplitudes[0], run.basis,
         [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref])
-    _write_population_csv(out / "populations.csv", result.times, populations,
-                          manifest)
+    _write_population_csv(out / "populations.csv", trajectory.times,
+                          populations, manifest)
 
     czz_path = out / "czz.csv"
     # each time and each pair formatted once, as _grid_blocks does
-    times = [_FLOAT_FMT % t for t in result.times.tolist()]
+    times = [_FLOAT_FMT % t for t in trajectory.times.tolist()]
     blocks = chain.from_iterable(
         _table_blocks(times, [f"{i},{j}"] * len(times), values)
         for (i, j), values in sorted(correlations.items()))
@@ -178,17 +178,18 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    result = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
-                                   run.sample_times(), run.step_ns)
-    _write_population_csv(out / "ensemble_populations.csv", result.times,
-                          result.mean_populations, manifest)
+    trajectory = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
+                                       run.sample_times(), run.step_ns)
+    populations, _ = observable_series(trajectory.amplitudes, run.basis)
+    _write_population_csv(out / "ensemble_populations.csv", trajectory.times,
+                          populations.mean(axis=0), manifest)
 
     if cfg.keep_realizations:
         raw_dir = out / "realizations"
         raw_dir.mkdir(parents=True, exist_ok=True)
-        for idx, pops in enumerate(result.populations):
+        for idx, pops in enumerate(populations):
             _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
-                                  result.times, pops, manifest)
+                                  trajectory.times, pops, manifest)
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

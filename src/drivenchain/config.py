@@ -164,12 +164,13 @@ def parse_value(key: str, raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Read a key=value config file ('#' starts a comment)."""
+    """Read a key=value config file ('#' starts a comment); a key set on
+    two lines is refused."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = {}
+    values, set_at = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -178,7 +179,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        values[key] = parse_value(key, raw)
+        if key in set_at:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again (first "
+                              f"on line {set_at[key]})")
+        values[key], set_at[key] = parse_value(key, raw), lineno
     return replace(RunConfig(), **values)
 
 

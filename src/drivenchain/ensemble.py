@@ -1,18 +1,17 @@
-"""Disorder-ensemble runners: dynamics averages and pooled spectral statistics.
+"""Disorder-ensemble runners: state trajectories and pooled gap ratios.
 
 An ensemble stays one block of arrays from the (R, N) disorder offsets to
 the data file: one (R, dim, dim) stack of static Hamiltonians, one batched
 propagation by :mod:`drivenchain.propagate`, one batched eigenvalue call.
-Aggregation is an ordered fold over realization index, so results are a
-pure function of (model, disorder spec), and the ``dynamics`` command is
-realization 0 of this same path.  A failed numerical check aborts the
-whole ensemble with a :class:`~drivenchain.errors.NumericalError` whose
-``realization_index`` names the first realization that failed.
+A dynamics ensemble returns its (realization, time, dim) amplitudes, which
+:mod:`drivenchain.observables` reads.  Results are a pure function of
+(model, disorder spec), and the ``dynamics`` command is realization 0 of
+this same path.  A failed numerical check aborts the whole ensemble with a
+:class:`~drivenchain.errors.NumericalError` whose ``realization_index``
+names the first realization that failed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from .basis import fock_state
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorders
-from .propagate import (DEFAULT_STEPS_PER_PERIOD, evolve_states, floquet_operators,
-                        floquet_steps)
+from .propagate import (DEFAULT_STEPS_PER_PERIOD, StateTrajectory, evolve_states,
+                        floquet_operators, floquet_steps)
 from .spectrum import RatioSample, gap_ratios, quasienergies
 
 #: most entries of the realizations x dim x dim block a runner propagates
@@ -52,24 +51,11 @@ def _static_hamiltonians(model: SectorModel, disorder: DisorderSpec):
                                      + sample_disorders(disorder))
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Per-realization evolution of one initial state."""
-
-    times: np.ndarray                   # actual sample times (ns)
-    weights: np.ndarray                 # (realization, time, dim) |psi|^2
-    populations: np.ndarray             # (realization, time, site)
-
-    @property
-    def mean_populations(self) -> np.ndarray:
-        """(time, site) mean over realizations."""
-        return self.populations.mean(axis=0)
-
-
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
                           initial_site: int, t_samples, step: float
-                          ) -> EnsembleResult:
-    """Populations over R disorder realizations of one initial state."""
+                          ) -> StateTrajectory:
+    """(realization, time, dim) amplitudes of one initial state over R
+    disorder realizations."""
     psi0 = fock_state(model.basis, initial_site)
     _admit(model, disorder, float(t_samples[-1]) / step if step else float("inf"))
     amplitudes = disorder.realization_count * len(t_samples) * model.basis.dim
@@ -81,11 +67,8 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
         raise ConfigError(f"the sample spacing is below the propagator step "
                           f"of {step:.3g} ns, so two samples fall on one "
                           f"step: raise steps_per_period or sample_dt_ns")
-    trajectory = evolve_states(model, _static_hamiltonians(model, disorder),
-                               psi0, t_samples, step)
-    weights = np.abs(trajectory.amplitudes) ** 2
-    return EnsembleResult(trajectory.times, weights,
-                          weights @ model.basis.states)
+    return evolve_states(model, _static_hamiltonians(model, disorder), psi0,
+                         t_samples, step)
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,

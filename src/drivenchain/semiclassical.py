@@ -26,10 +26,10 @@ a power of two >= 2, so every cell's step count is one too and T/2 falls
 on a step boundary.  The kicks sit at fixed fractions of each cell's
 period, so their cosines come from one short table per step-count group.
 Groups above max(floor, CHUNK_STEPS) steps hold few cells, so their half
-period runs as parallel chunks from the identity whose products fold into
-H.  The integrator takes the grid's cells as flat arrays; every group is
-cut into cache-sized blocks of cells, integrated one after another on the
-calling thread.
+period runs as side-by-side chunks from the identity whose products fold
+into H.  The integrator takes the grid's cells as flat arrays; every group
+is cut into cache-sized blocks of cells, integrated one after another on
+the calling thread.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -49,7 +49,7 @@ DETERMINANT_TOL = 1e-8
 #: the step floor; every cell also gets MIN_STEPS_PER_OSCILLATION steps
 #: per oscillation of its linearized motion
 DEFAULT_MONODROMY_STEPS = 64
-#: steps per period of one parallel chunk at floors up to it: every group
+#: steps per period of one side-by-side chunk at floors up to it: every group
 #: loops at most max(floor, CHUNK_STEPS) / 2 times
 CHUNK_STEPS = 256
 #: classification cushion on |tr M| <= 2: marginally stable cells (the whole

@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from drivenchain import (RunConfig, resolve, run_dynamics_ensemble,
                          run_spectrum_ensemble, fock_state, evolve_state,
                          sample_disorder, floquet_operator, quasienergies,
-                         ks_distance, poisson_cdf, poisson_density,
-                         poisson_mean, coe_cdf, coe_mean,
+                         ks_distance, observable_series, poisson_cdf,
+                         poisson_density, poisson_mean, coe_cdf, coe_mean,
                          resonance_drive_frequency, stability_grid)
 from drivenchain.cli import main as cli_main
 from drivenchain.propagate import unitarity_defect
@@ -68,9 +68,10 @@ def fig3_data():
     def one(w, init):
         run = resolve(RunConfig(profile="flat", disorder_w_over_j=w,
                                 realizations=50))
-        result = run_dynamics_ensemble(run.model, run.disorder, init,
-                                       run.sample_times(), run.step_ns)
-        return result.mean_populations
+        trajectory = run_dynamics_ensemble(run.model, run.disorder, init,
+                                           run.sample_times(), run.step_ns)
+        populations, _ = observable_series(trajectory.amplitudes, run.basis)
+        return populations.mean(axis=0)
 
     return {"init3_w3": one(3.0, 3), "init3_w10": one(10.0, 3),
             "init9_w3": one(3.0, 9)}

@@ -91,3 +91,20 @@ def test_traced_spectrum_job_reads_one_slot_per_level(tracing, tmp_path):
     assert 0.0 < metrics["spectrum.useful_ratio"] <= 1.0
     assert metrics["ensemble.self_s"] > 0.0
     assert tracer.counts["spectrum.ratio_slots"] == 3 * 10
+
+
+@pytest.mark.parametrize("command", ["dynamics", "ensemble"])
+def test_traced_state_path_job_reads_observables_once(tracing, tmp_path,
+                                                      command):
+    # both state-path commands read populations through one
+    # observable_series call, inside an ensemble span of their own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile = flat\ndisorder_w_over_j = 3.0\nrealizations = 3\n"
+                   "t_max_ns = 20.0\n")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+    metrics = tracing.layer_metrics(tracer, 1)
+    assert metrics["observables.observable_series.calls"] == 1
+    assert metrics["ensemble.self_s"] > 0.0

@@ -144,6 +144,32 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+DUPLICATE_KEY = "realizations = 50\n# comment\nprofile = flat\nrealizations = 5000\n"
+
+
+def test_load_config_rejects_a_key_set_twice(tmp_path):
+    # the later line used to win silently
+    path = tmp_path / "run.cfg"
+    path.write_text(DUPLICATE_KEY)
+    with pytest.raises(ConfigError, match=r"run.cfg:4: realizations is set "
+                                          r"again \(first on line 1\)"):
+        load_config(path)
+
+
+def test_duplicate_key_exits_2_with_failed_manifest(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DUPLICATE_KEY)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = strict_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["error_type"] == "ConfigError"
+    assert "realizations" in manifest["error"]
+    assert "line 1" in manifest["error"]
+    assert manifest["config"] is None
+    assert manifest["outputs"] == []
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(profile="sawtooth").validate()

@@ -10,6 +10,7 @@ from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
+from drivenchain.observables import observable_series
 from drivenchain.propagate import (evolve_state, evolve_states,
                                    floquet_operator, floquet_operators)
 from drivenchain.spectrum import gap_ratios, quasienergies
@@ -38,29 +39,34 @@ T_SAMPLES = np.arange(0.0, 61.0, 5.0)
 STEP = 0.2
 
 
+def mean_populations(model, spec, site, t_samples=T_SAMPLES):
+    """(time, site) realization mean, formed as ``cmd_ensemble`` forms it."""
+    trajectory = run_dynamics_ensemble(model, spec, site, t_samples, STEP)
+    return observable_series(trajectory.amplitudes, model.basis)[0].mean(axis=0)
+
+
 def test_zero_disorder_average_equals_single_run():
     model = make_model()
-    spec = disorder(0.0, count=2)
-    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+    mean = mean_populations(model, disorder(0.0, count=2), 3)
     traj = evolve_state(model, fock_state(model.basis, 3), T_SAMPLES, STEP)
     single = np.abs(traj.amplitudes) ** 2 @ model.basis.states
-    assert np.array_equal(result.mean_populations, single)
+    assert np.array_equal(mean, single)
 
 
 def test_mean_is_arithmetic_mean_of_kept_realizations():
     model = make_model()
     result = run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
-    stacked = result.populations
-    assert np.abs(stacked.mean(axis=0) - result.mean_populations).max() < 1e-12
-    assert len(result.populations) == 4
+    assert result.amplitudes.shape == (4, len(T_SAMPLES), model.basis.dim)
+    singles = [observable_series(a, model.basis)[0] for a in result.amplitudes]
+    mean = observable_series(result.amplitudes, model.basis)[0].mean(axis=0)
+    assert np.abs(sum(singles) / 4 - mean).max() < 1e-12
 
 
 def test_population_bounds_and_conservation():
-    model = make_model()
-    result = run_dynamics_ensemble(model, disorder(5.0), 3, T_SAMPLES, STEP)
-    assert result.mean_populations.min() >= 0.0
-    assert result.mean_populations.max() <= 1.0
-    assert np.abs(result.mean_populations.sum(axis=1) - 1.0).max() < 1e-9
+    mean = mean_populations(make_model(), disorder(5.0), 3)
+    assert mean.min() >= 0.0
+    assert mean.max() <= 1.0
+    assert np.abs(mean.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def realization_models(model, spec):
@@ -85,8 +91,8 @@ def test_batch_equals_single_realizations_bitwise():
         assert np.array_equal(amplitudes, s.amplitudes)
         assert np.array_equal(batch.times, s.times)
     result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    for pops, s in zip(result.populations, singles):
-        assert np.array_equal(pops, np.abs(s.amplitudes) ** 2 @ model.basis.states)
+    for amplitudes, s in zip(result.amplitudes, singles):
+        assert np.array_equal(amplitudes, s.amplitudes)
 
     operators = floquet_operators(model, h0, 64)
     single_ops = [floquet_operator(m, 64) for m in models]
@@ -134,7 +140,7 @@ def test_ensemble_reruns_bitwise():
     spec = disorder(3.0, count=5)
     first = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
     again = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    assert np.array_equal(first.mean_populations, again.mean_populations)
+    assert np.array_equal(first.amplitudes, again.amplitudes)
     assert np.array_equal(run_spectrum_ensemble(model, spec, 64).ratios,
                           run_spectrum_ensemble(model, spec, 64).ratios)
 
@@ -143,12 +149,11 @@ def test_disorder_suppresses_penetration():
     # fixed seeds: stronger disorder pins the excitation in the driven half
     model = make_model()
     t_samples = np.arange(0.0, 151.0, 2.0)
-    clean = run_dynamics_ensemble(model, disorder(0.0, count=2), 3,
-                                  t_samples, STEP)
-    dirty = run_dynamics_ensemble(model, disorder(5.0, seed=7, count=4), 3,
-                                  t_samples, STEP)
-    deep_clean = clean.mean_populations[:, 8:].sum(axis=1).mean()
-    deep_dirty = dirty.mean_populations[:, 8:].sum(axis=1).mean()
+    clean = mean_populations(model, disorder(0.0, count=2), 3, t_samples)
+    dirty = mean_populations(model, disorder(5.0, seed=7, count=4), 3,
+                             t_samples)
+    deep_clean = clean[:, 8:].sum(axis=1).mean()
+    deep_dirty = dirty[:, 8:].sum(axis=1).mean()
     assert deep_dirty < deep_clean
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
-from drivenchain.model import DriveSpec, build_potential
+from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
+                               sample_disorders)
 from drivenchain.observables import observable_series
-from drivenchain.propagate import evolve_state
+from drivenchain.propagate import evolve_state, evolve_states
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (czz, czz_expectation, czz_from_counts, joint_probabilities,
                      populations, uniform_chain)
@@ -142,11 +143,10 @@ def test_observable_series_on_trajectory():
     potential = build_potential("cosine", N, 3 * J)
     basis = build_sector_basis(N, 1, 1)
     model = SectorModel(chain, drive, potential, basis)
-    traj = evolve_state(model, fock_state(basis, 3),
-                        np.arange(0.0, 30.0, 2.0), step=0.2)
+    t_samples = np.arange(0.0, 30.0, 2.0)
+    traj = evolve_state(model, fock_state(basis, 3), t_samples, step=0.2)
     pairs = [(l, 7) for l in range(1, N + 1) if l != 7]
-    pops, correlations = observable_series(np.abs(traj.amplitudes) ** 2,
-                                           basis, pairs)
+    pops, correlations = observable_series(traj.amplitudes, basis, pairs)
     assert pops.shape == (len(traj.times), N)
     assert len(correlations) == N - 1
     assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-9
@@ -154,6 +154,24 @@ def test_observable_series_on_trajectory():
     for (i, j), values in correlations.items():
         expected = -4.0 * pops[:, i - 1] * pops[:, j - 1]
         assert np.abs(values - expected).max() < 1e-12
+
+    # an (R, time, dim) stack reads as R separate trajectories, bit for bit
+    spec = DisorderSpec(N, 3 * J, master_seed=4, realization_count=3)
+    h0 = model.static_hamiltonians(potential.static_offsets
+                                   + sample_disorders(spec))
+    stack = evolve_states(model, h0, fock_state(basis, 3), t_samples,
+                          0.2).amplitudes
+    assert stack.shape == (3, len(t_samples), basis.dim)
+    pops, correlations = observable_series(stack, basis, pairs)
+    assert pops.shape == (3, len(t_samples), N)
+    assert np.abs(pops.sum(axis=-1) - 1.0).max() < 1e-9
+    for r, amplitudes in enumerate(stack):
+        single_pops, single = observable_series(amplitudes, basis, pairs)
+        assert np.array_equal(pops[r], single_pops)
+        assert single.keys() == correlations.keys()
+        for pair, values in single.items():
+            assert correlations[pair].shape == (3, len(t_samples))
+            assert np.array_equal(correlations[pair][r], values)
 
 
 def test_observable_series_matches_per_sample_czz():
@@ -165,8 +183,7 @@ def test_observable_series_matches_per_sample_czz():
     traj = evolve_state(model, fock_state(basis, 3),
                         np.arange(0.0, 40.0, 2.0), step=0.2)
     pairs = [(l, 7) for l in range(1, N + 1) if l != 7] + [(2, 11)]
-    _, correlations = observable_series(np.abs(traj.amplitudes) ** 2, basis,
-                                        pairs)
+    _, correlations = observable_series(traj.amplitudes, basis, pairs)
     for (i, j), values in correlations.items():
         expected = [czz_expectation(amps, basis, i, j)
                     for amps in traj.amplitudes]
@@ -180,6 +197,8 @@ def test_observable_series_rejects_foreign_basis():
     basis = build_sector_basis(4, 1, 1)
     model = SectorModel(chain, drive, potential, basis)
     traj = evolve_state(model, fock_state(basis, 1), [0.0], step=0.1)
-    weights = np.abs(traj.amplitudes) ** 2
+    with pytest.raises(ValueError, match="amplitudes of dimension 4 do not "
+                                         "fit basis dimension 6"):
+        observable_series(traj.amplitudes, build_sector_basis(4, 2, 1))
     with pytest.raises(ValueError, match="do not fit basis dimension 6"):
-        observable_series(weights, build_sector_basis(4, 2, 1))
+        observable_series(traj.amplitudes[None], build_sector_basis(4, 2, 1))
