@@ -26,7 +26,6 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, fields, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,43 +50,35 @@ _FLOAT_FMT = "%.12g"
 BLOCK_ROWS = 1024
 
 
-def write_csv(path: Path, header, fmt: str, blocks) -> None:
-    """Write the header line, then each block of rows with one ``%``.
+def write_csv(path: Path, header, fmt: str, *columns) -> None:
+    """Write the header line, then the rows of equal-length ``columns``,
+    BLOCK_ROWS rows to one ``%`` operation.
 
     ``fmt`` holds one %-conversion per column: ``%.12g`` for floats, ``%d``
-    for integers and flags, ``%s`` for values given as text.  ``blocks``
-    yields lists of equal-length columns (lists, or 1-d arrays read through
-    ``.tolist()``).  A block's columns are interleaved into one flat list,
-    row by row, and formatted through ``fmt`` repeated once per row.
+    for integers and flags, ``%s`` for values given as text.  Columns are
+    lists, or 1-d arrays read through ``.tolist()``.  A block's slices are
+    interleaved into one flat list, row by row, and formatted through
+    ``fmt`` repeated once per row.
     """
-    line = fmt + "\n"
+    line, k = fmt + "\n", len(columns)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for columns in blocks:
-            k, rows = len(columns), len(columns[0])
-            flat = [None] * (k * rows)
-            for j, column in enumerate(columns):
+        for lo in range(0, len(columns[0]), BLOCK_ROWS):
+            block = [column[lo:lo + BLOCK_ROWS] for column in columns]
+            flat = [None] * (k * len(block[0]))
+            for j, column in enumerate(block):
                 flat[j::k] = (column.tolist() if isinstance(column, np.ndarray)
                               else column)
-            f.write((line * rows) % tuple(flat))
+            f.write((line * len(block[0])) % tuple(flat))
 
 
-def _table_blocks(*columns):
-    """Equal-length columns cut into blocks of at most BLOCK_ROWS rows."""
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        yield [column[lo:lo + BLOCK_ROWS] for column in columns]
-
-
-def _grid_blocks(x_values, y_values, *fields):
-    """One block per x value: (x, y, field values...) in x-major order.
-
-    x and y come as text, each distinct value formatted once through
-    _FLOAT_FMT, so the row format takes them with ``%s``.
-    """
+def _grid_text(x_values, y_values) -> tuple:
+    """The x and y columns of an x-major grid as text, each distinct value
+    formatted once through _FLOAT_FMT, so the row format takes them with
+    ``%s``."""
+    x_text = [_FLOAT_FMT % x for x in x_values.tolist()]
     y_text = [_FLOAT_FMT % y for y in y_values.tolist()]
-    for i, x in enumerate(x_values.tolist()):
-        yield [[_FLOAT_FMT % x] * len(y_text), y_text,
-               *(field[i] for field in fields)]
+    return [x for x in x_text for _ in y_text], y_text * len(x_text)
 
 
 def _sha256(path: Path) -> str:
@@ -149,7 +140,7 @@ def _write_population_csv(path: Path, times, populations,
     n_sites = populations.shape[1]
     header = ["time_ns"] + [f"n_{l}" for l in range(1, n_sites + 1)]
     write_csv(path, header, ",".join([_FLOAT_FMT] * (n_sites + 1)),
-              _table_blocks(times, *populations.T))
+              times, *populations.T)
     manifest.record_output(path)
 
 
@@ -166,13 +157,13 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
                           populations, manifest)
 
     czz_path = out / "czz.csv"
-    # each time and each pair formatted once, as _grid_blocks does
+    # pair-major rows; each time and each pair formatted once
+    pairs = sorted(correlations)
     times = [_FLOAT_FMT % t for t in trajectory.times.tolist()]
-    blocks = chain.from_iterable(
-        _table_blocks(times, [f"{i},{j}"] * len(times), values)
-        for (i, j), values in sorted(correlations.items()))
-    write_csv(czz_path, ["time_ns", "i", "j", "value"],
-              f"%s,%s,{_FLOAT_FMT}", blocks)
+    write_csv(czz_path, ["time_ns", "i", "j", "value"], f"%s,%s,{_FLOAT_FMT}",
+              times * len(pairs),
+              [text for i, j in pairs for text in [f"{i},{j}"] * len(times)],
+              np.concatenate([correlations[pair] for pair in pairs]))
     manifest.record_output(czz_path)
 
 
@@ -209,9 +200,8 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     hist_path = out / "ratio_histogram.csv"
     write_csv(hist_path, ["r_bin_lo", "r_bin_hi", "empirical_density",
                           "poisson_density", "coe_density"],
-              ",".join([_FLOAT_FMT] * 5),
-              _table_blocks(edges[:-1], edges[1:], density,
-                            poisson_density(centers), coe_density(centers)))
+              ",".join([_FLOAT_FMT] * 5), edges[:-1], edges[1:], density,
+              poisson_density(centers), coe_density(centers))
     manifest.record_output(hist_path)
 
     summary = {
@@ -244,8 +234,8 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
               f"%s,%s,{_FLOAT_FMT},%d",
-              _grid_blocks(grid.omega_values, grid.delta1_values,
-                           grid.abs_trace, grid.stable))
+              *_grid_text(grid.omega_values, grid.delta1_values),
+              grid.abs_trace.ravel(), grid.stable.ravel())
     manifest.record_output(path)
     manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
@@ -261,7 +251,7 @@ def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     field = potential_contours(q_values, p_values, params)
     path = out / "contours.csv"
     write_csv(path, ["q", "p", "value"], f"%s,%s,{_FLOAT_FMT}",
-              _grid_blocks(q_values, p_values, field))
+              *_grid_text(q_values, p_values), field.ravel())
     manifest.record_output(path)
 
 

@@ -167,8 +167,8 @@ def load_config(path) -> RunConfig:
     """Read a key=value config file ('#' starts a comment); a key set on
     two lines is refused."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values, set_at = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -10,6 +10,7 @@ provenance.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,20 @@ import numpy as np
 from .errors import ConfigError
 from .model import ChainSpec, PotentialSpec, cosine_profile
 from .units import rad_ns_from_ghz, rad_ns_from_mhz
+
+
+def _finite_row(name: str, values, length: int) -> tuple:
+    """A row read as ``length`` finite floats; anything else is a
+    ConfigError that names the row."""
+    row = ()
+    if isinstance(values, (list, tuple)) and all(
+            type(x) in (int, float) for x in values):    # bool is no number
+        with suppress(OverflowError):       # an integer beyond the float range
+            row = tuple(float(x) for x in values)
+    if len(row) != length or not np.isfinite(row).all():
+        raise ConfigError(f"device table row {name!r} must be a list of "
+                          f"{length} finite numbers")
+    return row
 
 
 @dataclass(frozen=True)
@@ -41,23 +56,13 @@ class DeviceTable:
     couplings_mhz: tuple
 
     def __post_init__(self):
-        rows = [f.name for f in fields(self) if f.name != "couplings_mhz"]
-        for name in rows:
-            row = tuple(float(x) for x in getattr(self, name))
-            if len(row) != self.n_sites:
-                raise ConfigError(f"device table row {name!r} must have "
-                                  f"{self.n_sites} entries, got {len(row)}")
-            object.__setattr__(self, name, row)
-        couplings = tuple(float(x) for x in self.couplings_mhz)
-        if len(couplings) != self.n_sites - 1:
-            raise ConfigError(f"device table needs {self.n_sites - 1} couplings, "
-                              f"got {len(couplings)}")
-        object.__setattr__(self, "couplings_mhz", couplings)
-        for name in rows:
-            if name.endswith("_ghz") and any(x <= 0 for x in getattr(self, name)):
-                raise ConfigError(f"device table row {name!r} must be positive")
-        if any(x <= 0 for x in couplings):
-            raise ConfigError("device table couplings must be positive")
+        for f in fields(self):
+            couplings = f.name == "couplings_mhz"
+            row = _finite_row(f.name, getattr(self, f.name),
+                              self.n_sites - 1 if couplings else self.n_sites)
+            if (couplings or f.name.endswith("_ghz")) and min(row) <= 0:
+                raise ConfigError(f"device table row {f.name!r} must be positive")
+            object.__setattr__(self, f.name, row)
 
     @property
     def n_sites(self) -> int:
@@ -103,8 +108,8 @@ def bundled_table_path() -> Path:
 def load_device_table(path) -> DeviceTable:
     """Parse a device-table JSON file; errors name the offending field."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read device table {path}: {exc}") from exc
     if not raw.strip():
         raise ConfigError(f"device table {path} is empty")

@@ -34,12 +34,13 @@ def write_config(path: Path, **overrides) -> Path:
 FAST = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=64, realizations=2)
 
 
-def test_write_csv_formats_floats_integers_and_flags(tmp_path):
+def test_write_csv_formats_floats_integers_and_flags(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
-    # two blocks of (x, k, flag) columns, given as arrays or lists
-    blocks = [[np.array([0.1, 1.0 / 3.0]), [3, -2], np.array([True, False])],
-              [[1e-300], np.array([0]), [1]]]
-    write_csv(path, ["x", "k", "flag"], "%.12g,%d,%d", iter(blocks))
+    # (x, k, flag) columns given as arrays or a list, cut into blocks of 2
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 2)
+    write_csv(path, ["x", "k", "flag"], "%.12g,%d,%d",
+              np.array([0.1, 1.0 / 3.0, 1e-300]), [3, -2, 0],
+              np.array([True, False, True]))
     assert path.read_text() == ("x,k,flag\n0.1,3,1\n0.333333333333,-2,0\n"
                                 "1e-300,0,1\n")
 
@@ -51,19 +52,21 @@ def row_at_a_time_csv(header, fmt, rows) -> str:
 
 
 def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
-    # a population table of several blocks, czz and a stability grid, each
-    # byte for byte the rows of the same results formatted one at a time
-    results = {}
+    # a population table of several blocks, czz, a stability grid and a
+    # contour grid of several blocks, each byte for byte the rows of the
+    # same results formatted one at a time
+    results, arguments = {}, {}
     for name in ("run_dynamics_ensemble", "observable_series",
-                 "stability_grid"):
+                 "stability_grid", "potential_contours"):
         def recording(*args, _name=name, _func=getattr(cli, name), **kwargs):
+            arguments[_name] = args
             results[_name] = _func(*args, **kwargs)
             return results[_name]
         monkeypatch.setattr(cli, name, recording)
     cfg = write_config(tmp_path / "run.cfg", t_max_ns=1500, sample_dt_ns=1.0,
-                       stability_resolution=12)
+                       stability_resolution=12, contour_resolution=101)
     out = tmp_path / "out"
-    for command in ("dynamics", "stability"):
+    for command in ("dynamics", "stability", "contours"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
     times = results["run_dynamics_ensemble"].times.tolist()
@@ -87,6 +90,15 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
          for i, x in enumerate(grid.omega_values.tolist())
          for j, y in enumerate(grid.delta1_values.tolist())])
     assert (out / "stability_grid.csv").read_text() == expected
+    q_values, p_values = (axis.tolist()
+                          for axis in arguments["potential_contours"][:2])
+    field = results["potential_contours"]
+    assert len(q_values) * len(p_values) > cli.BLOCK_ROWS
+    expected = row_at_a_time_csv(
+        ["q", "p", "value"], "%.12g,%.12g,%.12g",
+        [(q, p, field[i, j]) for i, q in enumerate(q_values)
+         for j, p in enumerate(p_values)])
+    assert (out / "contours.csv").read_text() == expected
 
 
 def test_cli_runtime_never_imports_scipy(tmp_path):
@@ -434,6 +446,64 @@ def test_cmd_device_check_malformed(tmp_path):
     assert main(["device-check", "--table", str(bad), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_non_utf8_config_or_device_table_exits_2(tmp_path):
+    # byte 0xff is not UTF-8: a config error, not an internal one
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"profile = flat\n\xff\n")
+    for command, option in (("dynamics", "--config"),
+                            ("device-check", "--table")):
+        out = tmp_path / command
+        assert main([command, option, str(bad), "--out", str(out)]) == 2
+        manifest = strict_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error_type"] == "ConfigError"
+        assert "utf-8" in manifest["error"]
+
+
+def bundled_row_with(name: str, entry: str) -> str:
+    """Row ``name`` of the bundled device table as JSON text, its fourth
+    entry replaced by ``entry``."""
+    row = [json.dumps(x) for x in
+           json.loads(bundled_table_path().read_text())[name]]
+    row[3] = entry
+    return "[" + ", ".join(row) + "]"
+
+
+@pytest.mark.parametrize("name,row", [
+    pytest.param("t1_us", bundled_row_with("t1_us", '"abc"'), id="text"),
+    pytest.param("eta_mhz", bundled_row_with("eta_mhz", '"-200"'),
+                 id="number-as-text"),
+    pytest.param("flat_ghz", bundled_row_with("flat_ghz", "true"), id="bool"),
+    pytest.param("cosine_ghz", "5", id="row-is-number"),
+    pytest.param("couplings_mhz", "null", id="row-is-null"),
+    pytest.param("f00", '"123456789012"', id="row-is-text"),
+    pytest.param("cosine_ghz", bundled_row_with("cosine_ghz", "NaN"), id="nan"),
+    pytest.param("readout_ghz", bundled_row_with("readout_ghz", "1e999"),
+                 id="inf"),
+    pytest.param("couplings_mhz",
+                 bundled_row_with("couplings_mhz", "1" + "0" * 400),
+                 id="integer-beyond-float"),
+])
+def test_malformed_device_table_row_exits_2(tmp_path, name, row):
+    # every row is a list of finite numbers; anything else names the row,
+    # both in device-check and where a run reads the table
+    data = json.loads(bundled_table_path().read_text())
+    data[name] = "ROW"
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(data).replace('"ROW"', row))
+    cfg = write_config(tmp_path / "run.cfg", profile="table",
+                       device_table=table, **FAST)
+    for args in (["device-check", "--table", str(table)],
+                 ["dynamics", "--config", str(cfg)]):
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) == 2
+        manifest = strict_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error_type"] == "ConfigError"
+        assert repr(name) in manifest["error"]
+        assert manifest["outputs"] == []
 
 
 def test_config_error_exit_code_and_manifest(tmp_path):
