@@ -37,7 +37,7 @@ from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
 from .propagate import floquet_steps
-from .semiclassical import (DEFAULT_MONODROMY_STEPS, default_grid_axes,
+from .semiclassical import (MIN_STEPS_PER_OSCILLATION, default_grid_axes,
                             potential_contours, stability_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
@@ -227,10 +227,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     params = run.semiclassical_params()
     omega_values, delta1_values = default_grid_axes(
         params, run.config.stability_resolution)
-    # the monodromy step floor is fixed; steps_per_period sets the quantum
-    # propagator only
-    grid = stability_grid(omega_values, delta1_values, params,
-                          DEFAULT_MONODROMY_STEPS)
+    grid = stability_grid(omega_values, delta1_values, params)
     path = out / "stability_grid.csv"
     write_csv(path, ["omega", "delta1", "abs_trace", "stable"],
               f"%s,%s,{_FLOAT_FMT},%d",
@@ -239,7 +236,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     manifest.record_output(path)
     manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
-        monodromy_steps_floor=DEFAULT_MONODROMY_STEPS,
+        monodromy_steps_floor=MIN_STEPS_PER_OSCILLATION,
         monodromy_groups=grid.monodromy_groups)
 
 

@@ -115,7 +115,7 @@ def load_device_table(path) -> DeviceTable:
         raise ConfigError(f"device table {path} is empty")
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"device table {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("device table must be a JSON object")

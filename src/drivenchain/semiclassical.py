@@ -21,15 +21,15 @@ splitting into shears).
 The linearized flow is Hill's equation with an even coefficient c(t), and
 the shear sequence is a palindrome, so only the half-period product H is
 integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
-discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  The step floor must be
-a power of two >= 2, so every cell's step count is one too and T/2 falls
-on a step boundary.  The kicks sit at fixed fractions of each cell's
-period, so their cosines come from one short table per step-count group.
-Groups above max(floor, CHUNK_STEPS) steps hold few cells, so their half
-period runs as side-by-side chunks from the identity whose products fold
-into H.  The integrator takes the grid's cells as flat arrays; every group
-is cut into cache-sized blocks of cells, integrated one after another on
-the calling thread.
+discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  Every cell gets
+MIN_STEPS_PER_OSCILLATION steps per drive period or per oscillation,
+whichever is shorter, rounded up to a power of two, so T/2 falls on a step
+boundary.  The kicks sit at fixed fractions of each cell's period, so their
+cosines come from one short table per step-count group.  Groups above
+CHUNK_STEPS steps hold few cells, so their half period runs as side-by-side
+chunks from the identity whose products fold into H.  The integrator takes
+the grid's cells as flat arrays; every group is cut into cache-sized blocks
+of cells, integrated one after another on the calling thread.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -46,11 +46,11 @@ from .errors import ConfigError, NumericalError
 from .units import TWO_PI
 
 DETERMINANT_TOL = 1e-8
-#: the step floor; every cell also gets MIN_STEPS_PER_OSCILLATION steps
-#: per oscillation of its linearized motion
-DEFAULT_MONODROMY_STEPS = 64
-#: steps per period of one side-by-side chunk at floors up to it: every group
-#: loops at most max(floor, CHUNK_STEPS) / 2 times
+#: the one step rule: steps per drive period or per oscillation of the
+#: linearized motion, whichever is shorter
+MIN_STEPS_PER_OSCILLATION = 64
+#: steps per period of one side-by-side chunk: every group loops at most
+#: CHUNK_STEPS / 2 times
 CHUNK_STEPS = 256
 #: classification cushion on |tr M| <= 2: marginally stable cells (the whole
 #: zero-modulation column sits at |tr| = 2|cos(Omega T)| <= 2, touching 2 at
@@ -89,7 +89,6 @@ def energy(q, p, params: SemiclassicalParams) -> np.ndarray:
             + 2.0 * params.hopping * np.cos(p))
 
 
-MIN_STEPS_PER_OSCILLATION = 64
 #: SRKN6b of Blanes and Moan, J. Comput. Appl. Math. 142 (2002) 313: one
 #: step is the palindrome B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1 of kicks
 #: (weights b1..b4) and drifts (weights a1..a3)
@@ -99,32 +98,24 @@ SRKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
 SRKN_DRIFTS = (_A1, _A2, 0.5 - _A1 - _A2)
 
 
-def _monodromy_steps(omega, delta1, params: SemiclassicalParams,
-                     steps_floor: int) -> np.ndarray:
-    """Per-cell step count: the floor, raised for slowly driven cells.
+def _monodromy_steps(omega, delta1, params: SemiclassicalParams
+                     ) -> np.ndarray:
+    """Per-cell step count: MIN_STEPS_PER_OSCILLATION per period or per
+    oscillation, whichever is shorter, rounded up to a power of two.
 
     A cell with period T spans T * Omega_eff / (2*pi) oscillations of the
-    linearized motion; each oscillation gets at least
-    MIN_STEPS_PER_OSCILLATION steps, rounded up to a power of two so that
-    large grids fall into a handful of equal-step batches.  Depending only
-    on the cell's own parameters keeps grids exactly subsample-consistent.
+    linearized motion.  The rounding makes every count a power of two >= 2,
+    so T/2 falls on a step boundary and large grids fall into a handful of
+    equal-step batches.  Depending only on the cell's own parameters keeps
+    grids exactly subsample-consistent.
     """
     n = params.n_sites
     a = 8.0 * np.pi * params.hopping / n
     c_max = (4.0 * np.pi / n) * (abs(params.dc_amplitude) + np.abs(delta1))
     omega_eff = np.sqrt(np.maximum(a * c_max, 0.0))
-    oscillations = omega_eff / omega
-    needed = np.maximum(oscillations * MIN_STEPS_PER_OSCILLATION, 1.0)
-    quantized = 2 ** np.ceil(np.log2(needed))
-    return np.maximum(steps_floor, quantized).astype(int)
-
-
-def _chunk_count(steps: int, steps_floor: int) -> int:
-    """Parallel chunks of a group's half period: enough for chunks of at
-    most max(floor, CHUNK_STEPS) / 2 steps, so no group loops more often.
-    Step counts and the floor are powers of two, so the chunks split the
-    half period evenly."""
-    return max(1, steps // max(steps_floor, CHUNK_STEPS))
+    oscillations = np.maximum(omega_eff / omega, 1.0)
+    needed = oscillations * MIN_STEPS_PER_OSCILLATION
+    return (2 ** np.ceil(np.log2(needed))).astype(int)
 
 
 def _integrate_group(omega, delta1, params: SemiclassicalParams,
@@ -211,25 +202,20 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
 
 
 def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
-                     params: SemiclassicalParams,
-                     steps_per_period: int) -> tuple:
+                     params: SemiclassicalParams) -> tuple:
     """Monodromy matrices, shape (n, 2, 2), of n cells given as flat
     ``omega`` and ``delta1`` arrays, and their step-count groups.
 
-    ``steps_per_period``, the step floor, must be a power of two >= 2.
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
     columns (a single cell may exceed it), so a block's working set stays
     in cache.  A cell's arithmetic does not depend on its block.
     """
-    if steps_per_period < 2 or steps_per_period & (steps_per_period - 1):
-        raise ValueError("the monodromy step floor must be a power of two "
-                         f">= 2, got {steps_per_period}")
-    steps = _monodromy_steps(omega, delta1, params, steps_per_period)
+    steps = _monodromy_steps(omega, delta1, params)
     result = np.empty((omega.size, 2, 2))
     groups = []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
         count, cells = int(count), int(cells)
-        chunks = _chunk_count(count, steps_per_period)
+        chunks = max(1, count // CHUNK_STEPS)
         pieces = min(cells, -(-cells * chunks // BLOCK_COLUMNS))
         for idx in np.array_split(np.flatnonzero(steps == count), pieces):
             result[idx] = _integrate_group(omega[idx], delta1[idx], params,
@@ -271,19 +257,20 @@ class StabilityGrid:
     monodromy_groups: list          # {steps, cells, chunks, blocks} per group
 
 
-def stability_grid(omega_values, delta1_values, params: SemiclassicalParams,
-                   steps_per_period: int = DEFAULT_MONODROMY_STEPS
+def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
                    ) -> StabilityGrid:
     """Monodromy-trace map over a rectangular (omega, delta1) grid."""
     omega_values = np.asarray(omega_values, dtype=float)
     delta1_values = np.asarray(delta1_values, dtype=float)
     if len(omega_values) == 0 or len(delta1_values) == 0:
         raise ValueError("grid axes must be non-empty")
+    if not (np.isfinite(omega_values).all()
+            and np.isfinite(delta1_values).all()):
+        raise ValueError("grid axes must be finite")
     if np.any(omega_values <= 0):
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m, groups = _monodromy_batch(om.ravel(), d1.ravel(), params,
-                                 steps_per_period)
+    m, groups = _monodromy_batch(om.ravel(), d1.ravel(), params)
     _check_determinants(m)
     abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(om.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)

@@ -9,7 +9,8 @@ single-input views of package internals that only the tests call,
 ``sample_disorder_loop`` is the per-site generator loop the vectorized
 disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
-why it is bad.  ``serial_half_period_monodromy`` is the
+why it is bad.  ``monodromy_resolution`` refines the monodromy's one step
+rule inside a block.  ``serial_half_period_monodromy`` is the
 package's monodromy loop written serially, kept to pin its one-chunk path
 bit for bit, and ``yoshida_full_period_monodromy`` is the package's former
 monodromy scheme, kept as a converged reference at 8x the steps.  They
@@ -20,9 +21,11 @@ pipelines use.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from drivenchain.basis import SectorBasis
 from drivenchain.errors import NumericalError
@@ -32,8 +35,9 @@ from drivenchain.observables import _check_pair, _czz
 from drivenchain.propagate import (BLANES_MOAN_S6, UNITARITY_TOL, YOSHIDA,
                                    FloquetOperator, _advance, _check_each,
                                    floquet_operator, unitarity_defect)
-from drivenchain.semiclassical import (DEFAULT_MONODROMY_STEPS, SRKN_DRIFTS,
-                                       SRKN_KICKS, SemiclassicalParams,
+from drivenchain import semiclassical
+from drivenchain.semiclassical import (SRKN_DRIFTS, SRKN_KICKS,
+                                       SemiclassicalParams,
                                        _check_determinants, _monodromy_batch)
 from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample,
                                   _ratios_from_sorted)
@@ -375,20 +379,29 @@ def integrate_trajectory(q0: float, p0: float, duration: float, step: float,
 # monodromy of single cells and the full-period integrator
 
 
-def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams,
-                     steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> np.ndarray:
+@contextmanager
+def monodromy_resolution(min_steps: int):
+    """Inside the block, the monodromy takes ``min_steps`` steps per drive
+    period or per oscillation, whichever is shorter (the package's
+    MIN_STEPS_PER_OSCILLATION); usable under hypothesis's ``@given``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semiclassical, "MIN_STEPS_PER_OSCILLATION", min_steps)
+        yield
+
+
+def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams
+                     ) -> np.ndarray:
     """One-period monodromy matrix of the linearized flow (2x2)."""
     if omega <= 0:
         raise ValueError("omega must be positive")
     return _monodromy_batch(np.array([omega], dtype=float),
-                            np.array([delta1], dtype=float),
-                            params, steps_per_period)[0][0]
+                            np.array([delta1], dtype=float), params)[0][0]
 
 
-def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams,
-                    steps_per_period: int = DEFAULT_MONODROMY_STEPS) -> float:
+def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams
+                    ) -> float:
     """|tr M| of the one-period monodromy; stable iff |tr M| <= 2."""
-    m = monodromy_matrix(omega, delta1, params, steps_per_period)
+    m = monodromy_matrix(omega, delta1, params)
     _check_determinants(m)
     return float(abs(np.trace(m)))
 

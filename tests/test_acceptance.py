@@ -25,7 +25,8 @@ from drivenchain.semiclassical import default_grid_axes
 from drivenchain.units import TWO_PI
 from oracles import (coe_density_divergent, convergence_probe,
                      integrate_trajectory, monodromy_matrix,
-                     sample_coe_reference, sector_hamiltonian, uniform_chain)
+                     monodromy_resolution, sample_coe_reference,
+                     sector_hamiltonian, uniform_chain)
 
 
 def report(number: int, passed: bool, detail: str) -> bool:
@@ -303,8 +304,8 @@ def test_criterion_09_semiclassical_suite():
     for m, frac in ((1, 0.1), (2, 0.4), (3, 0.5)):
         center = 2 * omega_small / m
         local = np.linspace(center - cell, center + cell, 41)
-        grid = stability_grid(local, [frac * 3 * params.hopping], params,
-                              steps_per_period=2048)
+        with monodromy_resolution(2048):
+            grid = stability_grid(local, [frac * 3 * params.hopping], params)
         tongue_ok = tongue_ok and bool(np.any(~grid.stable))
 
     # determinant on representative probe cells
@@ -315,9 +316,9 @@ def test_criterion_09_semiclassical_suite():
     det_ok = det_defect < 1e-8
 
     # operating point: inside or within one grid cell of a tongue
-    op_grid = stability_grid([omega_op - cell, omega_op, omega_op + cell],
-                             [ac], params,
-                             steps_per_period=2048)
+    with monodromy_resolution(2048):
+        op_grid = stability_grid([omega_op - cell, omega_op, omega_op + cell],
+                                 [ac], params)
     op_ok = bool(np.any(~op_grid.stable))
 
     ok = freq_ok and static_ok and tongue_ok and det_ok and op_ok

@@ -506,6 +506,24 @@ def test_malformed_device_table_row_exits_2(tmp_path, name, row):
         assert manifest["outputs"] == []
 
 
+def test_deeply_nested_device_table_exits_2(tmp_path):
+    # nesting beyond json's recursion limit is a config error, not an
+    # internal one, both in device-check and where a run reads the table
+    table = tmp_path / "table.json"
+    table.write_text("[" * 200_000 + "]" * 200_000)
+    cfg = write_config(tmp_path / "run.cfg", profile="table",
+                       device_table=table, **FAST)
+    for args in (["device-check", "--table", str(table)],
+                 ["dynamics", "--config", str(cfg)]):
+        out = tmp_path / args[0]
+        assert main(args + ["--out", str(out)]) == 2
+        manifest = strict_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error_type"] == "ConfigError"
+        assert "not valid JSON" in manifest["error"]
+        assert manifest["outputs"] == []
+
+
 def test_config_error_exit_code_and_manifest(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", n_sites=11)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,17 +9,16 @@ from drivenchain import semiclassical
 from drivenchain.config import RunConfig, resolve
 from drivenchain.errors import NumericalError
 from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
-                                       DEFAULT_MONODROMY_STEPS,
+                                       MIN_STEPS_PER_OSCILLATION,
                                        STABILITY_TOLERANCE,
                                        SemiclassicalParams,
-                                       _check_determinants, _chunk_count,
-                                       _integrate_group, _monodromy_batch,
-                                       _monodromy_steps,
+                                       _check_determinants, _integrate_group,
+                                       _monodromy_batch, _monodromy_steps,
                                        default_grid_axes, energy,
                                        potential_contours, stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (classical_rhs, full_period_monodromy, integrate_trajectory,
-                     monodromy_matrix, monodromy_trace,
+                     monodromy_matrix, monodromy_resolution, monodromy_trace,
                      serial_half_period_monodromy,
                      yoshida_full_period_monodromy)
 
@@ -107,7 +107,8 @@ def test_static_monodromy_closed_form():
         params = make_params()
         omega_small = params.small_oscillation_frequency
         omega_drive = factor * omega_small
-        m = monodromy_matrix(omega_drive, 0.0, params, steps_per_period=4096)
+        m = _integrate_group(np.array([omega_drive]), np.zeros(1), params,
+                             4096, 4096 // CHUNK_STEPS)[0]
         expected = 2 * np.cos(omega_small * TWO_PI / omega_drive)
         assert np.trace(m) == pytest.approx(expected, abs=1e-8)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
@@ -139,8 +140,8 @@ def test_determinant_exact_where_representable():
 def test_stability_grid_zero_drive_row_stable():
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 40)
-    grid = stability_grid(omega_values, delta1_values, params,
-                          steps_per_period=512)
+    with monodromy_resolution(512):
+        grid = stability_grid(omega_values, delta1_values, params)
     assert np.all(grid.stable[:, 0])           # delta1 = 0 column
     assert grid.abs_trace.shape == (40, 40)
 
@@ -156,18 +157,24 @@ def test_instability_tongues_at_resonant_frequencies():
     for m, delta1_frac in ((1, 0.1), (2, 0.4), (3, 0.5)):
         center = 2 * omega_small / m
         local = np.linspace(center - cell, center + cell, 41)
-        grid = stability_grid(local, [delta1_frac * D0], params,
-                              steps_per_period=2048)
+        with monodromy_resolution(2048):
+            grid = stability_grid(local, [delta1_frac * D0], params)
         assert np.any(~grid.stable), f"no instability near m={m}"
 
 
 def test_classification_invariant_under_step_halving():
+    # doubling the steps per period or oscillation doubles every cell's count
     params = make_params()
     omega_small = params.small_oscillation_frequency
     omega_values = np.linspace(0.3, 2.8, 31) * omega_small
     delta1_values = np.linspace(0.0, 2 * D0, 11)
-    coarse = stability_grid(omega_values, delta1_values, params, 1024)
-    fine = stability_grid(omega_values, delta1_values, params, 2048)
+    grids = []
+    for min_steps in (1024, 2048):
+        with monodromy_resolution(min_steps):
+            grids.append(stability_grid(omega_values, delta1_values, params))
+    coarse, fine = grids
+    assert [2 * g["steps"] for g in coarse.monodromy_groups] \
+        == [g["steps"] for g in fine.monodromy_groups]
     assert np.array_equal(coarse.stable, fine.stable)
 
 
@@ -175,8 +182,9 @@ def test_grid_refinement_subsampling_exact():
     params = make_params()
     omega_values = np.linspace(0.5, 2.5, 9) * params.small_oscillation_frequency
     delta1_values = np.linspace(0.0, 2 * D0, 7)
-    fine = stability_grid(omega_values, delta1_values, params, 256)
-    coarse = stability_grid(omega_values[::2], delta1_values[::3], params, 256)
+    with monodromy_resolution(256):
+        fine = stability_grid(omega_values, delta1_values, params)
+        coarse = stability_grid(omega_values[::2], delta1_values[::3], params)
     assert np.array_equal(coarse.abs_trace, fine.abs_trace[::2, ::3])
 
 
@@ -184,8 +192,9 @@ def test_single_cell_matches_grid_cell():
     params = make_params()
     omega = 1.3 * params.small_oscillation_frequency
     delta1 = 0.7 * D0
-    grid = stability_grid([omega], [delta1], params, 512)
-    single = monodromy_trace(omega, delta1, params, 512)
+    with monodromy_resolution(512):
+        grid = stability_grid([omega], [delta1], params)
+        single = monodromy_trace(omega, delta1, params)
     assert grid.abs_trace[0, 0] == single
 
 
@@ -195,16 +204,17 @@ def test_operating_point_adjacent_to_tongue():
     params = make_params()
     cell = 3 * params.small_oscillation_frequency / 200
     omegas = [OMEGA_OP - cell, OMEGA_OP, OMEGA_OP + cell]
-    grid = stability_grid(omegas, [D0], params, 2048)
+    with monodromy_resolution(2048):
+        grid = stability_grid(omegas, [D0], params)
     assert np.any(~grid.stable)
 
 
-def oracle_monodromy(omega, delta1, params, steps_per_period):
+def oracle_monodromy(omega, delta1, params):
     """Full-period matrices with the package's per-cell step counts."""
     omega, delta1 = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                         np.asarray(delta1, dtype=float))
     omega_flat, delta1_flat = omega.ravel(), delta1.ravel()
-    steps = _monodromy_steps(omega_flat, delta1_flat, params, steps_per_period)
+    steps = _monodromy_steps(omega_flat, delta1_flat, params)
     out = np.empty(steps.shape + (2, 2))
     for count in np.unique(steps):
         mask = steps == count
@@ -221,25 +231,27 @@ def assert_trace_matches(abs_trace, reference):
     assert np.all(error[checked] <= 1e-7 * np.maximum(1.0, reference[checked]))
 
 
-@pytest.mark.parametrize("steps_per_period", [128, 256, 512])
-def test_half_period_matches_full_period_oracle(steps_per_period):
-    # a quarter of the resolution-8 omegas spans three to five step-count
-    # groups
+@pytest.mark.parametrize("min_steps", [128, 256, 512])
+def test_half_period_matches_full_period_oracle(min_steps):
+    # the resolution-8 omegas, scaled with min_steps to keep every count at
+    # or below 2048, span three to five step-count groups
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 8)
-    omega_values = omega_values / 4
+    omega_values = omega_values * (min_steps / 256)
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    steps = _monodromy_steps(om.ravel(), d1.ravel(), params, steps_per_period)
-    assert len(np.unique(steps)) >= 3
-    reference = oracle_monodromy(om, d1, params, steps_per_period)
+    with monodromy_resolution(min_steps):
+        steps = _monodromy_steps(om.ravel(), d1.ravel(), params)
+        assert len(np.unique(steps)) >= 3
+        reference = oracle_monodromy(om, d1, params)
+        grid = stability_grid(omega_values, delta1_values, params)
+        probes = {(i, j): monodromy_matrix(omega_values[i], delta1_values[j],
+                                           params)
+                  for i, j in ((0, 0), (0, 7), (4, 3), (7, 0), (7, 7))}
     ref_trace = np.abs(reference[..., 0, 0] + reference[..., 1, 1])
-    grid = stability_grid(omega_values, delta1_values, params, steps_per_period)
     ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
     assert np.array_equal(grid.stable, ref_stable)
     assert_trace_matches(grid.abs_trace, ref_trace)
-    for i, j in ((0, 0), (0, 7), (4, 3), (7, 0), (7, 7)):
-        m = monodromy_matrix(omega_values[i], delta1_values[j], params,
-                             steps_per_period)
+    for (i, j), m in probes.items():
         assert_trace_matches(abs(np.trace(m)), ref_trace[i, j])
         if np.abs(m).max() <= 8.0:
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
@@ -262,20 +274,61 @@ DEFAULT_OMEGAS = default_grid_axes(make_params())[0]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@example(omega=DEFAULT_OMEGAS[-1], delta1=D0, steps_floor=2)  # 32 steps
+@example(omega=DEFAULT_OMEGAS[-1], delta1=D0, min_steps=2)  # 2 steps
 @given(omega=st.sampled_from(list(DEFAULT_OMEGAS)),
        delta1=st.floats(0.0, 2 * D0),
-       steps_floor=st.sampled_from([2, 128, 512, 1024]))
-def test_monodromy_trace_matches_full_period_oracle(omega, delta1,
-                                                    steps_floor):
+       min_steps=st.sampled_from([2, 16, 64, 128]))
+def test_monodromy_trace_matches_full_period_oracle(omega, delta1, min_steps):
     params = make_params()
-    trace = monodromy_trace(omega, delta1, params, steps_floor)
-    reference = abs(np.trace(oracle_monodromy(omega, delta1, params,
-                                              steps_floor)))
+    with monodromy_resolution(min_steps):
+        trace = monodromy_trace(omega, delta1, params)
+        reference = abs(np.trace(oracle_monodromy(omega, delta1, params)))
     if reference <= 10.0:
         assert_trace_matches(trace, reference)
     else:
         assert trace > 2.0 + STABILITY_TOLERANCE
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(omega=3.0, delta1=0.0, min_steps=MIN_STEPS_PER_OSCILLATION)
+@example(omega=1e-3, delta1=2.0, min_steps=MIN_STEPS_PER_OSCILLATION)
+@given(omega=st.floats(1e-3, 1e3), delta1=st.floats(-10.0, 10.0),
+       min_steps=st.sampled_from([2, 16, MIN_STEPS_PER_OSCILLATION, 2048]))
+def test_monodromy_steps_smallest_power_of_two(omega, delta1, min_steps):
+    # omega and delta1 in units of Omega and d0: a cell spans from far
+    # below one to over a thousand oscillations per period
+    params = make_params()
+    omega *= params.small_oscillation_frequency
+    delta1 *= D0
+    with monodromy_resolution(min_steps):
+        steps = _monodromy_steps(np.array([omega]), np.array([delta1]),
+                                 params)
+    assert steps.shape == (1,)
+    steps = int(steps[0])
+    # oscillations of the linearized motion per period, T * Omega_eff / 2pi
+    stiffness = (8 * np.pi * J / 12) * (4 * np.pi / 12) * (D0 + abs(delta1))
+    oscillations = math.sqrt(stiffness) / omega
+    needed = min_steps * max(1.0, oscillations)
+    # a power of two >= 2, so T/2 falls on a step boundary
+    assert steps >= 2 and steps & (steps - 1) == 0
+    # min_steps per period and per oscillation, and no power of two less
+    # (to the rounding of log2)
+    assert steps >= min_steps
+    assert steps >= needed * (1 - 1e-12)
+    assert steps < 2 * needed * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("omega,delta1", [
+    pytest.param(0.1, np.nan, id="delta1-nan"),
+    pytest.param(0.1, np.inf, id="delta1-inf"),
+    pytest.param(np.nan, 0.0, id="omega-nan"),
+    pytest.param(np.inf, 0.0, id="omega-inf"),
+])
+def test_stability_grid_rejects_non_finite_axes(omega, delta1):
+    # a NaN or infinite cell has no step count, and omega = inf would read
+    # as a drive-free |tr M| = 2
+    with pytest.raises(ValueError, match="finite"):
+        stability_grid([OMEGA_OP, omega], [0.0, delta1], make_params())
 
 
 def test_trace_error_falls_16x_per_step_doubling():
@@ -285,12 +338,11 @@ def test_trace_error_falls_16x_per_step_doubling():
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     om = np.full(200, omega_values[0])
-    assert set(_monodromy_steps(om, delta1_values, params,
-                                DEFAULT_MONODROMY_STEPS)) == {8192}
+    assert set(_monodromy_steps(om, delta1_values, params)) == {8192}
     trace = {}
     for steps in (2048, 4096, 8192):
         m = _integrate_group(om, delta1_values, params, steps,
-                             _chunk_count(steps, DEFAULT_MONODROMY_STEPS))
+                             steps // CHUNK_STEPS)
         trace[steps] = m[:, 0, 0] + m[:, 1, 1]
     checked = np.abs(trace[8192]) <= 10.0
     scale = np.maximum(1.0, np.abs(trace[8192][checked]))
@@ -312,7 +364,7 @@ def test_default_steps_match_yoshida_reference():
     grid = stability_grid(omega_values, delta1_values, params)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
                                              indexing="ij"))
-    steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
+    steps = _monodromy_steps(om, d1, params)
     assert set(steps) == {64, 128, 256, 512, 1024}
     reference = np.empty(om.size)
     for count in np.unique(steps):
@@ -327,90 +379,91 @@ def test_default_steps_match_yoshida_reference():
 
 
 def test_default_floor_matches_former_256_step_floor():
-    # the 64-step floor against the former 256-step one on the default
-    # grid: no flag flips, relative |tr M| changes <= 1e-7 (measured
-    # 1.94e-8), and every cell with >= 256 steps, row 0 among them, is
-    # integrated bit for bit as before
+    # 64 steps per period against the former 256-step floor, rebuilt here
+    # from one integration per step-count group, on the default grid: no
+    # flag flips, relative |tr M| changes <= 1e-7 (measured 1.94e-8), and
+    # every cell with >= 256 steps, row 0 among them, is integrated bit
+    # for bit as before
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     grid = stability_grid(omega_values, delta1_values, params)
-    former = stability_grid(omega_values, delta1_values, params, 256)
-    assert grid.monodromy_groups[0]["steps"] == DEFAULT_MONODROMY_STEPS == 64
-    assert np.array_equal(grid.stable, former.stable)
-    steps = _monodromy_steps(*flat_grid(omega_values, delta1_values), params,
-                             DEFAULT_MONODROMY_STEPS)
+    assert grid.monodromy_groups[0]["steps"] == MIN_STEPS_PER_OSCILLATION == 64
+    om, d1 = flat_grid(omega_values, delta1_values)
+    steps = _monodromy_steps(om, d1, params)
+    former_steps, former = np.maximum(steps, 256), np.empty(om.size)
+    for count in np.unique(former_steps).tolist():
+        mask = former_steps == count
+        m = _integrate_group(om[mask], d1[mask], params, count,
+                             count // CHUNK_STEPS)      # chunked as before
+        former[mask] = np.abs(m[:, 0, 0] + m[:, 1, 1])
+    former = former.reshape(grid.abs_trace.shape)
+    assert np.array_equal(grid.stable, former <= 2.0 + STABILITY_TOLERANCE)
     same = steps.reshape(grid.stable.shape) >= 256
     assert same[0].all() and 0.2 < same.mean() < 0.3
-    assert np.array_equal(grid.abs_trace[same], former.abs_trace[same])
-    checked = former.abs_trace <= 10.0
-    change = (np.abs(grid.abs_trace - former.abs_trace)[checked]
-              / np.maximum(1.0, former.abs_trace[checked]))
+    assert np.array_equal(grid.abs_trace[same], former[same])
+    checked = former <= 10.0
+    change = (np.abs(grid.abs_trace - former)[checked]
+              / np.maximum(1.0, former[checked]))
     assert change.max() <= 1e-7
 
 
+#: steps per period or oscillation at which the chunked groups are checked
+CHUNKED_MIN_STEPS = [64, 256, 1024, 512, 2048]
+#: the chunked step counts the oracle integrates, each once
+CHUNKED_COUNTS = [512, 1024, 2048, 4096, 8192]
+
+
 @pytest.fixture(scope="module")
-def high_group_cells():
-    """Three cells of every chunked default-grid group, with the
-    lowest-omega row's ends, and their full-period oracle traces at a
-    given floor (each step count integrated once)."""
+def chunked_group_cells():
+    """Three cells of every default-grid group of 512 to 8192 steps, at
+    each of CHUNKED_MIN_STEPS, and the full-period oracle traces of all of
+    them at each of CHUNKED_COUNTS."""
     params = make_params()
-    omega_values, delta1_values = default_grid_axes(params)
-    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
-                                             indexing="ij"))
-    steps = _monodromy_steps(om, d1, params, DEFAULT_MONODROMY_STEPS)
-    assert om[0] == om[199] == omega_values[0]
-    picked = [0, 199]
-    for count in np.unique(steps[steps > CHUNK_STEPS]):
-        where = np.flatnonzero(steps == count)
-        picked += [where[0], where[len(where) // 2], where[-1]]
+    om, d1 = flat_grid(*default_grid_axes(params))
+    picked = set()
+    for min_steps in CHUNKED_MIN_STEPS:
+        with monodromy_resolution(min_steps):
+            steps = _monodromy_steps(om, d1, params)
+        for count in CHUNKED_COUNTS:
+            where = np.flatnonzero(steps == count)
+            if where.size:
+                picked.update([where[0], where[where.size // 2], where[-1]])
+    picked = sorted(picked)
+    assert picked[0] == 0                    # the lowest-omega row's end
     om, d1 = om[picked], d1[picked]
-    assert set(steps[picked]) == {512, 1024, 2048, 4096, 8192}
     traces = {}
-
-    def reference(steps_floor):
-        counts = _monodromy_steps(om, d1, params, steps_floor)
-        for count in set(counts.tolist()) - set(traces):
-            m = full_period_monodromy(om, d1, params, count)
-            traces[count] = np.abs(m[..., 0, 0] + m[..., 1, 1])
-        return np.array([traces[c][i] for i, c in enumerate(counts.tolist())])
-
-    return om, d1, reference
+    for count in CHUNKED_COUNTS:
+        m = full_period_monodromy(om, d1, params, count)
+        traces[count] = np.abs(m[..., 0, 0] + m[..., 1, 1])
+    return om, d1, traces
 
 
-@pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 512, 2048])
-def test_chunked_groups_match_full_period_oracle(high_group_cells, steps_floor):
-    # every picked cell needs >= 512 steps; a higher floor raises some of
-    # them to the floor group, and every group above max(floor, CHUNK_STEPS)
-    # is chunked
-    om, d1, reference = high_group_cells
-    ref_trace = reference(steps_floor)
+@pytest.mark.parametrize("min_steps", CHUNKED_MIN_STEPS)
+def test_chunked_groups_match_full_period_oracle(chunked_group_cells,
+                                                 min_steps):
+    # every group above CHUNK_STEPS is chunked; from 512 steps per period
+    # up, the per-period group is among them
+    om, d1, traces = chunked_group_cells
     params = make_params()
-    m, groups = _monodromy_batch(om, d1, params, steps_floor)
+    with monodromy_resolution(min_steps):
+        counts = _monodromy_steps(om, d1, params)
+        keep = np.isin(counts, CHUNKED_COUNTS)
+        m, groups = _monodromy_batch(om[keep], d1[keep], params)
     assert len(groups) >= 3
-    assert all(g["chunks"] > 1 for g in groups
-               if g["steps"] > max(steps_floor, CHUNK_STEPS))
+    assert all(g["chunks"] == g["steps"] // CHUNK_STEPS > 1 for g in groups)
+    ref_trace = np.array([traces[c][i] for i, c in
+                          zip(np.flatnonzero(keep), counts[keep].tolist())])
     trace = np.abs(m[..., 0, 0] + m[..., 1, 1])
     ref_stable = ref_trace <= 2.0 + STABILITY_TOLERANCE
     assert np.array_equal(trace <= 2.0 + STABILITY_TOLERANCE, ref_stable)
     assert_trace_matches(trace, ref_trace)
 
 
-def test_chunk_count_depends_on_steps_and_floor_only():
-    assert [_chunk_count(s, 1024) for s in (1024, 2048, 4096, 32768)] \
-        == [1, 2, 4, 32]
-    assert [_chunk_count(s, 256) for s in (256, 512, 1024, 8192)] \
-        == [1, 2, 4, 32]
-    assert [_chunk_count(s, 128) for s in (128, 256, 1024, 2048)] == [1, 1, 4, 8]
-    assert [_chunk_count(s, 2048) for s in (2048, 4096, 32768)] == [1, 2, 16]
-    assert [_chunk_count(s, 2) for s in (2, 32, 512)] == [1, 1, 2]
-
-
 def test_chunked_group_independent_of_cell_count():
     params = make_params()
     omega = default_grid_axes(params)[0][0]
     delta1 = np.linspace(0.0, 2 * D0, 200)
-    chunks = _chunk_count(8192, DEFAULT_MONODROMY_STEPS)
+    chunks = 8192 // CHUNK_STEPS
     many = _integrate_group(np.full(200, omega), delta1, params, 8192, chunks)
     for j in (0, 117, 199):
         one = _integrate_group(np.array([omega]), delta1[j:j + 1], params,
@@ -418,18 +471,18 @@ def test_chunked_group_independent_of_cell_count():
         assert np.array_equal(one[0], many[j])
 
 
-@pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 128])
-def test_floor_group_bitwise_equal_to_serial_loop(steps_floor):
+@pytest.mark.parametrize("steps", [64, 256, 1024, 128])
+def test_floor_group_bitwise_equal_to_serial_loop(steps):
+    # the cells of at most one oscillation per period, the default grid's
+    # largest group, in one chunk at several step counts
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 50)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
-    floor = _monodromy_steps(om, d1, params, steps_floor) == steps_floor
+    floor = _monodromy_steps(om, d1, params) == MIN_STEPS_PER_OSCILLATION
     om, d1 = om[floor], d1[floor]
-    assert _chunk_count(steps_floor, steps_floor) == 1 and om.size > 200
-    assert np.array_equal(_integrate_group(om, d1, params, steps_floor),
-                          serial_half_period_monodromy(om, d1, params,
-                                                       steps_floor))
+    assert MIN_STEPS_PER_OSCILLATION <= CHUNK_STEPS and om.size > 200
+    assert np.array_equal(_integrate_group(om, d1, params, steps),
+                          serial_half_period_monodromy(om, d1, params, steps))
 
 
 @pytest.mark.parametrize("steps", [2, 4, 128, 1024, 256])
@@ -442,17 +495,18 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
                           serial_half_period_monodromy(om, d1, params, steps))
 
 
-@pytest.mark.parametrize("steps_floor",
-                         [DEFAULT_MONODROMY_STEPS, 256, 1024, 128, 2048])
-def test_grid_bitwise_independent_of_blocks(monkeypatch, steps_floor):
-    # half the lowest to the highest default omega: every group has >= 3
-    # cells, so a budget of a third of the smallest group's columns splits
-    # all of them
+@pytest.mark.parametrize("min_steps", [64, 256, 1024, 128, 2048])
+def test_grid_bitwise_independent_of_blocks(monkeypatch, min_steps):
+    # from half the lowest default omega (raised with min_steps, which
+    # keeps every count at or below 8192) to the highest: every group has
+    # >= 3 cells, so a budget of a third of the smallest group's columns
+    # splits all of them
+    monkeypatch.setattr(semiclassical, "MIN_STEPS_PER_OSCILLATION", min_steps)
     params = make_params()
     low, high = default_grid_axes(params)[0][[0, -1]]
-    om = np.geomspace(low / 2, high, 16)
+    om = np.geomspace(low / 2 * min_steps / 64, high, 16)
     d1 = np.linspace(0.0, 2 * D0, 4)
-    groups = _monodromy_batch(*flat_grid(om, d1), params, steps_floor)[1]
+    groups = _monodromy_batch(*flat_grid(om, d1), params)[1]
     assert len(groups) >= 4 and min(g["cells"] for g in groups) >= 3
     split = min(g["cells"] * g["chunks"] for g in groups) // 3
     matrices, batch = [], semiclassical._monodromy_batch
@@ -466,7 +520,7 @@ def test_grid_bitwise_independent_of_blocks(monkeypatch, steps_floor):
     runs = []
     for budget in (BLOCK_COLUMNS, split, 10**18):
         monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", budget)
-        grid = stability_grid(om, d1, params, steps_floor)
+        grid = stability_grid(om, d1, params)
         blocks = [g["blocks"] for g in grid.monodromy_groups]
         if budget == split:
             assert min(blocks) >= 3
@@ -493,17 +547,7 @@ def test_block_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(semiclassical, "_integrate_group", failing)
     monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
     with pytest.raises(FloatingPointError, match="injected block error"):
-        _monodromy_batch(om, d1, params, 64)
-
-
-def test_stability_grid_rejects_floor_not_power_of_two():
-    # 384 is even, but it would cut a 2048-step cell's 1024 half steps
-    # into 2048 // 384 = 5 chunks
-    params = make_params()
-    omega_values, delta1_values = default_grid_axes(params, 4)
-    for floor in (0, 1, 3, 255, 384):
-        with pytest.raises(ValueError, match="power of two"):
-            stability_grid(omega_values, delta1_values, params, floor)
+        _monodromy_batch(om, d1, params)
 
 
 def test_determinant_check_skips_overflowing_cells():
