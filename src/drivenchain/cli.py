@@ -37,8 +37,9 @@ from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
 from .propagate import floquet_steps
-from .semiclassical import (MIN_STEPS_PER_OSCILLATION, default_grid_axes,
-                            potential_contours, stability_grid)
+from .semiclassical import (DETERMINANT_TOL, MIN_STEPS_PER_OSCILLATION,
+                            default_grid_axes, potential_contours,
+                            stability_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
                        ks_distance, poisson_cdf, poisson_density, poisson_mean)
 from .units import mhz_from_rad_ns
@@ -238,6 +239,9 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
         params.small_oscillation_frequency),
         monodromy_steps_floor=MIN_STEPS_PER_OSCILLATION,
         monodromy_groups=grid.monodromy_groups)
+    manifest.data["health"] = {"monodromy_determinant": {
+        "worst": grid.determinant_defect, "tolerance": DETERMINANT_TOL,
+        "ratio": grid.determinant_defect / DETERMINANT_TOL}}
 
 
 def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

@@ -15,7 +15,7 @@ parametrically modulated oscillator with small-oscillation frequency
 Omega = (4*pi/N) * sqrt(2*d0*J).  Driving near omega = 2*Omega/m makes the
 fixed point unstable (parametric resonance); stability is classified by the
 trace of the one-period monodromy matrix M of the linearized flow, computed
-by direct numerical integration (SRKN6b, a fourth-order Runge-Kutta-Nystrom
+by direct numerical integration (SRKN11b, a sixth-order Runge-Kutta-Nystrom
 splitting into shears).
 
 The linearized flow is Hill's equation with an even coefficient c(t), and
@@ -48,18 +48,21 @@ from .units import TWO_PI
 DETERMINANT_TOL = 1e-8
 #: the one step rule: steps per drive period or per oscillation of the
 #: linearized motion, whichever is shorter
-MIN_STEPS_PER_OSCILLATION = 64
+MIN_STEPS_PER_OSCILLATION = 16
+#: the most steps per period a cell may take: past it the kick tables alone
+#: would reach gigabytes, so such a cell is refused
+MAX_MONODROMY_STEPS = 2 ** 20
 #: steps per period of one side-by-side chunk: every group loops at most
 #: CHUNK_STEPS / 2 times
-CHUNK_STEPS = 256
+CHUNK_STEPS = 64
 #: classification cushion on |tr M| <= 2: marginally stable cells (the whole
 #: zero-modulation column sits at |tr| = 2|cos(Omega T)| <= 2, touching 2 at
 #: period points) must not flip on integrator roundoff.  The cushion moves
 #: tongue boundaries by orders of magnitude less than one default grid cell.
 STABILITY_TOLERANCE = 1e-4
-#: chunk x cell columns of one monodromy block: about 1.2 MB of float64
-#: state and per-cell factors, which stays inside a core's L2 cache
-BLOCK_COLUMNS = 12_000
+#: chunk x cell columns of one monodromy block: about 0.9 MB of float64
+#: kick strengths and state, which stays inside a core's L2 cache
+BLOCK_COLUMNS = 6_500
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,14 @@ def energy(q, p, params: SemiclassicalParams) -> np.ndarray:
             + 2.0 * params.hopping * np.cos(p))
 
 
-#: SRKN6b of Blanes and Moan, J. Comput. Appl. Math. 142 (2002) 313: one
-#: step is the palindrome B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1 of kicks
-#: (weights b1..b4) and drifts (weights a1..a3)
-_B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
-_A1, _A2 = 0.245298957184271, 0.604872665711080
-SRKN_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
-SRKN_DRIFTS = (_A1, _A2, 0.5 - _A1 - _A2)
+#: SRKN11b (sixth order) of Blanes and Moan, J. Comput. Appl. Math. 142
+#: (2002) 313: kick weights b1..b6 and drift weights a1..a6
+_B = (0.0414649985182624, 0.198128671918067, -0.0400061921041533,
+      0.0752539843015807, -0.0115113874206879)
+_A = (0.123229775946271, 0.290553797799558, -0.127049212625417,
+      -0.246331761062075, 0.357208872795928)
+SRKN_KICKS = _B + (0.5 - sum(_B),)
+SRKN_DRIFTS = _A + (1.0 - 2.0 * sum(_A),)
 
 
 def _monodromy_steps(omega, delta1, params: SemiclassicalParams
@@ -107,20 +111,25 @@ def _monodromy_steps(omega, delta1, params: SemiclassicalParams
     linearized motion.  The rounding makes every count a power of two >= 2,
     so T/2 falls on a step boundary and large grids fall into a handful of
     equal-step batches.  Depending only on the cell's own parameters keeps
-    grids exactly subsample-consistent.
+    grids exactly subsample-consistent.  A cell that needs more than
+    MAX_MONODROMY_STEPS raises ValueError, before anything is allocated.
     """
     n = params.n_sites
     a = 8.0 * np.pi * params.hopping / n
     c_max = (4.0 * np.pi / n) * (abs(params.dc_amplitude) + np.abs(delta1))
     omega_eff = np.sqrt(np.maximum(a * c_max, 0.0))
-    oscillations = np.maximum(omega_eff / omega, 1.0)
-    needed = oscillations * MIN_STEPS_PER_OSCILLATION
+    needed = np.maximum(omega_eff / omega, 1.0) * MIN_STEPS_PER_OSCILLATION
+    worst = int(needed.argmax())
+    if not needed[worst] <= MAX_MONODROMY_STEPS:        # NaN or inf too
+        raise ValueError(
+            f"the cell at omega = {omega[worst]:.6g} needs {needed[worst]:.3g} "
+            f"monodromy steps per period, more than {MAX_MONODROMY_STEPS}")
     return (2 ** np.ceil(np.log2(needed))).astype(int)
 
 
 def _integrate_group(omega, delta1, params: SemiclassicalParams,
                      steps: int, chunks: int = 1) -> np.ndarray:
-    """Fourth-order RKN splitting (SRKN6b) for one batch of cells.
+    """Sixth-order RKN splitting (SRKN11b) for one batch of cells.
 
     The linearized flow
         d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
@@ -128,10 +137,10 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     is a second-order equation y'' = f(y, t), so each substep is a shear
     (exact unit determinant): a kick of dP by c(t) dQ at the current time,
     or a drift of dQ by -a dP that also advances the time.  Blanes and
-    Moan's SRKN6b palindrome is fourth order with a far smaller error
-    constant than a triple-jump composition.  The B1 kicks that end one
-    step and open the next act at the same instant and are merged, so a
-    step is six drifts, each followed by a kick.
+    Moan's SRKN11b palindrome B1 A1 ... B6 A6 B6 ... A1 B1 is sixth order.
+    The B1 kicks that end one step and open the next act at the same
+    instant and are merged, so a step is the drifts a1..a6, a5..a1, each
+    followed by a kick: b2..b6, b6..b2, then the merged 2 b1.
 
     Only the half-period product H is integrated: the period's shear
     sequence is a palindrome and c(t) is even, so the second half is the
@@ -142,7 +151,7 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     half period runs as C = ``chunks`` equal chunks side by side from the
     identity, in (2, C, n) rows updated in place (chunk 0 alone starts at
     t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
-    A step's six kick strengths are computed together into one (6, C, n)
+    A step's K kick strengths are computed together into one (K, C, n)
     buffer, with the same operations per element as one kick at a time; its
     dc part depends on the kick and the cell only and is broadcast over
     the chunks.
@@ -152,20 +161,19 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     c0 = 4.0 * np.pi / n_sites
     dc = c0 * params.dc_amplitude
     h = (TWO_PI / omega) / steps
-    b1, b2, b3, b4 = SRKN_KICKS
-    a1, a2, a3 = SRKN_DRIFTS
+    b1 = SRKN_KICKS[0]
 
-    # a step's six (drift, kick) pairs; the kicks act at these step fractions
-    weights = np.array([b2, b3, b4, b3, b2, 2.0 * b1])
-    drifts = [(-a * w) * h for w in (a1, a2, a3)]
-    drifts += drifts[::-1]
-    instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
+    # a step's (drift, kick) pairs; kick j acts at the sum of drifts 1..j
+    step_drifts = SRKN_DRIFTS + SRKN_DRIFTS[-2::-1]
+    weights = np.array(SRKN_KICKS[1:] + SRKN_KICKS[:0:-1] + (2.0 * b1,))
+    instants = np.cumsum(step_drifts)
+    instants[-1] = 1.0
     cosines = np.cos(TWO_PI * (np.arange(steps // 2)[:, None] + instants)
                      / steps)
     # ac_w[j] holds the (kick, chunk) weights of step j of every chunk
-    ac_w = cosines.reshape(chunks, -1, 6).transpose(1, 2, 0)[..., None]
-    ac_w = weights[:, None, None] * ac_w
-    dc_w = np.multiply.outer(weights * dc, h)[:, None]       # (6, 1, n)
+    ac_w = cosines.reshape(chunks, -1, len(weights)).transpose(1, 2, 0)
+    ac_w = weights[:, None, None] * ac_w[..., None]
+    dc_w = np.multiply.outer(weights * dc, h)[:, None]       # (K, 1, n)
     ac_h = c0 * delta1 * h
 
     q = np.zeros((2, chunks) + omega.shape)
@@ -174,14 +182,14 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     p[1] = 1.0
     p[0, 0] = ac_h * b1 + (b1 * dc) * h                 # t = 0, cos = 1
     tmp = np.empty_like(q)
-    kap = np.empty((6,) + q.shape[1:])
-    pairs = list(zip(drifts, kap))                  # views made once
+    kap = np.empty((len(weights),) + q.shape[1:])
+    pairs = list(zip([(-a * w) * h for w in step_drifts], kap))  # made once
 
     for k, ac_weights in enumerate(ac_w, 1):
         np.multiply(ac_h, ac_weights, out=kap)
         np.add(kap, dc_w, out=kap)
         if k == len(ac_w):               # T/2 halves the merged B1 kick;
-            kap[5, -1] *= 0.5            # halving is exact in floating point
+            kap[-1, -1] *= 0.5           # halving is exact in floating point
         for factor, kappa in pairs:
             np.multiply(p, factor, out=tmp)             # drift
             np.add(q, tmp, out=q)
@@ -225,8 +233,9 @@ def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
     return result, groups
 
 
-def _check_determinants(m: np.ndarray) -> None:
-    """Verify det M = 1 to 1e-8 wherever that is measurable.
+def _check_determinants(m: np.ndarray) -> float:
+    """Verify det M = 1 to 1e-8 wherever that is measurable, and return the
+    worst measured |det M - 1| (0 when no cell is measurable).
 
     Each integration substep is a shear, so the determinant is preserved
     structurally; the floating-point check is meaningful only while matrix
@@ -244,6 +253,7 @@ def _check_determinants(m: np.ndarray) -> None:
     worst = float(np.abs(det - 1.0).max(initial=0.0))
     if worst > DETERMINANT_TOL:
         raise NumericalError(f"monodromy determinant deviates by {worst:.3e}")
+    return worst
 
 
 @dataclass(frozen=True)
@@ -255,6 +265,7 @@ class StabilityGrid:
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
     monodromy_groups: list          # {steps, cells, chunks, blocks} per group
+    determinant_defect: float       # worst checked |det M - 1|
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
@@ -271,11 +282,11 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
         raise ValueError("omega grid values must be positive")
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
     m, groups = _monodromy_batch(om.ravel(), d1.ravel(), params)
-    _check_determinants(m)
+    defect = _check_determinants(m)
     abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(om.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
-                         groups)
+                         groups, defect)
 
 
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):

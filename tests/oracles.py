@@ -12,8 +12,9 @@ disorder draws replaced, kept as their oracle, and
 why it is bad.  ``monodromy_resolution`` refines the monodromy's one step
 rule inside a block.  ``serial_half_period_monodromy`` is the
 package's monodromy loop written serially, kept to pin its one-chunk path
-bit for bit, and ``yoshida_full_period_monodromy`` is the package's former
-monodromy scheme, kept as a converged reference at 8x the steps.  They
+bit for bit.  ``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
+``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
+references for the current one.  They
 live here so that the package carries only what its
 pipelines use.
 """
@@ -429,32 +430,55 @@ def _linearized_shears(omega, delta1, params: SemiclassicalParams,
     return m, h, kick, drift
 
 
+#: SRKN6b of Blanes and Moan (2002), the package's former fourth-order
+#: monodromy scheme: one step is the palindrome
+#: B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1, with a kick in the middle
+_B1, _B2, _B3 = 0.0829844064174052, 0.396309801498368, -0.0390563049223486
+_A1, _A2 = 0.245298957184271, 0.604872665711080
+SRKN6B_KICKS = (_B1, _B2, _B3, 1.0 - 2.0 * (_B1 + _B2 + _B3))
+SRKN6B_DRIFTS = (_A1, _A2, 0.5 - _A1 - _A2)
+
+
+def step_shears(kicks, drifts) -> list:
+    """One step of a palindromic kick-drift scheme as (is_kick, weight)
+    shears: B1 A1 B2 A2 ... up to the last weight of either tuple, then
+    mirrored about it.  ``kicks`` has as many weights as ``drifts`` (a
+    drift in the middle, as SRKN11b) or one more (a kick, as SRKN6b)."""
+    if not 0 <= len(kicks) - len(drifts) <= 1:
+        raise ValueError("kicks and drifts do not alternate")
+    half = []
+    for j, b in enumerate(kicks):
+        half.append((True, b))
+        if j < len(drifts):
+            half.append((False, drifts[j]))
+    return half + half[-2::-1]
+
+
 def full_period_monodromy(omega, delta1, params: SemiclassicalParams,
-                          steps: int) -> np.ndarray:
-    """SRKN6b over the whole period, one shear of the palindrome at a time.
+                          steps: int, kicks=SRKN_KICKS,
+                          drifts=SRKN_DRIFTS) -> np.ndarray:
+    """A palindromic RKN scheme over the whole period, one shear at a time.
 
     The linearized flow
         d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
         d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
     is split into kicks of dP at the current time and drifts of dQ that
-    advance the time; each step is B1 A1 B2 A2 B3 A3 B4 A3 B3 A2 B2 A1 B1.
-    Nothing is merged, no symmetry is used, and cos(omega*t) is evaluated
-    per cell at the accumulated time: the independent second way to
-    compute what the half-period integrator of ``drivenchain.semiclassical``
-    returns.
+    advance the time; each step is the palindrome of ``step_shears``, by
+    default the package's SRKN11b B1 A1 ... B6 A6 B6 ... A1 B1.  Nothing
+    is merged, no symmetry is used, and cos(omega*t) is evaluated per cell
+    at the accumulated time: the independent second way to compute what
+    the half-period integrator of ``drivenchain.semiclassical`` returns.
     """
     m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
-    b1, b2, b3, b4 = SRKN_KICKS
-    a1, a2, a3 = SRKN_DRIFTS
-    kicks = (b1, b2, b3, b4, b3, b2, b1)
-    drifts = (a1, a2, a3, a3, a2, a1, 0.0)
+    shears = step_shears(kicks, drifts)
     t = np.zeros_like(omega)
     for _ in range(steps):
-        for b, a in zip(kicks, drifts):
-            kick(t, b)
-            if a:
-                drift(a)
-                t = t + a * h
+        for is_kick, w in shears:
+            if is_kick:
+                kick(t, w)
+            else:
+                drift(w)
+                t = t + w * h
     return m
 
 
@@ -462,10 +486,11 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
                                   steps: int) -> np.ndarray:
     """Yoshida triple jump over the whole period, a converged reference.
 
-    The package's former scheme: each step composes three Strang steps
-    (half kick, drift, half kick) with the weights (w1, w0, w1).  At equal
-    step counts its error in tr M is hundreds of times SRKN6b's, so it
-    serves as a reference only at >= 8x the step count it is compared with.
+    The package's first monodromy scheme: each step composes three Strang
+    steps (half kick, drift, half kick) with the weights (w1, w0, w1).  It
+    is fourth order with an error constant hundreds of times SRKN6b's, so
+    it serves as a reference for SRKN11b only at >= 32x the step count it
+    is compared with.
     """
     m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
     t = np.zeros_like(omega)
@@ -479,26 +504,31 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
 
 
 def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
-                                 steps: int) -> np.ndarray:
+                                 steps: int, kicks=SRKN_KICKS,
+                                 drifts=SRKN_DRIFTS) -> np.ndarray:
     """The half-period integrator as one serial loop over the half period.
 
     ``drivenchain.semiclassical._integrate_group`` with one chunk must
     reproduce it bit for bit: the same merged B1 kicks at step boundaries,
-    and T/2 splitting the last of them, one kick strength at a time.  The
-    step count is even, as every count the package integrates is.
+    kicks at the cumulative drifts with the last at exactly 1, and T/2
+    splitting the last merged kick, one kick strength at a time.  The step
+    count is even, as every count the package integrates is.  Any
+    palindrome of ``step_shears`` runs, SRKN6b's too.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
     c0 = 4.0 * np.pi / n_sites
     dc = c0 * params.dc_amplitude
     h = (TWO_PI / omega) / steps
-    b1, b2, b3, b4 = SRKN_KICKS
-    a1, a2, a3 = SRKN_DRIFTS
     half = steps // 2
 
-    kicks = (b2, b3, b4, b3, b2, 2.0 * b1)
-    drifts = (a1, a2, a3, a3, a2, a1)
-    instants = np.array([a1, a1 + a2, 0.5, 1.0 - a1 - a2, 1.0 - a1, 1.0])
+    # after the opening B1, a step is (drift, kick) pairs ending on B1
+    shears = step_shears(kicks, drifts)[1:]
+    step_drifts = [w for _, w in shears[0::2]]
+    step_kicks = [w for _, w in shears[1::2]]
+    step_kicks[-1] = 2.0 * kicks[0]
+    instants = np.cumsum(step_drifts)
+    instants[-1] = 1.0
     cosines = np.cos(TWO_PI * (np.arange(half)[:, None] + instants) / steps)
     ac_h = c0 * delta1 * h
 
@@ -519,12 +549,13 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
         np.multiply(p, (-a * weight) * h, out=tmp)
         np.add(q, tmp, out=q)
 
-    kick(b1, 1.0)
+    kick(kicks[0], 1.0)
+    last = len(step_kicks) - 1
     for k in range(half):
-        for j, (b, w) in enumerate(zip(kicks, drifts)):
+        for j, (b, w) in enumerate(zip(step_kicks, step_drifts)):
             drift(w)
-            if k + 1 == half and j == 5:
-                b = b1
+            if k + 1 == half and j == last:
+                b = kicks[0]
             kick(b, cosines[k, j])
 
     (h11, h12), (h21, h22) = q, p

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenchain import cli
+from drivenchain import cli, semiclassical
 from drivenchain.cli import main, write_csv
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
 from drivenchain.device import bundled_table_path, load_device_table
@@ -343,9 +343,10 @@ def test_cmd_stability_manifest_records_monodromy_groups(tmp_path):
     assert all(sorted(g) == ["blocks", "cells", "chunks", "steps"]
                for g in groups)
     steps = [g["steps"] for g in groups]
-    assert steps == sorted(set(steps)) and steps[0] == 64 and len(steps) > 1
+    assert steps == sorted(set(steps)) and steps[0] == 16 and len(steps) > 1
     assert sum(g["cells"] for g in groups) == 144
-    assert [g["chunks"] for g in groups] == [max(1, s // 256) for s in steps]
+    assert [g["chunks"] for g in groups] == [
+        max(1, s // semiclassical.CHUNK_STEPS) for s in steps]
     header = (out / "stability_grid.csv").read_text().splitlines()[0]
     assert header == "omega,delta1,abs_trace,stable"
 
@@ -357,12 +358,24 @@ def test_default_stability_groups_loop_at_most_128_steps(tmp_path):
     assert main(["stability", "--out", str(out)]) == 0
     groups = strict_manifest(out)["monodromy_groups"]
     assert sum(g["cells"] for g in groups) == 200 * 200
-    assert max(g["steps"] for g in groups) == 8192
+    assert max(g["steps"] for g in groups) == 2048
     assert all(g["steps"] // (2 * g["chunks"]) <= 128 for g in groups)
 
 
-def test_stability_manifest_records_environment_and_workers(tmp_path):
-    # --steps-per-period sets the quantum propagator; the floor stays 64
+def test_default_stability_records_determinant_margin(tmp_path):
+    # the worst checkable |det M - 1|, its tolerance and their ratio
+    out = tmp_path / "out"
+    assert main(["stability", "--out", str(out)]) == 0
+    health = strict_manifest(out)["health"]
+    assert list(health) == ["monodromy_determinant"]
+    margin = health["monodromy_determinant"]
+    assert margin["tolerance"] == semiclassical.DETERMINANT_TOL == 1e-8
+    assert 0.0 < margin["worst"] < margin["tolerance"]
+    assert margin["ratio"] == margin["worst"] / margin["tolerance"] < 1.0
+
+
+def test_stability_manifest_records_environment_and_step_rule(tmp_path):
+    # --steps-per-period sets the quantum propagator; the floor stays 16
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out),
@@ -373,8 +386,8 @@ def test_stability_manifest_records_environment_and_workers(tmp_path):
                            "usable_cpus"]
     assert env["numpy"] == np.__version__
     assert 1 <= env["usable_cpus"] <= env["cpu_count"]
-    assert manifest["monodromy_steps_floor"] == 64
-    assert manifest["monodromy_groups"][0]["steps"] == 64
+    assert manifest["monodromy_steps_floor"] == 16
+    assert manifest["monodromy_groups"][0]["steps"] == 16
     assert "monodromy_workers" not in manifest
 
 
@@ -604,7 +617,6 @@ def test_long_runs_pass_unitarity_and_norm_checks(tmp_path, command,
 
 def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):
     # the determinant check still fires on M rebuilt from the half period
-    from drivenchain import semiclassical
     monkeypatch.setattr(semiclassical, "DETERMINANT_TOL", -1.0)
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
     out = tmp_path / "out"
@@ -612,6 +624,7 @@ def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):
     manifest = strict_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["error_type"] == "NumericalError"
+    assert manifest["error"].startswith("monodromy determinant deviates")
     assert not (out / "stability_grid.csv").exists()
 
 

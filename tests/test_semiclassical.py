@@ -9,6 +9,7 @@ from drivenchain import semiclassical
 from drivenchain.config import RunConfig, resolve
 from drivenchain.errors import NumericalError
 from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
+                                       MAX_MONODROMY_STEPS,
                                        MIN_STEPS_PER_OSCILLATION,
                                        STABILITY_TOLERANCE,
                                        SemiclassicalParams,
@@ -17,7 +18,8 @@ from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
                                        default_grid_axes, energy,
                                        potential_contours, stability_grid)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
-from oracles import (classical_rhs, full_period_monodromy, integrate_trajectory,
+from oracles import (SRKN6B_DRIFTS, SRKN6B_KICKS, classical_rhs,
+                     full_period_monodromy, integrate_trajectory,
                      monodromy_matrix, monodromy_resolution, monodromy_trace,
                      serial_half_period_monodromy,
                      yoshida_full_period_monodromy)
@@ -300,15 +302,19 @@ def test_monodromy_steps_smallest_power_of_two(omega, delta1, min_steps):
     params = make_params()
     omega *= params.small_oscillation_frequency
     delta1 *= D0
-    with monodromy_resolution(min_steps):
-        steps = _monodromy_steps(np.array([omega]), np.array([delta1]),
-                                 params)
-    assert steps.shape == (1,)
-    steps = int(steps[0])
     # oscillations of the linearized motion per period, T * Omega_eff / 2pi
     stiffness = (8 * np.pi * J / 12) * (4 * np.pi / 12) * (D0 + abs(delta1))
     oscillations = math.sqrt(stiffness) / omega
     needed = min_steps * max(1.0, oscillations)
+    with monodromy_resolution(min_steps):
+        if needed > MAX_MONODROMY_STEPS * (1 + 1e-12):
+            with pytest.raises(ValueError, match="omega"):
+                _monodromy_steps(np.array([omega]), np.array([delta1]), params)
+            return
+        steps = _monodromy_steps(np.array([omega]), np.array([delta1]),
+                                 params)
+    assert steps.shape == (1,)
+    steps = int(steps[0])
     # a power of two >= 2, so T/2 falls on a step boundary
     assert steps >= 2 and steps & (steps - 1) == 0
     # min_steps per period and per oscillation, and no power of two less
@@ -316,6 +322,37 @@ def test_monodromy_steps_smallest_power_of_two(omega, delta1, min_steps):
     assert steps >= min_steps
     assert steps >= needed * (1 - 1e-12)
     assert steps < 2 * needed * (1 + 1e-12)
+    assert steps <= MAX_MONODROMY_STEPS
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-6])
+def test_cell_over_the_step_bound_raises_before_integrating(monkeypatch,
+                                                            factor):
+    # omega = 1e-300 once overflowed the count's cast to a negative group
+    # read as stable; omega = 1e-6 Omega needs about 1.6e7 steps per period
+    def no_integration(*args):
+        raise AssertionError("integrated a cell over the bound")
+
+    monkeypatch.setattr(semiclassical, "_integrate_group", no_integration)
+    params = make_params()
+    omega = factor * params.small_oscillation_frequency
+    with pytest.raises(ValueError, match=f"omega = {omega:.6g} needs"):
+        stability_grid([omega, OMEGA_OP], [0.0, D0], params)
+
+
+def test_largest_cli_grid_stays_under_the_step_bound():
+    # stability_resolution 1000, the largest the config accepts: its row 0
+    # (the lowest omega) needs the most steps, 16384, at the top delta1
+    params = make_params()
+    omega_values, delta1_values = default_grid_axes(params, 1000)
+    picked = delta1_values[::111]
+    assert picked[-1] == delta1_values[-1]
+    steps = _monodromy_steps(np.full(picked.size, omega_values[0]), picked,
+                             params)
+    assert steps.max() == 16384 <= MAX_MONODROMY_STEPS
+    grid = stability_grid(omega_values[:1], picked, params)
+    assert np.isfinite(grid.abs_trace).all()
+    assert grid.monodromy_groups[-1]["steps"] == 16384
 
 
 @pytest.mark.parametrize("omega,delta1", [
@@ -331,33 +368,36 @@ def test_stability_grid_rejects_non_finite_axes(omega, delta1):
         stability_grid([OMEGA_OP, omega], [0.0, delta1], make_params())
 
 
-def test_trace_error_falls_16x_per_step_doubling():
+def test_trace_error_falls_64x_per_step_doubling():
     # the lowest-omega row converges slowest; measured step-halving
-    # differences of tr M shrink 16.2x from 2048 -> 4096 to 4096 -> 8192
-    # steps (its default count), a fourth-order scheme
+    # differences of tr M shrink 64.9x from 512 -> 1024 to 1024 -> 2048
+    # steps (its default count), and 64.2x one doubling further: a
+    # sixth-order scheme
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     om = np.full(200, omega_values[0])
-    assert set(_monodromy_steps(om, delta1_values, params)) == {8192}
+    assert set(_monodromy_steps(om, delta1_values, params)) == {2048}
     trace = {}
-    for steps in (2048, 4096, 8192):
+    for steps in (512, 1024, 2048):
         m = _integrate_group(om, delta1_values, params, steps,
                              steps // CHUNK_STEPS)
         trace[steps] = m[:, 0, 0] + m[:, 1, 1]
-    checked = np.abs(trace[8192]) <= 10.0
-    scale = np.maximum(1.0, np.abs(trace[8192][checked]))
-    err_2048, err_4096 = (np.abs(trace[s] - trace[2 * s])[checked] / scale
-                          for s in (2048, 4096))
-    assert 12.0 < err_2048.max() / err_4096.max() < 20.0
+    checked = np.abs(trace[2048]) <= 10.0
+    scale = np.maximum(1.0, np.abs(trace[2048][checked]))
+    err_512, err_1024 = (np.abs(trace[s] - trace[2 * s])[checked] / scale
+                         for s in (512, 1024))
+    assert 48.0 < err_512.max() / err_1024.max() < 80.0
     # Richardson estimate of the default count's error, well inside the
     # classification cushion
-    assert err_4096.max() / 15.0 < 0.1 * STABILITY_TOLERANCE
+    assert err_1024.max() / 63.0 < 0.1 * STABILITY_TOLERANCE
 
 
 def test_default_steps_match_yoshida_reference():
-    # the former triple-jump scheme at 8x each cell's default step count
-    # (measured agreement over these 170 cells: 2.2e-9 in the 64-step group,
-    # 2.3e-9 in the 128-step one and 4.3e-9 overall, in the 256-step one)
+    # the first former scheme, the triple jump, at 32x each cell's default
+    # step count: 512 steps per period or oscillation (measured agreement
+    # over these 170 cells: 1.1e-8 in the 16-step group, 9.2e-9 in the
+    # 32-step one and 3.2e-8 overall, in the 64-step one; at 8x the triple
+    # jump's own error reads 8.8e-6)
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     omega_values, delta1_values = omega_values[7::12], delta1_values[::20]
@@ -365,12 +405,12 @@ def test_default_steps_match_yoshida_reference():
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
                                              indexing="ij"))
     steps = _monodromy_steps(om, d1, params)
-    assert set(steps) == {64, 128, 256, 512, 1024}
+    assert set(steps) == {16, 32, 64, 128, 256}
     reference = np.empty(om.size)
     for count in np.unique(steps):
         mask = steps == count
         m = yoshida_full_period_monodromy(om[mask], d1[mask], params,
-                                          8 * int(count))
+                                          32 * int(count))
         reference[mask] = np.abs(m[..., 0, 0] + m[..., 1, 1])
     reference = reference.reshape(grid.abs_trace.shape)
     assert np.array_equal(grid.stable,
@@ -378,44 +418,42 @@ def test_default_steps_match_yoshida_reference():
     assert_trace_matches(grid.abs_trace, reference)
 
 
-def test_default_floor_matches_former_256_step_floor():
-    # 64 steps per period against the former 256-step floor, rebuilt here
-    # from one integration per step-count group, on the default grid: no
-    # flag flips, relative |tr M| changes <= 1e-7 (measured 1.94e-8), and
-    # every cell with >= 256 steps, row 0 among them, is integrated bit
-    # for bit as before
+def test_srkn11b_at_16_matches_srkn6b_at_64_steps():
+    # SRKN11b at 16 steps per period or oscillation against the former
+    # SRKN6b at 64, on the default grid, every cell at its own count: no
+    # flag flips, relative |tr M| changes <= 1e-5 (measured 3.8e-6, in
+    # row 0, where SRKN6b's own error reads 4.2e-6 against DOP853)
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
     grid = stability_grid(omega_values, delta1_values, params)
-    assert grid.monodromy_groups[0]["steps"] == MIN_STEPS_PER_OSCILLATION == 64
+    assert grid.monodromy_groups[0]["steps"] == MIN_STEPS_PER_OSCILLATION == 16
     om, d1 = flat_grid(omega_values, delta1_values)
-    steps = _monodromy_steps(om, d1, params)
-    former_steps, former = np.maximum(steps, 256), np.empty(om.size)
+    with monodromy_resolution(64):
+        former_steps = _monodromy_steps(om, d1, params)
+    assert np.array_equal(former_steps, 4 * _monodromy_steps(om, d1, params))
+    former = np.empty(om.size)
     for count in np.unique(former_steps).tolist():
         mask = former_steps == count
-        m = _integrate_group(om[mask], d1[mask], params, count,
-                             count // CHUNK_STEPS)      # chunked as before
+        m = serial_half_period_monodromy(om[mask], d1[mask], params, count,
+                                         SRKN6B_KICKS, SRKN6B_DRIFTS)
         former[mask] = np.abs(m[:, 0, 0] + m[:, 1, 1])
     former = former.reshape(grid.abs_trace.shape)
     assert np.array_equal(grid.stable, former <= 2.0 + STABILITY_TOLERANCE)
-    same = steps.reshape(grid.stable.shape) >= 256
-    assert same[0].all() and 0.2 < same.mean() < 0.3
-    assert np.array_equal(grid.abs_trace[same], former[same])
     checked = former <= 10.0
     change = (np.abs(grid.abs_trace - former)[checked]
               / np.maximum(1.0, former[checked]))
-    assert change.max() <= 1e-7
+    assert change.max() <= 1e-5
 
 
 #: steps per period or oscillation at which the chunked groups are checked
-CHUNKED_MIN_STEPS = [64, 256, 1024, 512, 2048]
+CHUNKED_MIN_STEPS = [16, 64, 256, 128, 512]
 #: the chunked step counts the oracle integrates, each once
-CHUNKED_COUNTS = [512, 1024, 2048, 4096, 8192]
+CHUNKED_COUNTS = [128, 256, 512, 1024, 2048]
 
 
 @pytest.fixture(scope="module")
 def chunked_group_cells():
-    """Three cells of every default-grid group of 512 to 8192 steps, at
+    """Three cells of every default-grid group of 128 to 2048 steps, at
     each of CHUNKED_MIN_STEPS, and the full-period oracle traces of all of
     them at each of CHUNKED_COUNTS."""
     params = make_params()
@@ -441,7 +479,7 @@ def chunked_group_cells():
 @pytest.mark.parametrize("min_steps", CHUNKED_MIN_STEPS)
 def test_chunked_groups_match_full_period_oracle(chunked_group_cells,
                                                  min_steps):
-    # every group above CHUNK_STEPS is chunked; from 512 steps per period
+    # every group above CHUNK_STEPS is chunked; from 128 steps per period
     # up, the per-period group is among them
     om, d1, traces = chunked_group_cells
     params = make_params()
@@ -463,11 +501,11 @@ def test_chunked_group_independent_of_cell_count():
     params = make_params()
     omega = default_grid_axes(params)[0][0]
     delta1 = np.linspace(0.0, 2 * D0, 200)
-    chunks = 8192 // CHUNK_STEPS
-    many = _integrate_group(np.full(200, omega), delta1, params, 8192, chunks)
+    chunks = 2048 // CHUNK_STEPS                 # row 0's default count
+    many = _integrate_group(np.full(200, omega), delta1, params, 2048, chunks)
     for j in (0, 117, 199):
         one = _integrate_group(np.array([omega]), delta1[j:j + 1], params,
-                               8192, chunks)
+                               2048, chunks)
         assert np.array_equal(one[0], many[j])
 
 
@@ -487,7 +525,7 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps):
 
 @pytest.mark.parametrize("steps", [2, 4, 128, 1024, 256])
 def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
-    # one (6, C, n) kick-strength buffer per step, from a single step up
+    # one (11, C, n) kick-strength buffer per step, from a single step up
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 12)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
