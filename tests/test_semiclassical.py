@@ -446,16 +446,16 @@ def test_srkn11b_at_16_matches_srkn6b_at_64_steps():
 
 
 #: steps per period or oscillation at which the chunked groups are checked
-CHUNKED_MIN_STEPS = [16, 64, 256, 128, 512]
+CHUNKED_MIN_STEPS = [16, 64, 256, 128, 512, 1024, 2048]
 #: the chunked step counts the oracle integrates, each once
-CHUNKED_COUNTS = [128, 256, 512, 1024, 2048]
+CHUNKED_COUNTS = [128, 256, 512, 1024, 2048, 4096, 8192]
 
 
 @pytest.fixture(scope="module")
 def chunked_group_cells():
-    """Three cells of every default-grid group of 128 to 2048 steps, at
-    each of CHUNKED_MIN_STEPS, and the full-period oracle traces of all of
-    them at each of CHUNKED_COUNTS."""
+    """Three cells of every default-grid group of 128 to 8192 steps, at
+    each of CHUNKED_MIN_STEPS, and the full-period oracle traces of each
+    at the CHUNKED_COUNTS it takes at one of those resolutions."""
     params = make_params()
     om, d1 = flat_grid(*default_grid_axes(params))
     picked = set()
@@ -469,10 +469,17 @@ def chunked_group_cells():
     picked = sorted(picked)
     assert picked[0] == 0                    # the lowest-omega row's end
     om, d1 = om[picked], d1[picked]
+    counts = []
+    for min_steps in CHUNKED_MIN_STEPS:
+        with monodromy_resolution(min_steps):
+            counts.append(_monodromy_steps(om, d1, params))
     traces = {}
     for count in CHUNKED_COUNTS:
-        m = full_period_monodromy(om, d1, params, count)
-        traces[count] = np.abs(m[..., 0, 0] + m[..., 1, 1])
+        # NaN where no resolution gives the cell this count
+        need = np.any(np.array(counts) == count, axis=0)
+        m = full_period_monodromy(om[need], d1[need], params, count)
+        traces[count] = np.full(om.shape, np.nan)
+        traces[count][need] = np.abs(m[..., 0, 0] + m[..., 1, 1])
     return om, d1, traces
 
 
