@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realizations", help="ensemble size override")
         p.add_argument("--steps-per-period",
                        help="quantum propagator steps per drive period "
-                            "(stability keeps its own monodromy floor)")
+                            "(stability's monodromy has its own step rule)")
         p.add_argument("--profile", help="potential profile override")
         p.add_argument("--disorder-w", dest="disorder_w_over_j",
                        metavar="W_OVER_J",

@@ -16,7 +16,7 @@ Omega = (4*pi/N) * sqrt(2*d0*J).  Driving near omega = 2*Omega/m makes the
 fixed point unstable (parametric resonance); stability is classified by the
 trace of the one-period monodromy matrix M of the linearized flow, computed
 by direct numerical integration (SRKN11b, a sixth-order Runge-Kutta-Nystrom
-splitting into shears).
+splitting into shears, stepped as its two-term recurrence on positions).
 
 The linearized flow is Hill's equation with an even coefficient c(t), and
 the shear sequence is a palindrome, so only the half-period product H is
@@ -24,12 +24,15 @@ integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
 discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  Every cell gets
 MIN_STEPS_PER_OSCILLATION steps per drive period or per oscillation,
 whichever is shorter, rounded up to a power of two, so T/2 falls on a step
-boundary.  The kicks sit at fixed fractions of each cell's period, so their
-cosines come from one short table per step-count group.  Groups above
-CHUNK_STEPS steps hold few cells, so their half period runs as side-by-side
-chunks from the identity whose products fold into H.  The integrator takes
-the grid's cells as flat arrays; every group is cut into cache-sized blocks
-of cells, integrated one after another on the calling thread.
+boundary.  Eliminating dP turns the drift-kick pairs into a recurrence
+u_{m+1} = alpha_m u_m - u_{m-1} on scaled positions, two array operations
+per pair, and H is rebuilt from the last two positions.  The kicks sit at
+fixed fractions of each cell's period, so their cosines come from one
+short table per step-count group.  Groups above CHUNK_STEPS steps hold few
+cells, so their half period runs as side-by-side chunks from the identity
+whose products fold into H.  The integrator takes the grid's cells as flat
+arrays; every group is cut into cache-sized blocks of cells, integrated
+one after another on the calling thread.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -76,8 +79,11 @@ class SemiclassicalParams:
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2:
             raise ConfigError("n_sites must be even and >= 2")
-        if self.dc_amplitude * self.hopping <= 0:
-            raise ConfigError("dc amplitude and hopping must have positive product")
+        if not (math.isfinite(self.dc_amplitude)
+                and math.isfinite(self.hopping)
+                and self.dc_amplitude * self.hopping > 0):
+            raise ConfigError("dc amplitude and hopping must be finite, "
+                              "with positive product")
 
     @property
     def small_oscillation_frequency(self) -> float:
@@ -134,13 +140,27 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     The linearized flow
         d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
         d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
-    is a second-order equation y'' = f(y, t), so each substep is a shear
-    (exact unit determinant): a kick of dP by c(t) dQ at the current time,
-    or a drift of dQ by -a dP that also advances the time.  Blanes and
-    Moan's SRKN11b palindrome B1 A1 ... B6 A6 B6 ... A1 B1 is sixth order.
-    The B1 kicks that end one step and open the next act at the same
-    instant and are merged, so a step is the drifts a1..a6, a5..a1, each
-    followed by a kick: b2..b6, b6..b2, then the merged 2 b1.
+    is a second-order equation y'' = f(y, t), split into shears: kicks of
+    dP by c(t) dQ at the current time and drifts of dQ by -a dP that
+    advance the time.  Blanes and Moan's SRKN11b palindrome B1 A1 ... B6
+    A6 B6 ... A1 B1 is sixth order.  The B1 kicks that end one step and
+    open the next act at the same instant and are merged, so a step is the
+    drifts a1..a6, a5..a1, each followed by a kick: b2..b6, b6..b2, then
+    the merged 2 b1.
+
+    The pairs are stepped in their Stormer form, on positions alone: with
+    x_m the dQ after drift m, f_m = -a w_m h and kappa_m the kick after
+    it, eliminating dP gives x_{m+1} = (1 + r_m + f_{m+1} kappa_m) x_m -
+    r_m x_{m-1}, r_m = w_{m+1} / w_m.  With x_m = c_m u_m, c_0 = c_1 = 1
+    and c_{m+1} = r_m c_{m-1}, that is u_{m+1} = alpha_m u_m - u_{m-1}: a
+    multiply and a subtract per pair.  A step's ratios multiply to 1, so c
+    repeats every two steps.  alpha's cell parts are formed as (a h)(dc h)
+    and (a h)(c0 d1 h), never h*h, which over- or underflows for extreme
+    d0.  A chunk starts at x_1 = x_0 + f_1 p_0 and ends with q = c_M u_M,
+    p = (q - c_{M-1} u_{M-1}) / f_M + kappa_M q.  The roundoff of alpha
+    ~ 1 acts as a stiffness of order eps per pair, so the error grows as
+    the square of the steps per oscillation: 4e-13 in the entries at 16
+    steps, 1.6e-9 at 1024.
 
     Only the half-period product H is integrated: the period's shear
     sequence is a palindrome and c(t) is even, so the second half is the
@@ -150,11 +170,10 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     fractions of the period, so the group shares one cosine table.  The
     half period runs as C = ``chunks`` equal chunks side by side from the
     identity, in (2, C, n) rows updated in place (chunk 0 alone starts at
-    t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.
-    A step's K kick strengths are computed together into one (K, C, n)
-    buffer, with the same operations per element as one kick at a time; its
-    dc part depends on the kick and the cell only and is broadcast over
-    the chunks.
+    t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.  A step's K
+    alphas are computed together into one (K, C, n) buffer; their dc part
+    depends on the kick and the cell only and is broadcast over the
+    chunks.
     """
     n_sites = params.n_sites
     a = 8.0 * np.pi * params.hopping / n_sites
@@ -164,37 +183,59 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     b1 = SRKN_KICKS[0]
 
     # a step's (drift, kick) pairs; kick j acts at the sum of drifts 1..j
-    step_drifts = SRKN_DRIFTS + SRKN_DRIFTS[-2::-1]
+    drifts = np.array(SRKN_DRIFTS + SRKN_DRIFTS[-2::-1])
     weights = np.array(SRKN_KICKS[1:] + SRKN_KICKS[:0:-1] + (2.0 * b1,))
-    instants = np.cumsum(step_drifts)
+    instants = np.cumsum(drifts)
     instants[-1] = 1.0
     cosines = np.cos(TWO_PI * (np.arange(steps // 2)[:, None] + instants)
                      / steps)
-    # ac_w[j] holds the (kick, chunk) weights of step j of every chunk
-    ac_w = cosines.reshape(chunks, -1, len(weights)).transpose(1, 2, 0)
-    ac_w = weights[:, None, None] * ac_w[..., None]
-    dc_w = np.multiply.outer(weights * dc, h)[:, None]       # (K, 1, n)
+    # cosines[k, j, i]: kick j of step k of chunk i
+    cosines = cosines.reshape(chunks, -1, len(weights)).transpose(1, 2, 0)
+
+    # c_m repeats after the 2K drifts of two steps; drift m is pair
+    # (m - 1) % K of its step, so r_m is read by pair
+    ratios = np.roll(drifts, -1) / drifts
+    c = [1.0, 1.0]
+    for m in range(1, 2 * len(drifts) - 1):
+        c.append(ratios[(m - 1) % len(drifts)] * c[m - 1])
+    c = np.array(c)
+    drift = np.arange(1, c.size + 1).reshape(2, -1)   # by step parity, pair
+    scale = c[drift % c.size] / c[(drift + 1) % c.size]     # c_m / c_{m+1}
+    gain = -(np.roll(drifts, -1) * weights) * scale
+    ac_g = (gain[np.arange(len(cosines)) % 2, :, None] * cosines)[..., None]
+    ah = a * h
     ac_h = c0 * delta1 * h
+    ac_hh = ah * ac_h
+    dc_g = np.multiply.outer(gain, ah * (dc * h))
+    dc_g += ((1.0 + ratios) * scale)[..., None]
+    dc_g = dc_g[:, :, None]                                 # (2, K, 1, n)
 
-    q = np.zeros((2, chunks) + omega.shape)
-    p = np.zeros_like(q)
-    q[0] = 1.0
-    p[1] = 1.0
-    p[0, 0] = ac_h * b1 + (b1 * dc) * h                 # t = 0, cos = 1
-    tmp = np.empty_like(q)
-    kap = np.empty((len(weights),) + q.shape[1:])
-    pairs = list(zip([(-a * w) * h for w in step_drifts], kap))  # made once
+    f = (-a * drifts[0]) * h                  # drifts 1 and M are both a1
+    u_prev = np.zeros((2, chunks) + omega.shape)            # x_0
+    u_prev[0] = 1.0
+    u = np.empty_like(u_prev)                               # x_1
+    u[0] = 1.0
+    u[1] = f
+    u[0, 0] += f * (ac_h * b1 + (b1 * dc) * h)          # t = 0, cos = 1
+    tmp = np.empty_like(u)
+    alpha = np.empty((len(weights),) + u.shape[1:])
+    rows = list(alpha)                                      # made once
 
-    for k, ac_weights in enumerate(ac_w, 1):
-        np.multiply(ac_h, ac_weights, out=kap)
-        np.add(kap, dc_w, out=kap)
-        if k == len(ac_w):               # T/2 halves the merged B1 kick;
-            kap[-1, -1] *= 0.5           # halving is exact in floating point
-        for factor, kappa in pairs:
-            np.multiply(p, factor, out=tmp)             # drift
-            np.add(q, tmp, out=q)
-            np.multiply(q, kappa, out=tmp)              # kick
-            np.add(p, tmp, out=p)
+    for k, ac_gains in enumerate(ac_g):
+        np.multiply(ac_hh, ac_gains, out=alpha)
+        np.add(alpha, dc_g[k % 2], out=alpha)
+        for alpha_j in rows if k + 1 < len(ac_g) else rows[:-1]:
+            np.multiply(u, alpha_j, out=tmp)
+            np.subtract(tmp, u_prev, out=u_prev)
+            u, u_prev = u_prev, u
+
+    # each chunk ends on its merged B1 kick, which T/2 halves (exactly)
+    kick = (ac_h * (weights[-1] * cosines[-1, -1])[:, None]
+            + (weights[-1] * dc) * h)
+    kick[-1] *= 0.5
+    end = len(weights) * len(cosines)                       # drift M
+    q = c[end % c.size] * u
+    p = (q - c[(end - 1) % c.size] * u_prev) / f + kick * q
 
     (h11, h12), (h21, h22) = q[:, 0], p[:, 0]
     for j in range(1, chunks):                       # H <- M_j H

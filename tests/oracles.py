@@ -10,13 +10,13 @@ single-input views of package internals that only the tests call,
 disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
 why it is bad.  ``monodromy_resolution`` refines the monodromy's one step
-rule inside a block.  ``serial_half_period_monodromy`` is the
-package's monodromy loop written serially, kept to pin its one-chunk path
-bit for bit.  ``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
-``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
-references for the current one.  They
-live here so that the package carries only what its
-pipelines use.
+rule inside a block.  ``serial_recurrence_monodromy`` is the package's
+monodromy recurrence written serially, kept to pin its one-chunk path bit
+for bit; ``serial_half_period_monodromy`` is the same scheme in the shear
+form the package stepped before.  ``yoshida_full_period_monodromy`` and
+``SRKN6B_KICKS`` / ``SRKN6B_DRIFTS`` are the package's two former
+monodromy schemes, kept as references for the current one.  They live
+here so that the package carries only what its pipelines use.
 """
 
 from __future__ import annotations
@@ -503,33 +503,52 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
     return m
 
 
-def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
-                                 steps: int, kicks=SRKN_KICKS,
-                                 drifts=SRKN_DRIFTS) -> np.ndarray:
-    """The half-period integrator as one serial loop over the half period.
-
-    ``drivenchain.semiclassical._integrate_group`` with one chunk must
-    reproduce it bit for bit: the same merged B1 kicks at step boundaries,
-    kicks at the cumulative drifts with the last at exactly 1, and T/2
-    splitting the last merged kick, one kick strength at a time.  The step
-    count is even, as every count the package integrates is.  Any
-    palindrome of ``step_shears`` runs, SRKN6b's too.
-    """
-    n_sites = params.n_sites
-    a = 8.0 * np.pi * params.hopping / n_sites
-    c0 = 4.0 * np.pi / n_sites
-    dc = c0 * params.dc_amplitude
-    h = (TWO_PI / omega) / steps
-    half = steps // 2
-
-    # after the opening B1, a step is (drift, kick) pairs ending on B1
+def _half_period_step(omega, params: SemiclassicalParams, steps: int,
+                      kicks, drifts):
+    """A step of the half-period integrators after the opening B1, as
+    (drift, kick) pairs ending on the merged 2 B1, and the kick cosines
+    by step and pair; also the linearized flow's a, c0 and the step h."""
     shears = step_shears(kicks, drifts)[1:]
     step_drifts = [w for _, w in shears[0::2]]
     step_kicks = [w for _, w in shears[1::2]]
     step_kicks[-1] = 2.0 * kicks[0]
     instants = np.cumsum(step_drifts)
     instants[-1] = 1.0
-    cosines = np.cos(TWO_PI * (np.arange(half)[:, None] + instants) / steps)
+    cosines = np.cos(TWO_PI * (np.arange(steps // 2)[:, None] + instants)
+                     / steps)
+    a = 8.0 * np.pi * params.hopping / params.n_sites
+    c0 = 4.0 * np.pi / params.n_sites
+    h = (TWO_PI / omega) / steps
+    return step_drifts, step_kicks, cosines, a, c0, h
+
+
+def _full_period_from_half(q, p) -> np.ndarray:
+    """M = R adj(H) R H from the half-period product's rows (q, p)."""
+    (h11, h12), (h21, h22) = q, p
+    m = np.empty(h11.shape + (2, 2))
+    m[..., 0, 0] = h11 * h22 + h12 * h21
+    m[..., 1, 1] = m[..., 0, 0]
+    m[..., 0, 1] = 2.0 * h12 * h22
+    m[..., 1, 0] = 2.0 * h11 * h21
+    return m
+
+
+def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
+                                 steps: int, kicks=SRKN_KICKS,
+                                 drifts=SRKN_DRIFTS) -> np.ndarray:
+    """The half-period integrator in shear form, as one serial loop.
+
+    The same merged B1 kicks at step boundaries as
+    ``drivenchain.semiclassical._integrate_group``, kicks at the
+    cumulative drifts with the last at exactly 1, and T/2 splitting the
+    last merged kick, but stepping dQ and dP shear by shear, one kick
+    strength at a time.  The step count is even, as every count the
+    package integrates is.  Any palindrome of ``step_shears`` runs,
+    SRKN6b's too.
+    """
+    step_drifts, step_kicks, cosines, a, c0, h = _half_period_step(
+        omega, params, steps, kicks, drifts)
+    dc = c0 * params.dc_amplitude
     ac_h = c0 * delta1 * h
 
     q = np.zeros((2,) + omega.shape)
@@ -551,17 +570,63 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
 
     kick(kicks[0], 1.0)
     last = len(step_kicks) - 1
-    for k in range(half):
+    for k in range(steps // 2):
         for j, (b, w) in enumerate(zip(step_kicks, step_drifts)):
             drift(w)
-            if k + 1 == half and j == last:
+            if k + 1 == steps // 2 and j == last:
                 b = kicks[0]
             kick(b, cosines[k, j])
+    return _full_period_from_half(q, p)
 
-    (h11, h12), (h21, h22) = q, p
-    m = np.empty(omega.shape + (2, 2))
-    m[..., 0, 0] = h11 * h22 + h12 * h21
-    m[..., 1, 1] = m[..., 0, 0]
-    m[..., 0, 1] = 2.0 * h12 * h22
-    m[..., 1, 0] = 2.0 * h11 * h21
-    return m
+
+def serial_recurrence_monodromy(omega, delta1, params: SemiclassicalParams,
+                                steps: int) -> np.ndarray:
+    """The package's half-period recurrence on positions, as one serial
+    loop.
+
+    ``drivenchain.semiclassical._integrate_group`` with one chunk must
+    reproduce it bit for bit: x_m = c_m u_m is the dQ after drift m, and
+    u_{m+1} = alpha_m u_m - u_{m-1} with the scales c_m (c_0 = c_1 = 1,
+    c_{m+1} = r_m c_{m-1}, r_m = w_{m+1} / w_m, repeating after two
+    steps), one alpha at a time from SRKN_KICKS and SRKN_DRIFTS.  p is
+    rebuilt from the last two positions and the last kick.  The shear
+    form, ``serial_half_period_monodromy``, is the same scheme to roundoff.
+    """
+    step_drifts, step_kicks, cosines, a, c0, h = _half_period_step(
+        omega, params, steps, SRKN_KICKS, SRKN_DRIFTS)
+    dc = c0 * params.dc_amplitude
+    b1 = SRKN_KICKS[0]
+    ac_h = c0 * delta1 * h
+    ah = a * h
+    ac_hh = ah * ac_h
+    dc_hh = ah * (dc * h)
+    pairs = len(step_drifts)
+
+    def w(m):                                       # drift m's weight
+        return step_drifts[(m - 1) % pairs]
+
+    period = 2 * pairs
+    c = [1.0, 1.0]
+    for m in range(1, period - 1):
+        c.append(w(m + 1) / w(m) * c[m - 1])
+
+    f = (-a * w(1)) * h
+    x_prev = np.zeros((2,) + omega.shape)
+    x_prev[0] = 1.0
+    x = np.empty_like(x_prev)
+    x[0] = 1.0
+    x[1] = f
+    x[0] += f * (ac_h * b1 + (b1 * dc) * h)
+    end = pairs * (steps // 2)
+    for m in range(1, end):
+        k, j = divmod(m - 1, pairs)
+        scale = c[m % period] / c[(m + 1) % period]
+        gain = -(w(m + 1) * step_kicks[j]) * scale
+        shift = (1.0 + w(m + 1) / w(m)) * scale
+        alpha = ac_hh * (gain * cosines[k, j]) + (gain * dc_hh + shift)
+        x, x_prev = alpha * x - x_prev, x
+
+    kick = ac_h * (b1 * cosines[-1, -1]) + (b1 * dc) * h
+    q = c[end % period] * x
+    p = (q - c[(end - 1) % period] * x_prev) / f + kick * q
+    return _full_period_from_half(q, p)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from drivenchain import semiclassical
 from drivenchain.config import RunConfig, resolve
-from drivenchain.errors import NumericalError
+from drivenchain.errors import ConfigError, NumericalError
 from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
                                        MAX_MONODROMY_STEPS,
                                        MIN_STEPS_PER_OSCILLATION,
@@ -22,6 +22,7 @@ from oracles import (SRKN6B_DRIFTS, SRKN6B_KICKS, classical_rhs,
                      full_period_monodromy, integrate_trajectory,
                      monodromy_matrix, monodromy_resolution, monodromy_trace,
                      serial_half_period_monodromy,
+                     serial_recurrence_monodromy,
                      yoshida_full_period_monodromy)
 
 J = rad_ns_from_mhz(11.5)
@@ -527,17 +528,78 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps):
     om, d1 = om[floor], d1[floor]
     assert MIN_STEPS_PER_OSCILLATION <= CHUNK_STEPS and om.size > 200
     assert np.array_equal(_integrate_group(om, d1, params, steps),
-                          serial_half_period_monodromy(om, d1, params, steps))
+                          serial_recurrence_monodromy(om, d1, params, steps))
 
 
 @pytest.mark.parametrize("steps", [2, 4, 128, 1024, 256])
 def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
-    # one (11, C, n) kick-strength buffer per step, from a single step up
+    # one (11, C, n) buffer of a step's recurrence coefficients, from a
+    # single step up
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 12)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
     assert np.array_equal(_integrate_group(om, d1, params, steps),
-                          serial_half_period_monodromy(om, d1, params, steps))
+                          serial_recurrence_monodromy(om, d1, params, steps))
+
+
+@pytest.mark.parametrize("steps,chunks", [
+    (2, 1), (4, 1), (16, 1), (128, 1), (1024, 1),
+    (2048, 2048 // CHUNK_STEPS)])
+def test_recurrence_matches_shear_form(steps, chunks):
+    # the recurrence on positions against the same scheme stepped shear by
+    # shear; up to 128 steps on the resolution-12 grid (its own counts are
+    # 16 to 128), from 1024 on the default grid's lowest-omega row (its own
+    # count is 2048), chunked as the package runs it.  Measured worst
+    # entry differences: 3.7e-14 (2 steps), 3.9e-13 (16), 2.9e-11 (128),
+    # 1.6e-11 (1024) and 7.0e-11 (2048, chunked)
+    params = make_params()
+    if steps <= 128:
+        om, d1 = flat_grid(*default_grid_axes(params, 12))
+    else:
+        omega_values, d1 = default_grid_axes(params)
+        om = np.full(d1.size, omega_values[0])
+    m = _integrate_group(om, d1, params, steps, chunks)
+    reference = serial_half_period_monodromy(om, d1, params, steps)
+    small = np.abs(reference).max(axis=(-2, -1)) <= 8.0
+    assert small.sum() > 100
+    assert np.abs(m - reference)[small].max() <= 1e-9
+    assert_trace_matches(np.abs(m[:, 0, 0] + m[:, 1, 1]),
+                         reference[:, 0, 0] + reference[:, 1, 1])
+
+
+def test_recurrence_roundoff_grows_with_steps_per_oscillation():
+    # the recurrence holds each drift's coefficient as alpha = O(1) plus an
+    # O(h^2) force, so its roundoff acts like a spurious stiffness of
+    # order eps per drift and grows as the square of the steps per
+    # oscillation.  At 1024 steps the resolution-12 grid's fastest cells
+    # take 64 times the step rule's count; there entries move by up to
+    # 1.6e-9 from the shear form (2.9e-11 at 128 steps), which stays far
+    # inside assert_trace_matches
+    params = make_params()
+    om, d1 = flat_grid(*default_grid_axes(params, 12))
+    m = _integrate_group(om, d1, params, 1024)
+    reference = serial_half_period_monodromy(om, d1, params, 1024)
+    small = np.abs(reference).max(axis=(-2, -1)) <= 8.0
+    assert np.abs(m - reference)[small].max() <= 1e-8
+    assert_trace_matches(np.abs(m[:, 0, 0] + m[:, 1, 1]),
+                         reference[:, 0, 0] + reference[:, 1, 1])
+
+
+@pytest.mark.parametrize("factor", [1e-310, 1e-300, 1e300, 1e307])
+def test_stability_grid_invariant_under_scaled_dc_amplitude(factor):
+    # scaling d0 by s scales Omega and the default omega axis by sqrt(s):
+    # tr M is unchanged, while the step h scales by 1/sqrt(s) and h*h would
+    # overflow or underflow (s = 1e-310 makes d0 subnormal; measured
+    # worst change 1.7e-10 there, 3.3e-12 elsewhere)
+    nominal = make_params()
+    scaled = SemiclassicalParams(12, D0 * factor, J)
+    reference = stability_grid(*default_grid_axes(nominal, 40), nominal)
+    grid = stability_grid(*default_grid_axes(scaled, 40), scaled)
+    assert np.array_equal(grid.stable, reference.stable)
+    checked = reference.abs_trace <= 10.0
+    change = np.abs(grid.abs_trace - reference.abs_trace)[checked]
+    assert np.all(change <= 1e-9 * np.maximum(1.0,
+                                              reference.abs_trace[checked]))
 
 
 @pytest.mark.parametrize("min_steps", [64, 256, 1024, 128, 2048])
@@ -636,3 +698,13 @@ def test_params_validation():
         SemiclassicalParams(11, D0, J)      # odd N
     with pytest.raises(ValueError):
         SemiclassicalParams(12, -D0, J)     # negative product
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["dc_amplitude", "hopping"])
+def test_params_reject_non_finite(field, value):
+    # nan * J <= 0 is False, so NaN once constructed, and inf gave an
+    # infinite small-oscillation frequency
+    values = {"dc_amplitude": D0, "hopping": J, field: value}
+    with pytest.raises(ConfigError, match="finite"):
+        SemiclassicalParams(12, **values)
