@@ -12,25 +12,30 @@ giving the equations of motion
 
 (Q, P) = (2*pi, 0) is a fixed point; linearizing about it yields a
 parametrically modulated oscillator with small-oscillation frequency
-Omega = (4*pi/N) * sqrt(2*d0*J).  Driving near omega = 2*Omega/m makes the
-fixed point unstable (parametric resonance); stability is classified by the
-trace of the one-period monodromy matrix M of the linearized flow, computed
-by direct numerical integration (SRKN11b, a sixth-order Runge-Kutta-Nystrom
-splitting into shears, stepped as its two-term recurrence on positions).
+Omega = (4*pi/N) * sqrt(2*d0*J).  In units of its own oscillation, tau =
+Omega*t, it is Hill's equation x'' = -(1 + eps*cos(nu*tau)) x with nu =
+omega/Omega and eps = d1/d0, so the one-period monodromy matrix M depends
+on nu and eps alone: a model with flipped signs or rescaled d0 and J gives
+the same map on the same Omega-relative axes.  The grid and its CSV keep
+omega and d1; the integrator sees only (nu, eps).  Driving near omega =
+2*Omega/m makes the fixed point unstable (parametric resonance);
+stability is classified by the trace of M, computed by direct numerical
+integration (SRKN11b, a sixth-order Runge-Kutta-Nystrom splitting into
+shears, stepped as its two-term recurrence on positions).
 
-The linearized flow is Hill's equation with an even coefficient c(t), and
-the shear sequence is a palindrome, so only the half-period product H is
-integrated: M = R adj(H) R H with R = diag(1, -1) holds exactly for the
-discrete scheme, and tr M = 2 (h11 h22 + h12 h21).  Every cell gets
-MIN_STEPS_PER_OSCILLATION steps per drive period or per oscillation,
-whichever is shorter, rounded up to a power of two, so T/2 falls on a step
-boundary.  Eliminating dP turns the drift-kick pairs into a recurrence
-u_{m+1} = alpha_m u_m - u_{m-1} on scaled positions, two array operations
-per pair, and H is rebuilt from the last two positions.  The kicks sit at
-fixed fractions of each cell's period, so their cosines come from one
-short table per step-count group.  Groups above CHUNK_STEPS steps hold few
-cells, so their half period runs as side-by-side chunks from the identity
-whose products fold into H.  The integrator takes the grid's cells as flat
+Hill's equation has an even coefficient, and the shear sequence is a
+palindrome, so only the half-period product H is integrated: M = R adj(H)
+R H with R = diag(1, -1) holds exactly for the discrete scheme, and tr M
+= 2 (h11 h22 + h12 h21).  Every cell gets MIN_STEPS_PER_OSCILLATION
+steps per drive period or per oscillation, whichever is shorter, rounded
+up to a power of two, so T/2 falls on a step boundary.  Eliminating the
+momentum turns the drift-kick pairs into a recurrence u_{m+1} = alpha_m
+u_m - u_{m-1} on scaled positions, two array operations per pair, and H
+is rebuilt from the last two positions.  The kicks sit at fixed fractions
+of each cell's period, so their cosines come from one short table per
+step-count group.  Groups above CHUNK_STEPS steps hold few cells, so
+their half period runs as side-by-side chunks from the identity whose
+products fold into H.  The integrator takes the grid's cells as flat
 arrays; every group is cut into cache-sized blocks of cells, integrated
 one after another on the calling thread.
 
@@ -108,40 +113,36 @@ SRKN_KICKS = _B + (0.5 - sum(_B),)
 SRKN_DRIFTS = _A + (1.0 - 2.0 * sum(_A),)
 
 
-def _monodromy_steps(omega, delta1, params: SemiclassicalParams
-                     ) -> np.ndarray:
+def _monodromy_steps(nu, eps) -> np.ndarray:
     """Per-cell step count: MIN_STEPS_PER_OSCILLATION per period or per
     oscillation, whichever is shorter, rounded up to a power of two.
 
-    A cell with period T spans T * Omega_eff / (2*pi) oscillations of the
-    linearized motion.  The rounding makes every count a power of two >= 2,
-    so T/2 falls on a step boundary and large grids fall into a handful of
-    equal-step batches.  Depending only on the cell's own parameters keeps
-    grids exactly subsample-consistent.  A cell that needs more than
-    MAX_MONODROMY_STEPS raises ValueError, before anything is allocated.
+    A cell's period 2*pi/nu spans at most sqrt(1 + |eps|) / nu
+    oscillations of the linearized motion.  The rounding makes every count
+    a power of two >= 2, so T/2 falls on a step boundary and large grids
+    fall into a handful of equal-step batches.  Depending only on the
+    cell's own parameters keeps grids exactly subsample-consistent.  A
+    cell that needs more than MAX_MONODROMY_STEPS raises ValueError,
+    before anything is allocated.
     """
-    n = params.n_sites
-    a = 8.0 * np.pi * params.hopping / n
-    c_max = (4.0 * np.pi / n) * (abs(params.dc_amplitude) + np.abs(delta1))
-    omega_eff = np.sqrt(np.maximum(a * c_max, 0.0))
-    needed = np.maximum(omega_eff / omega, 1.0) * MIN_STEPS_PER_OSCILLATION
+    needed = (np.maximum(np.sqrt(1.0 + np.abs(eps)) / nu, 1.0)
+              * MIN_STEPS_PER_OSCILLATION)
     worst = int(needed.argmax())
     if not needed[worst] <= MAX_MONODROMY_STEPS:        # NaN or inf too
         raise ValueError(
-            f"the cell at omega = {omega[worst]:.6g} needs {needed[worst]:.3g} "
-            f"monodromy steps per period, more than {MAX_MONODROMY_STEPS}")
+            f"the cell at omega = {nu[worst]:.6g} Omega needs "
+            f"{needed[worst]:.3g} monodromy steps per period, more than "
+            f"{MAX_MONODROMY_STEPS}")
     return (2 ** np.ceil(np.log2(needed))).astype(int)
 
 
-def _integrate_group(omega, delta1, params: SemiclassicalParams,
-                     steps: int, chunks: int = 1) -> np.ndarray:
+def _integrate_group(nu, eps, steps: int, chunks: int = 1) -> np.ndarray:
     """Sixth-order RKN splitting (SRKN11b) for one batch of cells.
 
-    The linearized flow
-        d(dQ)/dt = -a * dP,      a = 8*pi*J/N,
-        d(dP)/dt = c(t) * dQ,    c(t) = (4*pi/N) * [d0 + d1*cos(omega*t)],
-    is a second-order equation y'' = f(y, t), split into shears: kicks of
-    dP by c(t) dQ at the current time and drifts of dQ by -a dP that
+    The linearized flow in units of its own oscillation, tau = Omega*t,
+        x' = -p,     p' = c(tau) * x,     c(tau) = 1 + eps*cos(nu*tau),
+    is a second-order equation x'' = -c(tau) x, split into shears: kicks
+    of p by c(tau) x at the current time and drifts of x by -p that
     advance the time.  Blanes and Moan's SRKN11b palindrome B1 A1 ... B6
     A6 B6 ... A1 B1 is sixth order.  The B1 kicks that end one step and
     open the next act at the same instant and are merged, so a step is the
@@ -149,37 +150,31 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     the merged 2 b1.
 
     The pairs are stepped in their Stormer form, on positions alone: with
-    x_m the dQ after drift m, f_m = -a w_m h and kappa_m the kick after
-    it, eliminating dP gives x_{m+1} = (1 + r_m + f_{m+1} kappa_m) x_m -
-    r_m x_{m-1}, r_m = w_{m+1} / w_m.  With x_m = c_m u_m, c_0 = c_1 = 1
-    and c_{m+1} = r_m c_{m-1}, that is u_{m+1} = alpha_m u_m - u_{m-1}: a
+    x_m the x after drift m, f_m = -w_m h and kappa_m the kick after it,
+    eliminating p gives x_{m+1} = (1 + r_m + f_{m+1} kappa_m) x_m - r_m
+    x_{m-1}, r_m = w_{m+1} / w_m.  With x_m = c_m u_m, c_0 = c_1 = 1 and
+    c_{m+1} = r_m c_{m-1}, that is u_{m+1} = alpha_m u_m - u_{m-1}: a
     multiply and a subtract per pair.  A step's ratios multiply to 1, so c
-    repeats every two steps.  alpha's cell parts are formed as (a h)(dc h)
-    and (a h)(c0 d1 h), never h*h, which over- or underflows for extreme
-    d0.  A chunk starts at x_1 = x_0 + f_1 p_0 and ends with q = c_M u_M,
-    p = (q - c_{M-1} u_{M-1}) / f_M + kappa_M q.  The roundoff of alpha
-    ~ 1 acts as a stiffness of order eps per pair, so the error grows as
-    the square of the steps per oscillation: 4e-13 in the entries at 16
-    steps, 1.6e-9 at 1024.
+    repeats every two steps.  A chunk starts at x_1 = x_0 + f_1 p_0 and
+    ends with q = c_M u_M, p = (q - c_{M-1} u_{M-1}) / f_M + kappa_M q.
+    The roundoff of alpha ~ 1 acts as a stiffness of order eps per pair,
+    so the error grows as the square of the steps per oscillation: 3e-13
+    in the entries at 16 steps, 1.3e-9 at 1024.
 
     Only the half-period product H is integrated: the period's shear
-    sequence is a palindrome and c(t) is even, so the second half is the
+    sequence is a palindrome and c(tau) is even, so the second half is the
     first mirrored, and since R S^-1 R = S for every shear S (R =
     diag(1, -1)), M = R adj(H) R H.  ``steps`` is a power of two, so T/2
     splits the merged B1 kick at a step boundary.  Kicks sit at fixed
     fractions of the period, so the group shares one cosine table.  The
     half period runs as C = ``chunks`` equal chunks side by side from the
     identity, in (2, C, n) rows updated in place (chunk 0 alone starts at
-    t = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.  A step's K
-    alphas are computed together into one (K, C, n) buffer; their dc part
-    depends on the kick and the cell only and is broadcast over the
-    chunks.
+    tau = 0, the last alone ends at T/2); H = M_{C-1} ... M_0.  A step's K
+    alphas are computed together into one (K, C, n) buffer; their
+    constant part depends on the kick and the cell only and is broadcast
+    over the chunks.
     """
-    n_sites = params.n_sites
-    a = 8.0 * np.pi * params.hopping / n_sites
-    c0 = 4.0 * np.pi / n_sites
-    dc = c0 * params.dc_amplitude
-    h = (TWO_PI / omega) / steps
+    h = (TWO_PI / nu) / steps
     b1 = SRKN_KICKS[0]
 
     # a step's (drift, kick) pairs; kick j acts at the sum of drifts 1..j
@@ -202,36 +197,34 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     drift = np.arange(1, c.size + 1).reshape(2, -1)   # by step parity, pair
     scale = c[drift % c.size] / c[(drift + 1) % c.size]     # c_m / c_{m+1}
     gain = -(np.roll(drifts, -1) * weights) * scale
-    ac_g = (gain[np.arange(len(cosines)) % 2, :, None] * cosines)[..., None]
-    ah = a * h
-    ac_h = c0 * delta1 * h
-    ac_hh = ah * ac_h
-    dc_g = np.multiply.outer(gain, ah * (dc * h))
-    dc_g += ((1.0 + ratios) * scale)[..., None]
-    dc_g = dc_g[:, :, None]                                 # (2, K, 1, n)
+    cos_g = (gain[np.arange(len(cosines)) % 2, :, None] * cosines)[..., None]
+    eps_h = eps * h
+    eps_hh = h * eps_h
+    const = np.multiply.outer(gain, h * h)
+    const += ((1.0 + ratios) * scale)[..., None]
+    const = const[:, :, None]                               # (2, K, 1, n)
 
-    f = (-a * drifts[0]) * h                  # drifts 1 and M are both a1
-    u_prev = np.zeros((2, chunks) + omega.shape)            # x_0
+    f = -drifts[0] * h                        # drifts 1 and M are both a1
+    u_prev = np.zeros((2, chunks) + nu.shape)               # x_0
     u_prev[0] = 1.0
     u = np.empty_like(u_prev)                               # x_1
     u[0] = 1.0
     u[1] = f
-    u[0, 0] += f * (ac_h * b1 + (b1 * dc) * h)          # t = 0, cos = 1
+    u[0, 0] += f * (b1 * (h + eps_h))                   # tau = 0, cos = 1
     tmp = np.empty_like(u)
     alpha = np.empty((len(weights),) + u.shape[1:])
     rows = list(alpha)                                      # made once
 
-    for k, ac_gains in enumerate(ac_g):
-        np.multiply(ac_hh, ac_gains, out=alpha)
-        np.add(alpha, dc_g[k % 2], out=alpha)
-        for alpha_j in rows if k + 1 < len(ac_g) else rows[:-1]:
+    for k, cos_gains in enumerate(cos_g):
+        np.multiply(eps_hh, cos_gains, out=alpha)
+        np.add(alpha, const[k % 2], out=alpha)
+        for alpha_j in rows if k + 1 < len(cos_g) else rows[:-1]:
             np.multiply(u, alpha_j, out=tmp)
             np.subtract(tmp, u_prev, out=u_prev)
             u, u_prev = u_prev, u
 
     # each chunk ends on its merged B1 kick, which T/2 halves (exactly)
-    kick = (ac_h * (weights[-1] * cosines[-1, -1])[:, None]
-            + (weights[-1] * dc) * h)
+    kick = eps_h * (weights[-1] * cosines[-1, -1])[:, None] + weights[-1] * h
     kick[-1] *= 0.5
     end = len(weights) * len(cosines)                       # drift M
     q = c[end % c.size] * u
@@ -242,7 +235,7 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
         (a11, a12), (a21, a22) = q[:, j], p[:, j]
         h11, h12, h21, h22 = (a11 * h11 + a12 * h21, a11 * h12 + a12 * h22,
                               a21 * h11 + a22 * h21, a21 * h12 + a22 * h22)
-    m = np.empty(omega.shape + (2, 2))
+    m = np.empty(nu.shape + (2, 2))
     m[..., 0, 0] = h11 * h22 + h12 * h21
     m[..., 1, 1] = m[..., 0, 0]
     m[..., 0, 1] = 2.0 * h12 * h22
@@ -250,25 +243,24 @@ def _integrate_group(omega, delta1, params: SemiclassicalParams,
     return m
 
 
-def _monodromy_batch(omega: np.ndarray, delta1: np.ndarray,
-                     params: SemiclassicalParams) -> tuple:
+def _monodromy_batch(nu: np.ndarray, eps: np.ndarray) -> tuple:
     """Monodromy matrices, shape (n, 2, 2), of n cells given as flat
-    ``omega`` and ``delta1`` arrays, and their step-count groups.
+    ``nu`` = omega/Omega and ``eps`` = delta1/d0 arrays, and their
+    step-count groups.
 
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
     columns (a single cell may exceed it), so a block's working set stays
     in cache.  A cell's arithmetic does not depend on its block.
     """
-    steps = _monodromy_steps(omega, delta1, params)
-    result = np.empty((omega.size, 2, 2))
+    steps = _monodromy_steps(nu, eps)
+    result = np.empty((nu.size, 2, 2))
     groups = []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
         count, cells = int(count), int(cells)
         chunks = max(1, count // CHUNK_STEPS)
         pieces = min(cells, -(-cells * chunks // BLOCK_COLUMNS))
         for idx in np.array_split(np.flatnonzero(steps == count), pieces):
-            result[idx] = _integrate_group(omega[idx], delta1[idx], params,
-                                           count, chunks)
+            result[idx] = _integrate_group(nu[idx], eps[idx], count, chunks)
         groups.append({"steps": count, "cells": cells, "chunks": chunks,
                        "blocks": pieces})
     return result, groups
@@ -283,7 +275,9 @@ def _check_determinants(m: np.ndarray) -> float:
     entries stay O(1).  Cells whose solutions grew large (unstable, or
     marginal with linear growth over many oscillations) are exempt: there
     the unit determinant cancels between products of order ||M||^2 and is
-    not resolvable at 1e-8 by any scheme.
+    not resolvable at 1e-8 by any scheme.  M is taken in units of Omega
+    (time tau = Omega*t, momentum p = -dx/dtau), so the exemption bound
+    |entry| <= 8 is the same for every model scale.
     """
     m = m.reshape(-1, 4)                # (m11, m12, m21, m22) per cell
     a = np.abs(m)           # a 4-wide max reduction is 9x slower than this
@@ -316,15 +310,17 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
     delta1_values = np.asarray(delta1_values, dtype=float)
     if len(omega_values) == 0 or len(delta1_values) == 0:
         raise ValueError("grid axes must be non-empty")
-    if not (np.isfinite(omega_values).all()
-            and np.isfinite(delta1_values).all()):
-        raise ValueError("grid axes must be finite")
-    if np.any(omega_values <= 0):
+    # M depends on each cell's nu = omega/Omega and eps = delta1/d0 alone
+    nu = omega_values / params.small_oscillation_frequency
+    eps = delta1_values / params.dc_amplitude
+    if not (np.isfinite(nu).all() and np.isfinite(eps).all()):
+        raise ValueError("grid axes must be finite in units of Omega and d0")
+    if np.any(nu <= 0):
         raise ValueError("omega grid values must be positive")
-    om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
-    m, groups = _monodromy_batch(om.ravel(), d1.ravel(), params)
+    nu, eps = np.meshgrid(nu, eps, indexing="ij")
+    m, groups = _monodromy_batch(nu.ravel(), eps.ravel())
     defect = _check_determinants(m)
-    abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(om.shape)
+    abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(nu.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
                          groups, defect)

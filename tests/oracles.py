@@ -10,13 +10,15 @@ single-input views of package internals that only the tests call,
 disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
 why it is bad.  ``monodromy_resolution`` refines the monodromy's one step
-rule inside a block.  ``serial_recurrence_monodromy`` is the package's
-monodromy recurrence written serially, kept to pin its one-chunk path bit
-for bit; ``serial_half_period_monodromy`` is the same scheme in the shear
-form the package stepped before.  ``yoshida_full_period_monodromy`` and
-``SRKN6B_KICKS`` / ``SRKN6B_DRIFTS`` are the package's two former
-monodromy schemes, kept as references for the current one.  They live
-here so that the package carries only what its pipelines use.
+rule inside a block, and ``scaled_cells`` gives cells in the (nu, eps)
+units the monodromy integrator takes.  ``serial_recurrence_monodromy`` is
+the package's monodromy recurrence written serially, kept to pin its
+one-chunk path bit for bit; ``serial_half_period_monodromy`` is the same
+scheme in the shear form the package stepped before.
+``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
+``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
+references for the current one.  They live here so that the package
+carries only what its pipelines use.
 """
 
 from __future__ import annotations
@@ -390,13 +392,23 @@ def monodromy_resolution(min_steps: int):
         yield
 
 
+def scaled_cells(omega, delta1, params: SemiclassicalParams) -> tuple:
+    """Cells (omega, delta1) of ``params`` as the flat arrays (nu, eps) =
+    (omega / Omega, delta1 / d0) the monodromy integrator takes, divided
+    as ``stability_grid`` divides them; the inputs broadcast together."""
+    omega, delta1 = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                        np.asarray(delta1, dtype=float))
+    return (omega.ravel() / params.small_oscillation_frequency,
+            delta1.ravel() / params.dc_amplitude)
+
+
 def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams
                      ) -> np.ndarray:
-    """One-period monodromy matrix of the linearized flow (2x2)."""
+    """One-period monodromy matrix of the linearized flow (2x2), in units
+    of Omega as the package integrates it."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return _monodromy_batch(np.array([omega], dtype=float),
-                            np.array([delta1], dtype=float), params)[0][0]
+    return _monodromy_batch(*scaled_cells(omega, delta1, params))[0][0]
 
 
 def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams
@@ -503,11 +515,10 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
     return m
 
 
-def _half_period_step(omega, params: SemiclassicalParams, steps: int,
-                      kicks, drifts):
+def _half_period_step(nu, steps: int, kicks, drifts):
     """A step of the half-period integrators after the opening B1, as
     (drift, kick) pairs ending on the merged 2 B1, and the kick cosines
-    by step and pair; also the linearized flow's a, c0 and the step h."""
+    by step and pair; also the step h in units of 1/Omega."""
     shears = step_shears(kicks, drifts)[1:]
     step_drifts = [w for _, w in shears[0::2]]
     step_kicks = [w for _, w in shears[1::2]]
@@ -516,10 +527,8 @@ def _half_period_step(omega, params: SemiclassicalParams, steps: int,
     instants[-1] = 1.0
     cosines = np.cos(TWO_PI * (np.arange(steps // 2)[:, None] + instants)
                      / steps)
-    a = 8.0 * np.pi * params.hopping / params.n_sites
-    c0 = 4.0 * np.pi / params.n_sites
-    h = (TWO_PI / omega) / steps
-    return step_drifts, step_kicks, cosines, a, c0, h
+    h = (TWO_PI / nu) / steps
+    return step_drifts, step_kicks, cosines, h
 
 
 def _full_period_from_half(q, p) -> np.ndarray:
@@ -533,39 +542,38 @@ def _full_period_from_half(q, p) -> np.ndarray:
     return m
 
 
-def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
-                                 steps: int, kicks=SRKN_KICKS,
+def serial_half_period_monodromy(nu, eps, steps: int, kicks=SRKN_KICKS,
                                  drifts=SRKN_DRIFTS) -> np.ndarray:
     """The half-period integrator in shear form, as one serial loop.
 
-    The same merged B1 kicks at step boundaries as
-    ``drivenchain.semiclassical._integrate_group``, kicks at the
-    cumulative drifts with the last at exactly 1, and T/2 splitting the
-    last merged kick, but stepping dQ and dP shear by shear, one kick
-    strength at a time.  The step count is even, as every count the
-    package integrates is.  Any palindrome of ``step_shears`` runs,
-    SRKN6b's too.
+    The same flow in units of Omega as
+    ``drivenchain.semiclassical._integrate_group`` (x' = -p, p' = (1 +
+    eps cos(nu tau)) x, cells given as ``scaled_cells`` gives them), the
+    same merged B1 kicks at step boundaries, kicks at the cumulative
+    drifts with the last at exactly 1, and T/2 splitting the last merged
+    kick, but stepping x and p shear by shear, one kick strength at a
+    time.  The step count is even, as every count the package integrates
+    is.  Any palindrome of ``step_shears`` runs, SRKN6b's too.
     """
-    step_drifts, step_kicks, cosines, a, c0, h = _half_period_step(
-        omega, params, steps, kicks, drifts)
-    dc = c0 * params.dc_amplitude
-    ac_h = c0 * delta1 * h
+    step_drifts, step_kicks, cosines, h = _half_period_step(
+        nu, steps, kicks, drifts)
+    eps_h = eps * h
 
-    q = np.zeros((2,) + omega.shape)
+    q = np.zeros((2,) + nu.shape)
     p = np.zeros_like(q)
     q[0] = 1.0
     p[1] = 1.0
-    kappa = np.empty_like(omega)
+    kappa = np.empty_like(nu)
     tmp = np.empty_like(q)
 
     def kick(weight, cos):
-        np.multiply(ac_h, weight * cos, out=kappa)
-        np.add(kappa, (weight * dc) * h, out=kappa)
+        np.multiply(eps_h, weight * cos, out=kappa)
+        np.add(kappa, weight * h, out=kappa)
         np.multiply(q, kappa, out=tmp)
         np.add(p, tmp, out=p)
 
     def drift(weight):
-        np.multiply(p, (-a * weight) * h, out=tmp)
+        np.multiply(p, -weight * h, out=tmp)
         np.add(q, tmp, out=q)
 
     kick(kicks[0], 1.0)
@@ -579,27 +587,25 @@ def serial_half_period_monodromy(omega, delta1, params: SemiclassicalParams,
     return _full_period_from_half(q, p)
 
 
-def serial_recurrence_monodromy(omega, delta1, params: SemiclassicalParams,
-                                steps: int) -> np.ndarray:
+def serial_recurrence_monodromy(nu, eps, steps: int) -> np.ndarray:
     """The package's half-period recurrence on positions, as one serial
     loop.
 
     ``drivenchain.semiclassical._integrate_group`` with one chunk must
-    reproduce it bit for bit: x_m = c_m u_m is the dQ after drift m, and
-    u_{m+1} = alpha_m u_m - u_{m-1} with the scales c_m (c_0 = c_1 = 1,
-    c_{m+1} = r_m c_{m-1}, r_m = w_{m+1} / w_m, repeating after two
-    steps), one alpha at a time from SRKN_KICKS and SRKN_DRIFTS.  p is
+    reproduce it bit for bit on the same (nu, eps) cells: x_m = c_m u_m is
+    the x = dQ after drift m, and u_{m+1} = alpha_m u_m - u_{m-1} with the
+    scales c_m (c_0 = c_1 = 1, c_{m+1} = r_m c_{m-1}, r_m = w_{m+1} / w_m,
+    repeating after two steps), one alpha at a time from SRKN_KICKS and
+    SRKN_DRIFTS.  p is
     rebuilt from the last two positions and the last kick.  The shear
     form, ``serial_half_period_monodromy``, is the same scheme to roundoff.
     """
-    step_drifts, step_kicks, cosines, a, c0, h = _half_period_step(
-        omega, params, steps, SRKN_KICKS, SRKN_DRIFTS)
-    dc = c0 * params.dc_amplitude
+    step_drifts, step_kicks, cosines, h = _half_period_step(
+        nu, steps, SRKN_KICKS, SRKN_DRIFTS)
     b1 = SRKN_KICKS[0]
-    ac_h = c0 * delta1 * h
-    ah = a * h
-    ac_hh = ah * ac_h
-    dc_hh = ah * (dc * h)
+    eps_h = eps * h
+    eps_hh = h * eps_h
+    hh = h * h
     pairs = len(step_drifts)
 
     def w(m):                                       # drift m's weight
@@ -610,23 +616,23 @@ def serial_recurrence_monodromy(omega, delta1, params: SemiclassicalParams,
     for m in range(1, period - 1):
         c.append(w(m + 1) / w(m) * c[m - 1])
 
-    f = (-a * w(1)) * h
-    x_prev = np.zeros((2,) + omega.shape)
+    f = -w(1) * h
+    x_prev = np.zeros((2,) + nu.shape)
     x_prev[0] = 1.0
     x = np.empty_like(x_prev)
     x[0] = 1.0
     x[1] = f
-    x[0] += f * (ac_h * b1 + (b1 * dc) * h)
+    x[0] += f * (b1 * (h + eps_h))
     end = pairs * (steps // 2)
     for m in range(1, end):
         k, j = divmod(m - 1, pairs)
         scale = c[m % period] / c[(m + 1) % period]
         gain = -(w(m + 1) * step_kicks[j]) * scale
         shift = (1.0 + w(m + 1) / w(m)) * scale
-        alpha = ac_hh * (gain * cosines[k, j]) + (gain * dc_hh + shift)
+        alpha = eps_hh * (gain * cosines[k, j]) + (gain * hh + shift)
         x, x_prev = alpha * x - x_prev, x
 
-    kick = ac_h * (b1 * cosines[-1, -1]) + (b1 * dc) * h
+    kick = eps_h * (b1 * cosines[-1, -1]) + b1 * h
     q = c[end % period] * x
     p = (q - c[(end - 1) % period] * x_prev) / f + kick * q
     return _full_period_from_half(q, p)

@@ -628,6 +628,43 @@ def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):
     assert not (out / "stability_grid.csv").exists()
 
 
+def test_stability_same_map_with_negative_coupling(tmp_path):
+    # the sign flip of the default model (d0 * J > 0 still): the same
+    # |tr M| and flags, bit for bit; only the delta1 column changes sign
+    outs = []
+    for coupling in ("11.5", "-11.5"):
+        cfg = write_config(tmp_path / f"{coupling}.cfg", coupling_mhz=coupling,
+                           stability_resolution=60)
+        outs.append(tmp_path / coupling)
+        assert main(["stability", "--config", str(cfg),
+                     "--out", str(outs[-1])]) == 0
+    nominal, flipped = ([row.split(",")[2:] for row in
+                         (out / "stability_grid.csv").read_text().splitlines()]
+                        for out in outs)
+    assert nominal[0] == ["abs_trace", "stable"]
+    assert len(nominal) == 60 * 60 + 1
+    assert flipped == nominal
+
+
+def test_stability_checks_determinants_at_subnormal_dc_amplitude(
+        tmp_path, monkeypatch):
+    # the check's |entry| <= 8 bound is in units of Omega, so a subnormal d0
+    # leaves as many cells checkable as the default; a zero tolerance then
+    # fails on their roundoff
+    cfg = write_config(tmp_path / "run.cfg", dc_amplitude_over_j="1e-310",
+                       stability_resolution=60)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    margin = strict_manifest(out)["health"]["monodromy_determinant"]
+    assert 0.0 < margin["worst"] < margin["tolerance"]
+    monkeypatch.setattr(semiclassical, "DETERMINANT_TOL", 0.0)
+    failed = tmp_path / "failed"
+    assert main(["stability", "--config", str(cfg), "--out", str(failed)]) == 3
+    manifest = strict_manifest(failed)
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("monodromy determinant deviates")
+
+
 def test_unexpected_exception_exits_1_with_strict_manifest(tmp_path,
                                                            monkeypatch):
     from drivenchain import cli

@@ -21,7 +21,7 @@ from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (SRKN6B_DRIFTS, SRKN6B_KICKS, classical_rhs,
                      full_period_monodromy, integrate_trajectory,
                      monodromy_matrix, monodromy_resolution, monodromy_trace,
-                     serial_half_period_monodromy,
+                     scaled_cells, serial_half_period_monodromy,
                      serial_recurrence_monodromy,
                      yoshida_full_period_monodromy)
 
@@ -110,8 +110,8 @@ def test_static_monodromy_closed_form():
         params = make_params()
         omega_small = params.small_oscillation_frequency
         omega_drive = factor * omega_small
-        m = _integrate_group(np.array([omega_drive]), np.zeros(1), params,
-                             4096, 4096 // CHUNK_STEPS)[0]
+        m = _integrate_group(*scaled_cells(omega_drive, 0.0, params), 4096,
+                             4096 // CHUNK_STEPS)[0]
         expected = 2 * np.cos(omega_small * TWO_PI / omega_drive)
         assert np.trace(m) == pytest.approx(expected, abs=1e-8)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
@@ -217,7 +217,7 @@ def oracle_monodromy(omega, delta1, params):
     omega, delta1 = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                         np.asarray(delta1, dtype=float))
     omega_flat, delta1_flat = omega.ravel(), delta1.ravel()
-    steps = _monodromy_steps(omega_flat, delta1_flat, params)
+    steps = _monodromy_steps(*scaled_cells(omega_flat, delta1_flat, params))
     out = np.empty(steps.shape + (2, 2))
     for count in np.unique(steps):
         mask = steps == count
@@ -243,7 +243,7 @@ def test_half_period_matches_full_period_oracle(min_steps):
     omega_values = omega_values * (min_steps / 256)
     om, d1 = np.meshgrid(omega_values, delta1_values, indexing="ij")
     with monodromy_resolution(min_steps):
-        steps = _monodromy_steps(om.ravel(), d1.ravel(), params)
+        steps = _monodromy_steps(*scaled_cells(om, d1, params))
         assert len(np.unique(steps)) >= 3
         reference = oracle_monodromy(om, d1, params)
         grid = stability_grid(omega_values, delta1_values, params)
@@ -263,12 +263,16 @@ def test_half_period_matches_full_period_oracle(min_steps):
 @pytest.mark.parametrize("steps", [2, 4, 8, 16])
 def test_half_period_identity_at_few_steps(steps):
     # the identity is exact for any power-of-two step count, not only
-    # converged ones
+    # converged ones.  The package's M is in units of Omega, with momentum
+    # (a / Omega) dP, a = 8 pi J / N; the oracle's is in dQ and dP
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 6)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
-    half = _integrate_group(om, d1, params, steps)
+    half = _integrate_group(*scaled_cells(om, d1, params), steps)
     full = full_period_monodromy(om, d1, params, steps)
+    ratio = (8 * np.pi * J / 12) / params.small_oscillation_frequency
+    full[:, 0, 1] /= ratio
+    full[:, 1, 0] *= ratio
     scale = np.maximum(1.0, np.abs(full).max(axis=(-2, -1)))
     assert np.all(np.abs(half - full).max(axis=(-2, -1)) <= 1e-12 * scale**2)
 
@@ -310,10 +314,9 @@ def test_monodromy_steps_smallest_power_of_two(omega, delta1, min_steps):
     with monodromy_resolution(min_steps):
         if needed > MAX_MONODROMY_STEPS * (1 + 1e-12):
             with pytest.raises(ValueError, match="omega"):
-                _monodromy_steps(np.array([omega]), np.array([delta1]), params)
+                _monodromy_steps(*scaled_cells(omega, delta1, params))
             return
-        steps = _monodromy_steps(np.array([omega]), np.array([delta1]),
-                                 params)
+        steps = _monodromy_steps(*scaled_cells(omega, delta1, params))
     assert steps.shape == (1,)
     steps = int(steps[0])
     # a power of two >= 2, so T/2 falls on a step boundary
@@ -330,14 +333,15 @@ def test_monodromy_steps_smallest_power_of_two(omega, delta1, min_steps):
 def test_cell_over_the_step_bound_raises_before_integrating(monkeypatch,
                                                             factor):
     # omega = 1e-300 once overflowed the count's cast to a negative group
-    # read as stable; omega = 1e-6 Omega needs about 1.6e7 steps per period
+    # read as stable; omega = 1e-6 Omega needs about 1.6e7 steps per period.
+    # The message gives omega in units of Omega
     def no_integration(*args):
         raise AssertionError("integrated a cell over the bound")
 
     monkeypatch.setattr(semiclassical, "_integrate_group", no_integration)
     params = make_params()
     omega = factor * params.small_oscillation_frequency
-    with pytest.raises(ValueError, match=f"omega = {omega:.6g} needs"):
+    with pytest.raises(ValueError, match=f"omega = {factor:.6g} Omega needs"):
         stability_grid([omega, OMEGA_OP], [0.0, D0], params)
 
 
@@ -348,8 +352,7 @@ def test_largest_cli_grid_stays_under_the_step_bound():
     omega_values, delta1_values = default_grid_axes(params, 1000)
     picked = delta1_values[::111]
     assert picked[-1] == delta1_values[-1]
-    steps = _monodromy_steps(np.full(picked.size, omega_values[0]), picked,
-                             params)
+    steps = _monodromy_steps(*scaled_cells(omega_values[0], picked, params))
     assert steps.max() == 16384 <= MAX_MONODROMY_STEPS
     grid = stability_grid(omega_values[:1], picked, params)
     assert np.isfinite(grid.abs_trace).all()
@@ -376,12 +379,11 @@ def test_trace_error_falls_64x_per_step_doubling():
     # sixth-order scheme
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params)
-    om = np.full(200, omega_values[0])
-    assert set(_monodromy_steps(om, delta1_values, params)) == {2048}
+    nu, eps = scaled_cells(omega_values[0], delta1_values, params)
+    assert set(_monodromy_steps(nu, eps)) == {2048}
     trace = {}
     for steps in (512, 1024, 2048):
-        m = _integrate_group(om, delta1_values, params, steps,
-                             steps // CHUNK_STEPS)
+        m = _integrate_group(nu, eps, steps, steps // CHUNK_STEPS)
         trace[steps] = m[:, 0, 0] + m[:, 1, 1]
     checked = np.abs(trace[2048]) <= 10.0
     scale = np.maximum(1.0, np.abs(trace[2048][checked]))
@@ -405,7 +407,7 @@ def test_default_steps_match_yoshida_reference():
     grid = stability_grid(omega_values, delta1_values, params)
     om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values,
                                              indexing="ij"))
-    steps = _monodromy_steps(om, d1, params)
+    steps = _monodromy_steps(*scaled_cells(om, d1, params))
     assert set(steps) == {16, 32, 64, 128, 256}
     reference = np.empty(om.size)
     for count in np.unique(steps):
@@ -428,14 +430,14 @@ def test_srkn11b_at_16_matches_srkn6b_at_64_steps():
     omega_values, delta1_values = default_grid_axes(params)
     grid = stability_grid(omega_values, delta1_values, params)
     assert grid.monodromy_groups[0]["steps"] == MIN_STEPS_PER_OSCILLATION == 16
-    om, d1 = flat_grid(omega_values, delta1_values)
+    nu, eps = scaled_cells(*flat_grid(omega_values, delta1_values), params)
     with monodromy_resolution(64):
-        former_steps = _monodromy_steps(om, d1, params)
-    assert np.array_equal(former_steps, 4 * _monodromy_steps(om, d1, params))
-    former = np.empty(om.size)
+        former_steps = _monodromy_steps(nu, eps)
+    assert np.array_equal(former_steps, 4 * _monodromy_steps(nu, eps))
+    former = np.empty(nu.size)
     for count in np.unique(former_steps).tolist():
         mask = former_steps == count
-        m = serial_half_period_monodromy(om[mask], d1[mask], params, count,
+        m = serial_half_period_monodromy(nu[mask], eps[mask], count,
                                          SRKN6B_KICKS, SRKN6B_DRIFTS)
         former[mask] = np.abs(m[:, 0, 0] + m[:, 1, 1])
     former = former.reshape(grid.abs_trace.shape)
@@ -462,7 +464,7 @@ def chunked_group_cells():
     picked = set()
     for min_steps in CHUNKED_MIN_STEPS:
         with monodromy_resolution(min_steps):
-            steps = _monodromy_steps(om, d1, params)
+            steps = _monodromy_steps(*scaled_cells(om, d1, params))
         for count in CHUNKED_COUNTS:
             where = np.flatnonzero(steps == count)
             if where.size:
@@ -473,7 +475,7 @@ def chunked_group_cells():
     counts = []
     for min_steps in CHUNKED_MIN_STEPS:
         with monodromy_resolution(min_steps):
-            counts.append(_monodromy_steps(om, d1, params))
+            counts.append(_monodromy_steps(*scaled_cells(om, d1, params)))
     traces = {}
     for count in CHUNKED_COUNTS:
         # NaN where no resolution gives the cell this count
@@ -492,9 +494,9 @@ def test_chunked_groups_match_full_period_oracle(chunked_group_cells,
     om, d1, traces = chunked_group_cells
     params = make_params()
     with monodromy_resolution(min_steps):
-        counts = _monodromy_steps(om, d1, params)
+        counts = _monodromy_steps(*scaled_cells(om, d1, params))
         keep = np.isin(counts, CHUNKED_COUNTS)
-        m, groups = _monodromy_batch(om[keep], d1[keep], params)
+        m, groups = _monodromy_batch(*scaled_cells(om[keep], d1[keep], params))
     assert len(groups) >= 3
     assert all(g["chunks"] == g["steps"] // CHUNK_STEPS > 1 for g in groups)
     ref_trace = np.array([traces[c][i] for i, c in
@@ -508,12 +510,11 @@ def test_chunked_groups_match_full_period_oracle(chunked_group_cells,
 def test_chunked_group_independent_of_cell_count():
     params = make_params()
     omega = default_grid_axes(params)[0][0]
-    delta1 = np.linspace(0.0, 2 * D0, 200)
+    nu, eps = scaled_cells(omega, np.linspace(0.0, 2 * D0, 200), params)
     chunks = 2048 // CHUNK_STEPS                 # row 0's default count
-    many = _integrate_group(np.full(200, omega), delta1, params, 2048, chunks)
+    many = _integrate_group(nu, eps, 2048, chunks)
     for j in (0, 117, 199):
-        one = _integrate_group(np.array([omega]), delta1[j:j + 1], params,
-                               2048, chunks)
+        one = _integrate_group(nu[j:j + 1], eps[j:j + 1], 2048, chunks)
         assert np.array_equal(one[0], many[j])
 
 
@@ -523,12 +524,12 @@ def test_floor_group_bitwise_equal_to_serial_loop(steps):
     # largest group, in one chunk at several step counts
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 50)
-    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
-    floor = _monodromy_steps(om, d1, params) == MIN_STEPS_PER_OSCILLATION
-    om, d1 = om[floor], d1[floor]
-    assert MIN_STEPS_PER_OSCILLATION <= CHUNK_STEPS and om.size > 200
-    assert np.array_equal(_integrate_group(om, d1, params, steps),
-                          serial_recurrence_monodromy(om, d1, params, steps))
+    nu, eps = scaled_cells(*np.meshgrid(omega_values, delta1_values), params)
+    floor = _monodromy_steps(nu, eps) == MIN_STEPS_PER_OSCILLATION
+    nu, eps = nu[floor], eps[floor]
+    assert MIN_STEPS_PER_OSCILLATION <= CHUNK_STEPS and nu.size > 200
+    assert np.array_equal(_integrate_group(nu, eps, steps),
+                          serial_recurrence_monodromy(nu, eps, steps))
 
 
 @pytest.mark.parametrize("steps", [2, 4, 128, 1024, 256])
@@ -537,9 +538,9 @@ def test_batched_kicks_bitwise_equal_to_serial_loop(steps):
     # single step up
     params = make_params()
     omega_values, delta1_values = default_grid_axes(params, 12)
-    om, d1 = (a.ravel() for a in np.meshgrid(omega_values, delta1_values))
-    assert np.array_equal(_integrate_group(om, d1, params, steps),
-                          serial_recurrence_monodromy(om, d1, params, steps))
+    nu, eps = scaled_cells(*np.meshgrid(omega_values, delta1_values), params)
+    assert np.array_equal(_integrate_group(nu, eps, steps),
+                          serial_recurrence_monodromy(nu, eps, steps))
 
 
 @pytest.mark.parametrize("steps,chunks", [
@@ -550,16 +551,17 @@ def test_recurrence_matches_shear_form(steps, chunks):
     # shear; up to 128 steps on the resolution-12 grid (its own counts are
     # 16 to 128), from 1024 on the default grid's lowest-omega row (its own
     # count is 2048), chunked as the package runs it.  Measured worst
-    # entry differences: 3.7e-14 (2 steps), 3.9e-13 (16), 2.9e-11 (128),
-    # 1.6e-11 (1024) and 7.0e-11 (2048, chunked)
+    # entry differences: 4.5e-14 (2 steps), 3.3e-13 (16), 1.7e-11 (128),
+    # 1.6e-11 (1024) and 5.1e-11 (2048, chunked)
     params = make_params()
     if steps <= 128:
-        om, d1 = flat_grid(*default_grid_axes(params, 12))
+        nu, eps = scaled_cells(*flat_grid(*default_grid_axes(params, 12)),
+                               params)
     else:
-        omega_values, d1 = default_grid_axes(params)
-        om = np.full(d1.size, omega_values[0])
-    m = _integrate_group(om, d1, params, steps, chunks)
-    reference = serial_half_period_monodromy(om, d1, params, steps)
+        omega_values, delta1_values = default_grid_axes(params)
+        nu, eps = scaled_cells(omega_values[0], delta1_values, params)
+    m = _integrate_group(nu, eps, steps, chunks)
+    reference = serial_half_period_monodromy(nu, eps, steps)
     small = np.abs(reference).max(axis=(-2, -1)) <= 8.0
     assert small.sum() > 100
     assert np.abs(m - reference)[small].max() <= 1e-9
@@ -573,12 +575,12 @@ def test_recurrence_roundoff_grows_with_steps_per_oscillation():
     # order eps per drift and grows as the square of the steps per
     # oscillation.  At 1024 steps the resolution-12 grid's fastest cells
     # take 64 times the step rule's count; there entries move by up to
-    # 1.6e-9 from the shear form (2.9e-11 at 128 steps), which stays far
+    # 1.3e-9 from the shear form (1.7e-11 at 128 steps), which stays far
     # inside assert_trace_matches
     params = make_params()
-    om, d1 = flat_grid(*default_grid_axes(params, 12))
-    m = _integrate_group(om, d1, params, 1024)
-    reference = serial_half_period_monodromy(om, d1, params, 1024)
+    nu, eps = scaled_cells(*flat_grid(*default_grid_axes(params, 12)), params)
+    m = _integrate_group(nu, eps, 1024)
+    reference = serial_half_period_monodromy(nu, eps, 1024)
     small = np.abs(reference).max(axis=(-2, -1)) <= 8.0
     assert np.abs(m - reference)[small].max() <= 1e-8
     assert_trace_matches(np.abs(m[:, 0, 0] + m[:, 1, 1]),
@@ -587,10 +589,10 @@ def test_recurrence_roundoff_grows_with_steps_per_oscillation():
 
 @pytest.mark.parametrize("factor", [1e-310, 1e-300, 1e300, 1e307])
 def test_stability_grid_invariant_under_scaled_dc_amplitude(factor):
-    # scaling d0 by s scales Omega and the default omega axis by sqrt(s):
-    # tr M is unchanged, while the step h scales by 1/sqrt(s) and h*h would
-    # overflow or underflow (s = 1e-310 makes d0 subnormal; measured
-    # worst change 1.7e-10 there, 3.3e-12 elsewhere)
+    # scaling d0 by s scales Omega and the default omega axis by sqrt(s),
+    # so each cell's omega/Omega and delta1/d0, and tr M, change only by
+    # the rounding of the axes (s = 1e-310 makes d0 subnormal; measured
+    # worst change 1.1e-10 there, 1.0e-12 elsewhere)
     nominal = make_params()
     scaled = SemiclassicalParams(12, D0 * factor, J)
     reference = stability_grid(*default_grid_axes(nominal, 40), nominal)
@@ -600,6 +602,28 @@ def test_stability_grid_invariant_under_scaled_dc_amplitude(factor):
     change = np.abs(grid.abs_trace - reference.abs_trace)[checked]
     assert np.all(change <= 1e-9 * np.maximum(1.0,
                                               reference.abs_trace[checked]))
+
+
+@pytest.mark.parametrize("d0_factor,j_factor", [
+    pytest.param(-1.0, -1.0, id="sign-flip"),
+    pytest.param(2.0**-40, 2.0**40, id="d0-2^-40"),
+    pytest.param(2.0**30, 2.0**-30, id="d0-2^30"),
+    pytest.param(-2.0**-1000, -2.0**1000, id="sign-flip-d0-2^-1000"),
+])
+def test_stability_grid_bitwise_invariant_under_sign_and_scale(d0_factor,
+                                                               j_factor):
+    # M depends on omega/Omega and delta1/d0 alone; these models keep Omega
+    # and each default-axis cell's ratios exactly, so the map is bitwise
+    # the same.  Negative couplings once clamped the step rule's stiffness
+    # to 0 and gave 20 of the 3,600 flags wrong
+    nominal = make_params()
+    model = SemiclassicalParams(12, D0 * d0_factor, J * j_factor)
+    reference = stability_grid(*default_grid_axes(nominal, 60), nominal)
+    grid = stability_grid(*default_grid_axes(model, 60), model)
+    assert np.array_equal(grid.abs_trace, reference.abs_trace)
+    assert np.array_equal(grid.stable, reference.stable)
+    assert grid.monodromy_groups == reference.monodromy_groups
+    assert grid.determinant_defect == reference.determinant_defect > 0.0
 
 
 @pytest.mark.parametrize("min_steps", [64, 256, 1024, 128, 2048])
@@ -613,7 +637,7 @@ def test_grid_bitwise_independent_of_blocks(monkeypatch, min_steps):
     low, high = default_grid_axes(params)[0][[0, -1]]
     om = np.geomspace(low / 2 * min_steps / 64, high, 16)
     d1 = np.linspace(0.0, 2 * D0, 4)
-    groups = _monodromy_batch(*flat_grid(om, d1), params)[1]
+    groups = _monodromy_batch(*scaled_cells(*flat_grid(om, d1), params))[1]
     assert len(groups) >= 4 and min(g["cells"] for g in groups) >= 3
     split = min(g["cells"] * g["chunks"] for g in groups) // 3
     matrices, batch = [], semiclassical._monodromy_batch
@@ -643,7 +667,7 @@ def test_grid_bitwise_independent_of_blocks(monkeypatch, min_steps):
 
 def test_block_error_reaches_the_caller(monkeypatch):
     params = make_params()
-    om, d1 = flat_grid(*default_grid_axes(params, 10))
+    nu, eps = scaled_cells(*flat_grid(*default_grid_axes(params, 10)), params)
     calls, integrate = itertools.count(), semiclassical._integrate_group
 
     def failing(*args):
@@ -654,7 +678,7 @@ def test_block_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(semiclassical, "_integrate_group", failing)
     monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
     with pytest.raises(FloatingPointError, match="injected block error"):
-        _monodromy_batch(om, d1, params)
+        _monodromy_batch(nu, eps)
 
 
 def test_determinant_check_skips_overflowing_cells():
