@@ -16,7 +16,7 @@ from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, build_potential,
-                    resonance_drive_frequency, sample_disorder)
+                    sample_disorder)
 from .observables import observable_series
 from .propagate import evolve_state, floquet_operator
 from .semiclassical import SemiclassicalParams, potential_contours, stability_grid
@@ -31,7 +31,7 @@ __all__ = [
     "ConfigError", "NumericalError",
     "SectorModel",
     "ChainSpec", "DisorderSpec", "DriveSpec", "build_potential",
-    "resonance_drive_frequency", "sample_disorder",
+    "sample_disorder",
     "observable_series",
     "evolve_state", "floquet_operator",
     "SemiclassicalParams", "potential_contours", "stability_grid",

@@ -1,9 +1,10 @@
 """Run configuration: key=value files, CLI overrides, resolution to model specs.
 
 Configuration speaks ordinary frequencies (MHz) and times (ns) and scales
-the drive/disorder knobs by the mean coupling J, mirroring how the chain
-parameters are usually quoted.  Resolution converts everything to angular
-units and builds the immutable spec objects the simulation modules consume.
+the drive knobs by the mean coupling J and the disorder width by |J|,
+mirroring how the chain parameters are usually quoted.  Resolution converts
+every input to angular units once and builds the immutable spec objects the
+simulation modules consume.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .ensemble import MAX_BLOCK
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
-                    build_potential, resonance_drive_frequency)
+                    build_potential)
 from .propagate import DEFAULT_STEPS_PER_PERIOD
 from .semiclassical import SemiclassicalParams
-from .units import rad_ns_from_mhz
+from .units import mhz_from_rad_ns, rad_ns_from_mhz
 
 _PROFILES = ("cosine", "flat", "table")
 #: most samples one trajectory may emit (t_max_ns / sample_dt_ns)
@@ -240,11 +241,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
     disordered = parse_site_range(config.disordered_sites, n, "disordered_sites")
 
     if config.profile == "table":
-        table_path = config.device_table or bundled_table_path()
-        device = load_device_table(table_path)
+        device = load_device_table(config.device_table or bundled_table_path())
         chain = device.chain_spec()
-        dc_mhz = device.dc_amplitude_mhz(config.device_row)
-        potential = device.potential_spec(config.device_row)
     else:
         couplings = config.coupling_mhz
         if len(couplings) == 1:
@@ -252,33 +250,44 @@ def resolve(config: RunConfig) -> ResolvedRun:
         chain = ChainSpec(
             n, np.array([rad_ns_from_mhz(j) for j in couplings]),
             rad_ns_from_mhz(config.nonlinearity_mhz))
-        dc_mhz = config.dc_amplitude_over_j * (1e3 / (2 * np.pi)) \
-            * chain.mean_coupling  # mean coupling back to MHz
+    coupling = chain.mean_coupling
+    dc_amplitude = config.dc_amplitude_over_j * coupling
+    if config.profile == "table":
+        # the resonance takes dc_amplitude_over_j * J, the drive the fit's d0
+        potential = device.potential_spec(config.device_row)
+        drive_dc = rad_ns_from_mhz(device.dc_amplitude_mhz(config.device_row))
+    else:
+        drive_dc = dc_amplitude
         potential = build_potential(
-            config.profile, n, config.dc_amplitude_over_j * chain.mean_coupling,
-            localized_sites=disordered or None,
+            config.profile, n, dc_amplitude, localized_sites=disordered or None,
             flat_level_fraction=config.flat_level_fraction)
 
-    mean_coupling_mhz = chain.mean_coupling * 1e3 / (2 * np.pi)
-    drive_mhz = config.drive_frequency_mhz or resonance_drive_frequency(
-        n, config.dc_amplitude_over_j * mean_coupling_mhz, mean_coupling_mhz,
-        config.resonance_order)
+    if config.drive_frequency_mhz:
+        omega = rad_ns_from_mhz(config.drive_frequency_mhz)
+    elif dc_amplitude * coupling <= 0:
+        raise ConfigError("drive_frequency_mhz must be given explicitly when "
+                          "the resonance condition is undefined "
+                          "(dc amplitude * J <= 0)")
+    else:   # m * omega = 2 * Omega, the Omega that `stability` records
+        omega = (2.0 / config.resonance_order) * SemiclassicalParams(
+            n, dc_amplitude, coupling).small_oscillation_frequency
 
     driven = parse_site_range(config.driven_sites, n, "driven_sites") or None
     drive = DriveSpec.cosine(
         n,
-        dc_amplitude=rad_ns_from_mhz(dc_mhz),
-        ac_amplitude=config.ac_amplitude_over_j * chain.mean_coupling,
-        angular_frequency=rad_ns_from_mhz(drive_mhz),
+        dc_amplitude=drive_dc,
+        ac_amplitude=config.ac_amplitude_over_j * coupling,
+        angular_frequency=omega,
         driven_sites=driven,
         phase=config.drive_phase_rad,
         time_origin=config.time_origin_ns,
     )
     disorder = DisorderSpec(
         n_sites=n,
-        strength=config.disorder_w_over_j * chain.mean_coupling,
+        strength=config.disorder_w_over_j * abs(coupling),
         disordered_sites=disordered,
         master_seed=config.master_seed,
         realization_count=config.realizations,
     )
+    drive_mhz = config.drive_frequency_mhz or mhz_from_rad_ns(omega)
     return ResolvedRun(config, chain, drive, potential, disorder, drive_mhz)

@@ -74,7 +74,8 @@ class DriveSpec:
     The AC part adds ``ac_amplitude * cos(omega*(t-t0) + phase)`` times the
     per-site ``spatial_weights`` to the diagonal; the DC part of the drive is
     folded into :class:`PotentialSpec` once, so there is a single source of
-    truth for the static diagonal.
+    truth for the static diagonal.  ``dc_amplitude`` is read only by the
+    semiclassical model.
     """
 
     dc_amplitude: float
@@ -85,8 +86,11 @@ class DriveSpec:
     time_origin: float = 0.0
 
     def __post_init__(self):
-        if self.angular_frequency <= 0:
-            raise ConfigError("drive angular frequency must be positive")
+        if not (0 < self.angular_frequency < math.inf
+                and math.isfinite(self.period)):
+            raise ConfigError(f"drive frequency {self.angular_frequency:g} "
+                              "rad/ns must be positive and finite, with a "
+                              "finite period")
         weights = _frozen_array(self.spatial_weights)
         if not np.all(np.isfinite(weights)):
             raise ConfigError("spatial weights must be finite")
@@ -301,24 +305,3 @@ def build_potential(profile: str, n_sites: int, dc_amplitude: float,
             offsets[s - 1] = flat_level_fraction * dc_amplitude
     return PotentialSpec(offsets)
 
-
-def resonance_drive_frequency(n_sites: int, dc_amplitude_mhz: float,
-                              coupling_mhz: float, order: int = 3) -> float:
-    """Drive frequency (ordinary MHz) satisfying m*omega = 2*Omega.
-
-    Omega = (4*pi/N)*sqrt(2*dc*J) is the small-oscillation frequency of the
-    cosine potential; all quantities here are ordinary frequencies in MHz
-    (the formula is homogeneous of degree one, so the angular version gives
-    the same drive frequency).
-    """
-    if order < 1 or int(order) != order:
-        raise ValueError("resonance order must be a positive integer")
-    if dc_amplitude_mhz * coupling_mhz <= 0:
-        raise ConfigError("drive_frequency_mhz must be given explicitly when "
-                          "the resonance condition is undefined "
-                          "(dc amplitude * J <= 0)")
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
-    omega_small = (4.0 * np.pi / n_sites) * math.sqrt(
-        2.0 * dc_amplitude_mhz * coupling_mhz)
-    return (2.0 / order) * omega_small

@@ -92,7 +92,8 @@ class SemiclassicalParams:
 
     @property
     def small_oscillation_frequency(self) -> float:
-        """Omega = (4*pi/N) * sqrt(2 * d0 * J)."""
+        """Omega = (4*pi/N) * sqrt(2 * d0 * J); the default drive of
+        :func:`config.resolve` is its resonance m * omega = 2 * Omega."""
         return (4.0 * np.pi / self.n_sites) * math.sqrt(
             2.0 * self.dc_amplitude * self.hopping)
 

@@ -18,7 +18,7 @@ from drivenchain import (RunConfig, resolve, run_dynamics_ensemble,
                          sample_disorder, floquet_operator, quasienergies,
                          ks_distance, observable_series, poisson_cdf,
                          poisson_density, poisson_mean, coe_cdf, coe_mean,
-                         resonance_drive_frequency, stability_grid)
+                         stability_grid)
 from drivenchain.cli import main as cli_main
 from drivenchain.propagate import unitarity_defect
 from drivenchain.semiclassical import default_grid_axes
@@ -98,8 +98,8 @@ def fig1e_data():
 
 
 def test_criterion_01_unit_and_period_anchors():
-    freq = resonance_drive_frequency(12, 3 * 11.5, 11.5, 3)
     run = resolve(RunConfig())
+    freq = run.drive_frequency_mhz
     period = run.drive.period
     ok = abs(freq - 19.67) <= 0.01 and abs(period - 50.84) <= 0.01
     assert report(1, ok, f"drive {freq:.4f} MHz (19.67±0.01), "

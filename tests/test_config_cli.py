@@ -204,6 +204,28 @@ def test_resolution_defaults_reproduce_operating_point():
         resolve(RunConfig(coupling_mhz=(0.0,)))
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"profile": "flat"}, {"resonance_order": 1}, {"resonance_order": 6},
+    {"coupling_mhz": (-11.5,)},
+    {"coupling_mhz": (9.0,), "dc_amplitude_over_j": 2.0},
+])
+def test_default_drive_and_potential_share_one_d0_and_omega(overrides):
+    # the resonance is m * omega = 2 * Omega with the Omega of the stability
+    # map, and the drive's d0 is the potential's (cos 0 = 1 on site 1)
+    run = resolve(RunConfig(**overrides))
+    m = run.config.resonance_order
+    assert run.drive.angular_frequency == (
+        (2 / m) * run.semiclassical_params().small_oscillation_frequency)
+    assert run.drive.dc_amplitude == run.potential.static_offsets[0]
+
+
+def test_disorder_width_scales_by_the_coupling_magnitude():
+    runs = [resolve(RunConfig(coupling_mhz=(coupling,), disorder_w_over_j=3.0))
+            for coupling in (11.5, -11.5)]
+    assert runs[0].disorder.strength == runs[1].disorder.strength > 0
+    assert runs[1].drive.ac_amplitude == -runs[0].drive.ac_amplitude
+
+
 def test_resolution_device_mode():
     run = resolve(RunConfig(profile="table"))
     assert run.chain.bond_couplings[0] == pytest.approx(
@@ -630,20 +652,22 @@ def test_stability_determinant_failure_exits_3(tmp_path, monkeypatch):
 
 def test_stability_same_map_with_negative_coupling(tmp_path):
     # the sign flip of the default model (d0 * J > 0 still): the same
-    # |tr M| and flags, bit for bit; only the delta1 column changes sign
+    # |tr M| and flags, bit for bit, with or without disorder (its width
+    # scales by |J|); only the delta1 column changes sign
     outs = []
-    for coupling in ("11.5", "-11.5"):
-        cfg = write_config(tmp_path / f"{coupling}.cfg", coupling_mhz=coupling,
+    for coupling, width in (("11.5", 0), ("-11.5", 0), ("-11.5", 3)):
+        cfg = write_config(tmp_path / f"{coupling}_{width}.cfg",
+                           coupling_mhz=coupling, disorder_w_over_j=width,
                            stability_resolution=60)
-        outs.append(tmp_path / coupling)
+        outs.append(tmp_path / f"{coupling}_{width}")
         assert main(["stability", "--config", str(cfg),
                      "--out", str(outs[-1])]) == 0
-    nominal, flipped = ([row.split(",")[2:] for row in
-                         (out / "stability_grid.csv").read_text().splitlines()]
-                        for out in outs)
+    nominal, *flipped = ([row.split(",")[2:] for row in
+                          (out / "stability_grid.csv").read_text().splitlines()]
+                         for out in outs)
     assert nominal[0] == ["abs_trace", "stable"]
     assert len(nominal) == 60 * 60 + 1
-    assert flipped == nominal
+    assert flipped == [nominal, nominal]
 
 
 def test_stability_checks_determinants_at_subnormal_dc_amplitude(
@@ -812,6 +836,7 @@ def strict_manifest(out: Path) -> dict:
     ("ensemble", {"disordered_sites": "none", "disorder_w_over_j": 3.0}),
     ("dynamics", {"drive_frequency_mhz": "1e308"}),
     ("dynamics", {"drive_frequency_mhz": "1e308", "steps_per_period": 10**20}),
+    ("spectrum", {"drive_frequency_mhz": "1e-320"}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -833,6 +858,8 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
      {"t_max_ns": 40000}),
     ("stability", [], {"boson_cutoff": 2, "sector": 5}),
     ("contours", [], {"boson_cutoff": 2, "sector": 5}),
+    ("stability", [], {"coupling_mhz": -11.5, "disorder_w_over_j": 3}),
+    ("contours", [], {"coupling_mhz": -11.5, "disorder_w_over_j": 3}),
 ])
 def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
                                              settings_):
@@ -947,6 +974,23 @@ def test_overflowing_drive_phase_exits_2(tmp_path, command):
     assert manifest["status"] == "failed"
     assert manifest["error_type"] == "ConfigError"
     assert "time_origin" in manifest["error"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["dynamics", "ensemble", "spectrum",
+                                     "stability", "contours"])
+@pytest.mark.parametrize("settings_", [{"coupling_mhz": "1e300"},
+                                       {"drive_frequency_mhz": "1e-320"}])
+def test_drive_without_a_finite_period_exits_2(tmp_path, command, settings_):
+    # the resonance of J = 1e300 MHz overflows to omega = inf, and 1e-320 MHz
+    # to a period of inf: both refused by name where the config is read
+    cfg = write_config(tmp_path / "run.cfg", **settings_)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = strict_manifest(out)
+    assert manifest["error_type"] == "ConfigError"
+    assert manifest["error"].startswith("drive frequency ")
+    assert "finite period" in manifest["error"]
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 

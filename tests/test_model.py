@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drivenchain.basis import build_sector_basis
-from drivenchain.config import MAX_REALIZATIONS
+from drivenchain.config import MAX_REALIZATIONS, RunConfig, resolve
 from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, cosine_profile,
-                               resonance_drive_frequency, sample_disorder,
-                               sample_disorders)
+                               sample_disorder, sample_disorders)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import sample_disorder_loop, sector_diagonal, uniform_chain
 
@@ -170,31 +169,36 @@ def test_disorder_monte_carlo_statistics():
     assert np.abs(draws).max() <= w
 
 
+def resonance_mhz(order, **overrides):
+    """The default drive of ``resolve`` at resonance order m, in MHz."""
+    return resolve(RunConfig(resonance_order=order,
+                             **overrides)).drive_frequency_mhz
+
+
 def test_resonance_drive_frequency_values():
-    assert resonance_drive_frequency(12, 3 * 11.5, 11.5, 3) == pytest.approx(
-        19.67, abs=0.01)
-    assert resonance_drive_frequency(12, 3 * 11.5, 11.5, 1) == pytest.approx(
-        59.0, abs=0.1)
+    assert resonance_mhz(3) == pytest.approx(19.67, abs=0.01)
+    assert resonance_mhz(1) == pytest.approx(59.0, abs=0.1)
     # linear in 1/m
-    f3 = resonance_drive_frequency(12, 3 * 11.5, 11.5, 3)
-    f6 = resonance_drive_frequency(12, 3 * 11.5, 11.5, 6)
-    assert f6 == pytest.approx(f3 / 2)
+    assert resonance_mhz(6) == pytest.approx(resonance_mhz(3) / 2)
     with pytest.raises(ValueError):
-        resonance_drive_frequency(12, -34.5, 11.5, 3)
+        resonance_mhz(3, dc_amplitude_over_j=-3.0)
     with pytest.raises(ValueError):
-        resonance_drive_frequency(12, 34.5, 11.5, 0)
+        resonance_mhz(0)
 
 
 def test_undefined_resonance_is_a_config_error():
-    for dc, coupling in ((-34.5, 11.5), (34.5, 0.0)):
+    for overrides in (dict(dc_amplitude_over_j=-3.0), dict(coupling_mhz=(0.0,))):
         with pytest.raises(ConfigError, match="drive_frequency_mhz must be "
                                               "given explicitly"):
-            resonance_drive_frequency(12, dc, coupling, 3)
+            resonance_mhz(3, **overrides)
 
 
 def test_drive_spec_validation():
-    with pytest.raises(ConfigError):
-        DriveSpec.cosine(N, 0.0, 0.0, -1.0)
+    # 2 pi / 1e-320 overflows: a positive frequency with an infinite period
+    for omega in (-1.0, 0.0, np.inf, np.nan, 1e-320):
+        with pytest.raises(ConfigError, match="^drive frequency .* finite "
+                                              "period"):
+            DriveSpec.cosine(N, 0.0, 0.0, omega)
     with pytest.raises(ConfigError):
         DriveSpec.cosine(N, 0.0, 0.0, 1.0, driven_sites=[0])
     drive = DriveSpec.cosine(N, 3 * J, 3 * J, rad_ns_from_mhz(19.66))
