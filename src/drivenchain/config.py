@@ -243,6 +243,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if config.profile == "table":
         device = load_device_table(config.device_table or bundled_table_path())
         chain = device.chain_spec()
+        coupling = chain.mean_coupling
+        dc_amplitude = config.dc_amplitude_over_j * coupling
+        potential = device.potential_spec(config.device_row)
+        # the drive takes the fit's d0, the resonance dc_amplitude_over_j * J
+        drive_dc = rad_ns_from_mhz(device.dc_amplitude_mhz(config.device_row))
     else:
         couplings = config.coupling_mhz
         if len(couplings) == 1:
@@ -250,25 +255,21 @@ def resolve(config: RunConfig) -> ResolvedRun:
         chain = ChainSpec(
             n, np.array([rad_ns_from_mhz(j) for j in couplings]),
             rad_ns_from_mhz(config.nonlinearity_mhz))
-    coupling = chain.mean_coupling
-    dc_amplitude = config.dc_amplitude_over_j * coupling
-    if config.profile == "table":
-        # the resonance takes dc_amplitude_over_j * J, the drive the fit's d0
-        potential = device.potential_spec(config.device_row)
-        drive_dc = rad_ns_from_mhz(device.dc_amplitude_mhz(config.device_row))
-    else:
-        drive_dc = dc_amplitude
+        coupling = chain.mean_coupling
+        dc_amplitude = drive_dc = config.dc_amplitude_over_j * coupling
         potential = build_potential(
             config.profile, n, dc_amplitude, localized_sites=disordered or None,
             flat_level_fraction=config.flat_level_fraction)
 
     if config.drive_frequency_mhz:
         omega = rad_ns_from_mhz(config.drive_frequency_mhz)
-    elif dc_amplitude * coupling <= 0:
+    elif config.dc_amplitude_over_j <= 0 or coupling == 0:
         raise ConfigError("drive_frequency_mhz must be given explicitly when "
                           "the resonance condition is undefined "
                           "(dc amplitude * J <= 0)")
-    else:   # m * omega = 2 * Omega, the Omega that `stability` records
+    else:
+        # m * omega = 2 * Omega: in formula mode the Omega that `stability`
+        # records, in table mode that of dc_amplitude_over_j * J, not the fit's
         omega = (2.0 / config.resonance_order) * SemiclassicalParams(
             n, dc_amplitude, coupling).small_oscillation_frequency
 

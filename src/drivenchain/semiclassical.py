@@ -84,9 +84,10 @@ class SemiclassicalParams:
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2:
             raise ConfigError("n_sites must be even and >= 2")
-        if not (math.isfinite(self.dc_amplitude)
-                and math.isfinite(self.hopping)
-                and self.dc_amplitude * self.hopping > 0):
+        # the signs, not the product, which underflows for tiny d0 and J
+        d0, hopping = self.dc_amplitude, self.hopping
+        if not (math.isfinite(d0) and math.isfinite(hopping)
+                and (min(d0, hopping) > 0 or max(d0, hopping) < 0)):
             raise ConfigError("dc amplitude and hopping must be finite, "
                               "with positive product")
 
@@ -330,6 +331,9 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):
     """Default axes: omega in (0, 3*Omega], delta1 in [0, 2*d0]."""
     omega_top = 3.0 * params.small_oscillation_frequency
+    if not 0 < omega_top < math.inf:    # d0 * J under- or overflowed
+        raise ConfigError(f"Omega = {omega_top / 3:g} rad/ns: the small-"
+                          "oscillation frequency must be positive and finite")
     omega_values = np.linspace(omega_top / resolution, omega_top, resolution)
     delta1_values = np.linspace(0.0, 2.0 * params.dc_amplitude, resolution)
     return omega_values, delta1_values

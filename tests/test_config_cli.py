@@ -837,6 +837,9 @@ def strict_manifest(out: Path) -> dict:
     ("dynamics", {"drive_frequency_mhz": "1e308"}),
     ("dynamics", {"drive_frequency_mhz": "1e308", "steps_per_period": 10**20}),
     ("spectrum", {"drive_frequency_mhz": "1e-320"}),
+    # Omega itself overflows to inf and underflows to 0
+    ("stability", {"coupling_mhz": "1e300", "drive_frequency_mhz": "19.67"}),
+    ("stability", {"coupling_mhz": "1e-160", "drive_frequency_mhz": "19.67"}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -980,10 +983,13 @@ def test_overflowing_drive_phase_exits_2(tmp_path, command):
 @pytest.mark.parametrize("command", ["dynamics", "ensemble", "spectrum",
                                      "stability", "contours"])
 @pytest.mark.parametrize("settings_", [{"coupling_mhz": "1e300"},
-                                       {"drive_frequency_mhz": "1e-320"}])
+                                       {"drive_frequency_mhz": "1e-320"},
+                                       {"coupling_mhz": "1e-160"}])
 def test_drive_without_a_finite_period_exits_2(tmp_path, command, settings_):
-    # the resonance of J = 1e300 MHz overflows to omega = inf, and 1e-320 MHz
-    # to a period of inf: both refused by name where the config is read
+    # the resonance of J = 1e300 MHz overflows to omega = inf, 1e-320 MHz to
+    # a period of inf, and the resonance of J = 1e-160 MHz (d0 * J underflows,
+    # though both are positive) to omega = 0: all refused by name where the
+    # config is read
     cfg = write_config(tmp_path / "run.cfg", **settings_)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2

@@ -732,3 +732,12 @@ def test_params_reject_non_finite(field, value):
     values = {"dc_amplitude": D0, "hopping": J, field: value}
     with pytest.raises(ConfigError, match="finite"):
         SemiclassicalParams(12, **values)
+
+
+def test_params_read_the_signs_not_the_product():
+    # d0 * J underflows to 0 here, yet both are positive (or both negative)
+    for d0, hopping in ((1e-200, 1e-200), (-1e-200, -1e-200)):
+        assert SemiclassicalParams(12, d0, hopping).dc_amplitude == d0
+    for d0, hopping in ((1e-200, -1e-200), (0.0, J), (D0, 0.0)):
+        with pytest.raises(ConfigError, match="positive product"):
+            SemiclassicalParams(12, d0, hopping)
