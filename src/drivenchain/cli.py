@@ -36,7 +36,7 @@ from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
-from .propagate import floquet_steps
+from .propagate import S6_SUBSTEPS, floquet_steps
 from .semiclassical import (DETERMINANT_TOL, MIN_STEPS_PER_OSCILLATION,
                             default_grid_axes, potential_contours,
                             stability_grid)
@@ -145,11 +145,20 @@ def _write_population_csv(path: Path, times, populations,
     manifest.record_output(path)
 
 
+def _trajectories(run: ResolvedRun, manifest: ManifestWriter):
+    """The run's state trajectories; the manifest records their S6 steps."""
+    trajectory = run_dynamics_ensemble(run.model, run.disorder,
+                                       run.config.init_site,
+                                       run.sample_times(), run.step_ns)
+    manifest.data.update(state_steps_integrated=trajectory.steps,
+                         state_step_ns=S6_SUBSTEPS * run.step_ns)
+    return trajectory
+
+
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
     # one trajectory: main resolves dynamics as a one-realization ensemble
-    trajectory = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
-                                       run.sample_times(), run.step_ns)
+    trajectory = _trajectories(run, manifest)
     ref = cfg.czz_reference_site
     populations, correlations = observable_series(
         trajectory.amplitudes[0], run.basis,
@@ -170,8 +179,7 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    trajectory = run_dynamics_ensemble(run.model, run.disorder, cfg.init_site,
-                                       run.sample_times(), run.step_ns)
+    trajectory = _trajectories(run, manifest)
     populations, _ = observable_series(trajectory.amplitudes, run.basis)
     _write_population_csv(out / "ensemble_populations.csv", trajectory.times,
                           populations.mean(axis=0), manifest)

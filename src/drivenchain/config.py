@@ -283,6 +283,13 @@ def resolve(config: RunConfig) -> ResolvedRun:
         phase=config.drive_phase_rad,
         time_origin=config.time_origin_ns,
     )
+    # the largest kick phase |d1| T max|D|, max|D| <= sector * max|w|, in
+    # Python floats: an overflow reads inf and warns nothing
+    if not np.isfinite(abs(drive.ac_amplitude) * drive.period * config.sector
+                       * float(np.abs(drive.spatial_weights).max())):
+        raise ConfigError("the largest drive kick phase |ac amplitude| * "
+                          "period * max|D| is not finite: lower "
+                          "ac_amplitude_over_j or raise drive_frequency_mhz")
     disorder = DisorderSpec(
         n_sites=n,
         strength=config.disorder_w_over_j * abs(coupling),

@@ -1,32 +1,30 @@
 """Time-ordered unitary evolution and the one-period Floquet operator.
 
-Only the diagonal depends on time, H(t) = H0 + f(t) D.  A step of size h
-is a palindromic splitting D_0 H0(a_0) D_1 ... H0(a_{s-1}) D_s of H0
-exponentials exp(-i a h H0) and kicks exp(-i theta D): fourth order,
-unitary, and exact for a static H0.  States take Yoshida's triple jump
-(w1, w0, w1) at the dynamics step, as Strang steps with f frozen at each
-stage midpoint.  The Floquet product takes S6 of Blanes and Moan,
-J. Comput. Appl. Math. 142 (2002) 313: H0 on its six inner weights, and
-kicks b_j h f(t_j) D on its seven outer ones at the time t_j the H0 flow
-has reached, at four times that step.  One eigendecomposition of H0 per
-realization gives one exponential per distinct weight; the kick that ends
-a step and the one that opens the next are merged.
+Only the diagonal depends on time, H(t) = H0 + f(t) D.  Every step is S6 of
+Blanes and Moan, J. Comput. Appl. Math. 142 (2002) 313, the palindrome
+D_0 H0(a_0) D_1 ... H0(a_5) D_6 of H0 exponentials exp(-i a_j h H0) on its
+six inner weights and kicks exp(-i b_j h f(t_j) D) on its seven outer ones,
+at the time t_j the H0 flow has reached: fourth order for any f, unitary,
+and exact for a static H0.  One eigendecomposition of H0 per realization
+gives one exponential per distinct weight; the kick that ends a step and
+the one that opens the next are merged.
 
 The core advances a block (R, dim, k) of R realizations that share drive
 and basis and differ in H0: k = dim for propagators, k = 1 for states.
 The batched functions take H0 as an (R, dim, dim) stack and the single
 ones are their R = 1 case; a realization's arithmetic does not depend on
-R, so it is bit for bit the same in any batch.  Dynamics steps directly,
-so sample times need not fall on whole periods.  Every factor is
-symmetric (H0 real symmetric, D real diagonal), so for f even about T/2
-and an even step count the Floquet operator is U(T) = V^T V from the
-half-period V.
+R, so it is bit for bit the same in any batch.  Both step S6_SUBSTEPS
+fine steps T/``steps_per_period`` at a time.  States snap each sample to
+n = S6_SUBSTEPS g + l fine steps: g steps on that grid, then, for l > 0,
+one side step of l fine steps, batched over the samples that share l.
+Every factor is symmetric (H0 real symmetric, D real diagonal), so for f
+even about T/2 and an even step count the Floquet operator is U(T) =
+V^T V from the half-period V.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,76 +37,42 @@ from .units import TWO_PI
 DEFAULT_STEPS_PER_PERIOD = 256
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
+#: an S6 step spans this many steps of T / steps_per_period
+S6_SUBSTEPS = 4
 
-
-@dataclass(frozen=True)
-class Splitting:
-    """One step D_0 H0(a_0) D_1 ... H0(a_{s-1}) D_s of size h.
-
-    H0(a) = exp(-i a h H0) takes a = ``drifts[j]``, and D_j =
-    exp(-i theta_j D).  ``kick_angles(f, h, k)`` gives theta_j for the
-    step indices in the column k, an (n, 1) array: (n, s + 1).
-    """
-
-    drifts: tuple
-    kick_angles: Callable
-
-
-def _midpoint_kicks(drifts) -> Splitting:
-    """Strang steps with f frozen at each stage midpoint: D_j merges the
-    half-kicks of the stages on either side of it."""
-    w = np.asarray(drifts)
-    midpoints = np.cumsum(w) - 0.5 * w                  # in units of the step
-
-    def kick_angles(f, h, k):
-        half = f((k + midpoints) * h) * (0.5 * h * w)
-        return np.concatenate([half[:, :1], half[:, 1:] + half[:, :-1],
-                               half[:, -1:]], axis=1)
-    return Splitting(tuple(drifts), kick_angles)
-
-
-def _flow_time_kicks(drifts, kicks) -> Splitting:
-    """D_j = exp(-i b_j h f(t_j) D) at the time t_j the H0 flow has reached
-    (extended phase space), so the order of the splitting holds for any f."""
-    b = np.asarray(kicks)
-    times = np.concatenate([[0.0], np.cumsum(drifts)])  # in units of the step
-
-    def kick_angles(f, h, k):
-        return f((k + times) * h) * (h * b)
-    return Splitting(tuple(drifts), kick_angles)
-
-
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-YOSHIDA = _midpoint_kicks((_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1))
-
-#: S6 of Blanes and Moan, J. Comput. Appl. Math. 142 (2002) 313: one step
-#: is the palindrome D(b1) H0(a1) D(b2) H0(a2) D(b3) H0(a3) D(b4) H0(a3) ...
-#: D(b1), H0 on the six inner weights and the kicks on the seven outer ones
+#: S6's weights: one step is the palindrome D(b1) H0(a1) D(b2) H0(a2) D(b3)
+#: H0(a3) D(b4) H0(a3) ... D(b1), H0 on S6_DRIFTS and the kicks on S6_KICKS
 _A1, _A2 = 0.209515106613362, -0.143851773179818
 _B1, _B2, _B3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
 _A3, _B4 = 0.5 - _A1 - _A2, 1.0 - 2.0 * (_B1 + _B2 + _B3)
-BLANES_MOAN_S6 = _flow_time_kicks((_A1, _A2, _A3, _A3, _A2, _A1),
-                                  (_B1, _B2, _B3, _B4, _B3, _B2, _B1))
+S6_DRIFTS = (_A1, _A2, _A3, _A3, _A2, _A1)
+S6_KICKS = (_B1, _B2, _B3, _B4, _B3, _B2, _B1)
+#: the kicks' weights, and the time each acts at in units of the step (the
+#: H0 flow's so far), as columns against the block's
+_KICKS = np.array(S6_KICKS)[:, None]
+_KICK_TIMES = np.concatenate([[0.0], np.cumsum(S6_DRIFTS)])[:, None]
 _PHASE_CHUNK = DEFAULT_STEPS_PER_PERIOD             # bounds the table's memory
 
 
-def _phase_table(model: SectorModel, scheme: Splitting, step: float,
-                 first: int, count: int):
-    """Phases for steps first .. first+count-1.
+def _phase_table(model: SectorModel, step: float, first: int, count: int,
+                 origin=0.0):
+    """Phases for steps first .. first+count-1 of the columns' clocks.
 
-    Returns the merged phases applied before each H0 exponential,
-    (count, len(scheme.drifts), dim, 1), and the kick that completes each
-    step, (count, dim, 1).
+    Step k's kicks act at ``origin`` + (k + _KICK_TIMES) ``step``;
+    ``origin`` is a scalar or one time per column.  Returns the merged
+    phases applied before each H0 exponential, (count, 6, dim, 1 or k),
+    and the kick that completes each step, (count, dim, 1 or k).
     """
-    steps = np.arange(first - 1, first + count)[:, None]
-    angles = scheme.kick_angles(model.drive.modulation, step, steps)
+    steps = np.arange(first - 1, first + count)[:, None, None]
+    times = np.reshape(origin, (1, 1, -1)) + (steps + _KICK_TIMES) * step
+    angles = model.drive.modulation(times) * (step * _KICKS)
     if first == 0:
         angles[0] = 0.0                 # no step precedes the first one
     merged = angles[1:, :-1].copy()
     merged[:, 0] += angles[:-1, -1]
     diag = model.drive_diagonal[:, None]
-    return (np.exp(-1j * merged[..., None, None] * diag),
-            np.exp(-1j * angles[1:, -1, None, None] * diag))
+    return (np.exp(-1j * merged[:, :, None, :] * diag),
+            np.exp(-1j * angles[1:, -1, None, :] * diag))
 
 
 def _newton_schulz(x: np.ndarray) -> np.ndarray:
@@ -124,22 +88,22 @@ def _newton_schulz(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
-             scheme: Splitting, step: float, n_steps: int,
-             emit_steps) -> np.ndarray:
-    """Advance ``block`` (R, dim, k) by ``n_steps`` steps of ``scheme``.
+def _advance(model: SectorModel, eigh, block: np.ndarray, step: float,
+             n_steps: int, emit_steps, origin=0.0) -> np.ndarray:
+    """Advance ``block`` (R, dim, k) by ``n_steps`` S6 steps from the
+    ``origin`` of :func:`_phase_table`.
 
-    Realization r evolves under H0 = ``h0[r]`` and the drive of ``model``.
-    Returns the block after each step count in the ascending
-    ``emit_steps``: (len(emit_steps), R, dim, k).
+    Realization r evolves under the drive of ``model`` and the H0 whose
+    ``np.linalg.eigh`` is ``eigh``, taken at [r].  Returns the block after
+    each step count in the ascending ``emit_steps``: (len(emit_steps), R,
+    dim, k).
     """
-    lam, vec = np.linalg.eigh(h0)
+    lam, vec = eigh
     # H0 is real symmetric, so its eigenvectors are real: V^H = V^T
     exponentials = {w: _newton_schulz((vec * np.exp(-1j * w * step * lam)
                                        [..., None, :]) @ vec.swapaxes(-1, -2))
-                    for w in set(scheme.drifts)}
-    unitaries = [exponentials[w] for w in scheme.drifts]
-    del lam, vec                # the loop's peak holds every exponential
+                    for w in set(S6_DRIFTS)}
+    unitaries = [exponentials[w] for w in S6_DRIFTS]
     out = np.empty((len(emit_steps),) + block.shape, dtype=complex)
     psi, trailing, next_emit = block.copy(), np.ones((block.shape[1], 1)), 0
     for k in range(n_steps + 1):
@@ -149,8 +113,8 @@ def _advance(model: SectorModel, h0: np.ndarray, block: np.ndarray,
         if k == n_steps:
             return out
         if k % _PHASE_CHUNK == 0:
-            merged, trail = _phase_table(model, scheme, step, k,
-                                         min(_PHASE_CHUNK, n_steps - k))
+            merged, trail = _phase_table(
+                model, step, k, min(_PHASE_CHUNK, n_steps - k), origin)
         for phase, unitary in zip(merged[k % _PHASE_CHUNK], unitaries):
             psi *= phase
             psi = unitary @ psi
@@ -190,6 +154,7 @@ class StateTrajectory:
 
     times: np.ndarray           # actual (step-aligned) emission times
     amplitudes: np.ndarray      # (len(times), dim), or (R, len(times), dim)
+    steps: int                  # S6 steps integrated, side steps included
 
 
 def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
@@ -211,14 +176,26 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
                          f"basis dimension {model.basis.dim}")
 
     sample_steps = np.rint(requested / step).astype(int)
+    grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
     block = np.broadcast_to(psi0[:, None], (len(h0), len(psi0), 1))
-    states = _advance(model, h0, block, YOSHIDA, step,
-                      int(sample_steps[-1]), sample_steps)[..., 0]
+    grid_step = S6_SUBSTEPS * step
+    eigh = np.linalg.eigh(h0)
+    states = _advance(model, eigh, block, grid_step, int(grid[-1]),
+                      grid)[..., 0]
+    # one side step of l fine steps from the grid, the samples that share l
+    # as the block's columns, each on its own clock
+    sides = np.unique(rest[rest > 0])
+    for l in sides:
+        columns = np.flatnonzero(rest == l)
+        states[columns] = _advance(
+            model, eigh, states[columns].transpose(1, 2, 0), l * step, 1, [1],
+            grid[columns] * grid_step)[0].transpose(2, 0, 1)
     # the steps keep psi0's norm, so this also rejects an unnormalized psi0
     drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
     _check_each(drift, NORM_TOL, "norm drift")
     return StateTrajectory(sample_steps * step,
-                           np.ascontiguousarray(states.swapaxes(0, 1)))
+                           np.ascontiguousarray(states.swapaxes(0, 1)),
+                           int(grid[-1]) + len(sides))
 
 
 def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
@@ -236,11 +213,10 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
 
 
 def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
-    """Steps the Floquet product integrates: BLANES_MOAN_S6 at
-    max(1, steps_per_period // 4) steps per period, six H0 exponentials
-    each, half of them when that count is even and f even about T/2, so
-    that U = V^T V."""
-    per_period = max(1, steps_per_period // 4)
+    """Steps the Floquet product integrates: S6 at max(1, steps_per_period
+    // S6_SUBSTEPS) steps per period, six H0 exponentials each, half of them
+    when that count is even and f even about T/2, so that U = V^T V."""
+    per_period = max(1, steps_per_period // S6_SUBSTEPS)
     if per_period % 2 or math.remainder(drive.effective_phase, math.pi):
         return per_period
     return per_period // 2
@@ -256,9 +232,9 @@ def floquet_operators(model: SectorModel, h0: np.ndarray,
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
-    per_period = max(1, steps_per_period // 4)
+    per_period = max(1, steps_per_period // S6_SUBSTEPS)
     n_steps = floquet_steps(model.drive, steps_per_period)
-    matrices = _advance(model, h0, block, BLANES_MOAN_S6, period / per_period,
+    matrices = _advance(model, np.linalg.eigh(h0), block, period / per_period,
                         n_steps, [n_steps])[0]
     if n_steps < per_period:
         matrices = matrices.swapaxes(-1, -2) @ matrices

@@ -17,7 +17,9 @@ one-chunk path bit for bit; ``serial_half_period_monodromy`` is the same
 scheme in the shear form the package stepped before.
 ``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
 ``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
-references for the current one.  They live here so that the package
+references for the current one, and ``yoshida_full_period_floquet`` is
+the Yoshida product the package's states stepped with before S6, kept as
+the bar the S6 product must clear.  They live here so that the package
 carries only what its pipelines use.
 """
 
@@ -35,9 +37,9 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DisorderSpec, DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import (BLANES_MOAN_S6, UNITARITY_TOL, YOSHIDA,
-                                   FloquetOperator, _advance, _check_each,
-                                   floquet_operator, unitarity_defect)
+from drivenchain.propagate import (UNITARITY_TOL, FloquetOperator, _advance,
+                                   _check_each, floquet_operator,
+                                   unitarity_defect)
 from drivenchain import semiclassical
 from drivenchain.semiclassical import (SRKN_DRIFTS, SRKN_KICKS,
                                        SemiclassicalParams,
@@ -265,10 +267,10 @@ def coe_density_divergent(r) -> np.ndarray:
 # Floquet operator: full-period product and step-count probe
 
 
-def full_period_floquet(model: SectorModel, h0: np.ndarray, steps: int,
-                        scheme=BLANES_MOAN_S6) -> FloquetOperator:
-    """One-period propagators of an ``h0`` stack, ``steps`` steps of the
-    splitting ``scheme`` over the whole period.
+def full_period_floquet(model: SectorModel, h0: np.ndarray,
+                        steps: int) -> FloquetOperator:
+    """One-period propagators of an ``h0`` stack, ``steps`` S6 steps over
+    the whole period.
 
     The product the package built before it used time-reversal symmetry:
     the same core, but no transpose palindrome assumed, so it holds for any
@@ -277,11 +279,40 @@ def full_period_floquet(model: SectorModel, h0: np.ndarray, steps: int,
     period = model.drive.period
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
-    matrices = _advance(model, h0, block, scheme, period / steps, steps,
-                        [steps])[0]
+    matrices = _advance(model, np.linalg.eigh(h0), block, period / steps,
+                        steps, [steps])[0]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
     return FloquetOperator(matrices, period)
+
+
+#: Yoshida's triple jump (w1, w0, w1): three Strang steps make one step of
+#: fourth order
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA_WEIGHTS = (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1)
+
+
+def yoshida_full_period_floquet(model: SectorModel, h0: np.ndarray,
+                                steps: int) -> np.ndarray:
+    """One-period propagators of an ``h0`` stack, ``steps`` Yoshida steps.
+
+    Each step is three Strang steps exp(-i w h f D/2) exp(-i w h H0)
+    exp(-i w h f D/2) with the weights YOSHIDA_WEIGHTS, f frozen at each
+    stage's midpoint: the steps the package's states took before S6.
+    """
+    h = model.drive.period / steps
+    lam, vec = np.linalg.eigh(h0)
+    flows = {w: (vec * np.exp(-1j * w * h * lam)[..., None, :])
+             @ vec.swapaxes(-1, -2) for w in set(YOSHIDA_WEIGHTS)}
+    midpoints = np.cumsum(YOSHIDA_WEIGHTS) - 0.5 * np.array(YOSHIDA_WEIGHTS)
+    u = np.broadcast_to(np.eye(model.basis.dim, dtype=complex),
+                        h0.shape).copy()
+    for k in range(steps):
+        for w, mid in zip(YOSHIDA_WEIGHTS, midpoints):
+            f = model.drive.modulation((k + mid) * h)
+            half = np.exp(-0.5j * w * h * f * model.drive_diagonal)[:, None]
+            u = half * (flows[w] @ (half * u))
+    return u
 
 
 @dataclass(frozen=True)
@@ -507,7 +538,7 @@ def yoshida_full_period_monodromy(omega, delta1, params: SemiclassicalParams,
     m, h, kick, drift = _linearized_shears(omega, delta1, params, steps)
     t = np.zeros_like(omega)
     for _ in range(steps):
-        for w in YOSHIDA.drifts:
+        for w in YOSHIDA_WEIGHTS:
             kick(t, 0.5 * w)
             drift(w)
             t = t + w * h

@@ -250,6 +250,19 @@ def test_cmd_dynamics_outputs(tmp_path):
                                                         "czz.csv"}
 
 
+@pytest.mark.parametrize("command", ["dynamics", "ensemble"])
+def test_state_manifest_names_the_s6_steps(tmp_path, command):
+    # 0, 2, ..., 20 ns at T/64 snap to 0, 3, 5, ..., 25 fine steps: 6 S6
+    # steps of 4 fine steps reach the last, and the leftovers 1, 2 and 3
+    # take one side step each
+    cfg = write_config(tmp_path / "run.cfg", **FAST)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = strict_manifest(out)
+    assert manifest["state_steps_integrated"] == 6 + 3
+    assert manifest["state_step_ns"] == 4 * resolve(load_config(cfg)).step_ns
+
+
 def test_cmd_dynamics_zero_coupling_constant_columns(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", coupling_mhz="0.0",
                        drive_frequency_mhz=19.67, ac_amplitude_over_j=0.0,
@@ -840,6 +853,13 @@ def strict_manifest(out: Path) -> dict:
     # Omega itself overflows to inf and underflows to 0
     ("stability", {"coupling_mhz": "1e300", "drive_frequency_mhz": "19.67"}),
     ("stability", {"coupling_mhz": "1e-160", "drive_frequency_mhz": "19.67"}),
+    # the drive's kick phase |d1| T max|D| overflows
+    ("spectrum", {"profile": "flat", "ac_amplitude_over_j": "1e300",
+                  "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
+    ("dynamics", {"profile": "flat", "ac_amplitude_over_j": "1e300",
+                  "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
+    ("ensemble", {"profile": "flat", "ac_amplitude_over_j": "1e300",
+                  "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)

@@ -11,7 +11,7 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
 from drivenchain.observables import observable_series
-from drivenchain.propagate import (evolve_state, evolve_states,
+from drivenchain.propagate import (S6_SUBSTEPS, evolve_state, evolve_states,
                                    floquet_operator, floquet_operators)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
@@ -118,21 +118,43 @@ def test_batch_equals_single_realizations_bitwise():
     assert np.array_equal(pooled.ratios, direct.ratios)
 
 
+def test_batch_equals_single_off_the_grid_bitwise():
+    # samples after t = 0 that end 0 to 3 fine steps past the S6 grid: each
+    # side step takes the samples that share its length as the columns of
+    # one block, here of R = 5 realizations
+    model = make_model()
+    spec = disorder(3.0, count=5)
+    models = realization_models(model, spec)
+    h0 = model.static_hamiltonians(
+        np.stack([m.potential.static_offsets for m in models]))
+    t_samples = STEP * np.array([3, 5, 10, 12, 19, 40, 41])
+    rests = np.rint(t_samples / STEP).astype(int) % S6_SUBSTEPS
+    assert set(rests.tolist()) == {0, 1, 2, 3}
+    psi0 = fock_state(model.basis, 3)
+    batch = evolve_states(model, h0, psi0, t_samples, STEP)
+    assert batch.amplitudes.shape == (5, len(t_samples), model.basis.dim)
+    for amplitudes, m in zip(batch.amplitudes, models):
+        single = evolve_state(m, psi0, t_samples, STEP)
+        assert np.array_equal(amplitudes, single.amplitudes)
+        assert np.array_equal(batch.times, single.times)
+
+
 def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
     # S6 at 64 steps per period, half of them; a refactor that brings
     # back the full-period product or the dynamics step count fails here
     real_advance, calls = propagate._advance, []
 
-    def recording_advance(model, h0, block, scheme, step, n_steps, emit_steps):
-        calls.append((scheme, n_steps))
-        return real_advance(model, h0, block, scheme, step, n_steps,
-                            emit_steps)
+    def recording_advance(model, eigh, block, step, n_steps, emit_steps,
+                          origin=0.0):
+        calls.append(n_steps)
+        return real_advance(model, eigh, block, step, n_steps, emit_steps,
+                            origin)
 
     monkeypatch.setattr(propagate, "_advance", recording_advance)
     run = resolve(RunConfig())
     run_spectrum_ensemble(run.model, run.disorder, run.config.steps_per_period)
     assert run.config.steps_per_period == 256
-    assert calls == [(propagate.BLANES_MOAN_S6, 32)]
+    assert calls == [32]
 
 
 def test_ensemble_reruns_bitwise():

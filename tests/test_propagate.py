@@ -8,14 +8,14 @@ from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
-from drivenchain.propagate import (BLANES_MOAN_S6, DEFAULT_STEPS_PER_PERIOD,
-                                   YOSHIDA, evolve_state,
+from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS,
+                                   S6_KICKS, evolve_state, evolve_states,
                                    floquet_operator, floquet_operators,
                                    floquet_steps, unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (convergence_probe, full_period_floquet, sector_hamiltonian,
-                     uniform_chain)
+                     uniform_chain, yoshida_full_period_floquet)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -87,6 +87,33 @@ def test_evolve_state_validation():
         evolve_state(model, psi0, [1.0, 0.5], step=0.1)
     with pytest.raises(ValueError):
         evolve_state(model, psi0, [], step=0.1)
+
+
+@pytest.mark.parametrize("profile", ["cosine", "flat", "table"])
+@pytest.mark.parametrize("w_over_j", [0.0, 3.0])
+def test_state_population_error_at_default_steps(profile, w_over_j):
+    # the default run against the same evolution at step/16, at the run's
+    # own sample times: 3.2e-8 to 5.2e-8 over these six configs, where the
+    # Yoshida steps at T/256 read 6.0e-8 to 9.4e-8; 16x less per halving
+    from drivenchain.config import RunConfig, resolve
+    from drivenchain.model import sample_disorders
+    run = resolve(RunConfig(profile=profile, disorder_w_over_j=w_over_j,
+                            realizations=1))
+    h0 = run.model.static_hamiltonians(run.potential.static_offsets
+                                       + sample_disorders(run.disorder))
+    psi0 = fock_state(run.basis, run.config.init_site)
+
+    def populations(step, times):
+        traj = evolve_states(run.model, h0, psi0, times, step)
+        return traj.times, np.abs(traj.amplitudes[0]) ** 2 @ run.basis.states
+
+    step = run.step_ns
+    times, coarse = populations(step, run.sample_times())
+    reference = populations(step / 16, times)[1]
+    err = np.abs(coarse - reference).max()
+    err_half = np.abs(populations(step / 2, times)[1] - reference).max()
+    assert err <= 5.5e-8
+    assert 14.0 <= err / err_half <= 18.0
 
 
 def test_norm_conservation_along_driven_trajectory():
@@ -162,8 +189,7 @@ def _exp_i(hermitian, t):
 def test_s6_coefficients_are_fourth_order():
     # the weights alone, on exp(-i(A + B)) for a static A real symmetric and
     # B diagonal: each doubling of the step count cuts the error 16x
-    drifts = np.array(BLANES_MOAN_S6.drifts)
-    kicks = BLANES_MOAN_S6.kick_angles(np.ones_like, 1.0, np.zeros((1, 1)))[0]
+    drifts, kicks = np.array(S6_DRIFTS), np.array(S6_KICKS)
     assert math.isclose(drifts.sum(), 1.0, abs_tol=1e-15)
     assert math.isclose(kicks.sum(), 1.0, abs_tol=1e-15)
     rng = np.random.default_rng(0)
@@ -185,15 +211,15 @@ def test_s6_coefficients_are_fourth_order():
 
 
 def test_evolve_state_matches_floquet_powers():
+    # whole periods fall on the S6 grid, T/64 at 256 steps per period:
     # each period of the evolution uses its own phase table; F, the same
-    # Yoshida steps over one period, uses one
+    # S6 steps over one period, uses one
     model = flat_model_with_disorder()
     period = model.drive.period
     psi = fock_state(model.basis, 3)
     traj = evolve_state(model, fock_state(model.basis, 3),
                         [period, 2 * period, 3 * period], period / 256)
-    f = full_period_floquet(model, model.static_hamiltonians(), 256,
-                            YOSHIDA).matrix[0]
+    f = full_period_floquet(model, model.static_hamiltonians(), 64).matrix[0]
     for amps in traj.amplitudes:
         psi = f @ psi
         assert np.abs(psi - amps).max() < 1e-12
@@ -285,10 +311,9 @@ def test_floquet_halving_error_not_above_yoshida_at_default_steps():
     default = DEFAULT_STEPS_PER_PERIOD
     s6 = np.abs(floquet_operators(model, h0, default).matrix
                 - floquet_operators(model, h0, default // 2).matrix).max()
-    yoshida = np.abs(
-        full_period_floquet(model, h0, default, YOSHIDA).matrix
-        - full_period_floquet(model, h0, default // 2, YOSHIDA).matrix
-    ).max()
+    yoshida = np.abs(yoshida_full_period_floquet(model, h0, default)
+                     - yoshida_full_period_floquet(model, h0, default // 2)
+                     ).max()
     assert s6 <= yoshida
 
 
