@@ -36,12 +36,11 @@ from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
 from .observables import observable_series
-from .propagate import S6_SUBSTEPS, floquet_steps
-from .semiclassical import (DETERMINANT_TOL, MIN_STEPS_PER_OSCILLATION,
-                            default_grid_axes, potential_contours,
-                            stability_grid)
-from .spectrum import (DEGENERACY_RELATIVE_TOL, coe_cdf, coe_density, coe_mean,
-                       ks_distance, poisson_cdf, poisson_density, poisson_mean)
+from .propagate import floquet_steps
+from .semiclassical import (MIN_STEPS_PER_OSCILLATION, default_grid_axes,
+                            potential_contours, stability_grid)
+from .spectrum import (coe_cdf, coe_density, coe_mean, ks_distance,
+                       poisson_cdf, poisson_density, poisson_mean)
 from .units import mhz_from_rad_ns
 
 _FLOAT_FMT = "%.12g"
@@ -151,7 +150,7 @@ def _trajectories(run: ResolvedRun, manifest: ManifestWriter):
                                        run.config.init_site,
                                        run.sample_times(), run.step_ns)
     manifest.data.update(state_steps_integrated=trajectory.steps,
-                         state_step_ns=S6_SUBSTEPS * run.step_ns)
+                         state_step_ns=trajectory.step)
     return trajectory
 
 
@@ -195,11 +194,6 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg, steps = run.config, run.config.steps_per_period
     sample = run_spectrum_ensemble(run.model, run.disorder, steps)
-    if sample.count == 0:
-        raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
-                          f"a degenerate quasienergy gap (below "
-                          f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
-                          f"e.g. every coupling is 0: no level statistics")
     edges = np.linspace(0.0, 1.0, cfg.histogram_bins + 1)
     counts, _ = np.histogram(sample.ratios, bins=edges)
     widths = np.diff(edges)
@@ -246,10 +240,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
     manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
         monodromy_steps_floor=MIN_STEPS_PER_OSCILLATION,
-        monodromy_groups=grid.monodromy_groups)
-    manifest.data["health"] = {"monodromy_determinant": {
-        "worst": grid.determinant_defect, "tolerance": DETERMINANT_TOL,
-        "ratio": grid.determinant_defect / DETERMINANT_TOL}}
+        monodromy_groups=grid.monodromy_groups, health=grid.health)
 
 
 def cmd_contours(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

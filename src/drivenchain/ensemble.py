@@ -13,27 +13,33 @@ names the first realization that failed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .basis import fock_state
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorders
-from .propagate import (DEFAULT_STEPS_PER_PERIOD, StateTrajectory, evolve_states,
-                        floquet_operators, floquet_steps)
-from .spectrum import RatioSample, gap_ratios, quasienergies
+from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
+                        StateTrajectory, evolve_states, floquet_operators,
+                        floquet_steps)
+from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
+                       quasienergies)
 
 #: most entries of the realizations x dim x dim block a runner propagates
 MAX_BLOCK = 2_000_000
-#: most split-operator steps one propagation may take
+#: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
 #: most complex amplitudes (realizations x samples x dim, 800 MB) a dynamics
 #: ensemble holds at once
 MAX_AMPLITUDES = 50_000_000
 
 
-def _admit(model: SectorModel, disorder: DisorderSpec, steps: float) -> None:
-    """Refuse a block, or a step count (a float, so inf too), over budget."""
+def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
+           step: float) -> None:
+    """Refuse a block, or a step count (a float, so inf too), over budget,
+    and an S6 ``step`` whose largest H0 phase is not finite."""
     block = disorder.realization_count * model.basis.dim ** 2
     if block > MAX_BLOCK:
         raise ConfigError(f"realizations x sector dimension^2 = {block:.3g} "
@@ -43,6 +49,24 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float) -> None:
         raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
                           f"than {MAX_STEPS}: lower the drive frequency, "
                           f"t_max_ns or steps_per_period")
+    # Gershgorin: |H0| <= sector (max|offset| + W) + |U|/2 sector (cutoff - 1)
+    # on the diagonal plus 2 cutoff sum|J| off it; one S6 step applies at
+    # most max(S6_DRIFTS) step |H0|, and the draw computes 2W.  In Python
+    # floats, so an overflow reads inf and warns nothing
+    basis, chain = model.basis, model.chain
+    bound = (basis.total_excitations * (
+        float(np.abs(model.potential.static_offsets).max()) + disorder.strength
+        + 0.5 * abs(chain.onsite_nonlinearity) * (basis.boson_cutoff - 1))
+        + 2 * basis.boson_cutoff * sum(map(abs, chain.bond_couplings.tolist())))
+    phase = max(S6_DRIFTS) * float(step) * bound
+    if not (math.isfinite(phase) and math.isfinite(2 * disorder.strength)):
+        raise ConfigError(f"the largest H0 phase of one S6 step, {phase:.3g}, "
+                          f"or the disorder draw's span 2 x "
+                          f"{disorder.strength:.3g} rad/ns is not finite: "
+                          f"lower flat_level_fraction, dc_amplitude_over_j, "
+                          f"disorder_w_over_j, coupling_mhz or "
+                          f"nonlinearity_mhz, or raise drive_frequency_mhz or "
+                          f"steps_per_period")
 
 
 def _static_hamiltonians(model: SectorModel, disorder: DisorderSpec):
@@ -57,7 +81,9 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
     """(realization, time, dim) amplitudes of one initial state over R
     disorder realizations."""
     psi0 = fock_state(model.basis, initial_site)
-    _admit(model, disorder, float(t_samples[-1]) / step if step else float("inf"))
+    grid_step = S6_SUBSTEPS * step
+    _admit(model, disorder,
+           float(t_samples[-1]) / grid_step if step else float("inf"), grid_step)
     amplitudes = disorder.realization_count * len(t_samples) * model.basis.dim
     if amplitudes > MAX_AMPLITUDES:
         raise ConfigError(f"realizations x samples x sector dimension = "
@@ -74,8 +100,16 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
                           steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
                           ) -> RatioSample:
-    """Pooled quasienergy gap ratios over R disorder realizations."""
-    _admit(model, disorder, floquet_steps(model.drive, steps_per_period))
+    """Pooled quasienergy gap ratios over R disorder realizations; a sample
+    whose every ratio touches a degenerate gap is refused."""
+    _admit(model, disorder, floquet_steps(model.drive, steps_per_period),
+           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS))
     operators = floquet_operators(model, _static_hamiltonians(model, disorder),
                                   steps_per_period)
-    return gap_ratios(quasienergies(operators))
+    sample = gap_ratios(quasienergies(operators))
+    if sample.count == 0:
+        raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
+                          f"a degenerate quasienergy gap (below "
+                          f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
+                          f"e.g. every coupling is 0: no level statistics")
+    return sample

@@ -155,6 +155,7 @@ class StateTrajectory:
     times: np.ndarray           # actual (step-aligned) emission times
     amplitudes: np.ndarray      # (len(times), dim), or (R, len(times), dim)
     steps: int                  # S6 steps integrated, side steps included
+    step: float                 # the S6 grid step, S6_SUBSTEPS fine steps
 
 
 def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
@@ -195,7 +196,7 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     _check_each(drift, NORM_TOL, "norm drift")
     return StateTrajectory(sample_steps * step,
                            np.ascontiguousarray(states.swapaxes(0, 1)),
-                           int(grid[-1]) + len(sides))
+                           int(grid[-1]) + len(sides), grid_step)
 
 
 def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,

@@ -268,9 +268,10 @@ def _monodromy_batch(nu: np.ndarray, eps: np.ndarray) -> tuple:
     return result, groups
 
 
-def _check_determinants(m: np.ndarray) -> float:
+def _check_determinants(m: np.ndarray) -> dict:
     """Verify det M = 1 to 1e-8 wherever that is measurable, and return the
-    worst measured |det M - 1| (0 when no cell is measurable).
+    worst measured |det M - 1| (0 when no cell is measurable) with its
+    tolerance and their ratio.
 
     Each integration substep is a shear, so the determinant is preserved
     structurally; the floating-point check is meaningful only while matrix
@@ -290,7 +291,8 @@ def _check_determinants(m: np.ndarray) -> float:
     worst = float(np.abs(det - 1.0).max(initial=0.0))
     if worst > DETERMINANT_TOL:
         raise NumericalError(f"monodromy determinant deviates by {worst:.3e}")
-    return worst
+    return {"worst": worst, "tolerance": DETERMINANT_TOL,
+            "ratio": worst / DETERMINANT_TOL}
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ class StabilityGrid:
     abs_trace: np.ndarray           # (n_omega, n_delta1)
     stable: np.ndarray              # boolean, same shape
     monodromy_groups: list          # {steps, cells, chunks, blocks} per group
-    determinant_defect: float       # worst checked |det M - 1|
+    health: dict                    # {"monodromy_determinant": margin}
 
 
 def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
@@ -321,11 +323,11 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
         raise ValueError("omega grid values must be positive")
     nu, eps = np.meshgrid(nu, eps, indexing="ij")
     m, groups = _monodromy_batch(nu.ravel(), eps.ravel())
-    defect = _check_determinants(m)
+    health = {"monodromy_determinant": _check_determinants(m)}
     abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(nu.shape)
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
-                         groups, defect)
+                         groups, health)
 
 
 def default_grid_axes(params: SemiclassicalParams, resolution: int = 200):

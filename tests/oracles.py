@@ -15,6 +15,8 @@ units the monodromy integrator takes.  ``serial_recurrence_monodromy`` is
 the package's monodromy recurrence written serially, kept to pin its
 one-chunk path bit for bit; ``serial_half_period_monodromy`` is the same
 scheme in the shear form the package stepped before.
+``mathieu_stable`` classifies monodromy cells from Mathieu's characteristic
+values, sharing no code with the integrator.
 ``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
 ``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
 references for the current one, and ``yoshida_full_period_floquet`` is
@@ -667,3 +669,63 @@ def serial_recurrence_monodromy(nu, eps, steps: int) -> np.ndarray:
     q = c[end % period] * x
     p = (q - c[(end - 1) % period] * x_prev) / f + kick * q
     return _full_period_from_half(q, p)
+
+
+# ---------------------------------------------------------------------------
+# stability from Mathieu's characteristic values
+
+
+def _sturm_count(modes: np.ndarray, q: np.ndarray, a: np.ndarray,
+                 first=0.0, first_coupling: float = 1.0) -> np.ndarray:
+    """Characteristic values below ``a`` in one parity family of Mathieu's
+    recurrence: the eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``modes``^2 (``first`` added to its first entry) and every
+    coupling q (the first times ``first_coupling``), one cell per entry of
+    ``q`` and ``a``.
+
+    They are counted as the negative pivots of the LDL^T factors of T - a
+    I.  A zero pivot is nudged to the tiniest negative number, so that 0/0
+    never arises; a pivot near 0 sends the next one to +-inf and the one
+    after back to modes^2 - a, the limit of the exact count.
+    """
+    tiny = np.finfo(float).tiny
+    pivot = modes[0] ** 2 + first - a
+    count = np.zeros(a.shape, dtype=int)
+    with np.errstate(over="ignore", divide="ignore"):
+        for row, mode in enumerate(modes[1:]):
+            pivot[pivot == 0.0] = -tiny
+            count += pivot < 0
+            coupling = q * first_coupling if row == 0 else q
+            pivot = (mode ** 2 - a) - coupling * coupling / pivot
+    return count + (pivot < 0)
+
+
+def mathieu_stable(nu, eps) -> np.ndarray:
+    """Whether x'' = -(1 + eps cos(nu tau)) x is stable, from Mathieu's
+    characteristic values; ``nu`` > 0 and ``eps`` broadcast together.
+
+    With s = nu tau / 2 the equation is y'' + (a - 2 q cos 2s) y = 0, a =
+    4/nu^2, q = -2 eps/nu^2, and only |q| matters.  The a_r (even) and b_r
+    (odd solutions) are the eigenvalues of four symmetric tridiagonal
+    matrices, one per parity family of the Fourier series: cos 2ns (a_2n),
+    cos (2n+1)s (a_2n+1), sin (2n+1)s (b_2n+1), sin (2n+2)s (b_2n+2).  A
+    cell is stable when N_A - N_B = 1 (a in some (a_r, b_r+1)) and unstable
+    when N_A = N_B, with N_A and N_B the a- and b-values below a (DLMF
+    28.2, 28.29).  The families keep K rows, K growing as sqrt(a + 2|q|):
+    their eigenvectors decay past the mode sqrt(a + 2|q|), so the values
+    near a do not feel the cut.  Any other difference means K is too
+    small, and fails here.
+    """
+    nu, eps = np.broadcast_arrays(np.asarray(nu, dtype=float),
+                                  np.asarray(eps, dtype=float))
+    a = (4.0 / nu ** 2).ravel()
+    q = np.abs(2.0 * eps / nu ** 2).ravel()
+    k = np.arange(int(np.sqrt((a + 2.0 * q).max()) / 2.0) + 20, dtype=float)
+    n_a = (_sturm_count(2.0 * k, q, a, first_coupling=math.sqrt(2.0))
+           + _sturm_count(2.0 * k + 1.0, q, a, first=q))
+    n_b = (_sturm_count(2.0 * k + 1.0, q, a, first=-q)
+           + _sturm_count(2.0 * k + 2.0, q, a))
+    difference = n_a - n_b
+    assert np.isin(difference, (0, 1)).all(), \
+        f"N_A - N_B outside {{0, 1}}: {np.unique(difference)}; raise K"
+    return (difference == 1).reshape(nu.shape)

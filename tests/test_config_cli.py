@@ -871,6 +871,22 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+# |H0| overflows (its diagonal sums two offsets of 1.3e308 rad/ns), and its
+# bound times a 1.6e301 ns step (or a 4e303 ns one) overflows
+H0_OVERFLOW = {"profile": "flat", "realizations": 2, "sector": 2,
+               "flat_level_fraction": "1.797e308", "dc_amplitude_over_j": 10}
+H0_PHASE_OVERFLOW = {"profile": "flat", "realizations": 2,
+                     "flat_level_fraction": "1e10",
+                     "drive_frequency_mhz": "1e-300"}
+H0_STATE_PHASE_OVERFLOW = {"profile": "flat", "flat_level_fraction": "1e10",
+                           "drive_frequency_mhz": "1e-300",
+                           "steps_per_period": 1, "t_max_ns": "1e308",
+                           "sample_dt_ns": "1e308"}
+# the disorder draw -W + 2W u overflows at W = 1.1e308 rad/ns
+DISORDER_SPAN_OVERFLOW = {"coupling_mhz": 100, "disorder_w_over_j": "1.797e308",
+                          "steps_per_period": 16, "realizations": 2}
+
+
 @pytest.mark.parametrize("command,flags,settings_", [
     ("stability", ["--realizations", "1000", "--sector", "2"], {}),
     ("contours", ["--realizations", "1000", "--sector", "2"], {}),
@@ -883,6 +899,10 @@ def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     ("contours", [], {"boson_cutoff": 2, "sector": 5}),
     ("stability", [], {"coupling_mhz": -11.5, "disorder_w_over_j": 3}),
     ("contours", [], {"coupling_mhz": -11.5, "disorder_w_over_j": 3}),
+    ("stability", [], H0_OVERFLOW),
+    ("contours", [], H0_OVERFLOW),
+    ("stability", [], H0_PHASE_OVERFLOW),
+    ("contours", [], H0_PHASE_OVERFLOW),
 ])
 def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
                                              settings_):
@@ -908,6 +928,12 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     ("spectrum", {"sector": 0}, "at least 3 states"),
     ("spectrum", {"boson_cutoff": 2, "sector": 5}, "sector dimension^2"),
     ("ensemble", {"boson_cutoff": 2, "sector": 5}, "sector dimension^2"),
+    ("spectrum", H0_OVERFLOW, "flat_level_fraction"),
+    ("spectrum", H0_PHASE_OVERFLOW, "drive_frequency_mhz"),
+    ("dynamics", H0_STATE_PHASE_OVERFLOW, "largest H0 phase"),
+    ("ensemble", H0_STATE_PHASE_OVERFLOW, "largest H0 phase"),
+    ("spectrum", DISORDER_SPAN_OVERFLOW, "disorder_w_over_j"),
+    ("ensemble", DISORDER_SPAN_OVERFLOW, "disorder draw's span"),
 ])
 def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
                                                       settings_, message):
@@ -979,7 +1005,8 @@ def test_sample_times_stop_at_the_horizon(t_max_ns, sample_dt_ns, count):
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
-EXTREMES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e300, 1e-300]
+EXTREMES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e300, 1e-300,
+            1e-160, 1e-320, 1e154, 1.797e308, -11.5]
 INT_KEYS = [f.name for f in fields(RunConfig) if type(f.default) is int]
 INT_EXTREMES = [-1, 0, 1, 10**9]
 TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
@@ -1020,21 +1047,33 @@ def test_drive_without_a_finite_period_exits_2(tmp_path, command, settings_):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+#: coupling_mhz: unset, one value, or one per bond of the default 12 sites
+COUPLINGS = st.one_of(
+    st.none(), st.sampled_from(EXTREMES).map(repr),
+    st.lists(st.sampled_from([11.5] + EXTREMES), min_size=11,
+             max_size=11).map(lambda values: ",".join(map(repr, values))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["dynamics", "ensemble", "spectrum",
                                 "stability", "contours"]),
        overrides=st.dictionaries(st.sampled_from(FLOAT_KEYS),
                                  st.sampled_from(EXTREMES), max_size=3),
        int_overrides=st.dictionaries(st.sampled_from(INT_KEYS),
                                      st.sampled_from(INT_EXTREMES), max_size=2),
-       sector=st.sampled_from([0, 1, 2]))
+       sector=st.sampled_from([0, 1, 2]),
+       profile=st.sampled_from(["cosine", "flat", "table"]),
+       coupling=COUPLINGS)
 def test_main_exit_code_and_manifest_on_any_float_input(command, overrides,
-                                                        int_overrides, sector):
+                                                        int_overrides, sector,
+                                                        profile, coupling):
     # every other key stays nominal, so each example runs in milliseconds
+    settings_ = {**TINY, "sector": sector, "profile": profile, **int_overrides,
+                 **{k: repr(v) for k, v in overrides.items()}}
+    if coupling is not None:
+        settings_["coupling_mhz"] = coupling
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp) / "run.cfg",
-                           **{**TINY, "sector": sector, **int_overrides,
-                              **{k: repr(v) for k, v in overrides.items()}})
+        cfg = write_config(Path(tmp) / "run.cfg", **settings_)
         out = Path(tmp) / "out"
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)

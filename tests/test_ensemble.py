@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from drivenchain import ensemble, propagate
 from drivenchain.basis import build_sector_basis, fock_state
+from drivenchain.cli import main
 from drivenchain.config import RunConfig, resolve
 from drivenchain.ensemble import (MAX_AMPLITUDES, MAX_BLOCK, MAX_STEPS,
                                   run_dynamics_ensemble, run_spectrum_ensemble)
@@ -204,14 +207,15 @@ def test_failure_names_realization():
         run_dynamics_ensemble(model, disorder(3.0), 3, [-1.0], STEP)
 
 
+def no_h0_stack(model, disorder):
+    raise AssertionError("the H0 stack was built")
+
+
 @pytest.fixture
 def no_h0(monkeypatch):
     """A sentinel in place of the H0 stack: a runner that gets this far
     raises AssertionError instead of allocating."""
-    def sentinel(model, disorder):
-        raise AssertionError("the H0 stack was built")
-
-    monkeypatch.setattr(ensemble, "_static_hamiltonians", sentinel)
+    monkeypatch.setattr(ensemble, "_static_hamiltonians", no_h0_stack)
 
 
 def test_spectrum_block_over_budget_refused_before_h0(no_h0):
@@ -232,14 +236,39 @@ def test_spectrum_counts_the_steps_its_product_takes(no_h0):
         run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS)
 
 
+def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
+                                                        monkeypatch):
+    # the default 150 ns at T/256 is 755 fine steps but 188 grid steps of
+    # 4 and 3 side steps, so it fits a budget of 200; 160 ns needs 201.4
+    # grid steps and is refused before the H0 stack is built
+    monkeypatch.setattr(ensemble, "MAX_STEPS", 200)
+    out = tmp_path / "fits"
+    assert main(["dynamics", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["state_steps_integrated"] == 191
+    monkeypatch.setattr(ensemble, "_static_hamiltonians", no_h0_stack)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_max_ns = 160\n")
+    out = tmp_path / "refused"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error_type"] == "ConfigError"
+    assert "201 propagator steps, more than 200" in manifest["error"]
+
+
 def test_dynamics_budgets_refused_before_h0(no_h0):
     model = make_model()
     with pytest.raises(ConfigError, match="realizations x sector dimension"):
         run_dynamics_ensemble(model, disorder(3.0, count=MAX_BLOCK // 144 + 1),
                               3, T_SAMPLES, STEP)
+    # the budget counts S6 grid steps of S6_SUBSTEPS fine steps each
+    grid_step = S6_SUBSTEPS * STEP
     with pytest.raises(ConfigError, match="propagator steps"):
         run_dynamics_ensemble(model, disorder(3.0), 3,
-                              [0.0, (MAX_STEPS + 1) * STEP], STEP)
+                              [0.0, (MAX_STEPS + 1) * grid_step], STEP)
+    with pytest.raises(AssertionError, match="H0"):     # MAX_STEPS fit
+        run_dynamics_ensemble(model, disorder(3.0), 3,
+                              [0.0, MAX_STEPS * grid_step], STEP)
     with pytest.raises(ConfigError, match="inf propagator steps"):
         run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, 0.0)
     # 13,888 x 301 samples x 12 amplitudes just over MAX_AMPLITUDES

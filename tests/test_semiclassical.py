@@ -20,9 +20,9 @@ from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (SRKN6B_DRIFTS, SRKN6B_KICKS, classical_rhs,
                      full_period_monodromy, integrate_trajectory,
-                     monodromy_matrix, monodromy_resolution, monodromy_trace,
-                     scaled_cells, serial_half_period_monodromy,
-                     serial_recurrence_monodromy,
+                     mathieu_stable, monodromy_matrix, monodromy_resolution,
+                     monodromy_trace, scaled_cells,
+                     serial_half_period_monodromy, serial_recurrence_monodromy,
                      yoshida_full_period_monodromy)
 
 J = rad_ns_from_mhz(11.5)
@@ -623,7 +623,8 @@ def test_stability_grid_bitwise_invariant_under_sign_and_scale(d0_factor,
     assert np.array_equal(grid.abs_trace, reference.abs_trace)
     assert np.array_equal(grid.stable, reference.stable)
     assert grid.monodromy_groups == reference.monodromy_groups
-    assert grid.determinant_defect == reference.determinant_defect > 0.0
+    assert grid.health == reference.health
+    assert grid.health["monodromy_determinant"]["worst"] > 0.0
 
 
 @pytest.mark.parametrize("min_steps", [64, 256, 1024, 128, 2048])
@@ -741,3 +742,29 @@ def test_params_read_the_signs_not_the_product():
     for d0, hopping in ((1e-200, -1e-200), (0.0, J), (D0, 0.0)):
         with pytest.raises(ConfigError, match="positive product"):
             SemiclassicalParams(12, d0, hopping)
+
+
+#: (omega, delta1) indices of the default map's cells that the cushion
+#: 2 < |tr M| <= 2 + STABILITY_TOLERANCE flags stable, though Mathieu's
+#: characteristic values call them unstable
+CUSHION_CELLS = {
+    40: [(26, 1)],
+    200: [(32, 36), (32, 40), (65, 22), (66, 35), (130, 7), (131, 4),
+          (132, 1), (133, 2), (134, 5), (146, 42)],
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(CUSHION_CELLS))
+def test_every_stability_flag_matches_mathieu(resolution):
+    # an independent classification of every cell, by Sturm counts of the
+    # characteristic values below a = 4/nu^2: only the cushion differs
+    params = make_params()
+    omega, delta1 = default_grid_axes(params, resolution)
+    grid = stability_grid(omega, delta1, params)
+    nu, eps = scaled_cells(omega[:, None], delta1[None, :], params)
+    oracle = mathieu_stable(nu, eps).reshape(grid.stable.shape)
+    cells = CUSHION_CELLS[resolution]
+    assert np.argwhere(oracle != grid.stable).tolist() == [list(c) for c in cells]
+    for cell in cells:
+        assert grid.stable[cell] and not oracle[cell]
+        assert 2.0 < grid.abs_trace[cell] <= 2.0 + STABILITY_TOLERANCE
