@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
                     build_potential)
-from .propagate import DEFAULT_STEPS_PER_PERIOD
+from .propagate import DEFAULT_STEPS_PER_PERIOD, S6_SUBSTEPS
 from .semiclassical import SemiclassicalParams
 from .units import mhz_from_rad_ns, rad_ns_from_mhz
 
@@ -104,6 +104,11 @@ class RunConfig:
                 raise ConfigError("device-table mode requires n_sites = 12")
             if self.device_row not in ("cosine", "flat"):
                 raise ConfigError("device_row must be cosine or flat")
+            # the chain comes from the table, so a value set here is unused
+            for key in ("coupling_mhz", "nonlinearity_mhz"):
+                if getattr(self, key) != getattr(RunConfig, key):
+                    raise ConfigError(f"{key} is read from the device table "
+                                      f"in profile = table: leave it unset")
         else:
             if self.n_sites < 4 or self.n_sites % 2:
                 raise ConfigError("formula mode requires an even n_sites >= 4")
@@ -215,7 +220,9 @@ class ResolvedRun:
 
     @property
     def step_ns(self) -> float:
-        return self.drive.period / self.config.steps_per_period
+        """The fine step of the Floquet product's grid of P S6 steps."""
+        per_period = max(1, self.config.steps_per_period // S6_SUBSTEPS)
+        return self.drive.period / (S6_SUBSTEPS * per_period)
 
     def sample_times(self) -> np.ndarray:
         """0, dt, 2 dt, ... up to t_max_ns: the whole spacings that fit, a

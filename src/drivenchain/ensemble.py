@@ -23,7 +23,7 @@ from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorders
 from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
                         StateTrajectory, evolve_states, floquet_operators,
-                        floquet_steps)
+                        floquet_steps, state_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
                        quasienergies)
 
@@ -32,7 +32,7 @@ MAX_BLOCK = 2_000_000
 #: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
 #: most complex amplitudes (realizations x samples x dim, 800 MB) a dynamics
-#: ensemble holds at once
+#: ensemble holds at once, and most entries of one realization's prefix table
 MAX_AMPLITUDES = 50_000_000
 
 
@@ -81,17 +81,24 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
     """(realization, time, dim) amplitudes of one initial state over R
     disorder realizations."""
     psi0 = fock_state(model.basis, initial_site)
-    grid_step = S6_SUBSTEPS * step
-    _admit(model, disorder,
-           float(t_samples[-1]) / grid_step if step else float("inf"), grid_step)
-    amplitudes = disorder.realization_count * len(t_samples) * model.basis.dim
+    t_last, dim = float(t_samples[-1]), model.basis.dim
+    _, grid_step, count = (state_grid(model.drive, step, t_last) if step > 0
+                           else (1, 0.0, 0))
+    _admit(model, disorder, t_last / grid_step if grid_step else float("inf"),
+           grid_step)
+    amplitudes = disorder.realization_count * len(t_samples) * dim
     if amplitudes > MAX_AMPLITUDES:
         raise ConfigError(f"realizations x samples x sector dimension = "
                           f"{amplitudes:.3g} exceeds {MAX_AMPLITUDES}: lower "
                           f"realizations, t_max_ns or n_sites, or raise sample_dt_ns")
-    if np.any(np.diff(np.rint(np.asarray(t_samples) / step)) < 1):
+    if (count + 1) * dim ** 2 > MAX_AMPLITUDES:
+        raise ConfigError(f"one realization's prefix table, {count + 1} "
+                          f"matrices of sector dimension^2, exceeds "
+                          f"{MAX_AMPLITUDES}: lower steps_per_period")
+    fine = grid_step / S6_SUBSTEPS
+    if np.any(np.diff(np.rint(np.asarray(t_samples) / fine)) < 1):
         raise ConfigError(f"the sample spacing is below the propagator step "
-                          f"of {step:.3g} ns, so two samples fall on one "
+                          f"of {fine:.3g} ns, so two samples fall on one "
                           f"step: raise steps_per_period or sample_dt_ns")
     return evolve_states(model, _static_hamiltonians(model, disorder), psi0,
                          t_samples, step)

@@ -13,13 +13,13 @@ The core advances a block (R, dim, k) of R realizations that share drive
 and basis and differ in H0: k = dim for propagators, k = 1 for states.
 The batched functions take H0 as an (R, dim, dim) stack and the single
 ones are their R = 1 case; a realization's arithmetic does not depend on
-R, so it is bit for bit the same in any batch.  Both step S6_SUBSTEPS
-fine steps T/``steps_per_period`` at a time.  States snap each sample to
-n = S6_SUBSTEPS g + l fine steps: g steps on that grid, then, for l > 0,
-one side step of l fine steps, batched over the samples that share l.
-Every factor is symmetric (H0 real symmetric, D real diagonal), so for f
-even about T/2 and an even step count the Floquet operator is U(T) =
-V^T V from the half-period V.
+R, so it is bit for bit the same in any batch.  Both cut the period into
+P whole S6 steps of H = T/P, S6_SUBSTEPS fine steps each.  Every factor is
+symmetric (H0 real symmetric, D real diagonal), so for f even about T/2
+and an even P the Floquet operator is U(T) = V^T V from the half-period V.
+States read that product's prefixes A_r = U(rH, 0): g = mP + r grid steps
+give A_r U^m psi0, and a sample at n = S6_SUBSTEPS g + l fine steps, l >
+0, takes one side step of l fine steps, batched over the samples sharing l.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ from .units import TWO_PI
 DEFAULT_STEPS_PER_PERIOD = 256
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
-#: an S6 step spans this many steps of T / steps_per_period
+#: an S6 step spans this many fine steps, T / steps_per_period at the default
 S6_SUBSTEPS = 4
+#: most prefix-table entries a batch of realizations holds (8 MB): at R =
+#: 400 one 30 MB table ran 1.3x the old serial scan, 100 at a time 1.1x
+TABLE_BATCH = 500_000
 
 #: S6's weights: one step is the palindrome D(b1) H0(a1) D(b2) H0(a2) D(b3)
 #: H0(a3) D(b4) H0(a3) ... D(b1), H0 on S6_DRIFTS and the kicks on S6_KICKS
@@ -95,7 +98,7 @@ def _advance(model: SectorModel, eigh, block: np.ndarray, step: float,
 
     Realization r evolves under the drive of ``model`` and the H0 whose
     ``np.linalg.eigh`` is ``eigh``, taken at [r].  Returns the block after
-    each step count in the ascending ``emit_steps``: (len(emit_steps), R,
+    each step count in the ascending ``emit_steps``: (R, len(emit_steps),
     dim, k).
     """
     lam, vec = eigh
@@ -104,11 +107,11 @@ def _advance(model: SectorModel, eigh, block: np.ndarray, step: float,
                                        [..., None, :]) @ vec.swapaxes(-1, -2))
                     for w in set(S6_DRIFTS)}
     unitaries = [exponentials[w] for w in S6_DRIFTS]
-    out = np.empty((len(emit_steps),) + block.shape, dtype=complex)
+    out = np.empty((len(block), len(emit_steps)) + block.shape[1:], complex)
     psi, trailing, next_emit = block.copy(), np.ones((block.shape[1], 1)), 0
     for k in range(n_steps + 1):
         while next_emit < len(emit_steps) and emit_steps[next_emit] == k:
-            np.multiply(trailing, psi, out=out[next_emit])
+            np.multiply(trailing, psi, out=out[:, next_emit])
             next_emit += 1
         if k == n_steps:
             return out
@@ -154,14 +157,75 @@ class StateTrajectory:
 
     times: np.ndarray           # actual (step-aligned) emission times
     amplitudes: np.ndarray      # (len(times), dim), or (R, len(times), dim)
-    steps: int                  # S6 steps integrated, side steps included
+    steps: int                  # S6 grid steps spanned, plus the side steps
     step: float                 # the S6 grid step, S6_SUBSTEPS fine steps
+
+
+def state_grid(drive: DriveSpec, step: float, t_last: float) -> tuple:
+    """(P, H, K): the period cut into P = max(1, round(T / (S6_SUBSTEPS
+    step))) S6 steps of H = T/P, and the prefix table's K S6 steps, those of
+    :func:`floquet_steps` or fewer if ``t_last`` snaps to an earlier one."""
+    per_period = max(1, round(drive.period / (S6_SUBSTEPS * step)))
+    grid_step = drive.period / per_period
+    count = floquet_steps(drive, S6_SUBSTEPS * per_period)
+    # Python numbers: a t_last far past the table reads count, not inf
+    last = min(float(t_last) / (grid_step / S6_SUBSTEPS), S6_SUBSTEPS * count)
+    return per_period, grid_step, round(last) // S6_SUBSTEPS
+
+
+def _prefixes(model: SectorModel, eigh, per_period: int, count: int,
+              emit_steps) -> tuple:
+    """The identity block after each of ``emit_steps`` of ``count`` S6 steps
+    of T / per_period, (R, len(emit_steps), dim, dim), and U(T) from the
+    last: itself, or V^T V where ``count`` is half of ``per_period``."""
+    dim = eigh[0].shape[-1]
+    table = _advance(model, eigh, np.broadcast_to(
+        np.eye(dim, dtype=complex), eigh[1].shape), model.drive.period /
+        per_period, count, emit_steps)
+    u = table[:, -1]
+    return table, (u.swapaxes(-1, -2) @ u if 2 * count == per_period else u)
+
+
+def _grid_states(model: SectorModel, eigh, psi0: np.ndarray, per_period: int,
+                 count: int, grid: np.ndarray) -> np.ndarray:
+    """psi0's states at the ascending grid steps ``grid``, (R, len(grid),
+    dim): g = mP + r reads A_r U^m psi0 off the prefixes A_k, k = 0..count,
+    and past count = P/2 the palindrome's time reversal A_r = conj(A_{P-r})
+    U, as conj(A_{P-r} conj(U^{m+1} psi0))."""
+    realizations, dim = eigh[0].shape
+    table, u = _prefixes(model, eigh, per_period, count, range(count + 1))
+    rows_t = table.reshape(realizations, -1, dim).swapaxes(1, 2)
+    whole, residue = np.divmod(grid, per_period)
+    mirrored = residue > count
+    rows, powers = np.where(mirrored, per_period - residue, residue), \
+        whole + mirrored
+    vectors = [np.broadcast_to(psi0, (realizations, 1, dim)).copy()]
+    for _ in range(powers[-1]):
+        vectors.append(vectors[-1] @ u.swapaxes(-1, -2))
+    # samples within dim/2 powers read one product of the table with the
+    # rows U^m psi0 or their conjugates: one pass, and no larger than it;
+    # every index is in range, so "clip" only lets take write into out
+    states = np.empty((realizations, len(grid), dim), dtype=complex)
+    first = 0
+    while first < len(grid):
+        last = np.searchsorted(powers, powers[first] + max(1, dim // 2))
+        used, slot = np.unique(2 * powers[first:last] + mirrored[first:last],
+                               return_inverse=True)
+        products = np.concatenate([vectors[k // 2].conj() if k % 2 else
+                                   vectors[k // 2] for k in used], 1) @ rows_t
+        np.take(products.reshape(realizations, -1, dim),
+                slot * (count + 1) + rows[first:last], axis=1,
+                out=states[:, first:last], mode="clip")
+        first = last
+    np.conjugate(states, out=states, where=mirrored[:, None])
+    return states
 
 
 def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
                   t_samples, step: float) -> StateTrajectory:
     """:func:`evolve_state` for the R static parts of an ``h0`` stack from
-    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim)."""
+    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim),
+    in batches whose prefix tables hold at most TABLE_BATCH entries."""
     if step <= 0:
         raise ValueError("step must be positive")
     requested = np.asarray(list(t_samples), dtype=float)
@@ -172,30 +236,32 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     if requested[0] < 0:
         raise ValueError("sample times must be >= 0")
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (model.basis.dim,):
+    dim = model.basis.dim
+    if psi0.shape != (dim,):
         raise ValueError(f"initial state of shape {psi0.shape} does not fit "
-                         f"basis dimension {model.basis.dim}")
+                         f"basis dimension {dim}")
 
-    sample_steps = np.rint(requested / step).astype(int)
+    per_period, grid_step, count = state_grid(model.drive, step, requested[-1])
+    fine = grid_step / S6_SUBSTEPS
+    sample_steps = np.rint(requested / fine).astype(int)
     grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
-    block = np.broadcast_to(psi0[:, None], (len(h0), len(psi0), 1))
-    grid_step = S6_SUBSTEPS * step
-    eigh = np.linalg.eigh(h0)
-    states = _advance(model, eigh, block, grid_step, int(grid[-1]),
-                      grid)[..., 0]
+    lam, vec = eigh = np.linalg.eigh(h0)
+    batch = max(1, TABLE_BATCH // ((count + 1) * dim ** 2))
+    states = np.concatenate([_grid_states(
+        model, (lam[i:i + batch], vec[i:i + batch]), psi0, per_period, count,
+        grid) for i in range(0, len(h0), batch)])
     # one side step of l fine steps from the grid, the samples that share l
     # as the block's columns, each on its own clock
     sides = np.unique(rest[rest > 0])
     for l in sides:
         columns = np.flatnonzero(rest == l)
-        states[columns] = _advance(
-            model, eigh, states[columns].transpose(1, 2, 0), l * step, 1, [1],
-            grid[columns] * grid_step)[0].transpose(2, 0, 1)
+        states[:, columns] = _advance(
+            model, eigh, states[:, columns].swapaxes(1, 2), l * fine, 1, [1],
+            grid[columns] * grid_step)[:, 0].swapaxes(1, 2)
     # the steps keep psi0's norm, so this also rejects an unnormalized psi0
-    drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=0)
+    drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=1)
     _check_each(drift, NORM_TOL, "norm drift")
-    return StateTrajectory(sample_steps * step,
-                           np.ascontiguousarray(states.swapaxes(0, 1)),
+    return StateTrajectory(sample_steps * fine, states,
                            int(grid[-1]) + len(sides), grid_step)
 
 
@@ -203,10 +269,10 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
                  step: float) -> StateTrajectory:
     """Propagate the (dim,) amplitudes psi0 from t=0 to the sample times.
 
-    Sample times are snapped to the nearest multiple of ``step``; the
-    returned trajectory reports the actual times.  A NumericalError is raised
-    unless every emitted state has unit norm to 1e-10, so an unnormalized
-    psi0 fails too.
+    Sample times are snapped to the nearest multiple of the fine step, the
+    ``step`` that :func:`state_grid` rounds; the returned trajectory reports
+    the actual times.  A NumericalError is raised unless every emitted state
+    has unit norm to 1e-10, so an unnormalized psi0 fails too.
     """
     batch = evolve_states(model, model.static_hamiltonians(), psi0, t_samples,
                           step)
@@ -230,18 +296,12 @@ def floquet_operators(model: SectorModel, h0: np.ndarray,
     V^T V from the half-period product V where :func:`floquet_steps` halves."""
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
-    period = model.drive.period
-    dim = model.basis.dim
-    block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
-    per_period = max(1, steps_per_period // S6_SUBSTEPS)
     n_steps = floquet_steps(model.drive, steps_per_period)
-    matrices = _advance(model, np.linalg.eigh(h0), block, period / per_period,
-                        n_steps, [n_steps])[0]
-    if n_steps < per_period:
-        matrices = matrices.swapaxes(-1, -2) @ matrices
+    matrices = _prefixes(model, np.linalg.eigh(h0), max(
+        1, steps_per_period // S6_SUBSTEPS), n_steps, [n_steps])[1]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
-    return FloquetOperator(matrices, period)
+    return FloquetOperator(matrices, model.drive.period)
 
 
 def floquet_operator(model: SectorModel,

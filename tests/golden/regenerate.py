@@ -2,12 +2,13 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py [case ...]
+    PYTHONPATH=src python tests/golden/regenerate.py [--check] [case ...]
 
 With no case names every case of ``cases.CASES`` is rerun.  Each line
 gives a case, the largest relative change of any float against the file
 it replaces (inf where a key, flag or count changed, "new" where there was
-no file), and the number of values beyond the test's tolerance.
+no file), and the number of values beyond the test's tolerance.  With
+``--check`` the same lines are printed and no file is written.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from cases import CASES, differences, golden_path, largest_change, run_case  # noqa: E402
 
 
-def main(names) -> int:
+def main(args) -> int:
+    check = "--check" in args
+    names = [a for a in args if a != "--check"]
     for name in names or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             reading = run_case(name, Path(tmp) / "out")
@@ -34,8 +37,9 @@ def main(names) -> int:
                   f"{failing} beyond tolerance")
         else:
             print(f"{name}: new")
-        path.write_text(json.dumps(reading, separators=(",", ":"),
-                                   sort_keys=True) + "\n")
+        if not check:
+            path.write_text(json.dumps(reading, separators=(",", ":"),
+                                       sort_keys=True) + "\n")
     return 0
 
 

@@ -17,6 +17,8 @@ one-chunk path bit for bit; ``serial_half_period_monodromy`` is the same
 scheme in the shear form the package stepped before.
 ``mathieu_stable`` classifies monodromy cells from Mathieu's characteristic
 values, sharing no code with the integrator.
+``serial_grid_states`` is the serial state scan the package ran before
+it read states off the Floquet product's prefixes.
 ``yoshida_full_period_monodromy`` and ``SRKN6B_KICKS`` /
 ``SRKN6B_DRIFTS`` are the package's two former monodromy schemes, kept as
 references for the current one, and ``yoshida_full_period_floquet`` is
@@ -39,8 +41,8 @@ from drivenchain.errors import NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import ChainSpec, DisorderSpec, DriveSpec, PotentialSpec
 from drivenchain.observables import _check_pair, _czz
-from drivenchain.propagate import (UNITARITY_TOL, FloquetOperator, _advance,
-                                   _check_each, floquet_operator,
+from drivenchain.propagate import (S6_SUBSTEPS, UNITARITY_TOL, FloquetOperator,
+                                   _advance, _check_each, floquet_operator,
                                    unitarity_defect)
 from drivenchain import semiclassical
 from drivenchain.semiclassical import (SRKN_DRIFTS, SRKN_KICKS,
@@ -282,10 +284,40 @@ def full_period_floquet(model: SectorModel, h0: np.ndarray,
     dim = model.basis.dim
     block = np.broadcast_to(np.eye(dim, dtype=complex), (len(h0), dim, dim))
     matrices = _advance(model, np.linalg.eigh(h0), block, period / steps,
-                        steps, [steps])[0]
+                        steps, [steps])[:, 0]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
     return FloquetOperator(matrices, period)
+
+
+def serial_grid_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
+                       t_samples, step: float):
+    """(times, (R, time, dim) amplitudes) of psi0 under an ``h0`` stack,
+    stepped serially through every S6 grid step up to the last sample.
+
+    The state scan the package ran before it read grid states off the
+    Floquet product: samples snap to n = S6_SUBSTEPS g + l multiples of
+    ``step``, the block of states takes g S6 steps of S6_SUBSTEPS ``step``
+    as a (R, dim, 1) matrix-vector scan, and a sample with l > 0 takes one
+    side step of l ``step`` from the grid, batched over the samples that
+    share l.  At the step :func:`drivenchain.propagate.state_grid` rounds
+    ``step`` to, it takes the package's grid and side steps.
+    """
+    requested = np.asarray(list(t_samples), dtype=float)
+    psi0 = np.asarray(psi0, dtype=complex)
+    sample_steps = np.rint(requested / step).astype(int)
+    grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
+    block = np.broadcast_to(psi0[:, None], (len(h0), len(psi0), 1))
+    grid_step = S6_SUBSTEPS * step
+    eigh = np.linalg.eigh(h0)
+    states = _advance(model, eigh, block, grid_step, int(grid[-1]),
+                      grid)[..., 0].swapaxes(0, 1)
+    for l in np.unique(rest[rest > 0]):
+        columns = np.flatnonzero(rest == l)
+        states[columns] = _advance(
+            model, eigh, states[columns].transpose(1, 2, 0), l * step, 1, [1],
+            grid[columns] * grid_step)[:, 0].transpose(2, 0, 1)
+    return sample_steps * step, states.swapaxes(0, 1)
 
 
 #: Yoshida's triple jump (w1, w0, w1): three Strang steps make one step of

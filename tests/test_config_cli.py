@@ -194,6 +194,24 @@ def test_config_validation():
     RunConfig(n_sites=10).validate()                     # even N fine
 
 
+@pytest.mark.parametrize("key,value", [("coupling_mhz", "5"),
+                                       ("nonlinearity_mhz", "-100")])
+def test_table_mode_refuses_the_chain_keys_it_reads_from_the_table(
+        tmp_path, key, value):
+    # the device table sets the couplings and the nonlinearity, so a value
+    # given here would be recorded in the manifest but never used
+    cfg = write_config(tmp_path / "run.cfg", profile="table", **{key: value})
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = strict_manifest(out)
+    assert manifest["error_type"] == "ConfigError"
+    assert key in manifest["error"]
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    # the default values, given explicitly, are accepted
+    RunConfig(profile="table", coupling_mhz=(11.5,),
+              nonlinearity_mhz=-250.0).validate()
+
+
 def test_resolution_defaults_reproduce_operating_point():
     run = resolve(RunConfig())
     assert run.drive_frequency_mhz == pytest.approx(19.67, abs=0.01)
@@ -934,6 +952,10 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     ("ensemble", H0_STATE_PHASE_OVERFLOW, "largest H0 phase"),
     ("spectrum", DISORDER_SPAN_OVERFLOW, "disorder_w_over_j"),
     ("ensemble", DISORDER_SPAN_OVERFLOW, "disorder draw's span"),
+    # one realization's prefix table, (K + 1) x dim^2 with K = 786,800 and
+    # dim 12, exceeds MAX_AMPLITUDES
+    ("dynamics", {"steps_per_period": 8_000_000, "t_max_ns": 20},
+     "prefix table"),
 ])
 def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
                                                       settings_, message):

@@ -15,7 +15,8 @@ from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
 from drivenchain.observables import observable_series
 from drivenchain.propagate import (S6_SUBSTEPS, evolve_state, evolve_states,
-                                   floquet_operator, floquet_operators)
+                                   floquet_operator, floquet_operators,
+                                   state_grid)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import uniform_chain
@@ -78,24 +79,29 @@ def realization_models(model, spec):
         for i in range(spec.realization_count)]
 
 
-def test_batch_equals_single_realizations_bitwise():
-    # one block of R realizations against R runs of one
+def test_batch_equals_single_realizations_bitwise(monkeypatch):
+    # one block of R realizations against R runs of one; the states'
+    # prefix tables (33 x 144 entries per realization here) also run in
+    # batches of 1, 7 and R
     model = make_model()
-    spec = disorder(3.0, count=6)
+    spec = disorder(3.0, count=9)
     models = realization_models(model, spec)
     h0 = model.static_hamiltonians(
         np.stack([m.potential.static_offsets for m in models]))
     for stacked, m in zip(h0, models):
         assert np.array_equal(stacked, m.static_hamiltonians()[0])
     psi0 = fock_state(model.basis, 3)
-    batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
     singles = [evolve_state(m, psi0, T_SAMPLES, STEP) for m in models]
-    for amplitudes, s in zip(batch.amplitudes, singles):
-        assert np.array_equal(amplitudes, s.amplitudes)
-        assert np.array_equal(batch.times, s.times)
-    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    for amplitudes, s in zip(result.amplitudes, singles):
-        assert np.array_equal(amplitudes, s.amplitudes)
+    assert state_grid(model.drive, STEP, T_SAMPLES[-1])[2] == 32
+    for batch_size in (1, 7, len(models)):
+        monkeypatch.setattr(propagate, "TABLE_BATCH", batch_size * 33 * 144)
+        batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
+        for amplitudes, s in zip(batch.amplitudes, singles):
+            assert np.array_equal(amplitudes, s.amplitudes)
+            assert np.array_equal(batch.times, s.times)
+        result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+        for amplitudes, s in zip(result.amplitudes, singles):
+            assert np.array_equal(amplitudes, s.amplitudes)
 
     operators = floquet_operators(model, h0, 64)
     single_ops = [floquet_operator(m, 64) for m in models]
@@ -131,7 +137,8 @@ def test_batch_equals_single_off_the_grid_bitwise():
     h0 = model.static_hamiltonians(
         np.stack([m.potential.static_offsets for m in models]))
     t_samples = STEP * np.array([3, 5, 10, 12, 19, 40, 41])
-    rests = np.rint(t_samples / STEP).astype(int) % S6_SUBSTEPS
+    fine = state_grid(model.drive, STEP, 0.0)[1] / S6_SUBSTEPS
+    rests = np.rint(t_samples / fine).astype(int) % S6_SUBSTEPS
     assert set(rests.tolist()) == {0, 1, 2, 3}
     psi0 = fock_state(model.basis, 3)
     batch = evolve_states(model, h0, psi0, t_samples, STEP)
@@ -256,13 +263,29 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
     assert "201 propagator steps, more than 200" in manifest["error"]
 
 
+def test_state_prefix_table_over_budget_refused_before_h0(no_h0,
+                                                         monkeypatch):
+    # one realization's table holds K + 1 = 33 matrices of 12 x 12 past
+    # half a period, and K + 1 = 7 for a last sample at 5 ns (grid step 6)
+    model = make_model()
+    monkeypatch.setattr(ensemble, "MAX_AMPLITUDES", 33 * 144 - 1)
+    with pytest.raises(ConfigError, match="prefix table"):
+        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
+    with pytest.raises(AssertionError, match="H0"):     # 7 matrices fit
+        run_dynamics_ensemble(model, disorder(3.0), 3, [0.0, 5.0], STEP)
+    monkeypatch.setattr(ensemble, "MAX_AMPLITUDES", 33 * 144)
+    with pytest.raises(AssertionError, match="H0"):     # 33 fit
+        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
+
+
 def test_dynamics_budgets_refused_before_h0(no_h0):
     model = make_model()
     with pytest.raises(ConfigError, match="realizations x sector dimension"):
         run_dynamics_ensemble(model, disorder(3.0, count=MAX_BLOCK // 144 + 1),
                               3, T_SAMPLES, STEP)
-    # the budget counts S6 grid steps of S6_SUBSTEPS fine steps each
-    grid_step = S6_SUBSTEPS * STEP
+    # the budget counts S6 grid steps, the period cut into whole S6 steps
+    # of about S6_SUBSTEPS STEP
+    grid_step = state_grid(model.drive, STEP, 0.0)[1]
     with pytest.raises(ConfigError, match="propagator steps"):
         run_dynamics_ensemble(model, disorder(3.0), 3,
                               [0.0, (MAX_STEPS + 1) * grid_step], STEP)

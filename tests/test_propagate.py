@@ -9,13 +9,15 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
 from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS,
-                                   S6_KICKS, evolve_state, evolve_states,
-                                   floquet_operator, floquet_operators,
-                                   floquet_steps, unitarity_defect)
+                                   S6_KICKS, _advance, evolve_state,
+                                   evolve_states, floquet_operator,
+                                   floquet_operators, floquet_steps,
+                                   unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (convergence_probe, full_period_floquet, sector_hamiltonian,
-                     uniform_chain, yoshida_full_period_floquet)
+                     serial_grid_states, uniform_chain,
+                     yoshida_full_period_floquet)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -72,10 +74,13 @@ def test_three_site_chain_matches_diagonalization_oracle():
 
 
 def test_sample_snapping_reports_actual_times():
+    # step 0.3 is rounded so that whole S6 steps tile the period: the fine
+    # step is T / (4 P), P = round(T / 1.2) = 42, about 0.3027 ns
     model = make_model(2, dc=0.0, ac=0.0)
     psi0 = fock_state(model.basis, 1)
     traj = evolve_state(model, psi0, [0.0, 1.0, 2.0], step=0.3)
-    assert np.allclose(traj.times, [0.0, 0.9, 2.1])
+    fine = model.drive.period / (4 * 42)
+    assert np.allclose(traj.times, [0.0, 3 * fine, 7 * fine])
 
 
 def test_evolve_state_validation():
@@ -223,6 +228,62 @@ def test_evolve_state_matches_floquet_powers():
     for amps in traj.amplitudes:
         psi = f @ psi
         assert np.abs(psi - amps).max() < 1e-12
+
+
+#: steps_per_period 255 and 63 round down to whole S6 steps (P = 63, 15),
+#: 6, 2 and 1 to one step per period, 8 to the smallest halved table (P =
+#: 2); phase 0.3 and a time origin take the whole-period table, 20 ns ends
+#: before half a period, and 1020 ns spans 20 periods
+GRID_CASES = {
+    **{f"steps{steps}": {"steps_per_period": steps}
+       for steps in (256, 64, 255, 63, 8, 6, 2, 1)},
+    "phase0.3": {"drive_phase_rad": 0.3},
+    "origin1.7": {"time_origin_ns": 1.7},
+    "tmax20": {"t_max_ns": 20.0},
+    "periods20": {"t_max_ns": 1020.0, "sample_dt_ns": 5.0},
+}
+
+
+@pytest.mark.parametrize("profile", ["cosine", "flat", "table"])
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_states_match_the_serial_scan(profile, case):
+    # prefixes A_r and powers of U(T) against the scan through every S6
+    # step, on the Floquet product's grid T / max(1, steps_per_period // 4)
+    from drivenchain.config import RunConfig, resolve
+    from drivenchain.model import sample_disorders
+    run = resolve(RunConfig(profile=profile, disorder_w_over_j=3.0,
+                            realizations=3, **GRID_CASES[case]))
+    h0 = run.model.static_hamiltonians(run.potential.static_offsets
+                                       + sample_disorders(run.disorder))
+    psi0 = fock_state(run.basis, run.config.init_site)
+    traj = evolve_states(run.model, h0, psi0, run.sample_times(), run.step_ns)
+    times, amplitudes = serial_grid_states(run.model, h0, psi0,
+                                           run.sample_times(), run.step_ns)
+    per_period = max(1, run.config.steps_per_period // 4)
+    assert traj.step == run.drive.period / per_period
+    assert np.array_equal(traj.times, times)
+    assert np.abs(traj.amplitudes - amplitudes).max() <= 1e-12
+
+
+@pytest.mark.parametrize("phase,holds", [(0.0, True), (0.3, False)])
+def test_prefixes_past_half_a_period_are_time_reversed(phase, holds):
+    # A_{P/2+j} = conj(A_{P/2-j}) V^T V with V = A_{P/2}, for the discrete
+    # palindrome of a drive even about T/2 (3.1e-14 at P = 256); a drive
+    # that is not even misses it by order 1
+    model = with_drive(make_model(12, "flat"), phase=phase)
+    h0 = disordered_stack(model)
+    half = 32
+    identity = np.broadcast_to(np.eye(model.basis.dim, dtype=complex),
+                               h0.shape)
+    prefixes = _advance(model, np.linalg.eigh(h0), identity,
+                        model.drive.period / (2 * half), 2 * half,
+                        range(2 * half + 1))
+    v = prefixes[:, half]
+    u = v.swapaxes(-1, -2) @ v
+    defect = max(np.abs(prefixes[:, half + j]
+                        - prefixes[:, half - j].conj() @ u).max()
+                 for j in range(1, half + 1))
+    assert (defect <= 1e-13) if holds else (defect > 0.1)
 
 
 def test_time_reversal_returns_initial_state():
