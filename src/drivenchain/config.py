@@ -84,7 +84,7 @@ class RunConfig:
     sample_dt_ns: float = 1.0
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     init_site: int = 3
-    czz_reference_site: int = 7
+    czz_reference_site: int = 0            # 0 -> first site of the second half
     histogram_bins: int = 20
     stability_resolution: int = 200
     contour_resolution: int = 101
@@ -130,7 +130,7 @@ class RunConfig:
             raise ConfigError("drive_frequency_mhz must be >= 0 (0 selects the resonance)")
         if not 1 <= self.init_site <= self.n_sites:
             raise ConfigError(f"init_site outside 1..{self.n_sites}")
-        if not 1 <= self.czz_reference_site <= self.n_sites:
+        if not 0 <= self.czz_reference_site <= self.n_sites:
             raise ConfigError(f"czz_reference_site outside 1..{self.n_sites}")
         if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
             raise ConfigError(f"histogram_bins outside 2..{MAX_HISTOGRAM_BINS}")
@@ -243,8 +243,9 @@ class ResolvedRun:
 
 def resolve(config: RunConfig) -> ResolvedRun:
     """Validate and convert a RunConfig into immutable model specs."""
-    config.validate()
-    n = config.n_sites
+    n = config.validate().n_sites
+    config = replace(config, czz_reference_site=config.czz_reference_site
+                     or n // 2 + 1)
     disordered = parse_site_range(config.disordered_sites, n, "disordered_sites")
 
     if config.profile == "table":

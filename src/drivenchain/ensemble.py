@@ -31,8 +31,8 @@ from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
 MAX_BLOCK = 2_000_000
 #: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
-#: most complex amplitudes (realizations x samples x dim, 800 MB) a dynamics
-#: ensemble holds at once, and most entries of one realization's prefix table
+#: most complex amplitudes of a dynamics ensemble's output (realizations x
+#: samples x dim, 800 MB), held whole, and of one realization's prefix table
 MAX_AMPLITUDES = 50_000_000
 
 

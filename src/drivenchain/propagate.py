@@ -20,6 +20,8 @@ and an even P the Floquet operator is U(T) = V^T V from the half-period V.
 States read that product's prefixes A_r = U(rH, 0): g = mP + r grid steps
 give A_r U^m psi0, and a sample at n = S6_SUBSTEPS g + l fine steps, l >
 0, takes one side step of l fine steps, batched over the samples sharing l.
+Realizations run in batches whose tables hold at most TABLE_BATCH entries,
+each writing its slice of the one output: no other state array spans R.
 """
 
 from __future__ import annotations
@@ -187,11 +189,11 @@ def _prefixes(model: SectorModel, eigh, per_period: int, count: int,
 
 
 def _grid_states(model: SectorModel, eigh, psi0: np.ndarray, per_period: int,
-                 count: int, grid: np.ndarray) -> np.ndarray:
-    """psi0's states at the ascending grid steps ``grid``, (R, len(grid),
-    dim): g = mP + r reads A_r U^m psi0 off the prefixes A_k, k = 0..count,
-    and past count = P/2 the palindrome's time reversal A_r = conj(A_{P-r})
-    U, as conj(A_{P-r} conj(U^{m+1} psi0))."""
+                 count: int, grid: np.ndarray, states: np.ndarray) -> None:
+    """Write psi0's states at the ascending grid steps ``grid`` into
+    ``states``, (R, len(grid), dim): g = mP + r reads A_r U^m psi0 off the
+    prefixes A_k, k = 0..count, and past count = P/2 the palindrome's time
+    reversal A_r = conj(A_{P-r}) U, as conj(A_{P-r} conj(U^{m+1} psi0))."""
     realizations, dim = eigh[0].shape
     table, u = _prefixes(model, eigh, per_period, count, range(count + 1))
     rows_t = table.reshape(realizations, -1, dim).swapaxes(1, 2)
@@ -199,33 +201,30 @@ def _grid_states(model: SectorModel, eigh, psi0: np.ndarray, per_period: int,
     mirrored = residue > count
     rows, powers = np.where(mirrored, per_period - residue, residue), \
         whole + mirrored
-    vectors = [np.broadcast_to(psi0, (realizations, 1, dim)).copy()]
-    for _ in range(powers[-1]):
-        vectors.append(vectors[-1] @ u.swapaxes(-1, -2))
-    # samples within dim/2 powers read one product of the table with the
-    # rows U^m psi0 or their conjugates: one pass, and no larger than it;
-    # every index is in range, so "clip" only lets take write into out
-    states = np.empty((realizations, len(grid), dim), dtype=complex)
-    first = 0
+    # one walk up U^m psi0; samples within dim/2 powers read one product of
+    # the table with the rows they use (take's "clip": every index is valid)
+    vector, power, first = psi0[None, None].repeat(realizations, 0), 0, 0
     while first < len(grid):
         last = np.searchsorted(powers, powers[first] + max(1, dim // 2))
         used, slot = np.unique(2 * powers[first:last] + mirrored[first:last],
                                return_inverse=True)
-        products = np.concatenate([vectors[k // 2].conj() if k % 2 else
-                                   vectors[k // 2] for k in used], 1) @ rows_t
+        window = []
+        for k in used:
+            while power < k // 2:
+                vector, power = vector @ u.swapaxes(-1, -2), power + 1
+            window.append(vector.conj() if k % 2 else vector)
+        products = np.concatenate(window, 1) @ rows_t
         np.take(products.reshape(realizations, -1, dim),
                 slot * (count + 1) + rows[first:last], axis=1,
                 out=states[:, first:last], mode="clip")
         first = last
     np.conjugate(states, out=states, where=mirrored[:, None])
-    return states
 
 
 def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
                   t_samples, step: float) -> StateTrajectory:
     """:func:`evolve_state` for the R static parts of an ``h0`` stack from
-    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim),
-    in batches whose prefix tables hold at most TABLE_BATCH entries."""
+    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim)."""
     if step <= 0:
         raise ValueError("step must be positive")
     requested = np.asarray(list(t_samples), dtype=float)
@@ -235,8 +234,7 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
         raise ValueError("sample times must be ascending")
     if requested[0] < 0:
         raise ValueError("sample times must be >= 0")
-    psi0 = np.asarray(psi0, dtype=complex)
-    dim = model.basis.dim
+    psi0, dim = np.asarray(psi0, dtype=complex), model.basis.dim
     if psi0.shape != (dim,):
         raise ValueError(f"initial state of shape {psi0.shape} does not fit "
                          f"basis dimension {dim}")
@@ -245,22 +243,23 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     fine = grid_step / S6_SUBSTEPS
     sample_steps = np.rint(requested / fine).astype(int)
     grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
-    lam, vec = eigh = np.linalg.eigh(h0)
-    batch = max(1, TABLE_BATCH // ((count + 1) * dim ** 2))
-    states = np.concatenate([_grid_states(
-        model, (lam[i:i + batch], vec[i:i + batch]), psi0, per_period, count,
-        grid) for i in range(0, len(h0), batch)])
-    # one side step of l fine steps from the grid, the samples that share l
-    # as the block's columns, each on its own clock
     sides = np.unique(rest[rest > 0])
-    for l in sides:
-        columns = np.flatnonzero(rest == l)
-        states[:, columns] = _advance(
-            model, eigh, states[:, columns].swapaxes(1, 2), l * fine, 1, [1],
-            grid[columns] * grid_step)[:, 0].swapaxes(1, 2)
-    # the steps keep psi0's norm, so this also rejects an unnormalized psi0
-    drift = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=1)
-    _check_each(drift, NORM_TOL, "norm drift")
+    states = np.empty((len(h0), len(grid), dim), dtype=complex)
+    batch = max(1, TABLE_BATCH // ((count + 1) * dim ** 2))
+    for i in range(0, len(h0), batch):
+        eigh, out = np.linalg.eigh(h0[i:i + batch]), states[i:i + batch]
+        _grid_states(model, eigh, psi0, per_period, count, grid, out)
+        # one side step of l fine steps from the grid, the samples that
+        # share l as the block's columns, each on its own clock
+        for l in sides:
+            columns = np.flatnonzero(rest == l)
+            out[:, columns] = _advance(
+                model, eigh, out[:, columns].swapaxes(1, 2), l * fine, 1,
+                [1], grid[columns] * grid_step)[:, 0].swapaxes(1, 2)
+    # the steps keep psi0's norm, so this also rejects an unnormalized psi0;
+    # a realization at a time, as norm's temporaries copy its argument twice
+    _check_each(np.array([np.abs(np.linalg.norm(x, axis=-1) - 1.0).max()
+                          for x in states]), NORM_TOL, "norm drift")
     return StateTrajectory(sample_steps * fine, states,
                            int(grid[-1]) + len(sides), grid_step)
 

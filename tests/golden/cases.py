@@ -5,10 +5,17 @@ A case's reading holds every data file the run wrote, parsed (CSV columns
 as numbers, JSON as loaded), and its manifest without what depends on the
 host or the clock (``wall_clock_s``, ``environment``, the outputs' hashes).
 Two readings agree when their keys, flags and counts are equal and every
-float agrees within FLOAT_TOL * max(1, |x|), which absorbs last-bit BLAS
-differences between machines.  ``stability``'s ``abs_trace`` is compared
-only where the golden's is at most ABS_TRACE_CEILING: unstable cells
-amplify a last-bit change of the model by orders of magnitude.
+float agrees within FLOAT_TOL * max(1, |x|).  A JSON value, written in
+full, moves by its own last bits, which FLOAT_TOL absorbs.  A CSV value is
+written at ``%.12g``, so a last-bit change either leaves its text alone or,
+across a rounding boundary, flips the text's 12th significant digit by one
+unit; FLOAT_TOL fails such a flip for every |x| >= 1 and, by the roundoff
+of the difference, for some |x| in [0.1, 1).  A flip is not a regression:
+rerun ``tests/golden/regenerate.py`` and record the case and its largest
+change in CHANGES.md (``regenerate.py --check`` counts the flips per case,
+:func:`digit_flip`).  ``stability``'s ``abs_trace`` is compared only where
+the golden's is at most ABS_TRACE_CEILING: unstable cells amplify a
+last-bit change of the model by orders of magnitude.
 
 ``tests/golden/regenerate.py`` rewrites the golden files from these cases;
 ``tests/test_golden.py`` runs each case against its file.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 from drivenchain.cli import main
@@ -129,3 +137,14 @@ def largest_change(golden, actual) -> float:
     """The largest change :func:`differences` sees, tolerated or not."""
     return max((change for *_, change in differences(golden, actual, -1.0)),
                default=0.0)
+
+
+def digit_flip(golden, actual) -> bool:
+    """Whether two numbers read from ``%.12g`` texts differ by exactly one
+    unit in the 12th significant digit (of the smaller, across a decade)."""
+    if not all(isinstance(x, float) and math.isfinite(x) and x
+               for x in (golden, actual)):
+        return False
+    g, a = Decimal(repr(golden)), Decimal(repr(actual))
+    return abs(g - a) == Decimal(1).scaleb(min(g.adjusted(), a.adjusted())
+                                           - 11)

@@ -7,8 +7,10 @@ Run from the repository root:
 With no case names every case of ``cases.CASES`` is rerun.  Each line
 gives a case, the largest relative change of any float against the file
 it replaces (inf where a key, flag or count changed, "new" where there was
-no file), and the number of values beyond the test's tolerance.  With
-``--check`` the same lines are printed and no file is written.
+no file), the number of values beyond the test's tolerance, and how many of
+those are one-unit flips of the 12th significant digit of a ``%.12g`` text
+(``cases.digit_flip``).  With ``--check`` the same lines are printed and no
+file is written.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from cases import CASES, differences, golden_path, largest_change, run_case  # noqa: E402
+from cases import (CASES, differences, digit_flip, golden_path,  # noqa: E402
+                   largest_change, run_case)
 
 
 def main(args) -> int:
@@ -32,9 +35,11 @@ def main(args) -> int:
         path = golden_path(name)
         if path.exists():
             old = json.loads(path.read_text())
-            failing = sum(1 for _ in differences(old, reading))
+            failing = list(differences(old, reading))
+            flips = sum(digit_flip(g, a) for _, g, a, _ in failing)
             print(f"{name}: largest change {largest_change(old, reading):.3g}, "
-                  f"{failing} beyond tolerance")
+                  f"{len(failing)} beyond tolerance, {flips} of them "
+                  f"12th-digit flips")
         else:
             print(f"{name}: new")
         if not check:

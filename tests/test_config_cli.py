@@ -734,7 +734,8 @@ def test_unexpected_exception_exits_1_with_strict_manifest(tmp_path,
     assert manifest["status"] == "failed"
     assert manifest["error_type"] == "RuntimeError"
     assert manifest["error"] == "injected defect"
-    assert manifest["config"] == json.loads(json.dumps(asdict(RunConfig())))
+    assert manifest["config"] == json.loads(json.dumps(
+        asdict(resolve(RunConfig()).config)))
 
 
 def test_cli_overrides_take_precedence(tmp_path):
@@ -1033,6 +1034,40 @@ INT_KEYS = [f.name for f in fields(RunConfig) if type(f.default) is int]
 INT_EXTREMES = [-1, 0, 1, 10**9]
 TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
             stability_resolution=4, contour_resolution=5)
+
+
+@pytest.mark.parametrize("command", ["dynamics", "ensemble", "spectrum",
+                                     "stability", "contours"])
+@pytest.mark.parametrize("n_sites", [4, 6])
+def test_every_command_runs_on_small_chains(tmp_path, command, n_sites):
+    # czz_reference_site, which only dynamics reads, defaults to n_sites/2 +
+    # 1, the first site of the localized half, and the manifest records it
+    cfg = write_config(tmp_path / "run.cfg", n_sites=n_sites, **TINY)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    reference = strict_manifest(out)["config"]["czz_reference_site"]
+    assert reference == n_sites // 2 + 1
+    if command == "dynamics":
+        pairs = np.loadtxt(out / "czz.csv", delimiter=",", skiprows=1,
+                           usecols=(1, 2), dtype=int)
+        assert set(pairs[:, 1]) == {reference}
+        assert set(pairs[:, 0]) == set(range(1, n_sites + 1)) - {reference}
+
+
+@pytest.mark.parametrize("site,code", [(2, 0), (-1, 2), (7, 2)])
+def test_czz_reference_site_set_explicitly(tmp_path, site, code):
+    # a site the file names is kept; one outside the 6-site chain exits 2
+    # and names the key
+    cfg = write_config(tmp_path / "run.cfg", n_sites=6,
+                       czz_reference_site=site, **TINY)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == code
+    manifest = strict_manifest(out)
+    if code:
+        assert manifest["error_type"] == "ConfigError"
+        assert "czz_reference_site" in manifest["error"]
+    else:
+        assert manifest["config"]["czz_reference_site"] == site
 
 
 @pytest.mark.parametrize("command", ["dynamics", "ensemble", "spectrum"])

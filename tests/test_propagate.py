@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS,
                                    S6_KICKS, _advance, evolve_state,
                                    evolve_states, floquet_operator,
                                    floquet_operators, floquet_steps,
-                                   unitarity_defect)
+                                   state_grid, unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (convergence_probe, full_period_floquet, sector_hamiltonian,
@@ -284,6 +285,28 @@ def test_prefixes_past_half_a_period_are_time_reversed(phase, holds):
                         - prefixes[:, half - j].conj() @ u).max()
                  for j in range(1, half + 1))
     assert (defect <= 1e-13) if holds else (defect > 0.1)
+
+
+def test_states_hold_the_output_and_one_table_not_every_power():
+    # P = 1 (steps_per_period 4) and 3 samples over 20,000 periods: the walk
+    # up the powers of U(T) keeps the current one, where storing every U^m
+    # psi0 of 8 realizations would take 30 MB; the output and the table take
+    # 41 kB, and a warm call first leaves numpy's lazy imports out
+    model = make_model(12, "flat")
+    h0, psi0 = disordered_stack(model, count=8), fock_state(model.basis, 3)
+    step, period = model.drive.period / 4, model.drive.period
+    times = [0.0, 10_000 * period, 20_000 * period]
+    evolve_states(model, h0, psi0, times[:2], step)
+    tracemalloc.start()
+    try:
+        traj = evolve_states(model, h0, psi0, times, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = state_grid(model.drive, step, times[-1])[2]
+    table = len(h0) * (count + 1) * model.basis.dim ** 2 * 16
+    assert traj.amplitudes.shape == (8, 3, 12)
+    assert peak < 8 * (traj.amplitudes.nbytes + table)
 
 
 def test_time_reversal_returns_initial_state():
