@@ -35,7 +35,6 @@ from .config import ResolvedRun, RunConfig, load_config, parse_value, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
-from .observables import observable_series
 from .propagate import floquet_steps
 from .semiclassical import (MIN_STEPS_PER_OSCILLATION, default_grid_axes,
                             potential_contours, stability_grid)
@@ -144,51 +143,49 @@ def _write_population_csv(path: Path, times, populations,
     manifest.record_output(path)
 
 
-def _trajectories(run: ResolvedRun, manifest: ManifestWriter):
-    """The run's state trajectories; the manifest records their S6 steps."""
-    trajectory = run_dynamics_ensemble(run.model, run.disorder,
-                                       run.config.init_site,
-                                       run.sample_times(), run.step_ns)
-    manifest.data.update(state_steps_integrated=trajectory.steps,
-                         state_step_ns=trajectory.step)
-    return trajectory
+def _dynamics(run: ResolvedRun, manifest: ManifestWriter, pairs=()):
+    """The run's populations and ZZ ``pairs``; the manifest records their S6
+    steps and the batch size."""
+    result = run_dynamics_ensemble(run.model, run.disorder,
+                                   run.config.init_site, run.sample_times(),
+                                   run.step_ns, pairs)
+    manifest.data.update(state_steps_integrated=result.steps,
+                         state_step_ns=result.step)
+    manifest.data["environment"]["batch_size"] = result.batch_size
+    return result
 
 
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
     # one trajectory: main resolves dynamics as a one-realization ensemble
-    trajectory = _trajectories(run, manifest)
     ref = cfg.czz_reference_site
-    populations, correlations = observable_series(
-        trajectory.amplitudes[0], run.basis,
-        [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref])
-    _write_population_csv(out / "populations.csv", trajectory.times,
-                          populations, manifest)
+    result = _dynamics(run, manifest, [(l, ref) for l in
+                                       range(1, cfg.n_sites + 1) if l != ref])
+    _write_population_csv(out / "populations.csv", result.times,
+                          result.populations[0], manifest)
 
     czz_path = out / "czz.csv"
     # pair-major rows; each time and each pair formatted once
-    pairs = sorted(correlations)
-    times = [_FLOAT_FMT % t for t in trajectory.times.tolist()]
+    pairs = sorted(result.correlations)
+    times = [_FLOAT_FMT % t for t in result.times.tolist()]
     write_csv(czz_path, ["time_ns", "i", "j", "value"], f"%s,%s,{_FLOAT_FMT}",
               times * len(pairs),
               [text for i, j in pairs for text in [f"{i},{j}"] * len(times)],
-              np.concatenate([correlations[pair] for pair in pairs]))
+              np.concatenate([result.correlations[pair][0] for pair in pairs]))
     manifest.record_output(czz_path)
 
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
-    cfg = run.config
-    trajectory = _trajectories(run, manifest)
-    populations, _ = observable_series(trajectory.amplitudes, run.basis)
-    _write_population_csv(out / "ensemble_populations.csv", trajectory.times,
-                          populations.mean(axis=0), manifest)
+    result = _dynamics(run, manifest)
+    _write_population_csv(out / "ensemble_populations.csv", result.times,
+                          result.populations.mean(axis=0), manifest)
 
-    if cfg.keep_realizations:
+    if run.config.keep_realizations:
         raw_dir = out / "realizations"
         raw_dir.mkdir(parents=True, exist_ok=True)
-        for idx, pops in enumerate(populations):
+        for idx, pops in enumerate(result.populations):
             _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
-                                  trajectory.times, pops, manifest)
+                                  result.times, pops, manifest)
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -224,6 +221,7 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
     manifest.data["floquet_steps_integrated"] = floquet_steps(run.drive, steps)
+    manifest.data["environment"]["batch_size"] = sample.batch_size
 
 
 def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .basis import SectorBasis, build_sector_basis, sector_dimension
 from .device import load_device_table, bundled_table_path
-from .ensemble import MAX_BLOCK
 from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
@@ -29,6 +28,8 @@ from .units import mhz_from_rad_ns, rad_ns_from_mhz
 _PROFILES = ("cosine", "flat", "table")
 #: most samples one trajectory may emit (t_max_ns / sample_dt_ns)
 MAX_SAMPLES = 100_000
+#: most entries of one sector's dim x dim H0
+MAX_BLOCK = 2_000_000
 MAX_SITES = 100
 MAX_REALIZATIONS = 10_000
 #: most points along each axis of the stability and contour grids

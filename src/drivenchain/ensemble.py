@@ -1,50 +1,48 @@
-"""Disorder-ensemble runners: state trajectories and pooled gap ratios.
+"""Disorder-ensemble runners: site populations and pooled gap ratios.
 
-An ensemble stays one block of arrays from the (R, N) disorder offsets to
-the data file: one (R, dim, dim) stack of static Hamiltonians, one batched
-propagation by :mod:`drivenchain.propagate`, one batched eigenvalue call.
-A dynamics ensemble returns its (realization, time, dim) amplitudes, which
-:mod:`drivenchain.observables` reads.  Results are a pure function of
-(model, disorder spec), and the ``dynamics`` command is realization 0 of
-this same path.  A failed numerical check aborts the whole ensemble with a
-:class:`~drivenchain.errors.NumericalError` whose ``realization_index``
-names the first realization that failed.
+Both runners take the R realizations in batches, as many as fit
+BATCH_BYTES.  Each batch draws its offsets, builds its H0 stack, propagates
+it and reduces it: to populations (and ZZ correlations) written into one
+(realization, time, site) array, or to quasienergy spectra, pooled in
+realization order by one gap_ratios call.  A realization's arithmetic does
+not depend on its batch, so results are a pure function of (model, disorder
+spec), and ``dynamics`` is realization 0 of this same path.  A failed check
+aborts the ensemble with a :class:`~drivenchain.errors.NumericalError`
+whose ``realization_index`` names the first realization that failed.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import fock_state
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorders
+from .observables import observable_series
 from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
-                        StateTrajectory, evolve_states, floquet_operators,
-                        floquet_steps, state_grid)
+                        evolve_states, floquet_operators, floquet_steps,
+                        state_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
                        quasienergies)
 
-#: most entries of the realizations x dim x dim block a runner propagates
-MAX_BLOCK = 2_000_000
 #: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
-#: most complex amplitudes of a dynamics ensemble's output (realizations x
-#: samples x dim, 800 MB), held whole, and of one realization's prefix table
+#: most values of a dynamics ensemble's populations (realizations x samples
+#: x sites, 400 MB of floats), held whole, and most complex entries of one
+#: realization's prefix table
 MAX_AMPLITUDES = 50_000_000
+#: most bytes one batch of realizations holds while it propagates
+BATCH_BYTES = 32_000_000
 
 
 def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
            step: float) -> None:
-    """Refuse a block, or a step count (a float, so inf too), over budget,
-    and an S6 ``step`` whose largest H0 phase is not finite."""
-    block = disorder.realization_count * model.basis.dim ** 2
-    if block > MAX_BLOCK:
-        raise ConfigError(f"realizations x sector dimension^2 = {block:.3g} "
-                          f"exceeds {MAX_BLOCK}: lower realizations, n_sites, "
-                          f"sector or boson_cutoff")
+    """Refuse a step count (a float, so inf too) over budget, and an S6
+    ``step`` whose largest H0 phase is not finite."""
     if not steps <= MAX_STEPS:
         raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
                           f"than {MAX_STEPS}: lower the drive frequency, "
@@ -69,29 +67,66 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
                           f"steps_per_period")
 
 
-def _static_hamiltonians(model: SectorModel, disorder: DisorderSpec):
-    """H0 of every realization: the model's potential plus its disorder draw."""
-    return model.static_hamiltonians(model.potential.static_offsets
-                                     + sample_disorders(disorder))
+def _batches(model: SectorModel, disorder: DisorderSpec, per_realization: int,
+             propagate) -> tuple:
+    """The batch size, as many realizations of ``per_realization`` bytes as
+    fit BATCH_BYTES and at least one, and an iterator over the batches in
+    order: (slice of the ensemble, ``propagate`` of its H0 stack).  A failed
+    check names the realization's index in the ensemble."""
+    count = disorder.realization_count
+    size = max(1, min(count, BATCH_BYTES // per_realization))
+
+    def each():
+        for first in range(0, count, size):
+            batch = slice(first, min(first + size, count))
+            offsets = sample_disorders(disorder, np.arange(first, batch.stop))
+            try:
+                yield batch, propagate(model.static_hamiltonians(
+                    model.potential.static_offsets + offsets))
+            except NumericalError as exc:       # a check names one row
+                raise NumericalError(exc.reason, first
+                                     + exc.realization_index) from None
+    return size, each()
+
+
+@dataclass(frozen=True)
+class EnsembleDynamics:
+    """Site populations along R trajectories of one initial state."""
+
+    times: np.ndarray           # actual (step-aligned) sample times
+    populations: np.ndarray     # (R, len(times), site)
+    correlations: dict          # {(i, j): ZZ of shape (R, len(times))}
+    steps: int                  # S6 grid steps spanned, plus the side steps
+    step: float                 # the S6 grid step, S6_SUBSTEPS fine steps
+    batch_size: int             # realizations propagated at once
+
+
+@dataclass(frozen=True)
+class EnsembleRatios(RatioSample):
+    """Gap ratios pooled over R realizations, and their batch size."""
+
+    batch_size: int = 1
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          initial_site: int, t_samples, step: float
-                          ) -> StateTrajectory:
-    """(realization, time, dim) amplitudes of one initial state over R
-    disorder realizations."""
+                          initial_site: int, t_samples, step: float,
+                          pairs=()) -> EnsembleDynamics:
+    """(realization, time, site) populations of one initial state over R
+    disorder realizations, and the ZZ correlations of the site ``pairs``."""
     psi0 = fock_state(model.basis, initial_site)
     t_last, dim = float(t_samples[-1]), model.basis.dim
     _, grid_step, count = (state_grid(model.drive, step, t_last) if step > 0
                            else (1, 0.0, 0))
     _admit(model, disorder, t_last / grid_step if grid_step else float("inf"),
            grid_step)
-    amplitudes = disorder.realization_count * len(t_samples) * dim
-    if amplitudes > MAX_AMPLITUDES:
-        raise ConfigError(f"realizations x samples x sector dimension = "
-                          f"{amplitudes:.3g} exceeds {MAX_AMPLITUDES}: lower "
-                          f"realizations, t_max_ns or n_sites, or raise sample_dt_ns")
-    if (count + 1) * dim ** 2 > MAX_AMPLITUDES:
+    shape = (disorder.realization_count, len(t_samples), model.basis.n_sites)
+    if math.prod(shape) > MAX_AMPLITUDES:
+        raise ConfigError(f"realizations x samples x sites = "
+                          f"{math.prod(shape):.3g} exceeds {MAX_AMPLITUDES}: "
+                          f"lower realizations, t_max_ns or n_sites, or raise "
+                          f"sample_dt_ns")
+    table = (count + 1) * dim ** 2
+    if table > MAX_AMPLITUDES:
         raise ConfigError(f"one realization's prefix table, {count + 1} "
                           f"matrices of sector dimension^2, exceeds "
                           f"{MAX_AMPLITUDES}: lower steps_per_period")
@@ -100,23 +135,41 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
         raise ConfigError(f"the sample spacing is below the propagator step "
                           f"of {fine:.3g} ns, so two samples fall on one "
                           f"step: raise steps_per_period or sample_dt_ns")
-    return evolve_states(model, _static_hamiltonians(model, disorder), psi0,
-                         t_samples, step)
+    # one realization: H0 and its eigenvectors, the stepped block, three S6
+    # exponentials and U(T), its table, and per sample its state, weights
+    # and side-step column
+    per_realization = 16 * (6 * dim ** 2 + table + 3 * len(t_samples) * dim)
+    size, batches = _batches(
+        model, disorder, per_realization,
+        lambda h0: evolve_states(model, h0, psi0, t_samples, step))
+    populations = np.empty(shape)
+    correlations = {pair: np.empty(shape[:2]) for pair in pairs}
+    for batch, trajectory in batches:
+        populations[batch], czz = observable_series(trajectory.amplitudes,
+                                                    model.basis, pairs)
+        for pair in pairs:
+            correlations[pair][batch] = czz[pair]
+    return EnsembleDynamics(trajectory.times, populations, correlations,
+                            trajectory.steps, trajectory.step, size)
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
                           steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                          ) -> RatioSample:
+                          ) -> EnsembleRatios:
     """Pooled quasienergy gap ratios over R disorder realizations; a sample
     whose every ratio touches a degenerate gap is refused."""
     _admit(model, disorder, floquet_steps(model.drive, steps_per_period),
            model.drive.period / max(1, steps_per_period // S6_SUBSTEPS))
-    operators = floquet_operators(model, _static_hamiltonians(model, disorder),
-                                  steps_per_period)
-    sample = gap_ratios(quasienergies(operators))
+    # one realization: the state path's six dim x dim matrices and U(T)
+    size, batches = _batches(
+        model, disorder, 16 * 7 * model.basis.dim ** 2,
+        lambda h0: quasienergies(floquet_operators(model, h0,
+                                                   steps_per_period)))
+    sample = gap_ratios([spectrum for _, spectra in batches
+                         for spectrum in spectra])
     if sample.count == 0:
         raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
                           f"a degenerate quasienergy gap (below "
                           f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
                           f"e.g. every coupling is 0: no level statistics")
-    return sample
+    return EnsembleRatios(sample.ratios, sample.discarded_degenerate, size)

@@ -11,9 +11,10 @@ class NumericalError(RuntimeError):
     """A numerical guarantee was violated (unitarity, norm, determinant...).
 
     A check over a batch names its first failing realization in
-    ``realization_index``.
+    ``realization_index``, and the message opens with "realization i: ".
     """
 
     def __init__(self, message: str, realization_index: int | None = None):
-        super().__init__(message)
-        self.realization_index = realization_index
+        super().__init__(message if realization_index is None
+                         else f"realization {realization_index}: {message}")
+        self.reason, self.realization_index = message, realization_index

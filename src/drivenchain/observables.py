@@ -4,8 +4,8 @@ The correlation is the sigma-z expectation value.  The tests keep a second,
 independent form, assembled from joint counting probabilities the way a
 readout-based estimator does, and require the two to agree on any state.
 Every population and ZZ value a command writes comes from
-:func:`observable_series`, which squares the amplitudes once: (time, dim)
-for one run, (realization, time, dim) for an ensemble.
+:func:`observable_series`, which squares the amplitudes once: the
+ensemble runners call it on each batch's (realization, time, dim) block.
 
 For boson cutoffs above one, "qubit state one" means occupation >= 1: the
 binary readout distinguishes the ground state from the excited manifold.

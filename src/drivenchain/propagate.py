@@ -20,8 +20,8 @@ and an even P the Floquet operator is U(T) = V^T V from the half-period V.
 States read that product's prefixes A_r = U(rH, 0): g = mP + r grid steps
 give A_r U^m psi0, and a sample at n = S6_SUBSTEPS g + l fine steps, l >
 0, takes one side step of l fine steps, batched over the samples sharing l.
-Realizations run in batches whose tables hold at most TABLE_BATCH entries,
-each writing its slice of the one output: no other state array spans R.
+The batched functions run the whole block they are given, so the caller
+sizes it: :mod:`drivenchain.ensemble` passes one batch of realizations.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 #: an S6 step spans this many fine steps, T / steps_per_period at the default
 S6_SUBSTEPS = 4
-#: most prefix-table entries a batch of realizations holds (8 MB): at R =
-#: 400 one 30 MB table ran 1.3x the old serial scan, 100 at a time 1.1x
-TABLE_BATCH = 500_000
 
 #: S6's weights: one step is the palindrome D(b1) H0(a1) D(b2) H0(a2) D(b3)
 #: H0(a3) D(b4) H0(a3) ... D(b1), H0 on S6_DRIFTS and the kicks on S6_KICKS
@@ -130,8 +127,7 @@ def _check_each(values: np.ndarray, tol: float, what: str) -> None:
     """Fail on the first realization whose value is not <= tol (NaN fails)."""
     bad = np.flatnonzero(~(values <= tol))
     if bad.size:
-        raise NumericalError(f"realization {bad[0]}: {what} "
-                             f"{values[bad[0]]:.3e} exceeds {tol}",
+        raise NumericalError(f"{what} {values[bad[0]]:.3e} exceeds {tol}",
                              realization_index=int(bad[0]))
 
 
@@ -244,22 +240,19 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     sample_steps = np.rint(requested / fine).astype(int)
     grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
     sides = np.unique(rest[rest > 0])
+    eigh = np.linalg.eigh(h0)
     states = np.empty((len(h0), len(grid), dim), dtype=complex)
-    batch = max(1, TABLE_BATCH // ((count + 1) * dim ** 2))
-    for i in range(0, len(h0), batch):
-        eigh, out = np.linalg.eigh(h0[i:i + batch]), states[i:i + batch]
-        _grid_states(model, eigh, psi0, per_period, count, grid, out)
-        # one side step of l fine steps from the grid, the samples that
-        # share l as the block's columns, each on its own clock
-        for l in sides:
-            columns = np.flatnonzero(rest == l)
-            out[:, columns] = _advance(
-                model, eigh, out[:, columns].swapaxes(1, 2), l * fine, 1,
-                [1], grid[columns] * grid_step)[:, 0].swapaxes(1, 2)
-    # the steps keep psi0's norm, so this also rejects an unnormalized psi0;
-    # a realization at a time, as norm's temporaries copy its argument twice
-    _check_each(np.array([np.abs(np.linalg.norm(x, axis=-1) - 1.0).max()
-                          for x in states]), NORM_TOL, "norm drift")
+    _grid_states(model, eigh, psi0, per_period, count, grid, states)
+    # one side step of l fine steps from the grid, the samples that share l
+    # as the block's columns, each on its own clock
+    for l in sides:
+        columns = np.flatnonzero(rest == l)
+        states[:, columns] = _advance(
+            model, eigh, states[:, columns].swapaxes(1, 2), l * fine, 1, [1],
+            grid[columns] * grid_step)[:, 0].swapaxes(1, 2)
+    # the steps keep psi0's norm, so this also rejects an unnormalized psi0
+    _check_each(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=-1),
+                NORM_TOL, "norm drift")
     return StateTrajectory(sample_steps * fine, states,
                            int(grid[-1]) + len(sides), grid_step)
 

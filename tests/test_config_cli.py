@@ -56,8 +56,8 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
     # contour grid of several blocks, each byte for byte the rows of the
     # same results formatted one at a time
     results, arguments = {}, {}
-    for name in ("run_dynamics_ensemble", "observable_series",
-                 "stability_grid", "potential_contours"):
+    for name in ("run_dynamics_ensemble", "stability_grid",
+                 "potential_contours"):
         def recording(*args, _name=name, _func=getattr(cli, name), **kwargs):
             arguments[_name] = args
             results[_name] = _func(*args, **kwargs)
@@ -69,8 +69,11 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
     for command in ("dynamics", "stability", "contours"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
-    times = results["run_dynamics_ensemble"].times.tolist()
-    populations, correlations = results["observable_series"]
+    dynamics = results["run_dynamics_ensemble"]
+    times = dynamics.times.tolist()
+    populations = dynamics.populations[0]
+    correlations = {pair: values[0]
+                    for pair, values in dynamics.correlations.items()}
     assert len(times) > cli.BLOCK_ROWS
     n_sites = populations.shape[1]
     expected = row_at_a_time_csv(
@@ -598,38 +601,45 @@ def test_config_error_exit_code_and_manifest(tmp_path):
     assert manifest["status"] == "failed"
 
 
+def spoil_realization_2(real, spoil, batches):
+    """``real`` with ``spoil`` applied to realization 2's row of its result,
+    counting the rows of the batches it is called on, in order; each call
+    appends its batch size to ``batches``."""
+    def fake(matrices):
+        values, local = np.array(real(matrices)), 2 - sum(batches)
+        if 0 <= local < len(values):
+            values[local] = spoil(values[local])
+        batches.append(len(values))
+        return values
+    return fake
+
+
 def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
-    # a check that fails in realization 2 alone names realization 2
-    from drivenchain import propagate
-    real_defect = propagate.unitarity_defect
-    real_eigvals = np.linalg.eigvals
-
-    def defect_in_realization_2(matrix):
-        defects = np.array(real_defect(matrix))
-        defects[2] = 1.0
-        return defects
-
-    def modulus_off_in_realization_2(matrices):
-        eigenvalues = real_eigvals(matrices)
-        eigenvalues[2] *= 1.0 + 1e-6        # one batched call for the stack
-        return eigenvalues
-
+    # a check that fails in realization 2 alone names realization 2, in one
+    # batch of 4 and in batches of 1, where it is the third batch's first
+    from drivenchain import ensemble, propagate
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
-    for owner, name, fake, check in (
-            (propagate, "unitarity_defect", defect_in_realization_2,
-             "unitarity"),
-            (np.linalg, "eigvals", modulus_off_in_realization_2, "modulus")):
-        out = tmp_path / name
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, fake)
-            assert main(["spectrum", "--config", str(cfg), "--out",
-                         str(out)]) == 3
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["realization_index"] == 2
-        assert "realization 2" in manifest["error"]
-        assert check in manifest["error"]
+    for budget, size in ((ensemble.BATCH_BYTES, 4), (1, 1)):
+        for owner, name, spoil, check in (
+                (propagate, "unitarity_defect", lambda defect: 1.0,
+                 "unitarity"),
+                # one batched call for the stack
+                (np.linalg, "eigvals", lambda values: values * (1.0 + 1e-6),
+                 "modulus")):
+            out, batches = tmp_path / f"{name}_{size}", []
+            with monkeypatch.context() as patch:
+                patch.setattr(ensemble, "BATCH_BYTES", budget)
+                patch.setattr(owner, name, spoil_realization_2(
+                    getattr(owner, name), spoil, batches))
+                assert main(["spectrum", "--config", str(cfg), "--out",
+                             str(out)]) == 3
+            assert batches == [size] * (2 // size + 1)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == "failed"
+            assert manifest["realization_index"] == 2
+            assert manifest["error"].startswith("realization 2: ")
+            assert check in manifest["error"]
 
 
 @pytest.mark.parametrize("command,module,tolerance", [
@@ -639,17 +649,29 @@ def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
 def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
                                                       command, module,
                                                       tolerance):
-    # every realization fails the check, so the first one is named
-    monkeypatch.setattr(importlib.import_module(f"drivenchain.{module}"),
-                        tolerance, -1.0)
+    # every realization fails the check, so the first one is named; in
+    # batches of 1 that fail from realization 2 on, the third batch's
+    from drivenchain import ensemble
+    checks = importlib.import_module(f"drivenchain.{module}")
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
-                       disorder_w_over_j=3.0, **FAST)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert manifest["realization_index"] == 0
-    assert manifest["error"].startswith("realization 0: ")
+                       disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
+    real_draw = ensemble.sample_disorders
+    for budget, first_failing in ((ensemble.BATCH_BYTES, 0), (1, 2)):
+        out = tmp_path / f"out_{first_failing}"
+        with monkeypatch.context() as patch:
+            def draw_then_fail(spec, indices):
+                if indices[0] >= first_failing:
+                    patch.setattr(checks, tolerance, -1.0)
+                return real_draw(spec, indices)
+
+            patch.setattr(ensemble, "BATCH_BYTES", budget)
+            patch.setattr(ensemble, "sample_disorders", draw_then_fail)
+            assert main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["realization_index"] == first_failing
+        assert manifest["error"].startswith(f"realization {first_failing}: ")
 
 
 @pytest.mark.parametrize("command,overrides,flags", [
@@ -813,7 +835,7 @@ def test_flag_and_config_line_resolve_alike(tmp_path, flag, key, bad, good):
 
 def test_dynamics_resolves_one_realization(tmp_path):
     # a config shared with an ensemble too large to hold (5000 x 1001
-    # samples x 12 amplitudes > MAX_AMPLITUDES) still runs the one
+    # samples x 12 sites > MAX_AMPLITUDES) still runs the one
     # trajectory dynamics makes
     cfg = write_config(tmp_path / "run.cfg", realizations=5000, t_max_ns=1000)
     out = tmp_path / "dyn"
@@ -860,7 +882,8 @@ def strict_manifest(out: Path) -> dict:
     ("ensemble", {"realizations": 10**9}),
     ("stability", {"stability_resolution": 10**6}),
     ("spectrum", {"histogram_bins": 10**9}),
-    ("spectrum", {"sector": 6}),
+    # a sector whose one H0 exceeds MAX_BLOCK
+    ("spectrum", {"n_sites": 40, "sector": 3}),
     ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
     ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
                   "sample_dt_ns": "1.0"}),
@@ -937,8 +960,9 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
 @pytest.mark.parametrize("command,settings_,message", [
     ("ensemble", {"realizations": 5000, "t_max_ns": 1000},
      "realizations x samples"),
-    ("spectrum", {"realizations": 1000, "sector": 2},
-     "realizations x sector dimension^2"),
+    # one realization's prefix table, as for dynamics below
+    ("ensemble", {"steps_per_period": 8_000_000, "t_max_ns": 20},
+     "prefix table"),
     ("spectrum", {"steps_per_period": 8_000_016}, "propagator steps"),
     ("dynamics", {"t_max_ns": "1e5", "steps_per_period": 4096},
      "propagator steps"),

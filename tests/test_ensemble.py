@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +11,8 @@ import pytest
 from drivenchain import ensemble, propagate
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.cli import main
-from drivenchain.config import RunConfig, resolve
-from drivenchain.ensemble import (MAX_AMPLITUDES, MAX_BLOCK, MAX_STEPS,
+from drivenchain.config import RunConfig, load_config, resolve
+from drivenchain.ensemble import (MAX_AMPLITUDES, MAX_STEPS,
                                   run_dynamics_ensemble, run_spectrum_ensemble)
 from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
@@ -45,8 +50,22 @@ STEP = 0.2
 
 def mean_populations(model, spec, site, t_samples=T_SAMPLES):
     """(time, site) realization mean, formed as ``cmd_ensemble`` forms it."""
-    trajectory = run_dynamics_ensemble(model, spec, site, t_samples, STEP)
-    return observable_series(trajectory.amplitudes, model.basis)[0].mean(axis=0)
+    return run_dynamics_ensemble(model, spec, site, t_samples,
+                                 STEP).populations.mean(axis=0)
+
+
+def batch_budget(size, dim, table, vectors):
+    """A BATCH_BYTES that makes batches of ``size`` realizations, one
+    realization counted as the runners count it: six dim x dim matrices,
+    ``table`` more entries and ``vectors`` dim-vectors (a spectrum's table
+    is its U(T), dim^2, and it holds no vectors)."""
+    return size * 16 * (6 * dim ** 2 + table + vectors * dim)
+
+
+def realization_models(model, spec):
+    return [model.with_potential(
+        model.potential.with_overlay(sample_disorder(spec, i)))
+        for i in range(spec.realization_count)]
 
 
 def test_zero_disorder_average_equals_single_run():
@@ -59,10 +78,16 @@ def test_zero_disorder_average_equals_single_run():
 
 def test_mean_is_arithmetic_mean_of_kept_realizations():
     model = make_model()
-    result = run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
-    assert result.amplitudes.shape == (4, len(T_SAMPLES), model.basis.dim)
-    singles = [observable_series(a, model.basis)[0] for a in result.amplitudes]
-    mean = observable_series(result.amplitudes, model.basis)[0].mean(axis=0)
+    spec = disorder(3.0)
+    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+    assert result.populations.shape == (4, len(T_SAMPLES), N)
+    singles = [observable_series(evolve_state(m, fock_state(model.basis, 3),
+                                              T_SAMPLES, STEP).amplitudes,
+                                 model.basis)[0]
+               for m in realization_models(model, spec)]
+    for populations, single in zip(result.populations, singles):
+        assert np.array_equal(populations, single)
+    mean = result.populations.mean(axis=0)
     assert np.abs(sum(singles) / 4 - mean).max() < 1e-12
 
 
@@ -73,16 +98,10 @@ def test_population_bounds_and_conservation():
     assert np.abs(mean.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def realization_models(model, spec):
-    return [model.with_potential(
-        model.potential.with_overlay(sample_disorder(spec, i)))
-        for i in range(spec.realization_count)]
-
-
 def test_batch_equals_single_realizations_bitwise(monkeypatch):
-    # one block of R realizations against R runs of one; the states'
-    # prefix tables (33 x 144 entries per realization here) also run in
-    # batches of 1, 7 and R
+    # one block of R realizations against R runs of one; the runners also
+    # take the ensemble in batches of 1, 7 and R, one realization holding
+    # a prefix table of 33 x 144 entries and 13 samples here
     model = make_model()
     spec = disorder(3.0, count=9)
     models = realization_models(model, spec)
@@ -92,24 +111,32 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
         assert np.array_equal(stacked, m.static_hamiltonians()[0])
     psi0 = fock_state(model.basis, 3)
     singles = [evolve_state(m, psi0, T_SAMPLES, STEP) for m in models]
+    batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
+    for amplitudes, s in zip(batch.amplitudes, singles):
+        assert np.array_equal(amplitudes, s.amplitudes)
+        assert np.array_equal(batch.times, s.times)
+    populations = [observable_series(s.amplitudes, model.basis)[0]
+                   for s in singles]
+    single_ops = [floquet_operator(m, 64) for m in models]
+    direct = gap_ratios([quasienergies(s) for s in single_ops])
     assert state_grid(model.drive, STEP, T_SAMPLES[-1])[2] == 32
-    for batch_size in (1, 7, len(models)):
-        monkeypatch.setattr(propagate, "TABLE_BATCH", batch_size * 33 * 144)
-        batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
-        for amplitudes, s in zip(batch.amplitudes, singles):
-            assert np.array_equal(amplitudes, s.amplitudes)
-            assert np.array_equal(batch.times, s.times)
+    for size in (1, 7, len(models)):
+        monkeypatch.setattr(ensemble, "BATCH_BYTES",
+                            batch_budget(size, 12, 33 * 144, 3 * 13))
         result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-        for amplitudes, s in zip(result.amplitudes, singles):
-            assert np.array_equal(amplitudes, s.amplitudes)
+        assert result.batch_size == size
+        assert np.array_equal(result.times, singles[0].times)
+        for row, single in zip(result.populations, populations):
+            assert np.array_equal(row, single)
+        monkeypatch.setattr(ensemble, "BATCH_BYTES",
+                            batch_budget(size, 12, 144, 0))
+        pooled = run_spectrum_ensemble(model, spec, 64)
+        assert pooled.batch_size == size
+        assert np.array_equal(pooled.ratios, direct.ratios)
 
     operators = floquet_operators(model, h0, 64)
-    single_ops = [floquet_operator(m, 64) for m in models]
     for matrix, s in zip(operators.matrix, single_ops):
         assert np.array_equal(matrix, s.matrix)
-    pooled = run_spectrum_ensemble(model, spec, 64)
-    direct = gap_ratios([quasienergies(s) for s in single_ops])
-    assert np.array_equal(pooled.ratios, direct.ratios)
 
     # the V^T V stack product at a second size: sector 2, dim 66
     model = make_model(sector=2)
@@ -122,9 +149,13 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     assert operators.matrix.shape == (3, 66, 66)
     for matrix, s in zip(operators.matrix, single_ops):
         assert np.array_equal(matrix, s.matrix)
-    pooled = run_spectrum_ensemble(model, spec, 64)
     direct = gap_ratios([quasienergies(s) for s in single_ops])
-    assert np.array_equal(pooled.ratios, direct.ratios)
+    for size in (1, 2, 3):
+        monkeypatch.setattr(ensemble, "BATCH_BYTES",
+                            batch_budget(size, 66, 66 ** 2, 0))
+        pooled = run_spectrum_ensemble(model, spec, 64)
+        assert pooled.batch_size == size
+        assert np.array_equal(pooled.ratios, direct.ratios)
 
 
 def test_batch_equals_single_off_the_grid_bitwise():
@@ -172,7 +203,7 @@ def test_ensemble_reruns_bitwise():
     spec = disorder(3.0, count=5)
     first = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
     again = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    assert np.array_equal(first.amplitudes, again.amplitudes)
+    assert np.array_equal(first.populations, again.populations)
     assert np.array_equal(run_spectrum_ensemble(model, spec, 64).ratios,
                           run_spectrum_ensemble(model, spec, 64).ratios)
 
@@ -214,25 +245,34 @@ def test_failure_names_realization():
         run_dynamics_ensemble(model, disorder(3.0), 3, [-1.0], STEP)
 
 
-def no_h0_stack(model, disorder):
+def no_h0_stack(spec, indices):
     raise AssertionError("the H0 stack was built")
 
 
 @pytest.fixture
 def no_h0(monkeypatch):
-    """A sentinel in place of the H0 stack: a runner that gets this far
-    raises AssertionError instead of allocating."""
-    monkeypatch.setattr(ensemble, "_static_hamiltonians", no_h0_stack)
+    """A sentinel in place of the disorder draw that opens each batch's H0
+    stack: a runner that gets this far raises AssertionError instead of
+    allocating."""
+    monkeypatch.setattr(ensemble, "sample_disorders", no_h0_stack)
 
 
-def test_spectrum_block_over_budget_refused_before_h0(no_h0):
-    model = make_model(sector=2)                        # dim 66
-    over = disorder(3.0, count=MAX_BLOCK // 66 ** 2 + 1)
-    with pytest.raises(ConfigError, match="realizations x sector dimension"):
-        run_spectrum_ensemble(model, over, 64)
-    with pytest.raises(AssertionError, match="H0"):     # one fewer fits
-        run_spectrum_ensemble(model, disorder(3.0, count=MAX_BLOCK // 66 ** 2),
-                              64)
+def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
+    # R x dim^2 is no longer refused: 10,000 realizations of sector 3 (dim
+    # 220) reach the H0 stack of a first batch that fits BATCH_BYTES
+    drawn = []
+
+    def first_batch(spec, indices):
+        drawn.append(indices.tolist())
+        raise AssertionError("the H0 stack was built")
+
+    monkeypatch.setattr(ensemble, "sample_disorders", first_batch)
+    with pytest.raises(AssertionError, match="H0"):
+        run_spectrum_ensemble(make_model(sector=3),
+                              disorder(3.0, count=10_000), 64)
+    size = ensemble.BATCH_BYTES // batch_budget(1, 220, 220 ** 2, 0)
+    assert drawn == [list(range(size))]
+    assert 1 <= size < 10
 
 
 def test_spectrum_counts_the_steps_its_product_takes(no_h0):
@@ -253,7 +293,7 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
     assert main(["dynamics", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["state_steps_integrated"] == 191
-    monkeypatch.setattr(ensemble, "_static_hamiltonians", no_h0_stack)
+    monkeypatch.setattr(ensemble, "sample_disorders", no_h0_stack)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_max_ns = 160\n")
     out = tmp_path / "refused"
@@ -280,9 +320,6 @@ def test_state_prefix_table_over_budget_refused_before_h0(no_h0,
 
 def test_dynamics_budgets_refused_before_h0(no_h0):
     model = make_model()
-    with pytest.raises(ConfigError, match="realizations x sector dimension"):
-        run_dynamics_ensemble(model, disorder(3.0, count=MAX_BLOCK // 144 + 1),
-                              3, T_SAMPLES, STEP)
     # the budget counts S6 grid steps, the period cut into whole S6 steps
     # of about S6_SUBSTEPS STEP
     grid_step = state_grid(model.drive, STEP, 0.0)[1]
@@ -294,8 +331,8 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
                               [0.0, MAX_STEPS * grid_step], STEP)
     with pytest.raises(ConfigError, match="inf propagator steps"):
         run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, 0.0)
-    # 13,888 x 301 samples x 12 amplitudes just over MAX_AMPLITUDES
-    many = disorder(3.0, count=MAX_BLOCK // 144)
+    # 13,888 x 301 samples x 12 sites just over MAX_AMPLITUDES
+    many = disorder(3.0, count=13_888)
     assert many.realization_count * 301 * 12 > MAX_AMPLITUDES
     with pytest.raises(ConfigError, match="realizations x samples"):
         run_dynamics_ensemble(model, many, 3, np.arange(301) * STEP, STEP)
@@ -305,3 +342,81 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
         run_dynamics_ensemble(model, disorder(3.0), 3, np.arange(11) * STEP,
                               STEP)
 
+
+def write_config(path, **settings):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return path
+
+
+def data_files(out):
+    """SHA-256 of every file a run wrote but its manifest."""
+    return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("command,settings_", [
+    ("ensemble", dict(realizations=9, keep_realizations="true")),
+    ("spectrum", dict(realizations=9)),
+    ("spectrum", dict(realizations=3, sector=2)),
+])
+def test_data_files_identical_at_any_batch_size(tmp_path, monkeypatch,
+                                                command, settings_):
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, t_max_ns=20, sample_dt_ns=2.0,
+                       steps_per_period=64, **settings_)
+    run = resolve(load_config(cfg))
+    dim, times = run.basis.dim, run.sample_times()
+    if command == "ensemble":
+        count = state_grid(run.drive, run.step_ns, times[-1])[2]
+        table, vectors = (count + 1) * dim ** 2, 3 * len(times)
+    else:
+        table, vectors = dim ** 2, 0
+    written = []
+    for size in (1, 7, run.config.realizations):
+        monkeypatch.setattr(ensemble, "BATCH_BYTES",
+                            batch_budget(size, dim, table, vectors))
+        out = tmp_path / f"out_{size}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["batch_size"] == min(
+            size, run.config.realizations)
+        written.append(data_files(out))
+    assert len(written[0]) == (10 if command == "ensemble" else 2)
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("command,settings_", [
+    ("dynamics", {}),
+    ("ensemble", {}),
+    ("spectrum", dict(profile="flat", flat_level_fraction=0.5,
+                      disorder_w_over_j=3.0, realizations=200)),
+])
+def test_manifest_records_the_batch_size(tmp_path, command, settings_):
+    # the default configs propagate their whole ensemble as one batch
+    cfg = write_config(tmp_path / "run.cfg", **settings_)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"]["batch_size"] == manifest["config"][
+        "realizations"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss counts kB on Linux")
+def test_large_ensemble_peak_rss_through_the_cli(tmp_path):
+    # flat W=3J, R = 1000 at 1000 ns: 96 MB of populations, in a child that
+    # reports its own peak; with the whole ensemble's amplitudes and their
+    # observables held at once it peaked at 417 MB
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, realizations=1000, t_max_ns=1000)
+    code = ("import resource\nfrom drivenchain.cli import main\n"
+            f"assert main(['ensemble', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = Path(ensemble.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb <= 200, f"peak RSS {peak_mb:.0f} MB"
