@@ -8,9 +8,10 @@ hashes); data files are byte-identical for identical config and seed.
 
 Exit codes: 0 success, 1 internal error (a defect: the manifest records
 its ``error_type``), 2 configuration error, 3 numerical failure.  A failed
-check on one disorder realization records its ``realization_index`` in the
-manifest.  Every exit code writes the manifest, except a usage error and
-an output directory that cannot be made; it holds the config only once
+check on one disorder realization records its ``realization_index``, and
+the ensemble's ``environment.batch_size``, in the manifest.  Every exit
+code writes the manifest, except a usage error and an output directory
+that cannot be made; it holds the config only once
 :func:`~drivenchain.config.resolve` has accepted it.
 """
 
@@ -93,7 +94,8 @@ def usable_cpus() -> int:
 
 
 def _environment() -> dict:
-    """What the run ran on: Python, numpy and its BLAS, and the CPUs."""
+    """What the run ran on: Python, numpy and its BLAS, the CPUs, and the
+    BLAS thread settings (None where unset)."""
     try:
         build = np.show_config(mode="dicts")["Build Dependencies"]
         blas = build["blas"]["name"]
@@ -101,7 +103,9 @@ def _environment() -> dict:
         blas = None
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas, "cpu_count": os.cpu_count(),
-            "usable_cpus": usable_cpus()}
+            "usable_cpus": usable_cpus(),
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 class ManifestWriter:
@@ -221,6 +225,7 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
     manifest.data["floquet_steps_integrated"] = floquet_steps(run.drive, steps)
+    manifest.data["health"] = sample.health
     manifest.data["environment"]["batch_size"] = sample.batch_size
 
 
@@ -366,6 +371,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         if exc.realization_index is not None:
             manifest.data["realization_index"] = exc.realization_index
+        if exc.batch_size is not None:
+            manifest.data["environment"]["batch_size"] = exc.batch_size
         return _fail(manifest, "numerical failure", exc, 3)
     except Exception as exc:        # a defect: report it, never lose the manifest
         traceback.print_exc()

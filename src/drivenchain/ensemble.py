@@ -14,7 +14,7 @@ whose ``realization_index`` names the first realization that failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
                         evolve_states, floquet_operators, floquet_steps,
                         state_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
-                       quasienergies)
+                       quasienergies, spectra_health)
 
 #: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
@@ -37,16 +37,27 @@ MAX_STEPS = 1_000_000
 MAX_AMPLITUDES = 50_000_000
 #: most bytes one batch of realizations holds while it propagates
 BATCH_BYTES = 32_000_000
+#: most realizations x Floquet steps x dim^3 of one spectrum run: it admits
+#: sector 3 at R=200 (6.8e10) and, at the default step count, every R x
+#: dim^2 <= 2e6 (at most 9.1e10)
+MAX_WORK = 1e11
 
 
 def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
-           step: float) -> None:
-    """Refuse a step count (a float, so inf too) over budget, and an S6
+           step: float, dense: bool = False) -> None:
+    """Refuse a step count (a float, so inf too) over budget, ``dense``
+    steps (of dim x dim matrices) whose work is over budget, and an S6
     ``step`` whose largest H0 phase is not finite."""
     if not steps <= MAX_STEPS:
         raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
                           f"than {MAX_STEPS}: lower the drive frequency, "
                           f"t_max_ns or steps_per_period")
+    work = disorder.realization_count * steps * model.basis.dim ** 3
+    if dense and work > MAX_WORK:
+        raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "
+                          f"= {work:.3g} exceeds the work budget {MAX_WORK:g}: "
+                          f"lower realizations, steps_per_period, n_sites, "
+                          f"sector or boson_cutoff")
     # Gershgorin: |H0| <= sector (max|offset| + W) + |U|/2 sector (cutoff - 1)
     # on the diagonal plus 2 cutoff sum|J| off it; one S6 step applies at
     # most max(S6_DRIFTS) step |H0|, and the draw computes 2W.  In Python
@@ -85,7 +96,7 @@ def _batches(model: SectorModel, disorder: DisorderSpec, per_realization: int,
                     model.potential.static_offsets + offsets))
             except NumericalError as exc:       # a check names one row
                 raise NumericalError(exc.reason, first
-                                     + exc.realization_index) from None
+                                     + exc.realization_index, size) from None
     return size, each()
 
 
@@ -103,9 +114,11 @@ class EnsembleDynamics:
 
 @dataclass(frozen=True)
 class EnsembleRatios(RatioSample):
-    """Gap ratios pooled over R realizations, and their batch size."""
+    """Gap ratios pooled over R realizations, their batch size and the
+    quasienergies' health (:func:`~drivenchain.spectrum.spectra_health`)."""
 
     batch_size: int = 1
+    health: dict = field(default_factory=dict)
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
@@ -159,17 +172,19 @@ def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
     """Pooled quasienergy gap ratios over R disorder realizations; a sample
     whose every ratio touches a degenerate gap is refused."""
     _admit(model, disorder, floquet_steps(model.drive, steps_per_period),
-           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS))
+           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS),
+           dense=True)
     # one realization: the state path's six dim x dim matrices and U(T)
     size, batches = _batches(
         model, disorder, 16 * 7 * model.basis.dim ** 2,
         lambda h0: quasienergies(floquet_operators(model, h0,
                                                    steps_per_period)))
-    sample = gap_ratios([spectrum for _, spectra in batches
-                         for spectrum in spectra])
+    spectra = [spectrum for _, batch in batches for spectrum in batch]
+    sample = gap_ratios(spectra)
     if sample.count == 0:
         raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
                           f"a degenerate quasienergy gap (below "
                           f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
                           f"e.g. every coupling is 0: no level statistics")
-    return EnsembleRatios(sample.ratios, sample.discarded_degenerate, size)
+    return EnsembleRatios(sample.ratios, sample.discarded_degenerate, size,
+                          spectra_health(spectra))

@@ -25,6 +25,8 @@ from .propagate import FloquetOperator, _check_each
 from .units import TWO_PI
 
 EIGENVALUE_MODULUS_TOL = 1e-9
+#: most |U - U^T| and off-diagonal |O^T U O| where diag(O^T U O) is kept
+ROTATION_RESIDUAL_TOL = 1e-10
 DEGENERACY_RELATIVE_TOL = 1e-12
 
 
@@ -34,6 +36,8 @@ class QuasienergySpectrum:
 
     values: np.ndarray
     angular_frequency: float
+    modulus_deviation: float = 0.0  # max ||lambda| - 1| of its eigenvalues
+    fallback: bool = False          # its U took np.linalg.eigvals
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.values, dtype=float))
@@ -70,23 +74,52 @@ class RatioSample:
         return float(self.ratios.mean())
 
 
+def real_rotation(matrix: np.ndarray) -> np.ndarray:
+    """O^T U O for an (R, dim, dim) stack, O the eigenvectors of Re U."""
+    vectors = np.linalg.eigh(matrix.real)[1]
+    return np.swapaxes(vectors, 1, 2) @ matrix @ vectors
+
+
 def quasienergies(floquet: FloquetOperator):
     """Quasienergies of a Floquet operator; a tuple of R for an (R, dim, dim) stack.
 
+    Where U is symmetric, Re U and Im U commute, and the eigenvalues are
+    diag(O^T U O) with O the real eigenvectors of Re U (Hoffman-Wielandt
+    bounds their error by the off-diagonal residual); a U off symmetric or
+    diagonal by over ROTATION_RESIDUAL_TOL takes ``np.linalg.eigvals``.
     Eigenvalues exp(-i*eps*T) must lie on the unit circle to 1e-9 (the
     first realization that does not is named); the eigenphase at the zone
     edge -omega/2 is folded to +omega/2.
     """
-    eigenvalues = np.linalg.eigvals(floquet.matrix)
+    matrix = floquet.matrix.reshape(-1, *floquet.matrix.shape[-2:])
+    routed = (np.abs(matrix - np.swapaxes(matrix, 1, 2)).max(axis=(1, 2))
+              <= ROTATION_RESIDUAL_TOL)
+    rotated = real_rotation(matrix[routed])
+    eigenvalues = np.empty(matrix.shape[:2], dtype=complex)
+    eigenvalues[routed] = np.diagonal(rotated, axis1=1, axis2=2)
+    routed[routed] = (np.abs(rotated * (1.0 - np.eye(matrix.shape[-1])))
+                      .max(axis=(1, 2)) <= ROTATION_RESIDUAL_TOL)
+    eigenvalues[~routed] = np.linalg.eigvals(matrix[~routed])
     deviation = np.abs(np.abs(eigenvalues) - 1.0).max(axis=-1)
-    _check_each(np.atleast_1d(deviation), EIGENVALUE_MODULUS_TOL,
+    _check_each(deviation, EIGENVALUE_MODULUS_TOL,
                 "Floquet eigenvalue modulus deviation")
     omega = floquet.angular_frequency
     eps = -np.angle(eigenvalues) / floquet.period     # in [-omega/2, omega/2)
     eps = np.where(eps <= -0.5 * omega, eps + omega, eps)
-    if eps.ndim == 1:
-        return QuasienergySpectrum(eps, omega)
-    return tuple(QuasienergySpectrum(row, omega) for row in eps)
+    spectra = tuple(QuasienergySpectrum(row, omega, float(worst), not kept)
+                    for row, worst, kept in zip(eps, deviation, routed))
+    return spectra if floquet.matrix.ndim == 3 else spectra[0]
+
+
+def spectra_health(spectra) -> dict:
+    """The worst eigenvalue-modulus deviation of ``spectra`` with its
+    tolerance and their ratio, and how many took ``np.linalg.eigvals``."""
+    worst = max(spectrum.modulus_deviation for spectrum in spectra)
+    return {"floquet_eigenvalue_modulus": {
+                "worst": worst, "tolerance": EIGENVALUE_MODULUS_TOL,
+                "ratio": worst / EIGENVALUE_MODULUS_TOL},
+            "quasienergy_fallbacks": sum(spectrum.fallback
+                                         for spectrum in spectra)}
 
 
 def _ratios_from_sorted(values: np.ndarray, degeneracy_tol):

@@ -9,7 +9,10 @@ single-input views of package internals that only the tests call,
 ``sample_disorder_loop`` is the per-site generator loop the vectorized
 disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
-why it is bad.  ``monodromy_resolution`` refines the monodromy's one step
+why it is bad.  ``eigvals_quasienergies`` is the general eigensolver route
+the quasienergies took before the real symmetric one, and
+``cos_degenerate_unitary`` builds a matrix the real route must hand to it.
+``monodromy_resolution`` refines the monodromy's one step
 rule inside a block, and ``scaled_cells`` gives cells in the (nu, eps)
 units the monodromy integrator takes.  ``serial_recurrence_monodromy`` is
 the package's monodromy recurrence written serially, kept to pin its
@@ -202,6 +205,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def cos_degenerate_unitary(dim: int, theta: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Q diag(e^{i theta}, e^{-i theta}, e^{i phi_3}, ...) Q^T with Q real
+    orthogonal: a symmetric unitary whose Re U has cos(theta) twice."""
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    phases = np.concatenate([[theta, -theta],
+                             rng.uniform(-np.pi, np.pi, dim - 2)])
+    return (q * np.exp(1j * phases)) @ q.T
+
+
+def eigvals_quasienergies(matrix: np.ndarray, period: float) -> np.ndarray:
+    """Sorted folded quasienergies from ``np.linalg.eigvals`` of a Floquet
+    matrix or stack: the route every matrix took before the real one."""
+    omega = TWO_PI / period
+    eps = -np.angle(np.linalg.eigvals(matrix)) / period
+    return np.sort(np.where(eps <= -0.5 * omega, eps + omega, eps), axis=-1)
 
 
 def sample_coe_reference(dim: int, count: int, seed: int = 0) -> RatioSample:

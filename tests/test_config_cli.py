@@ -430,6 +430,22 @@ def test_default_stability_records_determinant_margin(tmp_path):
     assert margin["ratio"] == margin["worst"] / margin["tolerance"] < 1.0
 
 
+def test_default_spectrum_records_modulus_margin_and_fallbacks(tmp_path):
+    # the worst eigenvalue-modulus deviation, its tolerance and their ratio,
+    # and no realization of the default run takes np.linalg.eigvals
+    from drivenchain import spectrum
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out", str(out)]) == 0
+    health = strict_manifest(out)["health"]
+    assert sorted(health) == ["floquet_eigenvalue_modulus",
+                              "quasienergy_fallbacks"]
+    margin = health["floquet_eigenvalue_modulus"]
+    assert margin["tolerance"] == spectrum.EIGENVALUE_MODULUS_TOL == 1e-9
+    assert 0.0 < margin["worst"] < 1e-12
+    assert margin["ratio"] == margin["worst"] / margin["tolerance"]
+    assert health["quasienergy_fallbacks"] == 0
+
+
 def test_stability_manifest_records_environment_and_step_rule(tmp_path):
     # --steps-per-period sets the quantum propagator; the floor stays 16
     cfg = write_config(tmp_path / "run.cfg", stability_resolution=12, **FAST)
@@ -438,9 +454,11 @@ def test_stability_manifest_records_environment_and_step_rule(tmp_path):
                  "--steps-per-period", "64"]) == 0
     manifest = strict_manifest(out)
     env = manifest["environment"]
-    assert sorted(env) == ["blas", "cpu_count", "numpy", "python",
-                           "usable_cpus"]
+    assert sorted(env) == ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "blas",
+                           "cpu_count", "numpy", "python", "usable_cpus"]
     assert env["numpy"] == np.__version__
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        assert env[name] == os.environ.get(name)
     assert 1 <= env["usable_cpus"] <= env["cpu_count"]
     assert manifest["monodromy_steps_floor"] == 16
     assert manifest["monodromy_groups"][0]["steps"] == 16
@@ -614,32 +632,47 @@ def spoil_realization_2(real, spoil, batches):
     return fake
 
 
+def counting_rows(real, rows):
+    """``real``, appending the number of matrices of each call to ``rows``."""
+    def counted(matrices):
+        rows.append(len(matrices))
+        return real(matrices)
+    return counted
+
+
 def test_realization_failure_exit_code_and_manifest(tmp_path, monkeypatch):
     # a check that fails in realization 2 alone names realization 2, in one
-    # batch of 4 and in batches of 1, where it is the third batch's first
-    from drivenchain import ensemble, propagate
+    # batch of 4 and in batches of 1, where it is the third batch's first;
+    # the failed manifest records the batch size
+    from drivenchain import ensemble, propagate, spectrum
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
     for budget, size in ((ensemble.BATCH_BYTES, 4), (1, 1)):
         for owner, name, spoil, check in (
                 (propagate, "unitarity_defect", lambda defect: 1.0,
                  "unitarity"),
-                # one batched call for the stack
-                (np.linalg, "eigvals", lambda values: values * (1.0 + 1e-6),
-                 "modulus")):
-            out, batches = tmp_path / f"{name}_{size}", []
+                # the real route's O^T U O, one call for the batch: its
+                # diagonal leaves the unit circle and its off-diagonal stays
+                # below ROTATION_RESIDUAL_TOL, so no row takes eigvals
+                (spectrum, "real_rotation",
+                 lambda rotated: rotated * (1.0 + 1e-6), "modulus")):
+            out, batches, eigvals_rows = tmp_path / f"{name}_{size}", [], []
             with monkeypatch.context() as patch:
                 patch.setattr(ensemble, "BATCH_BYTES", budget)
+                patch.setattr(np.linalg, "eigvals", counting_rows(
+                    np.linalg.eigvals, eigvals_rows))
                 patch.setattr(owner, name, spoil_realization_2(
                     getattr(owner, name), spoil, batches))
                 assert main(["spectrum", "--config", str(cfg), "--out",
                              str(out)]) == 3
             assert batches == [size] * (2 // size + 1)
+            assert sum(eigvals_rows) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["status"] == "failed"
             assert manifest["realization_index"] == 2
             assert manifest["error"].startswith("realization 2: ")
             assert check in manifest["error"]
+            assert manifest["environment"]["batch_size"] == size
 
 
 @pytest.mark.parametrize("command,module,tolerance", [
@@ -656,7 +689,8 @@ def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, **{**FAST, "realizations": 4})
     real_draw = ensemble.sample_disorders
-    for budget, first_failing in ((ensemble.BATCH_BYTES, 0), (1, 2)):
+    for budget, first_failing, size in ((ensemble.BATCH_BYTES, 0, 4),
+                                        (1, 2, 1)):
         out = tmp_path / f"out_{first_failing}"
         with monkeypatch.context() as patch:
             def draw_then_fail(spec, indices):
@@ -672,6 +706,18 @@ def test_ensemble_norm_failure_exit_code_and_manifest(tmp_path, monkeypatch,
         assert manifest["status"] == "failed"
         assert manifest["realization_index"] == first_failing
         assert manifest["error"].startswith(f"realization {first_failing}: ")
+        assert manifest["environment"]["batch_size"] == size
+
+
+def test_dynamics_norm_failure_records_the_batch_size(tmp_path, monkeypatch):
+    # the one trajectory dynamics runs is realization 0 of a batch of 1
+    from drivenchain import propagate
+    monkeypatch.setattr(propagate, "NORM_TOL", -1.0)
+    out = tmp_path / "out"
+    assert main(["dynamics", "--out", str(out)]) == 3
+    manifest = strict_manifest(out)
+    assert manifest["realization_index"] == 0
+    assert manifest["environment"]["batch_size"] == 1
 
 
 @pytest.mark.parametrize("command,overrides,flags", [
@@ -902,6 +948,8 @@ def strict_manifest(out: Path) -> dict:
                   "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
     ("ensemble", {"profile": "flat", "ac_amplitude_over_j": "1e300",
                   "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
+    # R = 50 of sector 6 (dim 924): 1.26e12 over the work budget
+    ("spectrum", {"sector": 6}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -981,6 +1029,7 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     # dim 12, exceeds MAX_AMPLITUDES
     ("dynamics", {"steps_per_period": 8_000_000, "t_max_ns": 20},
      "prefix table"),
+    ("spectrum", {"sector": 6}, "work budget"),
 ])
 def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
                                                       settings_, message):
@@ -1056,7 +1105,8 @@ EXTREMES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e300, 1e-300,
             1e-160, 1e-320, 1e154, 1.797e308, -11.5]
 INT_KEYS = [f.name for f in fields(RunConfig) if type(f.default) is int]
 INT_EXTREMES = [-1, 0, 1, 10**9]
-TINY = dict(t_max_ns=20, sample_dt_ns=2.0, steps_per_period=16, realizations=2,
+#: samples 5 ns apart, above the fine step T/16 = 3.18 ns of the default drive
+TINY = dict(t_max_ns=20, sample_dt_ns=5.0, steps_per_period=16, realizations=2,
             stability_resolution=4, contour_resolution=5)
 
 

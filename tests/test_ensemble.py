@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from drivenchain.propagate import (S6_SUBSTEPS, evolve_state, evolve_states,
                                    state_grid)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
-from oracles import uniform_chain
+from oracles import cos_degenerate_unitary, uniform_chain
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -137,6 +138,18 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     operators = floquet_operators(model, h0, 64)
     for matrix, s in zip(operators.matrix, single_ops):
         assert np.array_equal(matrix, s.matrix)
+
+    # quasienergies of a stack whose row 4 takes eigvals (Re U has a
+    # degenerate pair) against each matrix alone
+    matrices = operators.matrix.copy()
+    matrices[4] = cos_degenerate_unitary(12, 0.7, np.random.default_rng(11))
+    stacked = quasienergies(replace(operators, matrix=matrices))
+    assert [spec.fallback for spec in stacked] == [i == 4 for i in range(9)]
+    for spec, matrix in zip(stacked, matrices):
+        single = quasienergies(replace(operators, matrix=matrix))
+        assert np.array_equal(spec.values, single.values)
+        assert spec.fallback == single.fallback
+        assert spec.modulus_deviation == single.modulus_deviation
 
     # the V^T V stack product at a second size: sector 2, dim 66
     model = make_model(sector=2)
@@ -258,8 +271,8 @@ def no_h0(monkeypatch):
 
 
 def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
-    # R x dim^2 is no longer refused: 10,000 realizations of sector 3 (dim
-    # 220) reach the H0 stack of a first batch that fits BATCH_BYTES
+    # R x dim^2 is not refused: 1,000 realizations of sector 3 (dim 220)
+    # reach the H0 stack of a first batch that fits BATCH_BYTES
     drawn = []
 
     def first_batch(spec, indices):
@@ -269,10 +282,23 @@ def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
     monkeypatch.setattr(ensemble, "sample_disorders", first_batch)
     with pytest.raises(AssertionError, match="H0"):
         run_spectrum_ensemble(make_model(sector=3),
-                              disorder(3.0, count=10_000), 64)
+                              disorder(3.0, count=1_000), 64)
     size = ensemble.BATCH_BYTES // batch_budget(1, 220, 220 ** 2, 0)
     assert drawn == [list(range(size))]
     assert 1 <= size < 10
+
+
+def test_spectrum_work_budget_refuses_before_the_h0_stack(no_h0):
+    # R x Floquet steps x dim^3 at 64 steps per period (8 halved steps) in
+    # sector 3: 1,100 realizations are 9.4e10 and fit MAX_WORK, 1,200 are
+    # 1.02e11 and are refused by name
+    assert ensemble.MAX_WORK == 1e11
+    with pytest.raises(AssertionError, match="H0"):
+        run_spectrum_ensemble(make_model(sector=3),
+                              disorder(3.0, count=1_100), 64)
+    with pytest.raises(ConfigError, match="work budget 1e\\+11"):
+        run_spectrum_ensemble(make_model(sector=3),
+                              disorder(3.0, count=1_200), 64)
 
 
 def test_spectrum_counts_the_steps_its_product_takes(no_h0):

@@ -6,16 +6,22 @@ from drivenchain.basis import build_sector_basis
 from drivenchain.errors import ConfigError, NumericalError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, build_potential
-from drivenchain.propagate import FloquetOperator, floquet_operator
-from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL, QuasienergySpectrum,
+from drivenchain import spectrum
+from drivenchain.config import RunConfig, resolve
+from drivenchain.model import sample_disorders
+from drivenchain.propagate import (FloquetOperator, floquet_operator,
+                                   floquet_operators)
+from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL,
+                                  ROTATION_RESIDUAL_TOL, QuasienergySpectrum,
                                   RatioSample, coe_cdf,
                                   coe_density, coe_mean, gap_ratios,
                                   ks_distance, poisson_cdf, poisson_density,
-                                  poisson_mean, quasienergies)
+                                  poisson_mean, quasienergies, real_rotation)
 from drivenchain.units import rad_ns_from_mhz
-from oracles import (coe_density_divergent, ks_distance_two_sample,
-                     ratios_from_sorted_loop, sample_coe_reference,
-                     sector_hamiltonian, uniform_chain)
+from oracles import (coe_density_divergent, cos_degenerate_unitary,
+                     eigvals_quasienergies, haar_unitary,
+                     ks_distance_two_sample, ratios_from_sorted_loop,
+                     sample_coe_reference, sector_hamiltonian, uniform_chain)
 
 J = rad_ns_from_mhz(11.5)
 OMEGA = rad_ns_from_mhz(19.665764062481905)
@@ -56,6 +62,71 @@ def test_quasienergies_reject_nonunitary():
     op = FloquetOperator(np.eye(4, dtype=complex) * 1.5, period=1.0)
     with pytest.raises(NumericalError):
         quasienergies(op)
+
+
+def flat_w3_floquet_stack(sector: int, count: int) -> FloquetOperator:
+    """U(T) of ``count`` realizations of flat level 0.5, W=3J, at 64 steps
+    per period: V^T V, symmetric."""
+    run = resolve(RunConfig(profile="flat", flat_level_fraction=0.5,
+                            disorder_w_over_j=3.0, sector=sector,
+                            realizations=count))
+    offsets = sample_disorders(run.disorder, np.arange(count))
+    return floquet_operators(run.model, run.model.static_hamiltonians(
+        run.model.potential.static_offsets + offsets), 64)
+
+
+@pytest.mark.parametrize("sector,count", [(1, 40), (2, 6)])
+def test_real_route_matches_eigvals_on_floquet_stacks(sector, count):
+    # the eigenphases of O^T U O's diagonal agree with the general
+    # eigensolver's to roundoff; a row the route refuses is eigvals' own
+    op = flat_w3_floquet_stack(sector, count)
+    spectra = quasienergies(op)
+    reference = eigvals_quasienergies(op.matrix, op.period)
+    assert sum(spec.fallback for spec in spectra) < count
+    for spec, expected in zip(spectra, reference):
+        if spec.fallback:
+            assert np.array_equal(spec.values, expected)
+        else:
+            assert (np.abs(spec.values - expected).max()
+                    < 1e-13 * op.angular_frequency)
+        assert 0.0 < spec.modulus_deviation < 1e-12
+
+
+def test_cos_degenerate_symmetric_unitary_falls_back_to_eigvals():
+    # Re U has cos(0.7) twice, so eigh's O mixes the e^{0.7i} and e^{-0.7i}
+    # eigenvectors and O^T U O is far from diagonal: that matrix takes
+    # eigvals, bit for bit, while a symmetric unitary beside it in the
+    # stack keeps the route
+    rng = np.random.default_rng(11)
+    degenerate = cos_degenerate_unitary(12, 0.7, rng)
+    w = haar_unitary(12, rng)
+    plain = w.T @ w
+    rotated = real_rotation(degenerate[None])[0]
+    assert np.abs(rotated - np.diag(np.diagonal(rotated))).max() > 1e-3
+    spectra = quasienergies(FloquetOperator(np.stack([plain, degenerate]),
+                                            period=2.0))
+    assert [spec.fallback for spec in spectra] == [False, True]
+    assert np.array_equal(spectra[1].values,
+                          eigvals_quasienergies(degenerate, 2.0))
+    assert np.abs(spectra[0].values
+                  - eigvals_quasienergies(plain, 2.0)).max() < 1e-13
+
+
+def test_asymmetric_unitary_skips_the_route(monkeypatch):
+    # a Haar unitary is far from symmetric (an odd-step product at a drive
+    # phase off a multiple of pi is too): it takes eigvals and no O^T U O
+    real, rows = spectrum.real_rotation, []
+
+    def counting(matrix):
+        rows.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(spectrum, "real_rotation", counting)
+    u = haar_unitary(12, np.random.default_rng(4))
+    assert np.abs(u - u.T).max() > ROTATION_RESIDUAL_TOL
+    spec = quasienergies(FloquetOperator(u, period=2.0))
+    assert spec.fallback and rows == [0]
+    assert np.array_equal(spec.values, eigvals_quasienergies(u, 2.0))
 
 
 def test_gap_ratio_basic_values():
