@@ -1,14 +1,16 @@
 """Disorder-ensemble runners: site populations and pooled gap ratios.
 
-Both runners take the R realizations in batches, as many as fit
-BATCH_BYTES.  Each batch draws its offsets, builds its H0 stack, propagates
-it and reduces it: to populations (and ZZ correlations) written into one
-(realization, time, site) array, or to quasienergy spectra, pooled in
-realization order by one gap_ratios call.  A realization's arithmetic does
-not depend on its batch, so results are a pure function of (model, disorder
-spec), and ``dynamics`` is realization 0 of this same path.  A failed check
-aborts the ensemble with a :class:`~drivenchain.errors.NumericalError`
-whose ``realization_index`` names the first realization that failed.
+Both runners take the R realizations in batches, as many as fit BATCH_BYTES.
+Each batch draws its offsets (:func:`sample_disorder` of its indices),
+builds its H0 stack, propagates it (:func:`evolve_state` or
+:func:`floquet_operator` of that stack) and reduces it: to populations (and
+ZZ correlations) written into one (realization, time, site) array, or to
+quasienergy spectra, pooled in realization order by one gap_ratios call.  A
+realization's arithmetic does not depend on its batch, so results are a pure
+function of (model, disorder spec), and ``dynamics`` is realization 0 of
+this same path.  A failed check aborts the ensemble with a
+:class:`~drivenchain.errors.NumericalError` whose ``realization_index``
+names the first realization that failed.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import numpy as np
 from .basis import fock_state
 from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
-from .model import DisorderSpec, sample_disorders
+from .model import DisorderSpec, sample_disorder
 from .observables import observable_series
 from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
-                        evolve_states, floquet_operators, floquet_steps,
+                        evolve_state, floquet_operator, floquet_steps,
                         state_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
                        quasienergies, spectra_health)
@@ -44,20 +46,13 @@ MAX_WORK = 1e11
 
 
 def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
-           step: float, dense: bool = False) -> None:
-    """Refuse a step count (a float, so inf too) over budget, ``dense``
-    steps (of dim x dim matrices) whose work is over budget, and an S6
+           step: float) -> None:
+    """Refuse a step count (a float, so inf too) over budget and an S6
     ``step`` whose largest H0 phase is not finite."""
     if not steps <= MAX_STEPS:
         raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
                           f"than {MAX_STEPS}: lower the drive frequency, "
                           f"t_max_ns or steps_per_period")
-    work = disorder.realization_count * steps * model.basis.dim ** 3
-    if dense and work > MAX_WORK:
-        raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "
-                          f"= {work:.3g} exceeds the work budget {MAX_WORK:g}: "
-                          f"lower realizations, steps_per_period, n_sites, "
-                          f"sector or boson_cutoff")
     # Gershgorin: |H0| <= sector (max|offset| + W) + |U|/2 sector (cutoff - 1)
     # on the diagonal plus 2 cutoff sum|J| off it; one S6 step applies at
     # most max(S6_DRIFTS) step |H0|, and the draw computes 2W.  In Python
@@ -90,7 +85,7 @@ def _batches(model: SectorModel, disorder: DisorderSpec, per_realization: int,
     def each():
         for first in range(0, count, size):
             batch = slice(first, min(first + size, count))
-            offsets = sample_disorders(disorder, np.arange(first, batch.stop))
+            offsets = sample_disorder(disorder, np.arange(first, batch.stop))
             try:
                 yield batch, propagate(model.static_hamiltonians(
                     model.potential.static_offsets + offsets))
@@ -154,7 +149,7 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
     per_realization = 16 * (6 * dim ** 2 + table + 3 * len(t_samples) * dim)
     size, batches = _batches(
         model, disorder, per_realization,
-        lambda h0: evolve_states(model, h0, psi0, t_samples, step))
+        lambda h0: evolve_state(model, psi0, t_samples, step, h0))
     populations = np.empty(shape)
     correlations = {pair: np.empty(shape[:2]) for pair in pairs}
     for batch, trajectory in batches:
@@ -171,14 +166,20 @@ def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
                           ) -> EnsembleRatios:
     """Pooled quasienergy gap ratios over R disorder realizations; a sample
     whose every ratio touches a degenerate gap is refused."""
-    _admit(model, disorder, floquet_steps(model.drive, steps_per_period),
-           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS),
-           dense=True)
+    steps = floquet_steps(model.drive, steps_per_period)
+    _admit(model, disorder, steps,
+           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS))
+    work = disorder.realization_count * steps * model.basis.dim ** 3
+    if work > MAX_WORK:
+        raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "
+                          f"= {work:.3g} exceeds the work budget {MAX_WORK:g}: "
+                          f"lower realizations, steps_per_period, n_sites, "
+                          f"sector or boson_cutoff")
     # one realization: the state path's six dim x dim matrices and U(T)
     size, batches = _batches(
         model, disorder, 16 * 7 * model.basis.dim ** 2,
-        lambda h0: quasienergies(floquet_operators(model, h0,
-                                                   steps_per_period)))
+        lambda h0: quasienergies(floquet_operator(model, steps_per_period,
+                                                  h0)))
     spectra = [spectrum for _, batch in batches for spectrum in batch]
     sample = gap_ratios(spectra)
     if sample.count == 0:

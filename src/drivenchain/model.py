@@ -224,9 +224,10 @@ def _mix(x, y):
 _STATE_CONSTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 0)
 
 
-def sample_disorders(spec: DisorderSpec, indices=None) -> np.ndarray:
-    """Disorder offsets of the realizations ``indices`` (default all), shape
-    (len(indices), N), 0 off ``spec.disordered_sites``.
+def sample_disorder(spec: DisorderSpec, indices=None) -> np.ndarray:
+    """Disorder offsets, 0 off ``spec.disordered_sites``, of the realizations
+    ``indices`` as numpy indexes rows: (R, N) for all by default, (N,) for
+    an int and (len(indices), N) for a sequence.
 
     Realization r draws at site l numpy's ``default_rng(SeedSequence(
     master_seed, spawn_key=(r, l))).uniform(-W, W)`` bit for bit, for all
@@ -234,13 +235,14 @@ def sample_disorders(spec: DisorderSpec, indices=None) -> np.ndarray:
     PCG64's seeding and first XSL-RR output run in 128-bit integers.
     """
     count = spec.realization_count
-    indices = np.arange(count) if indices is None else np.asarray(indices)
+    rows = np.arange(count) if indices is None else np.asarray(indices)
+    indices = rows.reshape(-1)
     bad = indices[(indices < 0) | (indices >= count)]
     if bad.size:
         raise ValueError(f"realization index {bad[0]} outside 0..{count - 1}")
     offsets = np.zeros((len(indices), spec.n_sites))
     if spec.strength == 0.0:
-        return offsets
+        return offsets.reshape(rows.shape + (spec.n_sites,))
     # the pool after the master seed's words, padded to four, then each
     # spawn-key word mixed into every pool word
     seed = spec.master_seed
@@ -269,13 +271,7 @@ def sample_disorders(spec: DisorderSpec, indices=None) -> np.ndarray:
     unit = np.reshape(mantissas, state.shape[:2]) * 2.0 ** -53
     offsets[:, np.subtract(spec.disordered_sites, 1)] = (
         -spec.strength + 2 * spec.strength * unit)
-    return offsets
-
-
-def sample_disorder(spec: DisorderSpec, realization_index: int) -> np.ndarray:
-    """Row ``realization_index`` of :func:`sample_disorders` (length N):
-    realizations are independent, and each is its own key's draw."""
-    return sample_disorders(spec, [realization_index])[0]
+    return offsets.reshape(rows.shape + (spec.n_sites,))
 
 
 def build_potential(profile: str, n_sites: int, dc_amplitude: float,

@@ -11,23 +11,23 @@ the one that opens the next are merged.
 
 The core advances a block (R, dim, k) of R realizations that share drive
 and basis and differ in H0: k = dim for propagators, k = 1 for states.
-The batched functions take H0 as an (R, dim, dim) stack and the single
-ones are their R = 1 case; a realization's arithmetic does not depend on
-R, so it is bit for bit the same in any batch.  Both cut the period into
-P whole S6 steps of H = T/P, S6_SUBSTEPS fine steps each.  Every factor is
-symmetric (H0 real symmetric, D real diagonal), so for f even about T/2
-and an even P the Floquet operator is U(T) = V^T V from the half-period V.
-States read that product's prefixes A_r = U(rH, 0): g = mP + r grid steps
-give A_r U^m psi0, and a sample at n = S6_SUBSTEPS g + l fine steps, l >
-0, takes one side step of l fine steps, batched over the samples sharing l.
-The batched functions run the whole block they are given, so the caller
+:func:`evolve_state` and :func:`floquet_operator` take H0 as an (R, dim,
+dim) stack, or run the model's own H0 as R = 1; a realization's arithmetic
+does not depend on R, so it is bit for bit the same in any batch.  Both cut
+the period into P whole S6 steps of H = T/P, S6_SUBSTEPS fine steps each.
+Every factor is symmetric (H0 real symmetric, D real diagonal), so for f
+even about T/2 and an even P the Floquet operator is U(T) = V^T V from the
+half-period V.  States read that product's prefixes A_r = U(rH, 0): g = mP
++ r grid steps give A_r U^m psi0, and a sample at n = S6_SUBSTEPS g + l
+fine steps, l > 0, takes one side step of l fine steps, batched over the
+samples sharing l.  Both run the whole block they are given, so the caller
 sizes it: :mod:`drivenchain.ensemble` passes one batch of realizations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,10 +217,18 @@ def _grid_states(model: SectorModel, eigh, psi0: np.ndarray, per_period: int,
     np.conjugate(states, out=states, where=mirrored[:, None])
 
 
-def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
-                  t_samples, step: float) -> StateTrajectory:
-    """:func:`evolve_state` for the R static parts of an ``h0`` stack from
-    :meth:`SectorModel.static_hamiltonians`: amplitudes are (R, time, dim)."""
+def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
+                 step: float, h0: np.ndarray | None = None) -> StateTrajectory:
+    """Propagate the (dim,) amplitudes psi0 from t=0 to the sample times.
+
+    With ``h0`` omitted the static part is the model's own H0 and the
+    amplitudes are (time, dim); an (R, dim, dim) ``h0`` stack from
+    :meth:`SectorModel.static_hamiltonians` gives (R, time, dim).  Sample
+    times are snapped to the nearest multiple of the fine step, the
+    ``step`` that :func:`state_grid` rounds; the returned trajectory reports
+    the actual times.  A NumericalError is raised unless every emitted state
+    has unit norm to 1e-10, so an unnormalized psi0 fails too.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     requested = np.asarray(list(t_samples), dtype=float)
@@ -240,8 +248,8 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     sample_steps = np.rint(requested / fine).astype(int)
     grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
     sides = np.unique(rest[rest > 0])
-    eigh = np.linalg.eigh(h0)
-    states = np.empty((len(h0), len(grid), dim), dtype=complex)
+    eigh = np.linalg.eigh(model.static_hamiltonians() if h0 is None else h0)
+    states = np.empty((len(eigh[0]), len(grid), dim), dtype=complex)
     _grid_states(model, eigh, psi0, per_period, count, grid, states)
     # one side step of l fine steps from the grid, the samples that share l
     # as the block's columns, each on its own clock
@@ -253,22 +261,9 @@ def evolve_states(model: SectorModel, h0: np.ndarray, psi0: np.ndarray,
     # the steps keep psi0's norm, so this also rejects an unnormalized psi0
     _check_each(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=-1),
                 NORM_TOL, "norm drift")
-    return StateTrajectory(sample_steps * fine, states,
+    return StateTrajectory(sample_steps * fine,
+                           states[0] if h0 is None else states,
                            int(grid[-1]) + len(sides), grid_step)
-
-
-def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
-                 step: float) -> StateTrajectory:
-    """Propagate the (dim,) amplitudes psi0 from t=0 to the sample times.
-
-    Sample times are snapped to the nearest multiple of the fine step, the
-    ``step`` that :func:`state_grid` rounds; the returned trajectory reports
-    the actual times.  A NumericalError is raised unless every emitted state
-    has unit norm to 1e-10, so an unnormalized psi0 fails too.
-    """
-    batch = evolve_states(model, model.static_hamiltonians(), psi0, t_samples,
-                          step)
-    return replace(batch, amplitudes=batch.amplitudes[0])
 
 
 def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
@@ -281,25 +276,19 @@ def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
     return per_period // 2
 
 
-def floquet_operators(model: SectorModel, h0: np.ndarray,
-                      steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                      ) -> FloquetOperator:
-    """:func:`floquet_operator` for the R static parts of an ``h0`` stack;
-    V^T V from the half-period product V where :func:`floquet_steps` halves."""
+def floquet_operator(model: SectorModel,
+                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
+                     h0: np.ndarray | None = None) -> FloquetOperator:
+    """One-period propagator starting at t=0, V^T V from the half-period
+    product V where :func:`floquet_steps` halves: of the model's own H0,
+    (dim, dim), or of each static part of an (R, dim, dim) ``h0`` stack."""
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
     n_steps = floquet_steps(model.drive, steps_per_period)
-    matrices = _prefixes(model, np.linalg.eigh(h0), max(
-        1, steps_per_period // S6_SUBSTEPS), n_steps, [n_steps])[1]
+    eigh = np.linalg.eigh(model.static_hamiltonians() if h0 is None else h0)
+    matrices = _prefixes(model, eigh, max(1, steps_per_period // S6_SUBSTEPS),
+                         n_steps, [n_steps])[1]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
-    return FloquetOperator(matrices, model.drive.period)
-
-
-def floquet_operator(model: SectorModel,
-                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                     ) -> FloquetOperator:
-    """One-period propagator starting at t=0."""
-    stack = floquet_operators(model, model.static_hamiltonians(),
-                              steps_per_period)
-    return replace(stack, matrix=stack.matrix[0])
+    return FloquetOperator(matrices[0] if h0 is None else matrices,
+                           model.drive.period)

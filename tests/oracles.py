@@ -72,7 +72,7 @@ def uniform_chain(n_sites: int, coupling: float,
 def sample_disorder_loop(spec: DisorderSpec,
                          realization_index: int) -> np.ndarray:
     """Disorder offsets of one realization, one numpy generator per site:
-    the loop that ``drivenchain.model.sample_disorders`` reproduces."""
+    the loop that ``drivenchain.model.sample_disorder`` reproduces."""
     if not 0 <= realization_index < spec.realization_count:
         raise ValueError(
             f"realization index {realization_index} outside 0..{spec.realization_count - 1}")

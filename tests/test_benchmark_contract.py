@@ -2,7 +2,7 @@
 
 The benchmark traces public functions by module and name, reads call
 arguments by parameter name, and builds its reference operators through
-the single-realization API.  A rename would otherwise surface only in the
+the single-realization calls of the functions the ensembles run.  A rename would otherwise surface only in the
 minutes-long ``perfbench/smoke.py``.  ``perfbench/tracing.py`` is loaded
 read-only from its file.
 """
@@ -91,6 +91,9 @@ def test_traced_spectrum_job_reads_one_slot_per_level(tracing, tmp_path):
     assert 0.0 < metrics["spectrum.useful_ratio"] <= 1.0
     assert metrics["ensemble.self_s"] > 0.0
     assert tracer.counts["spectrum.ratio_slots"] == 3 * 10
+    # the realization batch runs through the traced floquet_operator
+    assert metrics["propagate.floquet_operator.calls"] == 1
+    assert metrics["propagate.floquet_operator.busy_s"] > 0.0
 
 
 @pytest.mark.parametrize("command", ["dynamics", "ensemble"])
@@ -108,3 +111,6 @@ def test_traced_state_path_job_reads_observables_once(tracing, tmp_path,
     metrics = tracing.layer_metrics(tracer, 1)
     assert metrics["observables.observable_series.calls"] == 1
     assert metrics["ensemble.self_s"] > 0.0
+    # and their one realization batch through the traced evolve_state
+    assert metrics["propagate.evolve_state.calls"] == 1
+    assert metrics["propagate.evolve_state.busy_s"] > 0.0

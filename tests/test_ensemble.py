@@ -20,9 +20,8 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
 from drivenchain.observables import observable_series
-from drivenchain.propagate import (S6_SUBSTEPS, evolve_state, evolve_states,
-                                   floquet_operator, floquet_operators,
-                                   state_grid)
+from drivenchain.propagate import (S6_SUBSTEPS, evolve_state,
+                                   floquet_operator, state_grid)
 from drivenchain.spectrum import gap_ratios, quasienergies
 from drivenchain.units import rad_ns_from_mhz
 from oracles import cos_degenerate_unitary, uniform_chain
@@ -112,7 +111,7 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
         assert np.array_equal(stacked, m.static_hamiltonians()[0])
     psi0 = fock_state(model.basis, 3)
     singles = [evolve_state(m, psi0, T_SAMPLES, STEP) for m in models]
-    batch = evolve_states(model, h0, psi0, T_SAMPLES, STEP)
+    batch = evolve_state(model, psi0, T_SAMPLES, STEP, h0)
     for amplitudes, s in zip(batch.amplitudes, singles):
         assert np.array_equal(amplitudes, s.amplitudes)
         assert np.array_equal(batch.times, s.times)
@@ -135,7 +134,7 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
         assert pooled.batch_size == size
         assert np.array_equal(pooled.ratios, direct.ratios)
 
-    operators = floquet_operators(model, h0, 64)
+    operators = floquet_operator(model, 64, h0)
     for matrix, s in zip(operators.matrix, single_ops):
         assert np.array_equal(matrix, s.matrix)
 
@@ -157,7 +156,7 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     models = realization_models(model, spec)
     h0 = model.static_hamiltonians(
         np.stack([m.potential.static_offsets for m in models]))
-    operators = floquet_operators(model, h0, 64)
+    operators = floquet_operator(model, 64, h0)
     single_ops = [floquet_operator(m, 64) for m in models]
     assert operators.matrix.shape == (3, 66, 66)
     for matrix, s in zip(operators.matrix, single_ops):
@@ -185,7 +184,7 @@ def test_batch_equals_single_off_the_grid_bitwise():
     rests = np.rint(t_samples / fine).astype(int) % S6_SUBSTEPS
     assert set(rests.tolist()) == {0, 1, 2, 3}
     psi0 = fock_state(model.basis, 3)
-    batch = evolve_states(model, h0, psi0, t_samples, STEP)
+    batch = evolve_state(model, psi0, t_samples, STEP, h0)
     assert batch.amplitudes.shape == (5, len(t_samples), model.basis.dim)
     for amplitudes, m in zip(batch.amplitudes, models):
         single = evolve_state(m, psi0, t_samples, STEP)
@@ -267,7 +266,7 @@ def no_h0(monkeypatch):
     """A sentinel in place of the disorder draw that opens each batch's H0
     stack: a runner that gets this far raises AssertionError instead of
     allocating."""
-    monkeypatch.setattr(ensemble, "sample_disorders", no_h0_stack)
+    monkeypatch.setattr(ensemble, "sample_disorder", no_h0_stack)
 
 
 def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
@@ -279,7 +278,7 @@ def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
         drawn.append(indices.tolist())
         raise AssertionError("the H0 stack was built")
 
-    monkeypatch.setattr(ensemble, "sample_disorders", first_batch)
+    monkeypatch.setattr(ensemble, "sample_disorder", first_batch)
     with pytest.raises(AssertionError, match="H0"):
         run_spectrum_ensemble(make_model(sector=3),
                               disorder(3.0, count=1_000), 64)
@@ -319,7 +318,7 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
     assert main(["dynamics", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["state_steps_integrated"] == 191
-    monkeypatch.setattr(ensemble, "sample_disorders", no_h0_stack)
+    monkeypatch.setattr(ensemble, "sample_disorder", no_h0_stack)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_max_ns = 160\n")
     out = tmp_path / "refused"

@@ -8,7 +8,7 @@ from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (ChainSpec, DisorderSpec, DriveSpec,
                                build_potential, cosine_profile,
-                               sample_disorder, sample_disorders)
+                               sample_disorder)
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import sample_disorder_loop, sector_diagonal, uniform_chain
 
@@ -141,21 +141,21 @@ def test_vectorized_draws_match_the_per_site_generator_loop(seed, indices,
                                                             sites, strength):
     spec = DisorderSpec(N, strength, tuple(sites), seed, MAX_REALIZATIONS)
     expected = np.array([sample_disorder_loop(spec, i) for i in indices])
-    assert np.array_equal(sample_disorders(spec, indices), expected)
+    assert np.array_equal(sample_disorder(spec, indices), expected)
     assert np.array_equal(sample_disorder(spec, indices[-1]), expected[-1])
 
 
 def test_draws_cover_every_realization_index_of_one_key_word():
     spec = DisorderSpec(N, 3 * J, (7, 9, 11), 2 ** 32, 2 ** 32)
     last = [2 ** 32 - 1]
-    assert np.array_equal(sample_disorders(spec, last),
+    assert np.array_equal(sample_disorder(spec, last),
                           [sample_disorder_loop(spec, last[0])])
     with pytest.raises(ConfigError):
         DisorderSpec(N, 3 * J, master_seed=1, realization_count=2 ** 32 + 1)
     with pytest.raises(ConfigError):
         DisorderSpec(N, 3 * J, master_seed=-1)
     with pytest.raises(ValueError):
-        sample_disorders(spec, [0, 2 ** 32])
+        sample_disorder(spec, [0, 2 ** 32])
 
 
 def test_disorder_monte_carlo_statistics():

@@ -4,9 +4,9 @@ import pytest
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
-                               sample_disorders)
+                               sample_disorder)
 from drivenchain.observables import observable_series
-from drivenchain.propagate import evolve_state, evolve_states
+from drivenchain.propagate import evolve_state
 from drivenchain.units import rad_ns_from_mhz
 from oracles import (czz, czz_expectation, czz_from_counts, joint_probabilities,
                      populations, uniform_chain)
@@ -158,9 +158,9 @@ def test_observable_series_on_trajectory():
     # an (R, time, dim) stack reads as R separate trajectories, bit for bit
     spec = DisorderSpec(N, 3 * J, master_seed=4, realization_count=3)
     h0 = model.static_hamiltonians(potential.static_offsets
-                                   + sample_disorders(spec))
-    stack = evolve_states(model, h0, fock_state(basis, 3), t_samples,
-                          0.2).amplitudes
+                                   + sample_disorder(spec))
+    stack = evolve_state(model, fock_state(basis, 3), t_samples, 0.2,
+                         h0).amplitudes
     assert stack.shape == (3, len(t_samples), basis.dim)
     pops, correlations = observable_series(stack, basis, pairs)
     assert pops.shape == (3, len(t_samples), N)

@@ -11,8 +11,7 @@ from drivenchain.model import (DisorderSpec, DriveSpec, build_potential,
                                sample_disorder)
 from drivenchain.propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS,
                                    S6_KICKS, _advance, evolve_state,
-                                   evolve_states, floquet_operator,
-                                   floquet_operators, floquet_steps,
+                                   floquet_operator, floquet_steps,
                                    state_grid, unitarity_defect)
 from drivenchain.spectrum import quasienergies
 from drivenchain.units import rad_ns_from_mhz
@@ -102,15 +101,15 @@ def test_state_population_error_at_default_steps(profile, w_over_j):
     # own sample times: 3.2e-8 to 5.2e-8 over these six configs, where the
     # Yoshida steps at T/256 read 6.0e-8 to 9.4e-8; 16x less per halving
     from drivenchain.config import RunConfig, resolve
-    from drivenchain.model import sample_disorders
+    from drivenchain.model import sample_disorder
     run = resolve(RunConfig(profile=profile, disorder_w_over_j=w_over_j,
                             realizations=1))
     h0 = run.model.static_hamiltonians(run.potential.static_offsets
-                                       + sample_disorders(run.disorder))
+                                       + sample_disorder(run.disorder))
     psi0 = fock_state(run.basis, run.config.init_site)
 
     def populations(step, times):
-        traj = evolve_states(run.model, h0, psi0, times, step)
+        traj = evolve_state(run.model, psi0, times, step, h0)
         return traj.times, np.abs(traj.amplitudes[0]) ** 2 @ run.basis.states
 
     step = run.step_ns
@@ -138,12 +137,12 @@ def test_floquet_unitary_to_roundoff_at_fine_steps():
     # steps per period (4096 integrated S6 steps) reads 5.2e-12, against
     # 1.79e-10 without the step
     from drivenchain.config import RunConfig, resolve
-    from drivenchain.model import sample_disorders
+    from drivenchain.model import sample_disorder
     run = resolve(RunConfig(profile="flat", disorder_w_over_j=3.0,
                             realizations=4))
     h0 = run.model.static_hamiltonians(run.model.potential.static_offsets
-                                       + sample_disorders(run.disorder))
-    op = floquet_operators(run.model, h0, 32768)
+                                       + sample_disorder(run.disorder))
+    op = floquet_operator(run.model, 32768, h0)
     assert unitarity_defect(op.matrix).max() <= 1e-11
 
 
@@ -251,13 +250,13 @@ def test_grid_states_match_the_serial_scan(profile, case):
     # prefixes A_r and powers of U(T) against the scan through every S6
     # step, on the Floquet product's grid T / max(1, steps_per_period // 4)
     from drivenchain.config import RunConfig, resolve
-    from drivenchain.model import sample_disorders
+    from drivenchain.model import sample_disorder
     run = resolve(RunConfig(profile=profile, disorder_w_over_j=3.0,
                             realizations=3, **GRID_CASES[case]))
     h0 = run.model.static_hamiltonians(run.potential.static_offsets
-                                       + sample_disorders(run.disorder))
+                                       + sample_disorder(run.disorder))
     psi0 = fock_state(run.basis, run.config.init_site)
-    traj = evolve_states(run.model, h0, psi0, run.sample_times(), run.step_ns)
+    traj = evolve_state(run.model, psi0, run.sample_times(), run.step_ns, h0)
     times, amplitudes = serial_grid_states(run.model, h0, psi0,
                                            run.sample_times(), run.step_ns)
     per_period = max(1, run.config.steps_per_period // 4)
@@ -296,10 +295,10 @@ def test_states_hold_the_output_and_one_table_not_every_power():
     h0, psi0 = disordered_stack(model, count=8), fock_state(model.basis, 3)
     step, period = model.drive.period / 4, model.drive.period
     times = [0.0, 10_000 * period, 20_000 * period]
-    evolve_states(model, h0, psi0, times[:2], step)
+    evolve_state(model, psi0, times[:2], step, h0)
     tracemalloc.start()
     try:
-        traj = evolve_states(model, h0, psi0, times, step)
+        traj = evolve_state(model, psi0, times, step, h0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,7 +351,7 @@ def test_floquet_operator_is_symmetric_for_even_drive(phase):
     # time-reversal symmetry of a drive even about T/2: U = U^T
     model = with_drive(make_model(12, "flat"), phase=phase)
     assert floquet_steps(model.drive, 256) == 32
-    matrices = floquet_operators(model, disordered_stack(model)).matrix
+    matrices = floquet_operator(model, h0=disordered_stack(model)).matrix
     assert len(matrices) == 3
     asymmetry = np.linalg.norm(matrices - matrices.swapaxes(-1, -2),
                                axis=(-2, -1))
@@ -365,7 +364,7 @@ def test_half_period_product_matches_full_period_oracle(steps):
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
     assert floquet_steps(model.drive, 4 * steps) == steps // 2
-    half = floquet_operators(model, h0, 4 * steps).matrix
+    half = floquet_operator(model, 4 * steps, h0).matrix
     full = full_period_floquet(model, h0, steps).matrix
     assert np.abs(half - full).max() <= 1e-12
 
@@ -384,7 +383,7 @@ def test_asymmetric_cases_take_the_full_period_product(steps, changes):
     h0 = disordered_stack(model)
     per_period = max(1, steps // 4)
     assert floquet_steps(model.drive, steps) == per_period
-    assert np.array_equal(floquet_operators(model, h0, steps).matrix,
+    assert np.array_equal(floquet_operator(model, steps, h0).matrix,
                           full_period_floquet(model, h0, per_period).matrix)
 
 
@@ -393,8 +392,8 @@ def test_floquet_halving_error_not_above_yoshida_at_default_steps():
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
     default = DEFAULT_STEPS_PER_PERIOD
-    s6 = np.abs(floquet_operators(model, h0, default).matrix
-                - floquet_operators(model, h0, default // 2).matrix).max()
+    s6 = np.abs(floquet_operator(model, default, h0).matrix
+                - floquet_operator(model, default // 2, h0).matrix).max()
     yoshida = np.abs(yoshida_full_period_floquet(model, h0, default)
                      - yoshida_full_period_floquet(model, h0, default // 2)
                      ).max()

@@ -8,9 +8,8 @@ from drivenchain.hamiltonian import SectorModel
 from drivenchain.model import DriveSpec, build_potential
 from drivenchain import spectrum
 from drivenchain.config import RunConfig, resolve
-from drivenchain.model import sample_disorders
-from drivenchain.propagate import (FloquetOperator, floquet_operator,
-                                   floquet_operators)
+from drivenchain.model import sample_disorder
+from drivenchain.propagate import FloquetOperator, floquet_operator
 from drivenchain.spectrum import (DEGENERACY_RELATIVE_TOL,
                                   ROTATION_RESIDUAL_TOL, QuasienergySpectrum,
                                   RatioSample, coe_cdf,
@@ -70,9 +69,9 @@ def flat_w3_floquet_stack(sector: int, count: int) -> FloquetOperator:
     run = resolve(RunConfig(profile="flat", flat_level_fraction=0.5,
                             disorder_w_over_j=3.0, sector=sector,
                             realizations=count))
-    offsets = sample_disorders(run.disorder, np.arange(count))
-    return floquet_operators(run.model, run.model.static_hamiltonians(
-        run.model.potential.static_offsets + offsets), 64)
+    offsets = sample_disorder(run.disorder, np.arange(count))
+    return floquet_operator(run.model, 64, run.model.static_hamiltonians(
+        run.model.potential.static_offsets + offsets))
 
 
 @pytest.mark.parametrize("sector,count", [(1, 40), (2, 6)])
