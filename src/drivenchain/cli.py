@@ -36,7 +36,6 @@ from .config import ResolvedRun, RunConfig, load_config, parse_value, resolve
 from .device import bundled_table_path, consistency_report, load_device_table
 from .ensemble import run_dynamics_ensemble, run_spectrum_ensemble
 from .errors import ConfigError, NumericalError
-from .propagate import floquet_steps
 from .semiclassical import (MIN_STEPS_PER_OSCILLATION, default_grid_axes,
                             potential_contours, stability_grid)
 from .spectrum import (coe_cdf, coe_density, coe_mean, ks_distance,
@@ -193,8 +192,8 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
-    cfg, steps = run.config, run.config.steps_per_period
-    sample = run_spectrum_ensemble(run.model, run.disorder, steps)
+    cfg = run.config
+    sample = run_spectrum_ensemble(run.model, run.disorder, cfg.steps_per_period)
     edges = np.linspace(0.0, 1.0, cfg.histogram_bins + 1)
     counts, _ = np.histogram(sample.ratios, bins=edges)
     widths = np.diff(edges)
@@ -224,7 +223,7 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path = out / "spectrum_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
-    manifest.data["floquet_steps_integrated"] = floquet_steps(run.drive, steps)
+    manifest.data["floquet_steps_integrated"] = sample.steps
     manifest.data["health"] = sample.health
     manifest.data["environment"]["batch_size"] = sample.batch_size
 

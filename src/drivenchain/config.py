@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .hamiltonian import SectorModel
 from .model import (ChainSpec, DisorderSpec, DriveSpec, PotentialSpec,
                     build_potential)
-from .propagate import DEFAULT_STEPS_PER_PERIOD, S6_SUBSTEPS
+from .propagate import DEFAULT_STEPS_PER_PERIOD, S6_SUBSTEPS, floquet_steps
 from .semiclassical import SemiclassicalParams
 from .units import mhz_from_rad_ns, rad_ns_from_mhz
 
@@ -221,8 +221,8 @@ class ResolvedRun:
 
     @property
     def step_ns(self) -> float:
-        """The fine step of the Floquet product's grid of P S6 steps."""
-        per_period = max(1, self.config.steps_per_period // S6_SUBSTEPS)
+        """The fine step of the grid of :func:`floquet_steps`' P S6 steps."""
+        per_period = floquet_steps(self.drive, self.config.steps_per_period)[0]
         return self.drive.period / (S6_SUBSTEPS * per_period)
 
     def sample_times(self) -> np.ndarray:

@@ -25,9 +25,8 @@ from .errors import ConfigError, NumericalError
 from .hamiltonian import SectorModel
 from .model import DisorderSpec, sample_disorder
 from .observables import observable_series
-from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, S6_SUBSTEPS,
-                        evolve_state, floquet_operator, floquet_steps,
-                        state_grid)
+from .propagate import (DEFAULT_STEPS_PER_PERIOD, S6_DRIFTS, evolve_state,
+                        floquet_operator, floquet_steps, state_grid)
 from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
                        quasienergies, spectra_health)
 
@@ -73,14 +72,18 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
                           f"steps_per_period")
 
 
-def _batches(model: SectorModel, disorder: DisorderSpec, per_realization: int,
-             propagate) -> tuple:
-    """The batch size, as many realizations of ``per_realization`` bytes as
-    fit BATCH_BYTES and at least one, and an iterator over the batches in
-    order: (slice of the ensemble, ``propagate`` of its H0 stack).  A failed
-    check names the realization's index in the ensemble."""
-    count = disorder.realization_count
-    size = max(1, min(count, BATCH_BYTES // per_realization))
+def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
+             samples: int, propagate) -> tuple:
+    """The batch size, as many realizations as fit BATCH_BYTES and at least
+    one, and an iterator over the batches in order: (slice of the ensemble,
+    ``propagate`` of its H0 stack).  A failed check names the realization's
+    index in the ensemble."""
+    count, dim = disorder.realization_count, model.basis.dim
+    # one realization: H0 and its eigenvectors, the stepped block and three
+    # S6 exponentials, the dim x dim ``matrices`` it emits (U(T), or the
+    # prefix table), and per sample its state, weights and side-step column
+    size = max(1, min(count, BATCH_BYTES // (
+        16 * ((6 + matrices) * dim ** 2 + 3 * samples * dim))))
 
     def each():
         for first in range(0, count, size):
@@ -103,7 +106,7 @@ class EnsembleDynamics:
     populations: np.ndarray     # (R, len(times), site)
     correlations: dict          # {(i, j): ZZ of shape (R, len(times))}
     steps: int                  # S6 grid steps spanned, plus the side steps
-    step: float                 # the S6 grid step, S6_SUBSTEPS fine steps
+    step: float                 # the S6 grid step of state_grid
     batch_size: int             # realizations propagated at once
 
 
@@ -113,6 +116,7 @@ class EnsembleRatios(RatioSample):
     quasienergies' health (:func:`~drivenchain.spectrum.spectra_health`)."""
 
     batch_size: int = 1
+    steps: int = 0              # S6 steps each Floquet product integrated
     health: dict = field(default_factory=dict)
 
 
@@ -123,8 +127,8 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
     disorder realizations, and the ZZ correlations of the site ``pairs``."""
     psi0 = fock_state(model.basis, initial_site)
     t_last, dim = float(t_samples[-1]), model.basis.dim
-    _, grid_step, count = (state_grid(model.drive, step, t_last) if step > 0
-                           else (1, 0.0, 0))
+    # the grid step alone: no sample time is snapped before _admit
+    grid_step = state_grid(model.drive, step, ())[1] if step > 0 else 0.0
     _admit(model, disorder, t_last / grid_step if grid_step else float("inf"),
            grid_step)
     shape = (disorder.realization_count, len(t_samples), model.basis.n_sites)
@@ -133,22 +137,18 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
                           f"{math.prod(shape):.3g} exceeds {MAX_AMPLITUDES}: "
                           f"lower realizations, t_max_ns or n_sites, or raise "
                           f"sample_dt_ns")
+    _, _, count, fine, snapped = state_grid(model.drive, step, t_samples)
     table = (count + 1) * dim ** 2
     if table > MAX_AMPLITUDES:
         raise ConfigError(f"one realization's prefix table, {count + 1} "
                           f"matrices of sector dimension^2, exceeds "
                           f"{MAX_AMPLITUDES}: lower steps_per_period")
-    fine = grid_step / S6_SUBSTEPS
-    if np.any(np.diff(np.rint(np.asarray(t_samples) / fine)) < 1):
+    if np.any(np.diff(snapped) < 1):
         raise ConfigError(f"the sample spacing is below the propagator step "
                           f"of {fine:.3g} ns, so two samples fall on one "
                           f"step: raise steps_per_period or sample_dt_ns")
-    # one realization: H0 and its eigenvectors, the stepped block, three S6
-    # exponentials and U(T), its table, and per sample its state, weights
-    # and side-step column
-    per_realization = 16 * (6 * dim ** 2 + table + 3 * len(t_samples) * dim)
     size, batches = _batches(
-        model, disorder, per_realization,
+        model, disorder, count + 1, len(t_samples),
         lambda h0: evolve_state(model, psi0, t_samples, step, h0))
     populations = np.empty(shape)
     correlations = {pair: np.empty(shape[:2]) for pair in pairs}
@@ -166,18 +166,16 @@ def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
                           ) -> EnsembleRatios:
     """Pooled quasienergy gap ratios over R disorder realizations; a sample
     whose every ratio touches a degenerate gap is refused."""
-    steps = floquet_steps(model.drive, steps_per_period)
-    _admit(model, disorder, steps,
-           model.drive.period / max(1, steps_per_period // S6_SUBSTEPS))
+    per_period, steps = floquet_steps(model.drive, steps_per_period)
+    _admit(model, disorder, steps, model.drive.period / per_period)
     work = disorder.realization_count * steps * model.basis.dim ** 3
     if work > MAX_WORK:
         raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "
                           f"= {work:.3g} exceeds the work budget {MAX_WORK:g}: "
                           f"lower realizations, steps_per_period, n_sites, "
                           f"sector or boson_cutoff")
-    # one realization: the state path's six dim x dim matrices and U(T)
     size, batches = _batches(
-        model, disorder, 16 * 7 * model.basis.dim ** 2,
+        model, disorder, 1, 0,
         lambda h0: quasienergies(floquet_operator(model, steps_per_period,
                                                   h0)))
     spectra = [spectrum for _, batch in batches for spectrum in batch]
@@ -188,4 +186,4 @@ def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
                           f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
                           f"e.g. every coupling is 0: no level statistics")
     return EnsembleRatios(sample.ratios, sample.discarded_degenerate, size,
-                          spectra_health(spectra))
+                          steps, spectra_health(spectra))

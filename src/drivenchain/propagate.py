@@ -159,16 +159,19 @@ class StateTrajectory:
     step: float                 # the S6 grid step, S6_SUBSTEPS fine steps
 
 
-def state_grid(drive: DriveSpec, step: float, t_last: float) -> tuple:
-    """(P, H, K): the period cut into P = max(1, round(T / (S6_SUBSTEPS
-    step))) S6 steps of H = T/P, and the prefix table's K S6 steps, those of
-    :func:`floquet_steps` or fewer if ``t_last`` snaps to an earlier one."""
+def state_grid(drive: DriveSpec, step: float, t_samples) -> tuple:
+    """(P, H, K, h, n): P = max(1, round(T / (S6_SUBSTEPS step))) S6 steps
+    of H = T/P per period; the prefix table's K, those of :func:`floquet_steps`
+    or fewer if the last sample snaps to an earlier one (0 without samples);
+    the fine step h = H / S6_SUBSTEPS; and ``t_samples`` (a time or
+    ascending times) snapped to the nearest multiples n of h."""
     per_period = max(1, round(drive.period / (S6_SUBSTEPS * step)))
     grid_step = drive.period / per_period
-    count = floquet_steps(drive, S6_SUBSTEPS * per_period)
-    # Python numbers: a t_last far past the table reads count, not inf
-    last = min(float(t_last) / (grid_step / S6_SUBSTEPS), S6_SUBSTEPS * count)
-    return per_period, grid_step, round(last) // S6_SUBSTEPS
+    fine = grid_step / S6_SUBSTEPS
+    snapped = np.rint(np.asarray(t_samples, dtype=float) / fine).astype(int)
+    count = min(floquet_steps(drive, S6_SUBSTEPS * per_period)[1],
+                int(np.max(snapped, initial=0)) // S6_SUBSTEPS)
+    return per_period, grid_step, count, fine, snapped
 
 
 def _prefixes(model: SectorModel, eigh, per_period: int, count: int,
@@ -223,11 +226,10 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
 
     With ``h0`` omitted the static part is the model's own H0 and the
     amplitudes are (time, dim); an (R, dim, dim) ``h0`` stack from
-    :meth:`SectorModel.static_hamiltonians` gives (R, time, dim).  Sample
-    times are snapped to the nearest multiple of the fine step, the
-    ``step`` that :func:`state_grid` rounds; the returned trajectory reports
-    the actual times.  A NumericalError is raised unless every emitted state
-    has unit norm to 1e-10, so an unnormalized psi0 fails too.
+    :meth:`SectorModel.static_hamiltonians` gives (R, time, dim).  The
+    trajectory reports the sample times as :func:`state_grid` snaps them.
+    A NumericalError is raised unless every emitted state has unit norm to
+    1e-10, so an unnormalized psi0 fails too.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -243,9 +245,8 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
         raise ValueError(f"initial state of shape {psi0.shape} does not fit "
                          f"basis dimension {dim}")
 
-    per_period, grid_step, count = state_grid(model.drive, step, requested[-1])
-    fine = grid_step / S6_SUBSTEPS
-    sample_steps = np.rint(requested / fine).astype(int)
+    per_period, grid_step, count, fine, sample_steps = state_grid(
+        model.drive, step, requested)
     grid, rest = np.divmod(sample_steps, S6_SUBSTEPS)
     sides = np.unique(rest[rest > 0])
     eigh = np.linalg.eigh(model.static_hamiltonians() if h0 is None else h0)
@@ -266,14 +267,15 @@ def evolve_state(model: SectorModel, psi0: np.ndarray, t_samples,
                            int(grid[-1]) + len(sides), grid_step)
 
 
-def floquet_steps(drive: DriveSpec, steps_per_period: int) -> int:
-    """Steps the Floquet product integrates: S6 at max(1, steps_per_period
-    // S6_SUBSTEPS) steps per period, six H0 exponentials each, half of them
-    when that count is even and f even about T/2, so that U = V^T V."""
+def floquet_steps(drive: DriveSpec, steps_per_period: int) -> tuple:
+    """(P, K): the period cut into P = max(1, steps_per_period //
+    S6_SUBSTEPS) S6 steps, six H0 exponentials each, and the K of them the
+    Floquet product integrates, P/2 when P is even and f even about T/2, so
+    that U = V^T V."""
     per_period = max(1, steps_per_period // S6_SUBSTEPS)
     if per_period % 2 or math.remainder(drive.effective_phase, math.pi):
-        return per_period
-    return per_period // 2
+        return per_period, per_period
+    return per_period, per_period // 2
 
 
 def floquet_operator(model: SectorModel,
@@ -284,10 +286,9 @@ def floquet_operator(model: SectorModel,
     (dim, dim), or of each static part of an (R, dim, dim) ``h0`` stack."""
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be >= 1")
-    n_steps = floquet_steps(model.drive, steps_per_period)
+    per_period, n_steps = floquet_steps(model.drive, steps_per_period)
     eigh = np.linalg.eigh(model.static_hamiltonians() if h0 is None else h0)
-    matrices = _prefixes(model, eigh, max(1, steps_per_period // S6_SUBSTEPS),
-                         n_steps, [n_steps])[1]
+    matrices = _prefixes(model, eigh, per_period, n_steps, [n_steps])[1]
     _check_each(unitarity_defect(matrices), UNITARITY_TOL,
                 "propagator unitarity defect")
     return FloquetOperator(matrices[0] if h0 is None else matrices,

@@ -13,7 +13,8 @@ a moderate value, and zero to two integer keys (``realizations``,
 The script prints the count of each exit code, per command and in total,
 each distinct exit 1 with the first config that gave it, and each distinct
 warning raised during a run with its first config: the manifest records no
-warnings, so each one is a warning it misses.  With
+warnings, so each one is a warning it misses.  It exits 1 if any config
+exits 1 or raises a warning, and 0 otherwise.  With
 ``--log`` it also writes one JSON line per config (index, command,
 settings, exit code, error), so two trees can be compared config by config.
 The same seed gives the same configs.  pytest does not collect this file.
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
     print("slowest configs: " + "; ".join(
         f"[{index}] {command} {seconds:.2f} s"
         for seconds, index, command in sorted(timings, reverse=True)[:5]))
-    return 0
+    return 1 if internal or unrecorded else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from drivenchain.cli import main, write_csv
 from drivenchain.config import RunConfig, load_config, parse_site_range, resolve
 from drivenchain.device import bundled_table_path, load_device_table
 from drivenchain.errors import ConfigError
+from drivenchain.propagate import floquet_steps, state_grid
 
 
 def sha(path: Path) -> str:
@@ -120,6 +122,27 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     assert (tmp_path / "ratio_histogram.csv").is_file()
+
+
+def test_sector_2_spectrum_bytes_hold_across_blas_thread_counts(tmp_path):
+    # dim 66: every realization takes the real symmetric route, which is
+    # bitwise under 1 and 2 BLAS threads where eigvals is not
+    src = Path(importlib.import_module("drivenchain").__file__).parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "drivenchain.cli", "spectrum",
+                        "--sector", "2", "--profile", "flat", "--disorder-w",
+                        "3", "--realizations", "20", "--out", str(out)],
+                       env=env, check=True)
+        manifest = strict_manifest(out)
+        assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == threads
+        assert manifest["health"]["quasienergy_fallbacks"] == 0
+        outs.append(out)
+    for name in ("ratio_histogram.csv", "spectrum_summary.json"):
+        assert sha(outs[0] / name) == sha(outs[1] / name)
 
 
 def test_parse_site_range():
@@ -349,6 +372,66 @@ def test_cmd_spectrum_outputs_and_rerun_byte_identical(tmp_path):
     header = (out1 / "ratio_histogram.csv").read_text().splitlines()[0]
     assert header == ("r_bin_lo,r_bin_hi,empirical_density,"
                       "poisson_density,coe_density")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(steps=st.integers(1, 4096), mhz=st.floats(1.0, 1000.0))
+def test_step_ns_rounds_back_to_the_floquet_grid(steps, mhz):
+    # floquet_steps floors P from the config, state_grid rounds it back from
+    # the fine step that step_ns hands the state path
+    run = resolve(RunConfig(steps_per_period=steps, drive_frequency_mhz=mhz))
+    assert (state_grid(run.drive, run.step_ns, ())[0]
+            == floquet_steps(run.drive, steps)[0])
+
+
+#: columns that scale with the run, by file: times halve, frequencies double
+SCALED_COLUMNS = {"populations.csv": {0: 0.5}, "czz.csv": {0: 0.5},
+                  "stability_grid.csv": {0: 2.0, 1: 2.0}}
+
+
+@pytest.mark.parametrize("command,settings_", [
+    ("dynamics", {}),
+    ("spectrum", {"realizations": 40}),
+    ("spectrum", {"realizations": 20, "sector": 2, "boson_cutoff": 2}),
+    ("stability", {"stability_resolution": 40}),
+])
+def test_twice_every_frequency_and_half_every_time(tmp_path, command,
+                                                   settings_):
+    # the resonance drive follows J, and every dimensionless number of the
+    # run is unchanged by a power-of-two scale, which is exact in binary: so
+    # every other column and summary value is bitwise the same
+    outs = []
+    for scale in (1, 2):
+        cfg = write_config(
+            tmp_path / f"x{scale}.cfg", profile="flat", disorder_w_over_j=3,
+            coupling_mhz=11.5 * scale, nonlinearity_mhz=-250 * scale,
+            t_max_ns=150 / scale, sample_dt_ns=1.0 / scale, **settings_)
+        outs.append(tmp_path / f"x{scale}")
+        assert main([command, "--config", str(cfg), "--out",
+                     str(outs[-1])]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        if name == "manifest.json":
+            continue
+        one, two = ((out / name).read_text() for out in outs)
+        if name == "spectrum_summary.json":
+            one, two = json.loads(one), json.loads(two)
+            assert (two.pop("drive_frequency_mhz")
+                    == 2 * one.pop("drive_frequency_mhz"))
+            assert one == two
+            continue
+        rows_one, rows_two = one.splitlines(), two.splitlines()
+        assert rows_one[0] == rows_two[0] and len(rows_one) == len(rows_two)
+        scaled = SCALED_COLUMNS.get(name, {})
+        for row_one, row_two in zip(rows_one[1:], rows_two[1:]):
+            cells_one, cells_two = row_one.split(","), row_two.split(",")
+            for column, factor in sorted(scaled.items(), reverse=True):
+                # each side rounded to %.12g
+                assert math.isclose(float(cells_two.pop(column)), factor
+                                    * float(cells_one.pop(column)),
+                                    rel_tol=1e-11), (name, row_one)
+            assert cells_one == cells_two, (name, row_one)
 
 
 @pytest.mark.parametrize("settings_,steps,integrated", [

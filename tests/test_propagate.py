@@ -350,7 +350,7 @@ def with_drive(model, **changes):
 def test_floquet_operator_is_symmetric_for_even_drive(phase):
     # time-reversal symmetry of a drive even about T/2: U = U^T
     model = with_drive(make_model(12, "flat"), phase=phase)
-    assert floquet_steps(model.drive, 256) == 32
+    assert floquet_steps(model.drive, 256)[1] == 32
     matrices = floquet_operator(model, h0=disordered_stack(model)).matrix
     assert len(matrices) == 3
     asymmetry = np.linalg.norm(matrices - matrices.swapaxes(-1, -2),
@@ -363,7 +363,7 @@ def test_half_period_product_matches_full_period_oracle(steps):
     # steps S6 steps per period: steps_per_period = 4 * steps
     model = make_model(12, "flat")
     h0 = disordered_stack(model)
-    assert floquet_steps(model.drive, 4 * steps) == steps // 2
+    assert floquet_steps(model.drive, 4 * steps)[1] == steps // 2
     half = floquet_operator(model, 4 * steps, h0).matrix
     full = full_period_floquet(model, h0, steps).matrix
     assert np.abs(half - full).max() <= 1e-12
@@ -382,7 +382,7 @@ def test_asymmetric_cases_take_the_full_period_product(steps, changes):
     model = with_drive(make_model(12, "flat"), **changes)
     h0 = disordered_stack(model)
     per_period = max(1, steps // 4)
-    assert floquet_steps(model.drive, steps) == per_period
+    assert floquet_steps(model.drive, steps) == (per_period, per_period)
     assert np.array_equal(floquet_operator(model, steps, h0).matrix,
                           full_period_floquet(model, h0, per_period).matrix)
 
