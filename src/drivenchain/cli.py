@@ -136,22 +136,20 @@ class ManifestWriter:
             json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_population_csv(path: Path, times, populations,
-                          manifest: ManifestWriter) -> None:
+def _write_population_csv(path: Path, times, populations) -> Path:
     """``time_ns, n_1..n_N`` rows of (time, site) populations."""
     n_sites = populations.shape[1]
     header = ["time_ns"] + [f"n_{l}" for l in range(1, n_sites + 1)]
     write_csv(path, header, ",".join([_FLOAT_FMT] * (n_sites + 1)),
               times, *populations.T)
-    manifest.record_output(path)
+    return path
 
 
-def _dynamics(run: ResolvedRun, manifest: ManifestWriter, pairs=()):
-    """The run's populations and ZZ ``pairs``; the manifest records their S6
-    steps and the batch size."""
+def _dynamics(run: ResolvedRun, manifest: ManifestWriter, each, pairs=()):
+    """The run's batches into ``each``; the manifest records the grid."""
     result = run_dynamics_ensemble(run.model, run.disorder,
                                    run.config.init_site, run.sample_times(),
-                                   run.step_ns, pairs)
+                                   run.step_ns, each, pairs)
     manifest.data.update(state_steps_integrated=result.steps,
                          state_step_ns=result.step)
     manifest.data["environment"]["batch_size"] = result.batch_size
@@ -160,35 +158,44 @@ def _dynamics(run: ResolvedRun, manifest: ManifestWriter, pairs=()):
 
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    # one trajectory: main resolves dynamics as a one-realization ensemble
-    ref = cfg.czz_reference_site
-    result = _dynamics(run, manifest, [(l, ref) for l in
-                                       range(1, cfg.n_sites + 1) if l != ref])
-    _write_population_csv(out / "populations.csv", result.times,
-                          result.populations[0], manifest)
+    # realization 0's own rows (R = 1): a sum would turn -0.0 into 0.0
+    ref, batches = cfg.czz_reference_site, []
+    result = _dynamics(run, manifest, lambda *batch: batches.append(batch),
+                       [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref])
+    _, _, populations, correlations = batches[0]
+    manifest.record_output(_write_population_csv(
+        out / "populations.csv", result.times, populations[0]))
 
     czz_path = out / "czz.csv"
     # pair-major rows; each time and each pair formatted once
-    pairs = sorted(result.correlations)
+    pairs = sorted(correlations)
     times = [_FLOAT_FMT % t for t in result.times.tolist()]
     write_csv(czz_path, ["time_ns", "i", "j", "value"], f"%s,%s,{_FLOAT_FMT}",
               times * len(pairs),
               [text for i, j in pairs for text in [f"{i},{j}"] * len(times)],
-              np.concatenate([result.correlations[pair][0] for pair in pairs]))
+              np.concatenate([correlations[pair][0] for pair in pairs]))
     manifest.record_output(czz_path)
 
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
-    result = _dynamics(run, manifest)
-    _write_population_csv(out / "ensemble_populations.csv", result.times,
-                          result.populations.mean(axis=0), manifest)
+    # a sum from row 0, row by row in order, over R: bitwise mean(axis=0)
+    total, kept, raw_dir = [None], [], out / "realizations"
 
-    if run.config.keep_realizations:
-        raw_dir = out / "realizations"
-        raw_dir.mkdir(parents=True, exist_ok=True)
-        for idx, pops in enumerate(result.populations):
-            _write_population_csv(raw_dir / f"realization_{idx:04d}.csv",
-                                  result.times, pops, manifest)
+    def each(batch, times, populations, _):
+        for index, row in enumerate(populations, batch.start):
+            total[0] = total[0] + row if index else row
+            if run.config.keep_realizations:
+                raw_dir.mkdir(exist_ok=True)
+                kept.append(_write_population_csv(
+                    raw_dir / f"realization_{index:04d}.csv", times, row))
+    try:
+        result = _dynamics(run, manifest, each)
+        manifest.record_output(_write_population_csv(
+            out / "ensemble_populations.csv", result.times,
+            total[0] / run.config.realizations))
+    finally:    # the realizations after the mean, or those a failed run wrote
+        for path in kept:
+            manifest.record_output(path)
 
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:

@@ -3,12 +3,13 @@
 Both runners take the R realizations in batches, as many as fit BATCH_BYTES.
 Each batch draws its offsets (:func:`sample_disorder` of its indices),
 builds its H0 stack, propagates it (:func:`evolve_state` or
-:func:`floquet_operator` of that stack) and reduces it: to populations (and
-ZZ correlations) written into one (realization, time, site) array, or to
-quasienergy spectra, pooled in realization order by one gap_ratios call.  A
-realization's arithmetic does not depend on its batch, so results are a pure
-function of (model, disorder spec), and ``dynamics`` is realization 0 of
-this same path.  A failed check aborts the ensemble with a
+:func:`floquet_operator` of that stack) and is reduced before the next: its
+populations (and ZZ correlations) go to the caller's per-batch consumer, its
+quasienergy spectra to one gap_ratios call in realization order.  No array
+spans the realizations, so memory stays per batch while time grows with R.
+A realization's arithmetic does not depend on its batch, so results are a
+pure function of (model, disorder spec), and ``dynamics`` is realization 0
+of this same path.  A failed check aborts the ensemble with a
 :class:`~drivenchain.errors.NumericalError` whose ``realization_index``
 names the first realization that failed.
 """
@@ -32,10 +33,12 @@ from .spectrum import (DEGENERACY_RELATIVE_TOL, RatioSample, gap_ratios,
 
 #: most S6 steps one propagation may take (a state's side steps not counted)
 MAX_STEPS = 1_000_000
-#: most values of a dynamics ensemble's populations (realizations x samples
-#: x sites, 400 MB of floats), held whole, and most complex entries of one
-#: realization's prefix table
-MAX_AMPLITUDES = 50_000_000
+#: most bytes one realization may hold while it propagates (see _batches)
+MAX_REALIZATION_BYTES = 800_000_000
+#: most S6 steps P per period of a Floquet product, for the absolute
+#: UNITARITY_TOL: the worst defect of a right operator grows with P (of
+#: 200 flat W=3J realizations, 2.4e-11 here and 9.6e-11 at 4 x this P)
+MAX_FLOQUET_STEPS = 32_768
 #: most bytes one batch of realizations holds while it propagates
 BATCH_BYTES = 32_000_000
 #: most realizations x Floquet steps x dim^3 of one spectrum run: it admits
@@ -82,8 +85,13 @@ def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
     # one realization: H0 and its eigenvectors, the stepped block and three
     # S6 exponentials, the dim x dim ``matrices`` it emits (U(T), or the
     # prefix table), and per sample its state, weights and side-step column
-    size = max(1, min(count, BATCH_BYTES // (
-        16 * ((6 + matrices) * dim ** 2 + 3 * samples * dim))))
+    per = 16 * ((6 + matrices) * dim ** 2 + 3 * samples * dim)
+    if per > MAX_REALIZATION_BYTES:
+        raise ConfigError(f"one realization holds {per:.3g} bytes, more than "
+                          f"{MAX_REALIZATION_BYTES}, in {matrices} matrices "
+                          f"(its prefix table, or U(T)) and {samples} samples: "
+                          f"lower steps_per_period or t_max_ns")
+    size = max(1, min(count, BATCH_BYTES // per))
 
     def each():
         for first in range(0, count, size):
@@ -100,11 +108,9 @@ def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
 
 @dataclass(frozen=True)
 class EnsembleDynamics:
-    """Site populations along R trajectories of one initial state."""
+    """The grid that R trajectories of one initial state were sampled on."""
 
     times: np.ndarray           # actual (step-aligned) sample times
-    populations: np.ndarray     # (R, len(times), site)
-    correlations: dict          # {(i, j): ZZ of shape (R, len(times))}
     steps: int                  # S6 grid steps spanned, plus the side steps
     step: float                 # the S6 grid step of state_grid
     batch_size: int             # realizations propagated at once
@@ -121,28 +127,18 @@ class EnsembleRatios(RatioSample):
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          initial_site: int, t_samples, step: float,
+                          initial_site: int, t_samples, step: float, each,
                           pairs=()) -> EnsembleDynamics:
-    """(realization, time, site) populations of one initial state over R
-    disorder realizations, and the ZZ correlations of the site ``pairs``."""
+    """Populations of one initial state over R disorder realizations and
+    the ZZ correlations of the site ``pairs``, handed on as each batch is
+    propagated, in order: ``each(slice of the ensemble, sample times,
+    (realization, time, site) populations, {(i, j): (realization, time)})``."""
     psi0 = fock_state(model.basis, initial_site)
-    t_last, dim = float(t_samples[-1]), model.basis.dim
     # the grid step alone: no sample time is snapped before _admit
     grid_step = state_grid(model.drive, step, ())[1] if step > 0 else 0.0
-    _admit(model, disorder, t_last / grid_step if grid_step else float("inf"),
-           grid_step)
-    shape = (disorder.realization_count, len(t_samples), model.basis.n_sites)
-    if math.prod(shape) > MAX_AMPLITUDES:
-        raise ConfigError(f"realizations x samples x sites = "
-                          f"{math.prod(shape):.3g} exceeds {MAX_AMPLITUDES}: "
-                          f"lower realizations, t_max_ns or n_sites, or raise "
-                          f"sample_dt_ns")
+    _admit(model, disorder, float(t_samples[-1]) / grid_step if grid_step
+           else float("inf"), grid_step)
     _, _, count, fine, snapped = state_grid(model.drive, step, t_samples)
-    table = (count + 1) * dim ** 2
-    if table > MAX_AMPLITUDES:
-        raise ConfigError(f"one realization's prefix table, {count + 1} "
-                          f"matrices of sector dimension^2, exceeds "
-                          f"{MAX_AMPLITUDES}: lower steps_per_period")
     if np.any(np.diff(snapped) < 1):
         raise ConfigError(f"the sample spacing is below the propagator step "
                           f"of {fine:.3g} ns, so two samples fall on one "
@@ -150,15 +146,11 @@ def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
     size, batches = _batches(
         model, disorder, count + 1, len(t_samples),
         lambda h0: evolve_state(model, psi0, t_samples, step, h0))
-    populations = np.empty(shape)
-    correlations = {pair: np.empty(shape[:2]) for pair in pairs}
     for batch, trajectory in batches:
-        populations[batch], czz = observable_series(trajectory.amplitudes,
-                                                    model.basis, pairs)
-        for pair in pairs:
-            correlations[pair][batch] = czz[pair]
-    return EnsembleDynamics(trajectory.times, populations, correlations,
-                            trajectory.steps, trajectory.step, size)
+        each(batch, trajectory.times, *observable_series(
+            trajectory.amplitudes, model.basis, pairs))
+    return EnsembleDynamics(trajectory.times, trajectory.steps,
+                            trajectory.step, size)
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
@@ -168,6 +160,11 @@ def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
     whose every ratio touches a degenerate gap is refused."""
     per_period, steps = floquet_steps(model.drive, steps_per_period)
     _admit(model, disorder, steps, model.drive.period / per_period)
+    if per_period > MAX_FLOQUET_STEPS:
+        raise ConfigError(f"the Floquet product would take {per_period} S6 "
+                          f"steps per period, more than {MAX_FLOQUET_STEPS}: "
+                          f"its roundoff nears the unitarity tolerance; lower "
+                          f"steps_per_period ({steps_per_period})")
     work = disorder.realization_count * steps * model.basis.dim ** 3
     if work > MAX_WORK:
         raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "

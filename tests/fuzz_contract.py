@@ -9,7 +9,9 @@ Each config runs one of the five quantum and semiclassical commands on one
 of the three profiles, over the shrunken ``BASE``, with one to three keys
 drawn from the float keys and ``coupling_mhz``, each set to an extreme or
 a moderate value, and zero to two integer keys (``realizations``,
-``sector`` and ``n_sites`` among them) set to small or extreme values.
+``sector`` and ``n_sites`` among them) set to small or extreme values; one
+config in 50 sets ``steps_per_period`` next to the Floquet product's step
+bound.
 The script prints the count of each exit code, per command and in total,
 each distinct exit 1 with the first config that gave it, and each distinct
 warning raised during a run with its first config: the manifest records no
@@ -48,6 +50,10 @@ EXTREMES = ["nan", "inf", "-inf", "0.0", "-1.0", "1e300", "1e-300",
 #: half the float values drawn, so that more configs get past resolve
 MODERATE = ["0.25", "0.5", "1.0", "2.0", "3.0", "10.0", "100.0"]
 INTS = [-1, 0, 1, 2, 3, 50, 10**9]
+#: steps_per_period at the Floquet product's bound of P = 32,768 S6 steps
+#: per period (ensemble.MAX_FLOQUET_STEPS): P - 1, P twice, and P + 1 and
+#: P + 2, which the default drive does not halve and halves
+EDGE_STEPS = [131_068, 131_072, 131_075, 131_076, 131_080]
 #: every key not drawn stays here, so a nominal config runs in milliseconds
 BASE = dict(t_max_ns=20, sample_dt_ns=5.0, steps_per_period=16,
             realizations=2, stability_resolution=4, contour_resolution=5)
@@ -67,6 +73,8 @@ def draw(rng: random.Random) -> tuple:
             settings[key] = value()
     for key in rng.sample(INT_KEYS, rng.randint(0, 2)):
         settings[key] = rng.choice(INTS)
+    if rng.random() < 0.02:
+        settings["steps_per_period"] = rng.choice(EDGE_STEPS)
     return command, settings
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -57,7 +58,7 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
     # a population table of several blocks, czz, a stability grid and a
     # contour grid of several blocks, each byte for byte the rows of the
     # same results formatted one at a time
-    results, arguments = {}, {}
+    results, arguments, batches = {}, {}, []
     for name in ("run_dynamics_ensemble", "stability_grid",
                  "potential_contours"):
         def recording(*args, _name=name, _func=getattr(cli, name), **kwargs):
@@ -65,17 +66,28 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
             results[_name] = _func(*args, **kwargs)
             return results[_name]
         monkeypatch.setattr(cli, name, recording)
+    # the rows dynamics reads, collected as its consumer gets them
+    real_dynamics = cli.run_dynamics_ensemble
+
+    def collecting(model, disorder, site, t_samples, step, each, pairs=()):
+        def both(*batch):
+            batches.append(batch)
+            each(*batch)
+        return real_dynamics(model, disorder, site, t_samples, step, both,
+                             pairs)
+    monkeypatch.setattr(cli, "run_dynamics_ensemble", collecting)
     cfg = write_config(tmp_path / "run.cfg", t_max_ns=1500, sample_dt_ns=1.0,
                        stability_resolution=12, contour_resolution=101)
     out = tmp_path / "out"
     for command in ("dynamics", "stability", "contours"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
-    dynamics = results["run_dynamics_ensemble"]
-    times = dynamics.times.tolist()
-    populations = dynamics.populations[0]
+    (_, batch_times, batch_populations, batch_correlations), = batches
+    times = results["run_dynamics_ensemble"].times.tolist()
+    assert batch_times.tolist() == times
+    populations = batch_populations[0]
     correlations = {pair: values[0]
-                    for pair, values in dynamics.correlations.items()}
+                    for pair, values in batch_correlations.items()}
     assert len(times) > cli.BLOCK_ROWS
     n_sites = populations.shape[1]
     expected = row_at_a_time_csv(
@@ -384,9 +396,19 @@ def test_step_ns_rounds_back_to_the_floquet_grid(steps, mhz):
             == floquet_steps(run.drive, steps)[0])
 
 
-#: columns that scale with the run, by file: times halve, frequencies double
+#: columns that scale with the run, by file: times halve, frequencies and
+#: energies double (a realization's file is scaled as the mean's)
 SCALED_COLUMNS = {"populations.csv": {0: 0.5}, "czz.csv": {0: 0.5},
-                  "stability_grid.csv": {0: 2.0, 1: 2.0}}
+                  "ensemble_populations.csv": {0: 0.5},
+                  "stability_grid.csv": {0: 2.0, 1: 2.0},
+                  "contours.csv": {2: 2.0}}
+
+
+def run_files(out: Path) -> dict:
+    """Every file a run wrote but its manifest, by path, as text."""
+    return {str(f.relative_to(out)): f.read_text()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"}
 
 
 @pytest.mark.parametrize("command,settings_", [
@@ -394,6 +416,9 @@ SCALED_COLUMNS = {"populations.csv": {0: 0.5}, "czz.csv": {0: 0.5},
     ("spectrum", {"realizations": 40}),
     ("spectrum", {"realizations": 20, "sector": 2, "boson_cutoff": 2}),
     ("stability", {"stability_resolution": 40}),
+    # the mean and each streamed realization row
+    ("ensemble", {"realizations": 20, "keep_realizations": "true"}),
+    ("contours", {"contour_resolution": 41}),
 ])
 def test_twice_every_frequency_and_half_every_time(tmp_path, command,
                                                    settings_):
@@ -409,12 +434,10 @@ def test_twice_every_frequency_and_half_every_time(tmp_path, command,
         outs.append(tmp_path / f"x{scale}")
         assert main([command, "--config", str(cfg), "--out",
                      str(outs[-1])]) == 0
-    names = sorted(path.name for path in outs[0].iterdir())
-    assert names == sorted(path.name for path in outs[1].iterdir())
-    for name in names:
-        if name == "manifest.json":
-            continue
-        one, two = ((out / name).read_text() for out in outs)
+    files_one, files_two = (run_files(out) for out in outs)
+    assert sorted(files_one) == sorted(files_two)
+    for name, one in files_one.items():
+        two = files_two[name]
         if name == "spectrum_summary.json":
             one, two = json.loads(one), json.loads(two)
             assert (two.pop("drive_frequency_mhz")
@@ -423,7 +446,9 @@ def test_twice_every_frequency_and_half_every_time(tmp_path, command,
             continue
         rows_one, rows_two = one.splitlines(), two.splitlines()
         assert rows_one[0] == rows_two[0] and len(rows_one) == len(rows_two)
-        scaled = SCALED_COLUMNS.get(name, {})
+        scaled = SCALED_COLUMNS.get(name, SCALED_COLUMNS[
+            "ensemble_populations.csv"] if name.startswith("realizations/")
+            else {})
         for row_one, row_two in zip(rows_one[1:], rows_two[1:]):
             cells_one, cells_two = row_one.split(","), row_two.split(",")
             for column, factor in sorted(scaled.items(), reverse=True):
@@ -432,6 +457,39 @@ def test_twice_every_frequency_and_half_every_time(tmp_path, command,
                                     * float(cells_one.pop(column)),
                                     rel_tol=1e-11), (name, row_one)
             assert cells_one == cells_two, (name, row_one)
+
+
+@pytest.mark.parametrize("command,settings_", [
+    ("dynamics", {}),
+    ("ensemble", {"realizations": 2}),
+    ("spectrum", {"realizations": 2, "steps_per_period": 64}),
+])
+def test_coupling_sign_flip_without_disorder(tmp_path, command, settings_):
+    # the "over J" keys flip d0 and d1 with J, so at W = 0 the flipped run's
+    # H(t) is -G H(t) G, G = diag((-1)^l): the populations of a real psi0
+    # (and so the ZZ values) are unchanged, and the quasienergies negate,
+    # which leaves every gap ratio; each value within 1e-12
+    outs = []
+    for sign in (1, -1):
+        cfg = write_config(tmp_path / f"s{sign}.cfg", profile="flat",
+                           coupling_mhz=11.5 * sign, **settings_)
+        outs.append(tmp_path / f"s{sign}")
+        assert main([command, "--config", str(cfg), "--out",
+                     str(outs[-1])]) == 0
+    files_one, files_two = (run_files(out) for out in outs)
+    assert sorted(files_one) == sorted(files_two)
+    for name, one in files_one.items():
+        if name.endswith(".json"):
+            one, two = json.loads(one), json.loads(files_two[name])
+            assert one.keys() == two.keys()
+            values = [(one[key], two[key]) for key in one]
+        else:
+            assert one.splitlines()[0] == files_two[name].splitlines()[0]
+            values = zip(*(np.loadtxt(io.StringIO(text), delimiter=",",
+                                      skiprows=1).ravel()
+                           for text in (one, files_two[name])))
+        for a, b in values:
+            assert abs(a - b) <= 1e-12, (name, a, b)
 
 
 @pytest.mark.parametrize("settings_,steps,integrated", [
@@ -963,16 +1021,14 @@ def test_flag_and_config_line_resolve_alike(tmp_path, flag, key, bad, good):
 
 
 def test_dynamics_resolves_one_realization(tmp_path):
-    # a config shared with an ensemble too large to hold (5000 x 1001
-    # samples x 12 sites > MAX_AMPLITUDES) still runs the one
-    # trajectory dynamics makes
+    # a config shared with a large ensemble (5000 realizations of 1001
+    # samples) runs only the one trajectory dynamics makes, in one batch
     cfg = write_config(tmp_path / "run.cfg", realizations=5000, t_max_ns=1000)
     out = tmp_path / "dyn"
     assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 0
-    assert strict_manifest(out)["config"]["realizations"] == 1
-    out = tmp_path / "ens"
-    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "realizations x samples" in strict_manifest(out)["error"]
+    manifest = strict_manifest(out)
+    assert manifest["config"]["realizations"] == 1
+    assert manifest["environment"]["batch_size"] == 1
 
 
 def test_out_naming_a_file_exits_2_without_raising(tmp_path, capsys):
@@ -1014,8 +1070,11 @@ def strict_manifest(out: Path) -> dict:
     # a sector whose one H0 exceeds MAX_BLOCK
     ("spectrum", {"n_sites": 40, "sector": 3}),
     ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
-    ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
-                  "sample_dt_ns": "1.0"}),
+    # one realization of 100 sites: its prefix table (2,049 matrices) and
+    # its 100,001 samples' vectors fit MAX_REALIZATION_BYTES apart, not
+    # together (8.09e8 bytes)
+    ("ensemble", {"n_sites": 100, "realizations": 10000, "t_max_ns": "1e5",
+                  "sample_dt_ns": "1.0", "steps_per_period": 16384}),
     ("dynamics", {"driven_sites": "none"}),
     ("ensemble", {"disordered_sites": "none", "disorder_w_over_j": 3.0}),
     ("dynamics", {"drive_frequency_mhz": "1e308"}),
@@ -1089,8 +1148,11 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
 
 
 @pytest.mark.parametrize("command,settings_,message", [
-    ("ensemble", {"realizations": 5000, "t_max_ns": 1000},
-     "realizations x samples"),
+    # one realization's bytes: its prefix table (K + 1 = 344,151 matrices
+    # of 12 x 12, 7.93e8 bytes) fits MAX_REALIZATION_BYTES alone, and with
+    # its workspace and the 95,239 samples' vectors (8.48e8) it does not
+    ("ensemble", {"steps_per_period": 3_500_000, "t_max_ns": 20,
+                  "sample_dt_ns": 0.00021}, "realization holds"),
     # one realization's prefix table, as for dynamics below
     ("ensemble", {"steps_per_period": 8_000_000, "t_max_ns": 20},
      "prefix table"),
@@ -1108,8 +1170,8 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     ("ensemble", H0_STATE_PHASE_OVERFLOW, "largest H0 phase"),
     ("spectrum", DISORDER_SPAN_OVERFLOW, "disorder_w_over_j"),
     ("ensemble", DISORDER_SPAN_OVERFLOW, "disorder draw's span"),
-    # one realization's prefix table, (K + 1) x dim^2 with K = 786,800 and
-    # dim 12, exceeds MAX_AMPLITUDES
+    # one realization's prefix table, (K + 1) x dim^2 complex entries with
+    # K = 786,800 and dim 12, exceeds MAX_REALIZATION_BYTES
     ("dynamics", {"steps_per_period": 8_000_000, "t_max_ns": 20},
      "prefix table"),
     ("spectrum", {"sector": 6}, "work budget"),

@@ -13,7 +13,7 @@ from drivenchain import ensemble, propagate
 from drivenchain.basis import build_sector_basis, fock_state
 from drivenchain.cli import main
 from drivenchain.config import RunConfig, load_config, resolve
-from drivenchain.ensemble import (MAX_AMPLITUDES, MAX_STEPS,
+from drivenchain.ensemble import (MAX_FLOQUET_STEPS, MAX_STEPS,
                                   run_dynamics_ensemble, run_spectrum_ensemble)
 from drivenchain.errors import ConfigError
 from drivenchain.hamiltonian import SectorModel
@@ -48,10 +48,21 @@ T_SAMPLES = np.arange(0.0, 61.0, 5.0)
 STEP = 0.2
 
 
+def ensemble_rows(model, spec, site, t_samples=T_SAMPLES, step=STEP):
+    """The runner's grid and its (realization, time, site) populations,
+    collected batch by batch with a list-appending consumer."""
+    batches = []
+    result = run_dynamics_ensemble(model, spec, site, t_samples, step,
+                                   lambda *batch: batches.append(batch))
+    assert [b[0].start for b in batches] == list(range(
+        0, spec.realization_count, result.batch_size))
+    return result, np.concatenate([b[2] for b in batches])
+
+
 def mean_populations(model, spec, site, t_samples=T_SAMPLES):
-    """(time, site) realization mean, formed as ``cmd_ensemble`` forms it."""
-    return run_dynamics_ensemble(model, spec, site, t_samples,
-                                 STEP).populations.mean(axis=0)
+    """(time, site) realization mean: ``cmd_ensemble``'s row-by-row sum is
+    bitwise this mean."""
+    return ensemble_rows(model, spec, site, t_samples)[1].mean(axis=0)
 
 
 def batch_budget(size, dim, table, vectors):
@@ -79,15 +90,15 @@ def test_zero_disorder_average_equals_single_run():
 def test_mean_is_arithmetic_mean_of_kept_realizations():
     model = make_model()
     spec = disorder(3.0)
-    result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    assert result.populations.shape == (4, len(T_SAMPLES), N)
+    result, rows = ensemble_rows(model, spec, 3)
+    assert rows.shape == (4, len(T_SAMPLES), N)
     singles = [observable_series(evolve_state(m, fock_state(model.basis, 3),
                                               T_SAMPLES, STEP).amplitudes,
                                  model.basis)[0]
                for m in realization_models(model, spec)]
-    for populations, single in zip(result.populations, singles):
+    for populations, single in zip(rows, singles):
         assert np.array_equal(populations, single)
-    mean = result.populations.mean(axis=0)
+    mean = rows.mean(axis=0)
     assert np.abs(sum(singles) / 4 - mean).max() < 1e-12
 
 
@@ -123,10 +134,10 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     for size in (1, 7, len(models)):
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 12, 33 * 144, 3 * 13))
-        result = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
+        result, rows = ensemble_rows(model, spec, 3)
         assert result.batch_size == size
         assert np.array_equal(result.times, singles[0].times)
-        for row, single in zip(result.populations, populations):
+        for row, single in zip(rows, populations):
             assert np.array_equal(row, single)
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 12, 144, 0))
@@ -213,9 +224,8 @@ def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
 def test_ensemble_reruns_bitwise():
     model = make_model()
     spec = disorder(3.0, count=5)
-    first = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    again = run_dynamics_ensemble(model, spec, 3, T_SAMPLES, STEP)
-    assert np.array_equal(first.populations, again.populations)
+    assert np.array_equal(ensemble_rows(model, spec, 3)[1],
+                          ensemble_rows(model, spec, 3)[1])
     assert np.array_equal(run_spectrum_ensemble(model, spec, 64).ratios,
                           run_spectrum_ensemble(model, spec, 64).ratios)
 
@@ -254,7 +264,7 @@ def test_failure_names_realization():
     model = make_model()
     # an input every realization rejects is not pinned on one realization
     with pytest.raises(ValueError, match="sample times must be >= 0"):
-        run_dynamics_ensemble(model, disorder(3.0), 3, [-1.0], STEP)
+        ensemble_rows(model, disorder(3.0), 3, [-1.0])
 
 
 def no_h0_stack(spec, indices):
@@ -304,8 +314,33 @@ def test_spectrum_counts_the_steps_its_product_takes(no_h0):
     # 8M + 16 steps per period: S6 at a quarter, then half a period, M + 2
     with pytest.raises(ConfigError, match="propagator steps"):
         run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS + 16)
-    with pytest.raises(AssertionError, match="H0"):     # M steps fit
-        run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS)
+    # the product's own bound counts the S6 steps P of the period, whether
+    # V^T V halves them or not: 4P steps per period fit, and 4 (P + 1) and
+    # 4 (P + 2) are refused, the latter halved to P/2 + 1 by the default drive
+    phased = DriveSpec.cosine(N, 3 * J, 3 * J, OMEGA, phase=0.3)
+    for model in (make_model(), replace(make_model(), drive=phased)):
+        with pytest.raises(AssertionError, match="H0"):     # P steps fit
+            run_spectrum_ensemble(model, disorder(3.0), 4 * MAX_FLOQUET_STEPS)
+        for extra in (1, 2):
+            with pytest.raises(ConfigError, match=(
+                    f"take {MAX_FLOQUET_STEPS + extra} S6 steps per period, "
+                    f"more than {MAX_FLOQUET_STEPS}")):
+                run_spectrum_ensemble(model, disorder(3.0),
+                                      4 * (MAX_FLOQUET_STEPS + extra))
+
+
+def test_floquet_step_bound_exits_2_naming_steps_per_period(tmp_path, no_h0):
+    # the first refused count, 32,769 S6 steps per period, through the
+    # command line: exit 2 and a manifest that names the key, before H0
+    out = tmp_path / "out"
+    assert main(["spectrum", "--steps-per-period", "131076", "--out",
+                 str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == (
+        "the Floquet product would take 32769 S6 steps per period, more than "
+        "32768: its roundoff nears the unitarity tolerance; lower "
+        "steps_per_period (131076)")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
@@ -331,16 +366,19 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
 def test_state_prefix_table_over_budget_refused_before_h0(no_h0,
                                                          monkeypatch):
     # one realization's table holds K + 1 = 33 matrices of 12 x 12 past
-    # half a period, and K + 1 = 7 for a last sample at 5 ns (grid step 6)
+    # half a period, and K + 1 = 7 for a last sample at 5 ns (grid step 6);
+    # it is counted in bytes with its workspace and its 13 or 2 samples
     model = make_model()
-    monkeypatch.setattr(ensemble, "MAX_AMPLITUDES", 33 * 144 - 1)
-    with pytest.raises(ConfigError, match="prefix table"):
-        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
+    monkeypatch.setattr(ensemble, "MAX_REALIZATION_BYTES",
+                        batch_budget(1, 12, 33 * 144, 3 * 13) - 1)
+    with pytest.raises(ConfigError, match="33 matrices .* prefix table"):
+        ensemble_rows(model, disorder(3.0), 3)
     with pytest.raises(AssertionError, match="H0"):     # 7 matrices fit
-        run_dynamics_ensemble(model, disorder(3.0), 3, [0.0, 5.0], STEP)
-    monkeypatch.setattr(ensemble, "MAX_AMPLITUDES", 33 * 144)
+        ensemble_rows(model, disorder(3.0), 3, [0.0, 5.0])
+    monkeypatch.setattr(ensemble, "MAX_REALIZATION_BYTES",
+                        batch_budget(1, 12, 33 * 144, 3 * 13))
     with pytest.raises(AssertionError, match="H0"):     # 33 fit
-        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, STEP)
+        ensemble_rows(model, disorder(3.0), 3)
 
 
 def test_dynamics_budgets_refused_before_h0(no_h0):
@@ -349,23 +387,21 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
     # of about S6_SUBSTEPS STEP
     grid_step = state_grid(model.drive, STEP, 0.0)[1]
     with pytest.raises(ConfigError, match="propagator steps"):
-        run_dynamics_ensemble(model, disorder(3.0), 3,
-                              [0.0, (MAX_STEPS + 1) * grid_step], STEP)
+        ensemble_rows(model, disorder(3.0), 3,
+                      [0.0, (MAX_STEPS + 1) * grid_step])
     with pytest.raises(AssertionError, match="H0"):     # MAX_STEPS fit
-        run_dynamics_ensemble(model, disorder(3.0), 3,
-                              [0.0, MAX_STEPS * grid_step], STEP)
+        ensemble_rows(model, disorder(3.0), 3, [0.0, MAX_STEPS * grid_step])
     with pytest.raises(ConfigError, match="inf propagator steps"):
-        run_dynamics_ensemble(model, disorder(3.0), 3, T_SAMPLES, 0.0)
-    # 13,888 x 301 samples x 12 sites just over MAX_AMPLITUDES
-    many = disorder(3.0, count=13_888)
-    assert many.realization_count * 301 * 12 > MAX_AMPLITUDES
-    with pytest.raises(ConfigError, match="realizations x samples"):
-        run_dynamics_ensemble(model, many, 3, np.arange(301) * STEP, STEP)
+        ensemble_rows(model, disorder(3.0), 3, T_SAMPLES, 0.0)
+    # no population budget: the rows of 10,000 realizations x 301 samples
+    # x 12 sites are reduced batch by batch, so the first batch is drawn
+    with pytest.raises(AssertionError, match="H0"):
+        ensemble_rows(model, disorder(3.0, count=10_000), 3,
+                      np.arange(301) * STEP)
     with pytest.raises(ConfigError, match="sample_dt_ns"):
-        run_dynamics_ensemble(model, disorder(3.0), 3, [0.0, 0.1, 0.2], STEP)
+        ensemble_rows(model, disorder(3.0), 3, [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError, match="H0"):     # one step apart fits
-        run_dynamics_ensemble(model, disorder(3.0), 3, np.arange(11) * STEP,
-                              STEP)
+        ensemble_rows(model, disorder(3.0), 3, np.arange(11) * STEP)
 
 
 def write_config(path, **settings):
@@ -411,6 +447,35 @@ def test_data_files_identical_at_any_batch_size(tmp_path, monkeypatch,
     assert written[0] == written[1] == written[2]
 
 
+def test_failed_run_lists_every_realization_file_it_wrote(tmp_path,
+                                                         monkeypatch):
+    # batches of one, realization 2 failing its norm check: the files of
+    # realizations 0 and 1, written as their batches came, are all that is
+    # on disk, and the manifest lists both
+    cfg = write_config(tmp_path / "run.cfg", profile="flat",
+                       disorder_w_over_j=3.0, t_max_ns=20, sample_dt_ns=2.0,
+                       steps_per_period=64, realizations=4,
+                       keep_realizations="true")
+    real_draw = ensemble.sample_disorder
+
+    def draw_then_fail(spec, indices):
+        if indices[0] == 2:
+            monkeypatch.setattr(propagate, "NORM_TOL", -1.0)
+        return real_draw(spec, indices)
+
+    monkeypatch.setattr(ensemble, "BATCH_BYTES", 1)
+    monkeypatch.setattr(ensemble, "sample_disorder", draw_then_fail)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["realization_index"] == 2
+    written = data_files(out)
+    assert sorted(written) == [f"realizations/realization_000{i}.csv"
+                               for i in (0, 1)]
+    assert manifest["outputs"] == [{"path": Path(name).name, "sha256": sha}
+                                   for name, sha in written.items()]
+
+
 @pytest.mark.parametrize("command,settings_", [
     ("dynamics", {}),
     ("ensemble", {}),
@@ -428,20 +493,25 @@ def test_manifest_records_the_batch_size(tmp_path, command, settings_):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss counts kB on Linux")
+                    reason="reads VmHWM from /proc/self/status")
 def test_large_ensemble_peak_rss_through_the_cli(tmp_path):
-    # flat W=3J, R = 1000 at 1000 ns: 96 MB of populations, in a child that
-    # reports its own peak; with the whole ensemble's amplitudes and their
-    # observables held at once it peaked at 417 MB
+    # flat W=3J, R = 1000 at 1000 ns, in a child that reports its own
+    # peak: with the whole ensemble's amplitudes and their observables held
+    # at once it peaked at 417 MB, and with its 96 MB of populations held
+    # whole at 159 MB; reduced batch by batch, nothing spans the ensemble.
+    # VmHWM is the child's own high-water mark: its ru_maxrss also counts
+    # the spawning process's, which a long suite can push past the bound
     cfg = write_config(tmp_path / "run.cfg", profile="flat",
                        disorder_w_over_j=3.0, realizations=1000, t_max_ns=1000)
-    code = ("import resource\nfrom drivenchain.cli import main\n"
+    code = ("from pathlib import Path\nfrom drivenchain.cli import main\n"
             f"assert main(['ensemble', '--config', {str(cfg)!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(Path('/proc/self/status').read_text())\n")
     src = Path(ensemble.__file__).parents[1]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
-    peak_mb = int(done.stdout.split()[-1]) / 1024
-    assert peak_mb <= 200, f"peak RSS {peak_mb:.0f} MB"
+    peak_kb = next(line.split()[1] for line in done.stdout.splitlines()
+                   if line.startswith("VmHWM:"))
+    peak_mb = int(peak_kb) / 1024
+    assert peak_mb <= 120, f"peak RSS {peak_mb:.0f} MB"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -325,3 +327,43 @@ def test_ks_distance_rejects_empty():
 def test_mean_gap_ratio_separation_of_references():
     coe_sample = sample_coe_reference(dim=50, count=300, seed=2)
     assert coe_sample.mean() - poisson_mean() > 0.1
+
+
+def _quasienergy_rows(settings, sector, realizations):
+    """Sorted quasienergies of ``realizations`` drawn realizations at
+    ``boson_cutoff`` = 1, one row each, the zone's omega and the period."""
+    run = resolve(RunConfig(sector=sector, boson_cutoff=1,
+                            steps_per_period=16, **settings))
+    offsets = sample_disorder(run.disorder, np.arange(realizations))
+    operators = floquet_operator(run.model, 16, run.model.static_hamiltonians(
+        run.model.potential.static_offsets + offsets))
+    spectra = quasienergies(operators)
+    return (np.array([s.values for s in spectra]), offsets,
+            spectra[0].angular_frequency, run.drive.period)
+
+
+@pytest.mark.parametrize("settings,sectors", [
+    (dict(profile="flat", disorder_w_over_j=3.0), (2, 3)),
+    (dict(profile="cosine"), (2,)),
+    # f not even about T/2: a product of all 4 S6 steps, not V^T V
+    (dict(profile="flat", disorder_w_over_j=3.0, drive_phase_rad=0.3), (2,)),
+    (dict(profile="table", disorder_w_over_j=3.0), (3,)),
+])
+def test_hard_core_sectors_are_free_fermion_sums(settings, sectors):
+    # at boson_cutoff 1 the chain is free fermions (Jordan-Wigner; Lieb,
+    # Schultz and Mattis 1961): H(t) is quadratic, every S6 factor acts on
+    # sector n as the n-th exterior power of its sector-1 factor, so sector
+    # n's quasienergies are the folded sums of n distinct sector-1 ones
+    ones, offsets, omega, period = _quasienergy_rows(settings, 1, 2)
+    for sector in sectors:
+        rows, same, _, _ = _quasienergy_rows(settings, sector, 2)
+        assert np.array_equal(same, offsets)    # the same realizations
+        for single, many in zip(ones, rows):
+            sums = np.array([sum(c) for c in itertools.combinations(
+                single.tolist(), sector)])
+            assert len(sums) == len(many)
+            # circular distance in the zone, each way
+            gap = np.abs(sums[:, None] - many[None, :]) % omega
+            gap = np.minimum(gap, omega - gap) * period
+            assert gap.min(axis=1).max() <= 1e-12
+            assert gap.min(axis=0).max() <= 1e-12
