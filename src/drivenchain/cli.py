@@ -7,12 +7,15 @@ run writes CSV data files and a JSON manifest (config, seeds, output
 hashes); data files are byte-identical for identical config and seed.
 
 Exit codes: 0 success, 1 internal error (a defect: the manifest records
-its ``error_type``), 2 configuration error, 3 numerical failure.  A failed
-check on one disorder realization records its ``realization_index``, and
-the ensemble's ``environment.batch_size``, in the manifest.  Every exit
+its ``error_type``), 2 configuration error, 3 numerical failure.  Every exit
 code writes the manifest, except a usage error and an output directory
 that cannot be made; it holds the config only once
 :func:`~drivenchain.config.resolve` has accepted it.
+
+A runner writes its facts (steps, health, batch size, a failed check's
+``realization_index``) into the run record, ``ManifestWriter.record``, as
+it learns them; ``finish`` merges it on every exit path, ``batch_size``
+into ``environment`` and every other key at the top level.
 """
 
 from __future__ import annotations
@@ -108,7 +111,8 @@ def _environment() -> dict:
 
 
 class ManifestWriter:
-    """Collects run metadata and guarantees a manifest on every exit path."""
+    """Collects run metadata and the runners' ``record``, and writes the
+    manifest on every exit path."""
 
     def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
@@ -122,12 +126,16 @@ class ManifestWriter:
             "outputs": [],
             "status": "running",
         }
+        self.record = {}
 
     def record_output(self, path: Path) -> None:
         self.data["outputs"].append(
             {"path": path.name, "sha256": _sha256(path)})
 
     def finish(self, status: str, error: str = "") -> None:
+        for key, value in self.record.items():
+            (self.data["environment"] if key == "batch_size"
+             else self.data)[key] = value
         self.data["status"] = status
         if error:
             self.data["error"] = error
@@ -145,31 +153,23 @@ def _write_population_csv(path: Path, times, populations) -> Path:
     return path
 
 
-def _dynamics(run: ResolvedRun, manifest: ManifestWriter, each, pairs=()):
-    """The run's batches into ``each``; the manifest records the grid."""
-    result = run_dynamics_ensemble(run.model, run.disorder,
-                                   run.config.init_site, run.sample_times(),
-                                   run.step_ns, each, pairs)
-    manifest.data.update(state_steps_integrated=result.steps,
-                         state_step_ns=result.step)
-    manifest.data["environment"]["batch_size"] = result.batch_size
-    return result
-
-
 def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
     # realization 0's own rows (R = 1): a sum would turn -0.0 into 0.0
     ref, batches = cfg.czz_reference_site, []
-    result = _dynamics(run, manifest, lambda *batch: batches.append(batch),
-                       [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref])
+    times = run_dynamics_ensemble(
+        run.model, run.disorder, cfg.init_site, run.sample_times(),
+        run.step_ns, lambda *batch: batches.append(batch),
+        [(l, ref) for l in range(1, cfg.n_sites + 1) if l != ref],
+        manifest.record)
     _, _, populations, correlations = batches[0]
     manifest.record_output(_write_population_csv(
-        out / "populations.csv", result.times, populations[0]))
+        out / "populations.csv", times, populations[0]))
 
     czz_path = out / "czz.csv"
     # pair-major rows; each time and each pair formatted once
     pairs = sorted(correlations)
-    times = [_FLOAT_FMT % t for t in result.times.tolist()]
+    times = [_FLOAT_FMT % t for t in times.tolist()]
     write_csv(czz_path, ["time_ns", "i", "j", "value"], f"%s,%s,{_FLOAT_FMT}",
               times * len(pairs),
               [text for i, j in pairs for text in [f"{i},{j}"] * len(times)],
@@ -178,21 +178,24 @@ def cmd_dynamics(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 
 def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
+    cfg = run.config
     # a sum from row 0, row by row in order, over R: bitwise mean(axis=0)
     total, kept, raw_dir = [None], [], out / "realizations"
 
     def each(batch, times, populations, _):
         for index, row in enumerate(populations, batch.start):
             total[0] = total[0] + row if index else row
-            if run.config.keep_realizations:
+            if cfg.keep_realizations:
                 raw_dir.mkdir(exist_ok=True)
                 kept.append(_write_population_csv(
                     raw_dir / f"realization_{index:04d}.csv", times, row))
     try:
-        result = _dynamics(run, manifest, each)
+        times = run_dynamics_ensemble(
+            run.model, run.disorder, cfg.init_site, run.sample_times(),
+            run.step_ns, each, record=manifest.record)
         manifest.record_output(_write_population_csv(
-            out / "ensemble_populations.csv", result.times,
-            total[0] / run.config.realizations))
+            out / "ensemble_populations.csv", times,
+            total[0] / cfg.realizations))
     finally:    # the realizations after the mean, or those a failed run wrote
         for path in kept:
             manifest.record_output(path)
@@ -200,7 +203,8 @@ def cmd_ensemble(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
 
 def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     cfg = run.config
-    sample = run_spectrum_ensemble(run.model, run.disorder, cfg.steps_per_period)
+    sample = run_spectrum_ensemble(run.model, run.disorder,
+                                   cfg.steps_per_period, manifest.record)
     edges = np.linspace(0.0, 1.0, cfg.histogram_bins + 1)
     counts, _ = np.histogram(sample.ratios, bins=edges)
     widths = np.diff(edges)
@@ -230,9 +234,6 @@ def cmd_spectrum(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
     summary_path = out / "spectrum_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     manifest.record_output(summary_path)
-    manifest.data["floquet_steps_integrated"] = sample.steps
-    manifest.data["health"] = sample.health
-    manifest.data["environment"]["batch_size"] = sample.batch_size
 
 
 def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None:
@@ -246,7 +247,7 @@ def cmd_stability(run: ResolvedRun, out: Path, manifest: ManifestWriter) -> None
               *_grid_text(grid.omega_values, grid.delta1_values),
               grid.abs_trace.ravel(), grid.stable.ravel())
     manifest.record_output(path)
-    manifest.data.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
+    manifest.record.update(small_oscillation_frequency_mhz=mhz_from_rad_ns(
         params.small_oscillation_frequency),
         monodromy_steps_floor=MIN_STEPS_PER_OSCILLATION,
         monodromy_groups=grid.monodromy_groups, health=grid.health)
@@ -375,10 +376,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(manifest, "config error", exc, 2)
     except NumericalError as exc:
-        if exc.realization_index is not None:
-            manifest.data["realization_index"] = exc.realization_index
-        if exc.batch_size is not None:
-            manifest.data["environment"]["batch_size"] = exc.batch_size
         return _fail(manifest, "numerical failure", exc, 3)
     except Exception as exc:        # a defect: report it, never lose the manifest
         traceback.print_exc()

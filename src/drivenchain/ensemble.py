@@ -9,15 +9,14 @@ quasienergy spectra to one gap_ratios call in realization order.  No array
 spans the realizations, so memory stays per batch while time grows with R.
 A realization's arithmetic does not depend on its batch, so results are a
 pure function of (model, disorder spec), and ``dynamics`` is realization 0
-of this same path.  A failed check aborts the ensemble with a
-:class:`~drivenchain.errors.NumericalError` whose ``realization_index``
-names the first realization that failed.
+of this same path.  A runner writes its facts into the caller's run record
+as it learns them (batch size, steps, health, or the ensemble index of a
+failed check, whose NumericalError aborts it), for the CLI's manifest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,20 +40,23 @@ MAX_REALIZATION_BYTES = 800_000_000
 MAX_FLOQUET_STEPS = 32_768
 #: most bytes one batch of realizations holds while it propagates
 BATCH_BYTES = 32_000_000
-#: most realizations x Floquet steps x dim^3 of one spectrum run: it admits
-#: sector 3 at R=200 (6.8e10) and, at the default step count, every R x
-#: dim^2 <= 2e6 (at most 9.1e10)
+#: most work R x (K dim + 10 samples) dim^2 of one ensemble (_admit): it
+#: admits spectrum sector 3 at R=200 (6.8e10) and the default ensemble of
+#: R=10,000 at 1000 ns (1.55e10).  Per unit, spectrum sector 3 took 1.1e-9 s
+#: and the dim-12 ensemble 1.07e-8 s per R samples dim^2 (flat W=3J, 2-core
+#: OpenBLAS host), hence the 10: either runner's largest run takes ~100 s
 MAX_WORK = 1e11
 
 
 def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
-           step: float) -> None:
-    """Refuse a step count (a float, so inf too) over budget and an S6
-    ``step`` whose largest H0 phase is not finite."""
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"the run needs {steps:.3g} propagator steps, more "
-                          f"than {MAX_STEPS}: lower the drive frequency, "
-                          f"t_max_ns or steps_per_period")
+           step: float, samples: int = 0) -> None:
+    """Refuse a step count (a float, so inf too) over budget, an S6
+    ``step`` whose largest H0 phase is not finite, and a run of ``samples``
+    states (none for a spectrum) over the work budget."""
+    if not steps <= MAX_STEPS:      # rounded up: it never reads as in bound
+        raise ConfigError(f"the run needs {np.ceil(steps):.9g} propagator "
+                          f"steps, more than {MAX_STEPS}: lower the drive "
+                          f"frequency, t_max_ns or steps_per_period")
     # Gershgorin: |H0| <= sector (max|offset| + W) + |U|/2 sector (cutoff - 1)
     # on the diagonal plus 2 cutoff sum|J| off it; one S6 step applies at
     # most max(S6_DRIFTS) step |H0|, and the draw computes 2W.  In Python
@@ -73,14 +75,24 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
                           f"disorder_w_over_j, coupling_mhz or "
                           f"nonlinearity_mhz, or raise drive_frequency_mhz or "
                           f"steps_per_period")
+    # K steps of a dim x dim block (a Floquet product, or a state's prefix
+    # table of at most a period) and a few dim^2 products per sample
+    work = disorder.realization_count * basis.dim ** 2 * (min(
+        steps, round(model.drive.period / step)) * basis.dim + 10 * samples)
+    if work > MAX_WORK:
+        raise ConfigError(f"R x (S6 steps x dim + 10 x samples) x dim^2 = "
+                          f"{work:.3g} exceeds the work budget {MAX_WORK:g}: "
+                          f"lower realizations, t_max_ns, steps_per_period, "
+                          f"n_sites, sector or boson_cutoff, or raise "
+                          f"sample_dt_ns")
 
 
 def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
-             samples: int, propagate) -> tuple:
-    """The batch size, as many realizations as fit BATCH_BYTES and at least
-    one, and an iterator over the batches in order: (slice of the ensemble,
-    ``propagate`` of its H0 stack).  A failed check names the realization's
-    index in the ensemble."""
+             samples: int, propagate, record: dict):
+    """The batches in order, as many realizations as fit BATCH_BYTES and at
+    least one: (slice of the ensemble, ``propagate`` of its H0 stack).
+    ``record`` gets the ``batch_size`` and, from a failed check, the
+    ``realization_index`` in the ensemble that its message names."""
     count, dim = disorder.realization_count, model.basis.dim
     # one realization: H0 and its eigenvectors, the stepped block and three
     # S6 exponentials, the dim x dim ``matrices`` it emits (U(T), or the
@@ -91,96 +103,74 @@ def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
                           f"{MAX_REALIZATION_BYTES}, in {matrices} matrices "
                           f"(its prefix table, or U(T)) and {samples} samples: "
                           f"lower steps_per_period or t_max_ns")
-    size = max(1, min(count, BATCH_BYTES // per))
-
-    def each():
-        for first in range(0, count, size):
-            batch = slice(first, min(first + size, count))
-            offsets = sample_disorder(disorder, np.arange(first, batch.stop))
-            try:
-                yield batch, propagate(model.static_hamiltonians(
-                    model.potential.static_offsets + offsets))
-            except NumericalError as exc:       # a check names one row
-                raise NumericalError(exc.reason, first
-                                     + exc.realization_index, size) from None
-    return size, each()
-
-
-@dataclass(frozen=True)
-class EnsembleDynamics:
-    """The grid that R trajectories of one initial state were sampled on."""
-
-    times: np.ndarray           # actual (step-aligned) sample times
-    steps: int                  # S6 grid steps spanned, plus the side steps
-    step: float                 # the S6 grid step of state_grid
-    batch_size: int             # realizations propagated at once
-
-
-@dataclass(frozen=True)
-class EnsembleRatios(RatioSample):
-    """Gap ratios pooled over R realizations, their batch size and the
-    quasienergies' health (:func:`~drivenchain.spectrum.spectra_health`)."""
-
-    batch_size: int = 1
-    steps: int = 0              # S6 steps each Floquet product integrated
-    health: dict = field(default_factory=dict)
+    size = record["batch_size"] = max(1, min(count, BATCH_BYTES // per))
+    for first in range(0, count, size):
+        batch = slice(first, min(first + size, count))
+        offsets = sample_disorder(disorder, np.arange(first, batch.stop))
+        try:
+            yield batch, propagate(model.static_hamiltonians(
+                model.potential.static_offsets + offsets))
+        except NumericalError as exc:       # a check names one row
+            index = record["realization_index"] = (first
+                                                   + exc.realization_index)
+            raise NumericalError(exc.reason, index) from None
 
 
 def run_dynamics_ensemble(model: SectorModel, disorder: DisorderSpec,
                           initial_site: int, t_samples, step: float, each,
-                          pairs=()) -> EnsembleDynamics:
+                          pairs=(), record: dict | None = None) -> np.ndarray:
     """Populations of one initial state over R disorder realizations and
     the ZZ correlations of the site ``pairs``, handed on as each batch is
     propagated, in order: ``each(slice of the ensemble, sample times,
-    (realization, time, site) populations, {(i, j): (realization, time)})``."""
+    (realization, time, site) populations, {(i, j): (realization, time)})``.
+    Returns the step-aligned sample times; ``record`` gets _batches' facts,
+    then the grid's S6 steps (side steps included) and step."""
+    record = {} if record is None else record
     psi0 = fock_state(model.basis, initial_site)
     # the grid step alone: no sample time is snapped before _admit
     grid_step = state_grid(model.drive, step, ())[1] if step > 0 else 0.0
     _admit(model, disorder, float(t_samples[-1]) / grid_step if grid_step
-           else float("inf"), grid_step)
+           else float("inf"), grid_step, len(t_samples))
     _, _, count, fine, snapped = state_grid(model.drive, step, t_samples)
     if np.any(np.diff(snapped) < 1):
         raise ConfigError(f"the sample spacing is below the propagator step "
                           f"of {fine:.3g} ns, so two samples fall on one "
                           f"step: raise steps_per_period or sample_dt_ns")
-    size, batches = _batches(
-        model, disorder, count + 1, len(t_samples),
-        lambda h0: evolve_state(model, psi0, t_samples, step, h0))
-    for batch, trajectory in batches:
+    for batch, trajectory in _batches(
+            model, disorder, count + 1, len(t_samples),
+            lambda h0: evolve_state(model, psi0, t_samples, step, h0), record):
         each(batch, trajectory.times, *observable_series(
             trajectory.amplitudes, model.basis, pairs))
-    return EnsembleDynamics(trajectory.times, trajectory.steps,
-                            trajectory.step, size)
+    record.update(state_steps_integrated=trajectory.steps,
+                  state_step_ns=trajectory.step)
+    return trajectory.times
 
 
 def run_spectrum_ensemble(model: SectorModel, disorder: DisorderSpec,
-                          steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
-                          ) -> EnsembleRatios:
+                          steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
+                          record: dict | None = None) -> RatioSample:
     """Pooled quasienergy gap ratios over R disorder realizations; a sample
-    whose every ratio touches a degenerate gap is refused."""
+    whose every ratio touches a degenerate gap is refused.  ``record`` gets
+    _batches' facts, then each product's S6 steps and the spectra_health."""
+    record = {} if record is None else record
     per_period, steps = floquet_steps(model.drive, steps_per_period)
-    _admit(model, disorder, steps, model.drive.period / per_period)
+    # P <= MAX_FLOQUET_STEPS keeps K below MAX_STEPS
     if per_period > MAX_FLOQUET_STEPS:
         raise ConfigError(f"the Floquet product would take {per_period} S6 "
                           f"steps per period, more than {MAX_FLOQUET_STEPS}: "
                           f"its roundoff nears the unitarity tolerance; lower "
                           f"steps_per_period ({steps_per_period})")
-    work = disorder.realization_count * steps * model.basis.dim ** 3
-    if work > MAX_WORK:
-        raise ConfigError(f"realizations x Floquet steps x sector dimension^3 "
-                          f"= {work:.3g} exceeds the work budget {MAX_WORK:g}: "
-                          f"lower realizations, steps_per_period, n_sites, "
-                          f"sector or boson_cutoff")
-    size, batches = _batches(
-        model, disorder, 1, 0,
-        lambda h0: quasienergies(floquet_operator(model, steps_per_period,
-                                                  h0)))
-    spectra = [spectrum for _, batch in batches for spectrum in batch]
+    _admit(model, disorder, steps, model.drive.period / per_period)
+    spectra = [spectrum for _, batch in _batches(
+        model, disorder, 1, 0, lambda h0: quasienergies(
+            floquet_operator(model, steps_per_period, h0)), record)
+        for spectrum in batch]
     sample = gap_ratios(spectra)
     if sample.count == 0:
         raise ConfigError(f"all {sample.discarded_degenerate} gap ratios touch "
                           f"a degenerate quasienergy gap (below "
                           f"{DEGENERACY_RELATIVE_TOL:g} x the drive frequency), "
                           f"e.g. every coupling is 0: no level statistics")
-    return EnsembleRatios(sample.ratios, sample.discarded_degenerate, size,
-                          steps, spectra_health(spectra))
+    record.update(floquet_steps_integrated=steps,
+                  health=spectra_health(spectra))
+    return sample

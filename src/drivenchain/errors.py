@@ -11,13 +11,11 @@ class NumericalError(RuntimeError):
     """A numerical guarantee was violated (unitarity, norm, determinant...).
 
     A check over a batch names its first failing realization in
-    ``realization_index``, and the message opens with "realization i: ";
-    an ensemble's check also gives the ``batch_size`` it ran at.
+    ``realization_index``, and the message opens with "realization i: ".
+    Run facts travel in the run record, not here (see :mod:`drivenchain.cli`).
     """
 
-    def __init__(self, message: str, realization_index: int | None = None,
-                 batch_size: int | None = None):
+    def __init__(self, message: str, realization_index: int | None = None):
         super().__init__(message if realization_index is None
                          else f"realization {realization_index}: {message}")
         self.reason, self.realization_index = message, realization_index
-        self.batch_size = batch_size

@@ -13,10 +13,14 @@ a moderate value, and zero to two integer keys (``realizations``,
 config in 50 sets ``steps_per_period`` next to the Floquet product's step
 bound.
 The script prints the count of each exit code, per command and in total,
-each distinct exit 1 with the first config that gave it, and each distinct
-warning raised during a run with its first config: the manifest records no
-warnings, so each one is a warning it misses.  It exits 1 if any config
-exits 1 or raises a warning, and 0 otherwise.  With
+each distinct exit 1 with the first config that gave it, each distinct
+warning raised during a run with its first config (the manifest records no
+warnings, so each one is a warning it misses), and the count of manifests
+that lack a run-record key their command and exit code promise
+(``PROMISED``; an exit 3 whose error opens "realization i: " promises
+``realization_index`` = i and ``environment.batch_size``), with each
+missing key and its first config.  It exits 1 if any config exits 1,
+raises a warning or lacks a promised key, and 0 otherwise.  With
 ``--log`` it also writes one JSON line per config (index, command,
 settings, exit code, error), so two trees can be compared config by config.
 The same seed gives the same configs.  pytest does not collect this file.
@@ -29,6 +33,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 import time
@@ -57,6 +62,14 @@ EDGE_STEPS = [131_068, 131_072, 131_075, 131_076, 131_080]
 #: every key not drawn stays here, so a nominal config runs in milliseconds
 BASE = dict(t_max_ns=20, sample_dt_ns=5.0, steps_per_period=16,
             realizations=2, stability_resolution=4, contour_resolution=5)
+#: the run-record keys (``environment.`` nested) a success of each command
+#: promises
+PROMISED = {"dynamics": ("state_steps_integrated", "state_step_ns",
+                         "environment.batch_size"),
+            "spectrum": ("floquet_steps_integrated", "health",
+                         "environment.batch_size"),
+            "stability": ("health", "monodromy_groups")}
+PROMISED["ensemble"] = PROMISED["dynamics"]
 
 
 def draw(rng: random.Random) -> tuple:
@@ -94,6 +107,22 @@ def run(command: str, settings: dict) -> tuple:
     return code, manifest, caught, err.getvalue()
 
 
+def missing_keys(command: str, code: int, manifest: dict) -> list:
+    """The promised run-record keys that ``manifest`` lacks, or holds with
+    another realization index than its error names."""
+    keys, missing = PROMISED.get(command, ()) if code == 0 else (), []
+    failed = re.match(r"realization (\d+): ", manifest.get("error") or "")
+    if code == 3 and failed:
+        keys = ("environment.batch_size",)
+        if manifest.get("realization_index") != int(failed[1]):
+            missing.append("realization_index")
+    for key in keys:
+        scope, _, name = key.rpartition(".")
+        if name not in (manifest[scope] if scope else manifest):
+            missing.append(key)
+    return missing
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=int, default=1000)
@@ -102,7 +131,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     codes, per_command = Counter(), {c: Counter() for c in COMMANDS}
-    internal, unrecorded, timings = {}, {}, []
+    internal, unrecorded, unkept, timings = {}, {}, {}, []
+    lacking = 0
     log = args.log.open("w") if args.log else None
     for index in range(args.configs):
         command, settings = draw(rng)
@@ -119,6 +149,10 @@ def main(argv=None) -> int:
         for w in caught:
             key = (w.category.__name__, str(w.message))
             unrecorded.setdefault(key, [index, command, settings, 0])[3] += 1
+        missing = missing_keys(command, code, manifest)
+        lacking += bool(missing)
+        for key in missing:
+            unkept.setdefault((command, code, key), [index, settings, 0])[2] += 1
         if log:
             log.write(json.dumps({"index": index, "command": command,
                                   "settings": settings, "code": code,
@@ -141,10 +175,14 @@ def main(argv=None) -> int:
     for (kind, message), (index, command, settings, n) in unrecorded.items():
         print(f"  {kind}: {message} ({n} runs; first [{index}] {command} "
               f"{settings})")
+    print(f"manifests missing a record key: {lacking}")
+    for (command, code, key), (index, settings, n) in unkept.items():
+        print(f"  {command} exit {code} lacks {key} ({n} runs; first "
+              f"[{index}] {settings})")
     print("slowest configs: " + "; ".join(
         f"[{index}] {command} {seconds:.2f} s"
         for seconds, index, command in sorted(timings, reverse=True)[:5]))
-    return 1 if internal or unrecorded else 0
+    return 1 if internal or unrecorded or lacking else 0
 
 
 if __name__ == "__main__":

@@ -69,12 +69,13 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
     # the rows dynamics reads, collected as its consumer gets them
     real_dynamics = cli.run_dynamics_ensemble
 
-    def collecting(model, disorder, site, t_samples, step, each, pairs=()):
+    def collecting(model, disorder, site, t_samples, step, each, pairs=(),
+                   record=None):
         def both(*batch):
             batches.append(batch)
             each(*batch)
         return real_dynamics(model, disorder, site, t_samples, step, both,
-                             pairs)
+                             pairs, record)
     monkeypatch.setattr(cli, "run_dynamics_ensemble", collecting)
     cfg = write_config(tmp_path / "run.cfg", t_max_ns=1500, sample_dt_ns=1.0,
                        stability_resolution=12, contour_resolution=101)
@@ -83,7 +84,7 @@ def test_block_writer_matches_row_at_a_time_formatting(tmp_path, monkeypatch):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
     (_, batch_times, batch_populations, batch_correlations), = batches
-    times = results["run_dynamics_ensemble"].times.tolist()
+    times = results["run_dynamics_ensemble"].tolist()
     assert batch_times.tolist() == times
     populations = batch_populations[0]
     correlations = {pair: values[0]
@@ -1072,7 +1073,7 @@ def strict_manifest(out: Path) -> dict:
     ("ensemble", {"master_seed": -1, "disorder_w_over_j": 3.0}),
     # one realization of 100 sites: its prefix table (2,049 matrices) and
     # its 100,001 samples' vectors fit MAX_REALIZATION_BYTES apart, not
-    # together (8.09e8 bytes)
+    # together (8.09e8 bytes); the work budget (1.4e14) refuses it first
     ("ensemble", {"n_sites": 100, "realizations": 10000, "t_max_ns": "1e5",
                   "sample_dt_ns": "1.0", "steps_per_period": 16384}),
     ("dynamics", {"driven_sites": "none"}),
@@ -1092,6 +1093,10 @@ def strict_manifest(out: Path) -> dict:
                   "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
     # R = 50 of sector 6 (dim 924): 1.26e12 over the work budget
     ("spectrum", {"sector": 6}),
+    # 10,000 realizations of 100,001 samples on 14 sites: 2.0e12 over the
+    # work budget, where it used to run for minutes
+    ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
+                  "sample_dt_ns": "1.0"}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -1156,7 +1161,9 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     # one realization's prefix table, as for dynamics below
     ("ensemble", {"steps_per_period": 8_000_000, "t_max_ns": 20},
      "prefix table"),
-    ("spectrum", {"steps_per_period": 8_000_016}, "propagator steps"),
+    # P = 2,000,004 S6 steps per period: the product's bound comes first
+    ("spectrum", {"steps_per_period": 8_000_016},
+     "2000004 S6 steps per period, more than 32768"),
     ("dynamics", {"t_max_ns": "1e5", "steps_per_period": 4096},
      "propagator steps"),
     ("ensemble", {"t_max_ns": "1e6"}, "samples"),

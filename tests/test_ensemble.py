@@ -49,20 +49,22 @@ STEP = 0.2
 
 
 def ensemble_rows(model, spec, site, t_samples=T_SAMPLES, step=STEP):
-    """The runner's grid and its (realization, time, site) populations,
-    collected batch by batch with a list-appending consumer."""
-    batches = []
-    result = run_dynamics_ensemble(model, spec, site, t_samples, step,
-                                   lambda *batch: batches.append(batch))
+    """The runner's sample times, its run record and its (realization,
+    time, site) populations, collected batch by batch with a list-appending
+    consumer."""
+    batches, record = [], {}
+    times = run_dynamics_ensemble(model, spec, site, t_samples, step,
+                                  lambda *batch: batches.append(batch),
+                                  record=record)
     assert [b[0].start for b in batches] == list(range(
-        0, spec.realization_count, result.batch_size))
-    return result, np.concatenate([b[2] for b in batches])
+        0, spec.realization_count, record["batch_size"]))
+    return times, record, np.concatenate([b[2] for b in batches])
 
 
 def mean_populations(model, spec, site, t_samples=T_SAMPLES):
     """(time, site) realization mean: ``cmd_ensemble``'s row-by-row sum is
     bitwise this mean."""
-    return ensemble_rows(model, spec, site, t_samples)[1].mean(axis=0)
+    return ensemble_rows(model, spec, site, t_samples)[2].mean(axis=0)
 
 
 def batch_budget(size, dim, table, vectors):
@@ -90,7 +92,7 @@ def test_zero_disorder_average_equals_single_run():
 def test_mean_is_arithmetic_mean_of_kept_realizations():
     model = make_model()
     spec = disorder(3.0)
-    result, rows = ensemble_rows(model, spec, 3)
+    rows = ensemble_rows(model, spec, 3)[2]
     assert rows.shape == (4, len(T_SAMPLES), N)
     singles = [observable_series(evolve_state(m, fock_state(model.basis, 3),
                                               T_SAMPLES, STEP).amplitudes,
@@ -134,15 +136,16 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     for size in (1, 7, len(models)):
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 12, 33 * 144, 3 * 13))
-        result, rows = ensemble_rows(model, spec, 3)
-        assert result.batch_size == size
-        assert np.array_equal(result.times, singles[0].times)
+        times, record, rows = ensemble_rows(model, spec, 3)
+        assert record["batch_size"] == size
+        assert np.array_equal(times, singles[0].times)
         for row, single in zip(rows, populations):
             assert np.array_equal(row, single)
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 12, 144, 0))
-        pooled = run_spectrum_ensemble(model, spec, 64)
-        assert pooled.batch_size == size
+        record = {}
+        pooled = run_spectrum_ensemble(model, spec, 64, record)
+        assert record["batch_size"] == size
         assert np.array_equal(pooled.ratios, direct.ratios)
 
     operators = floquet_operator(model, 64, h0)
@@ -176,8 +179,9 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     for size in (1, 2, 3):
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 66, 66 ** 2, 0))
-        pooled = run_spectrum_ensemble(model, spec, 64)
-        assert pooled.batch_size == size
+        record = {}
+        pooled = run_spectrum_ensemble(model, spec, 64, record)
+        assert record["batch_size"] == size
         assert np.array_equal(pooled.ratios, direct.ratios)
 
 
@@ -224,8 +228,8 @@ def test_spectrum_ensemble_integrates_half_a_period(monkeypatch):
 def test_ensemble_reruns_bitwise():
     model = make_model()
     spec = disorder(3.0, count=5)
-    assert np.array_equal(ensemble_rows(model, spec, 3)[1],
-                          ensemble_rows(model, spec, 3)[1])
+    assert np.array_equal(ensemble_rows(model, spec, 3)[2],
+                          ensemble_rows(model, spec, 3)[2])
     assert np.array_equal(run_spectrum_ensemble(model, spec, 64).ratios,
                           run_spectrum_ensemble(model, spec, 64).ratios)
 
@@ -308,12 +312,20 @@ def test_spectrum_work_budget_refuses_before_the_h0_stack(no_h0):
     with pytest.raises(ConfigError, match="work budget 1e\\+11"):
         run_spectrum_ensemble(make_model(sector=3),
                               disorder(3.0, count=1_200), 64)
+    # 200 realizations at the default 256 steps per period (K = 32): 6.8e10
+    with pytest.raises(AssertionError, match="H0"):
+        run_spectrum_ensemble(make_model(sector=3), disorder(3.0, count=200))
 
 
 def test_spectrum_counts_the_steps_its_product_takes(no_h0):
-    # 8M + 16 steps per period: S6 at a quarter, then half a period, M + 2
-    with pytest.raises(ConfigError, match="propagator steps"):
+    # 8M + 16 steps per period is P = 2M + 4 S6 steps, half of them M + 2:
+    # the product's own bound refuses P first, so K <= P <= MAX_FLOQUET_STEPS
+    # never meets the step budget, whose hints would not change K
+    with pytest.raises(ConfigError, match=(
+            f"take {2 * MAX_STEPS + 4} S6 steps per period, more than "
+            f"{MAX_FLOQUET_STEPS}")):
         run_spectrum_ensemble(make_model(), disorder(3.0), 8 * MAX_STEPS + 16)
+    assert MAX_FLOQUET_STEPS < MAX_STEPS
     # the product's own bound counts the S6 steps P of the period, whether
     # V^T V halves them or not: 4P steps per period fit, and 4 (P + 1) and
     # 4 (P + 2) are refused, the latter halved to P/2 + 1 by the default drive
@@ -347,7 +359,7 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
                                                         monkeypatch):
     # the default 150 ns at T/256 is 755 fine steps but 188 grid steps of
     # 4 and 3 side steps, so it fits a budget of 200; 160 ns needs 201.4
-    # grid steps and is refused before the H0 stack is built
+    # grid steps, 202 whole ones, and is refused before the H0 stack is built
     monkeypatch.setattr(ensemble, "MAX_STEPS", 200)
     out = tmp_path / "fits"
     assert main(["dynamics", "--out", str(out)]) == 0
@@ -360,7 +372,7 @@ def test_state_budget_counts_the_s6_steps_it_integrates(tmp_path,
     assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error_type"] == "ConfigError"
-    assert "201 propagator steps, more than 200" in manifest["error"]
+    assert "needs 202 propagator steps, more than 200" in manifest["error"]
 
 
 def test_state_prefix_table_over_budget_refused_before_h0(no_h0,
@@ -398,6 +410,14 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
     with pytest.raises(AssertionError, match="H0"):
         ensemble_rows(model, disorder(3.0, count=10_000), 3,
                       np.arange(301) * STEP)
+    # the work budget spectrum also spends, R x (K dim + 10 samples) dim^2
+    # with K at most a period of S6 steps (64 here): 10,000 realizations of
+    # 6,867 samples 1 ns apart are 9.9997e10 and fit, of 6,868 1.00005e11
+    for samples, fits in ((6_867, True), (6_868, False)):
+        with pytest.raises(AssertionError if fits else ConfigError,
+                           match="H0" if fits else "work budget 1e\\+11"):
+            ensemble_rows(model, disorder(3.0, count=10_000), 3,
+                          np.arange(float(samples)))
     with pytest.raises(ConfigError, match="sample_dt_ns"):
         ensemble_rows(model, disorder(3.0), 3, [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError, match="H0"):     # one step apart fits

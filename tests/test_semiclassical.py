@@ -52,6 +52,32 @@ def test_small_oscillation_frequency_formula():
         pytest.approx(2 * expected / 3)
 
 
+@pytest.mark.parametrize("n_sites", [80, 100])
+@pytest.mark.parametrize("d0_over_j", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("coupling_mhz", [11.5, -11.5])
+def test_small_oscillation_frequency_is_the_quantum_ladder_spacing(
+        n_sites, d0_over_j, coupling_mhz):
+    # the clean, undriven sector-1 H0 of the cosine profile: its eigenstates
+    # with >= 90% weight within N/8 of zero-based site N/2 (the potential's
+    # extremum, the semiclassical fixed point), from the top of the spectrum
+    # (the bottom when J < 0), quantize the small oscillations.  Anharmonic
+    # theory to first order gives gaps Omega - 2 alpha (k + 1), so a line
+    # through the first four meets k = -1 at Omega (0.9984 to 1.0004 here)
+    run = resolve(RunConfig(
+        n_sites=n_sites, profile="cosine", disorder_w_over_j=0.0,
+        ac_amplitude_over_j=0.0, dc_amplitude_over_j=d0_over_j,
+        coupling_mhz=(coupling_mhz,), drive_frequency_mhz=19.67))
+    values, vectors = np.linalg.eigh(run.model.static_hamiltonians()[0])
+    populations = (np.abs(vectors) ** 2).T @ run.basis.states
+    near = np.abs(np.arange(n_sites) - n_sites // 2) <= n_sites / 8
+    ladder = values[populations[:, near].sum(axis=1) >= 0.9]
+    ladder = (ladder[::-1] if coupling_mhz > 0 else ladder)[:5]
+    assert len(ladder) == 5
+    slope, intercept = np.polyfit(np.arange(4), np.abs(np.diff(ladder)), 1)
+    omega = run.semiclassical_params().small_oscillation_frequency
+    assert abs((intercept - slope) / omega - 1) < 5e-3
+
+
 def test_fixed_point_has_zero_velocity():
     params = make_params()
     dq, dp = classical_rhs(TWO_PI, 0.0, 1.3, params, ac=D0, omega=OMEGA_OP)
