@@ -40,19 +40,31 @@ MAX_REALIZATION_BYTES = 800_000_000
 MAX_FLOQUET_STEPS = 32_768
 #: most bytes one batch of realizations holds while it propagates
 BATCH_BYTES = 32_000_000
-#: most work R x (K dim + 10 samples) dim^2 of one ensemble (_admit): it
-#: admits spectrum sector 3 at R=200 (6.8e10) and the default ensemble of
-#: R=10,000 at 1000 ns (1.55e10).  Per unit, spectrum sector 3 took 1.1e-9 s
-#: and the dim-12 ensemble 1.07e-8 s per R samples dim^2 (flat W=3J, 2-core
-#: OpenBLAS host), hence the 10: either runner's largest run takes ~100 s
+#: most work R x (K (dim + WORK_DIM_OFFSET) + 10 samples) dim^2 of one
+#: ensemble (_admit): it admits spectrum sector 3 at R=200 (8.2e10) and the
+#: default ensemble of R=10,000 at 1000 ns (1.7e10).  Per unit, spectrum
+#: sector 3 took 1.1e-9 s and the dim-12 ensemble 1.07e-8 s per R samples
+#: dim^2 (flat W=3J, 2-core OpenBLAS host), hence the 10
 MAX_WORK = 1e11
+#: the per-step cost that does not grow with dim, in units of dim: per
+#: realization-step, spectrum took 3.5-4.3e-8 s x dim^2 at dim 12 and
+#: 7.3-7.9e-8 at dim 66 (two-point fits dim + 37 to 55); dim 220's BLAS
+#: runs nearer peak (1.2e-7), so that end of the budget errs safe
+WORK_DIM_OFFSET = 44
+#: least largest H0 phase of one S6 step, unless H0 is 0: below it, products
+#: of two phases with roundoff-sized factors turn subnormal and slow every
+#: matrix product (runs took 2.5-25x their time at phases of 1e-305 to
+#: 2e-139, their normal time from 2e-137 up); here, the square times six
+#: factors of 2.2e-16 stays normal
+MIN_STEP_PHASE = 1e-100
 
 
 def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
            step: float, samples: int = 0) -> None:
     """Refuse a step count (a float, so inf too) over budget, an S6
-    ``step`` whose largest H0 phase is not finite, and a run of ``samples``
-    states (none for a spectrum) over the work budget."""
+    ``step`` whose largest H0 phase is not finite or, for an H0 that is not
+    0, below MIN_STEP_PHASE, and a run of ``samples`` states (none for a
+    spectrum) over the work budget."""
     if not steps <= MAX_STEPS:      # rounded up: it never reads as in bound
         raise ConfigError(f"the run needs {np.ceil(steps):.9g} propagator "
                           f"steps, more than {MAX_STEPS}: lower the drive "
@@ -75,12 +87,21 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
                           f"disorder_w_over_j, coupling_mhz or "
                           f"nonlinearity_mhz, or raise drive_frequency_mhz or "
                           f"steps_per_period")
+    if bound > 0 and not phase >= MIN_STEP_PHASE:   # 0 by underflow too
+        raise ConfigError(f"the largest H0 phase of one S6 step, {phase:.3g},"
+                          f" is below {MIN_STEP_PHASE:g}, where its products "
+                          f"underflow to slow subnormal numbers: raise "
+                          f"coupling_mhz, dc_amplitude_over_j, "
+                          f"disorder_w_over_j or nonlinearity_mhz, or lower "
+                          f"drive_frequency_mhz or steps_per_period")
     # K steps of a dim x dim block (a Floquet product, or a state's prefix
     # table of at most a period) and a few dim^2 products per sample
     work = disorder.realization_count * basis.dim ** 2 * (min(
-        steps, round(model.drive.period / step)) * basis.dim + 10 * samples)
+        steps, round(model.drive.period / step))
+        * (basis.dim + WORK_DIM_OFFSET) + 10 * samples)
     if work > MAX_WORK:
-        raise ConfigError(f"R x (S6 steps x dim + 10 x samples) x dim^2 = "
+        raise ConfigError(f"R x (S6 steps x (dim + {WORK_DIM_OFFSET}) + 10 x "
+                          f"samples) x dim^2 = "
                           f"{work:.3g} exceeds the work budget {MAX_WORK:g}: "
                           f"lower realizations, t_max_ns, steps_per_period, "
                           f"n_sites, sector or boson_cutoff, or raise "

@@ -35,9 +35,10 @@ is rebuilt from the last two positions.  The kicks sit at fixed fractions
 of each cell's period, so their cosines come from one short table per
 step-count group.  Groups above CHUNK_STEPS steps hold few cells, so
 their half period runs as side-by-side chunks from the identity whose
-products fold into H.  The integrator takes the grid's cells as flat
-arrays; every group is cut into cache-sized blocks of cells, integrated
-one after another on the calling thread.
+products fold into H.  The integrator takes the grid's axes broadcast
+against each other; every group is cut into cache-sized blocks of cells,
+integrated one after another on the calling thread, and each block is
+reduced to its |tr M| and its det M check as it comes, so no M is kept.
 
 All frequencies here are angular (rad/ns); the unit bridge from ordinary
 MHz inputs is units.rad_ns_from_mhz.
@@ -125,17 +126,26 @@ def _monodromy_steps(nu, eps) -> np.ndarray:
     fall into a handful of equal-step batches.  Depending only on the
     cell's own parameters keeps grids exactly subsample-consistent.  A
     cell that needs more than MAX_MONODROMY_STEPS raises ValueError,
-    before anything is allocated.
+    before anything is allocated.  ``nu`` and ``eps`` have one shape (a
+    broadcast view will do), and the rule runs in place in one float
+    buffer of that shape.
     """
-    needed = (np.maximum(np.sqrt(1.0 + np.abs(eps)) / nu, 1.0)
-              * MIN_STEPS_PER_OSCILLATION)
+    needed = np.abs(eps)
+    needed += 1.0
+    np.sqrt(needed, out=needed)
+    needed /= nu
+    np.maximum(needed, 1.0, out=needed)
+    needed *= MIN_STEPS_PER_OSCILLATION
     worst = int(needed.argmax())
-    if not needed[worst] <= MAX_MONODROMY_STEPS:        # NaN or inf too
+    if not needed.flat[worst] <= MAX_MONODROMY_STEPS:   # NaN or inf too
         raise ValueError(
-            f"the cell at omega = {nu[worst]:.6g} Omega needs "
-            f"{needed[worst]:.3g} monodromy steps per period, more than "
+            f"the cell at omega = {nu.flat[worst]:.6g} Omega needs "
+            f"{needed.flat[worst]:.3g} monodromy steps per period, more than "
             f"{MAX_MONODROMY_STEPS}")
-    return (2 ** np.ceil(np.log2(needed))).astype(int)
+    np.log2(needed, out=needed)
+    np.ceil(needed, out=needed)
+    np.power(2.0, needed, out=needed)
+    return needed.astype(int)
 
 
 def _integrate_group(nu, eps, steps: int, chunks: int = 1) -> np.ndarray:
@@ -245,33 +255,37 @@ def _integrate_group(nu, eps, steps: int, chunks: int = 1) -> np.ndarray:
     return m
 
 
-def _monodromy_batch(nu: np.ndarray, eps: np.ndarray) -> tuple:
-    """Monodromy matrices, shape (n, 2, 2), of n cells given as flat
-    ``nu`` = omega/Omega and ``eps`` = delta1/d0 arrays, and their
+def _monodromy_batch(nu: np.ndarray, eps: np.ndarray, each) -> list:
+    """Monodromy matrices of the cells ``nu`` = omega/Omega and ``eps`` =
+    delta1/d0, two arrays that broadcast together (flat cells, or a column
+    of nu against a row of eps for a grid), handed on block by block as
+    ``each(flat cell indices, (cells, 2, 2) matrices)``; returns the
     step-count groups.
 
     Each group is cut into blocks of at most BLOCK_COLUMNS chunk x cell
     columns (a single cell may exceed it), so a block's working set stays
-    in cache.  A cell's arithmetic does not depend on its block.
+    in cache.  A block reads its cells off the broadcast axes, and no array
+    spans the grid's cells in nu, eps or M.  A cell's arithmetic does not
+    depend on its block.
     """
-    steps = _monodromy_steps(nu, eps)
-    result = np.empty((nu.size, 2, 2))
+    nu, eps = np.broadcast_arrays(nu, eps)
+    steps = _monodromy_steps(nu, eps).ravel()
     groups = []
     for count, cells in zip(*np.unique(steps, return_counts=True)):
         count, cells = int(count), int(cells)
         chunks = max(1, count // CHUNK_STEPS)
         pieces = min(cells, -(-cells * chunks // BLOCK_COLUMNS))
         for idx in np.array_split(np.flatnonzero(steps == count), pieces):
-            result[idx] = _integrate_group(nu[idx], eps[idx], count, chunks)
+            each(idx, _integrate_group(nu.flat[idx], eps.flat[idx], count,
+                                       chunks))
         groups.append({"steps": count, "cells": cells, "chunks": chunks,
                        "blocks": pieces})
-    return result, groups
+    return groups
 
 
-def _check_determinants(m: np.ndarray) -> dict:
-    """Verify det M = 1 to 1e-8 wherever that is measurable, and return the
-    worst measured |det M - 1| (0 when no cell is measurable) with its
-    tolerance and their ratio.
+def _check_determinants(m: np.ndarray) -> float:
+    """Verify det M = 1 to DETERMINANT_TOL wherever that is measurable, and
+    return the worst measured |det M - 1| (0 when no cell is measurable).
 
     Each integration substep is a shear, so the determinant is preserved
     structurally; the floating-point check is meaningful only while matrix
@@ -291,8 +305,7 @@ def _check_determinants(m: np.ndarray) -> dict:
     worst = float(np.abs(det - 1.0).max(initial=0.0))
     if worst > DETERMINANT_TOL:
         raise NumericalError(f"monodromy determinant deviates by {worst:.3e}")
-    return {"worst": worst, "tolerance": DETERMINANT_TOL,
-            "ratio": worst / DETERMINANT_TOL}
+    return worst
 
 
 @dataclass(frozen=True)
@@ -321,10 +334,17 @@ def stability_grid(omega_values, delta1_values, params: SemiclassicalParams
         raise ValueError("grid axes must be finite in units of Omega and d0")
     if np.any(nu <= 0):
         raise ValueError("omega grid values must be positive")
-    nu, eps = np.meshgrid(nu, eps, indexing="ij")
-    m, groups = _monodromy_batch(nu.ravel(), eps.ravel())
-    health = {"monodromy_determinant": _check_determinants(m)}
-    abs_trace = np.abs(m[:, 0, 0] + m[:, 1, 1]).reshape(nu.shape)
+    # each block's |tr M| and checked determinants, and no M kept
+    abs_trace, worst = np.empty((nu.size, eps.size)), [0.0]
+
+    def each(idx, m):
+        abs_trace.flat[idx] = np.abs(m[:, 0, 0] + m[:, 1, 1])
+        worst[0] = max(worst[0], _check_determinants(m))
+
+    groups = _monodromy_batch(nu[:, None], eps, each)
+    health = {"monodromy_determinant": {
+        "worst": worst[0], "tolerance": DETERMINANT_TOL,
+        "ratio": worst[0] / DETERMINANT_TOL}}
     stable = np.isfinite(abs_trace) & (abs_trace <= 2.0 + STABILITY_TOLERANCE)
     return StabilityGrid(omega_values, delta1_values, abs_trace, stable,
                          groups, health)
@@ -348,5 +368,5 @@ def potential_contours(q_values, p_values, params: SemiclassicalParams
     p_values = np.asarray(p_values, dtype=float)
     if len(q_values) == 0 or len(p_values) == 0:
         raise ValueError("contour grids must be non-empty")
-    qq, pp = np.meshgrid(q_values, p_values, indexing="ij")
-    return energy(qq, pp, params)
+    # the axes broadcast: each cosine is taken once per axis value
+    return energy(q_values[:, None], p_values, params)

@@ -5,7 +5,8 @@ independent second way to compute something the package computes.  A few
 (``sector_diagonal``, ``sector_hamiltonian``, ``czz_expectation``,
 ``populations``, ``monodromy_matrix`` and ``monodromy_trace``) are
 single-input views of package internals that only the tests call,
-``uniform_chain`` builds the tests' one-coupling chains,
+``monodromy_matrices`` keeps the monodromy blocks that the package
+reduces and drops, ``uniform_chain`` builds the tests' one-coupling chains,
 ``sample_disorder_loop`` is the per-site generator loop the vectorized
 disorder draws replaced, kept as their oracle, and
 ``coe_density_divergent`` is a known-bad transcription kept to document
@@ -488,13 +489,28 @@ def scaled_cells(omega, delta1, params: SemiclassicalParams) -> tuple:
             delta1.ravel() / params.dc_amplitude)
 
 
+def monodromy_matrices(nu, eps, each=None) -> tuple:
+    """The (n, 2, 2) monodromy matrices of the n cells of (nu, eps), two
+    arrays that broadcast together, in flat order, and their step-count
+    groups, collected from the blocks the package's integrator hands on
+    (and passed to ``each`` as well, when given)."""
+    m = np.empty((np.broadcast(nu, eps).size, 2, 2))
+
+    def keep(idx, block):
+        m[idx] = block
+        if each is not None:
+            each(idx, block)
+
+    return m, _monodromy_batch(nu, eps, keep)
+
+
 def monodromy_matrix(omega: float, delta1: float, params: SemiclassicalParams
                      ) -> np.ndarray:
     """One-period monodromy matrix of the linearized flow (2x2), in units
     of Omega as the package integrates it."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return _monodromy_batch(*scaled_cells(omega, delta1, params))[0][0]
+    return monodromy_matrices(*scaled_cells(omega, delta1, params))[0][0]
 
 
 def monodromy_trace(omega: float, delta1: float, params: SemiclassicalParams

@@ -1097,6 +1097,22 @@ def strict_manifest(out: Path) -> dict:
     # work budget, where it used to run for minutes
     ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
                   "sample_dt_ns": "1.0"}),
+    # a largest H0 phase of one S6 step below MIN_STEP_PHASE (1.18e-305 and
+    # 2.08e-305), two contract-fuzz configs: subnormal products made them
+    # run 6 s and 15 s, to exit 2 on degenerate gaps or to write
+    # populations that never moved
+    ("spectrum", {"t_max_ns": 20, "sample_dt_ns": 5.0, "realizations": 2,
+                  "steps_per_period": 16, "profile": "flat", "sector": 3,
+                  "coupling_mhz": "100.0", "time_origin_ns": "0.25",
+                  "drive_frequency_mhz": "1.797e308"}),
+    ("ensemble", {"t_max_ns": 20, "sample_dt_ns": 5.0, "realizations": 2,
+                  "steps_per_period": 131072, "profile": "flat",
+                  "drive_frequency_mhz": "100.0", "time_origin_ns": "1e-160",
+                  "coupling_mhz": "1e-300"}),
+    # 2,000 realizations of 16,384 S6 steps at dim 12: 2.6e11 with the
+    # step's (dim + 44) cost, admitted at 5.7e10 when a step counted dim
+    # and about 200 s of work
+    ("spectrum", {"realizations": 2000, "steps_per_period": 131072}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -1155,12 +1171,14 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
 @pytest.mark.parametrize("command,settings_,message", [
     # one realization's bytes: its prefix table (K + 1 = 344,151 matrices
     # of 12 x 12, 7.93e8 bytes) fits MAX_REALIZATION_BYTES alone, and with
-    # its workspace and the 95,239 samples' vectors (8.48e8) it does not
+    # its workspace and the 95,239 samples' vectors (8.48e8) it does not;
+    # 10 realizations fit the work budget (2.9e10), so it is not refused first
     ("ensemble", {"steps_per_period": 3_500_000, "t_max_ns": 20,
-                  "sample_dt_ns": 0.00021}, "realization holds"),
-    # one realization's prefix table, as for dynamics below
-    ("ensemble", {"steps_per_period": 8_000_000, "t_max_ns": 20},
-     "prefix table"),
+                  "sample_dt_ns": 0.00021, "realizations": 10},
+     "realization holds"),
+    # one realization's prefix table, as for dynamics below (work 6.3e10)
+    ("ensemble", {"steps_per_period": 8_000_000, "t_max_ns": 20,
+                  "realizations": 10}, "prefix table"),
     # P = 2,000,004 S6 steps per period: the product's bound comes first
     ("spectrum", {"steps_per_period": 8_000_016},
      "2000004 S6 steps per period, more than 32768"),
@@ -1182,6 +1200,10 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     ("dynamics", {"steps_per_period": 8_000_000, "t_max_ns": 20},
      "prefix table"),
     ("spectrum", {"sector": 6}, "work budget"),
+    # an H0 of exactly 0 has a phase of 0, which MIN_STEP_PHASE leaves to
+    # the runner: its quasienergies are all degenerate
+    ("spectrum", {"coupling_mhz": "0.0", "drive_frequency_mhz": "19.67"},
+     "degenerate quasienergy gap"),
 ])
 def test_budget_and_sector_refusals_record_the_config(tmp_path, command,
                                                       settings_, message):

@@ -284,7 +284,7 @@ def no_h0(monkeypatch):
 
 
 def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
-    # R x dim^2 is not refused: 1,000 realizations of sector 3 (dim 220)
+    # R x dim^2 is not refused: 900 realizations of sector 3 (dim 220)
     # reach the H0 stack of a first batch that fits BATCH_BYTES
     drawn = []
 
@@ -295,24 +295,24 @@ def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
     monkeypatch.setattr(ensemble, "sample_disorder", first_batch)
     with pytest.raises(AssertionError, match="H0"):
         run_spectrum_ensemble(make_model(sector=3),
-                              disorder(3.0, count=1_000), 64)
+                              disorder(3.0, count=900), 64)
     size = ensemble.BATCH_BYTES // batch_budget(1, 220, 220 ** 2, 0)
     assert drawn == [list(range(size))]
     assert 1 <= size < 10
 
 
 def test_spectrum_work_budget_refuses_before_the_h0_stack(no_h0):
-    # R x Floquet steps x dim^3 at 64 steps per period (8 halved steps) in
-    # sector 3: 1,100 realizations are 9.4e10 and fit MAX_WORK, 1,200 are
-    # 1.02e11 and are refused by name
-    assert ensemble.MAX_WORK == 1e11
+    # R x Floquet steps x (dim + 44) x dim^2 at 64 steps per period (8
+    # halved steps) in sector 3: 950 realizations are 9.71e10 and fit
+    # MAX_WORK, 1,000 are 1.02e11 and are refused by name
+    assert ensemble.MAX_WORK == 1e11 and ensemble.WORK_DIM_OFFSET == 44
     with pytest.raises(AssertionError, match="H0"):
         run_spectrum_ensemble(make_model(sector=3),
-                              disorder(3.0, count=1_100), 64)
+                              disorder(3.0, count=950), 64)
     with pytest.raises(ConfigError, match="work budget 1e\\+11"):
         run_spectrum_ensemble(make_model(sector=3),
-                              disorder(3.0, count=1_200), 64)
-    # 200 realizations at the default 256 steps per period (K = 32): 6.8e10
+                              disorder(3.0, count=1_000), 64)
+    # 200 realizations at the default 256 steps per period (K = 32): 8.2e10
     with pytest.raises(AssertionError, match="H0"):
         run_spectrum_ensemble(make_model(sector=3), disorder(3.0, count=200))
 
@@ -410,10 +410,11 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
     with pytest.raises(AssertionError, match="H0"):
         ensemble_rows(model, disorder(3.0, count=10_000), 3,
                       np.arange(301) * STEP)
-    # the work budget spectrum also spends, R x (K dim + 10 samples) dim^2
-    # with K at most a period of S6 steps (64 here): 10,000 realizations of
-    # 6,867 samples 1 ns apart are 9.9997e10 and fit, of 6,868 1.00005e11
-    for samples, fits in ((6_867, True), (6_868, False)):
+    # the work budget spectrum also spends, R x (K (dim + 44) + 10 samples)
+    # dim^2 with K at most a period of S6 steps (64 here): 10,000
+    # realizations of 6,586 samples 1 ns apart are 9.99994e10 and fit, of
+    # 6,587 1.00014e11
+    for samples, fits in ((6_586, True), (6_587, False)):
         with pytest.raises(AssertionError if fits else ConfigError,
                            match="H0" if fits else "work budget 1e\\+11"):
             ensemble_rows(model, disorder(3.0, count=10_000), 3,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from drivenchain.semiclassical import (BLOCK_COLUMNS, CHUNK_STEPS,
 from drivenchain.units import TWO_PI, rad_ns_from_mhz
 from oracles import (SRKN6B_DRIFTS, SRKN6B_KICKS, classical_rhs,
                      full_period_monodromy, integrate_trajectory,
-                     mathieu_stable, monodromy_matrix, monodromy_resolution,
-                     monodromy_trace, scaled_cells,
+                     mathieu_stable, monodromy_matrices, monodromy_matrix,
+                     monodromy_resolution, monodromy_trace, scaled_cells,
                      serial_half_period_monodromy, serial_recurrence_monodromy,
                      yoshida_full_period_monodromy)
 
@@ -522,7 +523,8 @@ def test_chunked_groups_match_full_period_oracle(chunked_group_cells,
     with monodromy_resolution(min_steps):
         counts = _monodromy_steps(*scaled_cells(om, d1, params))
         keep = np.isin(counts, CHUNKED_COUNTS)
-        m, groups = _monodromy_batch(*scaled_cells(om[keep], d1[keep], params))
+        m, groups = monodromy_matrices(*scaled_cells(om[keep], d1[keep],
+                                                     params))
     assert len(groups) >= 3
     assert all(g["chunks"] == g["steps"] // CHUNK_STEPS > 1 for g in groups)
     ref_trace = np.array([traces[c][i] for i, c in
@@ -664,15 +666,15 @@ def test_grid_bitwise_independent_of_blocks(monkeypatch, min_steps):
     low, high = default_grid_axes(params)[0][[0, -1]]
     om = np.geomspace(low / 2 * min_steps / 64, high, 16)
     d1 = np.linspace(0.0, 2 * D0, 4)
-    groups = _monodromy_batch(*scaled_cells(*flat_grid(om, d1), params))[1]
+    groups = monodromy_matrices(*scaled_cells(*flat_grid(om, d1), params))[1]
     assert len(groups) >= 4 and min(g["cells"] for g in groups) >= 3
     split = min(g["cells"] * g["chunks"] for g in groups) // 3
-    matrices, batch = [], semiclassical._monodromy_batch
+    matrices = []
 
-    def recording_batch(*args):                    # keep what each grid ran
-        result = batch(*args)
-        matrices.append(result[0])
-        return result
+    def recording_batch(nu, eps, each):       # keep every block each grid ran
+        m, groups = monodromy_matrices(nu, eps, each)
+        matrices.append(m)
+        return groups
 
     monkeypatch.setattr(semiclassical, "_monodromy_batch", recording_batch)
     runs = []
@@ -692,6 +694,23 @@ def test_grid_bitwise_independent_of_blocks(monkeypatch, min_steps):
         assert np.array_equal(grid.stable, ref.stable)
 
 
+def test_stability_map_memory_is_per_block():
+    # each block is reduced to |tr M| and its det M check as it comes, and
+    # the cells are read off the axes: at resolution 400 (160,000 cells)
+    # the traced peak stays at or below 80 bytes per cell (38 measured;
+    # 138 when the grid's M, its meshgrid and its det M temporaries were
+    # held at once)
+    params = make_params()
+    axes = default_grid_axes(params, 400)
+    tracemalloc.start()
+    try:
+        stability_grid(*axes, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 400 ** 2
+
+
 def test_block_error_reaches_the_caller(monkeypatch):
     params = make_params()
     nu, eps = scaled_cells(*flat_grid(*default_grid_axes(params, 10)), params)
@@ -705,7 +724,7 @@ def test_block_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(semiclassical, "_integrate_group", failing)
     monkeypatch.setattr(semiclassical, "BLOCK_COLUMNS", 4)
     with pytest.raises(FloatingPointError, match="injected block error"):
-        _monodromy_batch(nu, eps)
+        _monodromy_batch(nu, eps, lambda idx, m: None)
 
 
 def test_determinant_check_skips_overflowing_cells():
