@@ -132,7 +132,8 @@ class RunConfig:
         if not 1 <= self.init_site <= self.n_sites:
             raise ConfigError(f"init_site outside 1..{self.n_sites}")
         if not 0 <= self.czz_reference_site <= self.n_sites:
-            raise ConfigError(f"czz_reference_site outside 1..{self.n_sites}")
+            raise ConfigError(f"czz_reference_site outside 0..{self.n_sites} "
+                              f"(0 selects n_sites/2 + 1)")
         if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
             raise ConfigError(f"histogram_bins outside 2..{MAX_HISTOGRAM_BINS}")
         if not (2 <= self.stability_resolution <= MAX_RESOLUTION

@@ -1,6 +1,7 @@
 """Disorder-ensemble runners: site populations and pooled gap ratios.
 
-Both runners take the R realizations in batches, as many as fit BATCH_BYTES.
+Both runners take the R realizations in batches, as many as fit
+BATCH_BYTES and STEP_BYTES.
 Each batch draws its offsets (:func:`sample_disorder` of its indices),
 builds its H0 stack, propagates it (:func:`evolve_state` or
 :func:`floquet_operator` of that stack) and is reduced before the next: its
@@ -40,11 +41,15 @@ MAX_REALIZATION_BYTES = 800_000_000
 MAX_FLOQUET_STEPS = 32_768
 #: most bytes one batch of realizations holds while it propagates
 BATCH_BYTES = 32_000_000
-#: most work R x (K (dim + WORK_DIM_OFFSET) + 10 samples) dim^2 of one
+#: most bytes of the 7 dim x dim operands one S6 step of a batch touches (a
+#: core's L2 cache): batches that outgrow it cost memory and gain no time
+STEP_BYTES = 2 * 1024 ** 2
+#: most work R x (K (dim + WORK_DIM_OFFSET) + 13 samples) dim^2 of one
 #: ensemble (_admit): it admits spectrum sector 3 at R=200 (8.2e10) and the
-#: default ensemble of R=10,000 at 1000 ns (1.7e10).  Per unit, spectrum
-#: sector 3 took 1.1e-9 s and the dim-12 ensemble 1.07e-8 s per R samples
-#: dim^2 (flat W=3J, 2-core OpenBLAS host), hence the 10
+#: default ensemble of R=10,000 at 1000 ns (2.4e10), not at 6000 ns
+#: (1.2e11).  Per unit, spectrum sector 3 took 4.9-6.9e-10 s and a sample
+#: of the dim-12 ensemble 5.8-8.3e-9 s per R dim^2, 12-14 units in runs
+#: taken in turn (flat W=3J, 2-core OpenBLAS host), hence the 13
 MAX_WORK = 1e11
 #: the per-step cost that does not grow with dim, in units of dim: per
 #: realization-step, spectrum took 3.5-4.3e-8 s x dim^2 at dim 12 and
@@ -98,9 +103,9 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
     # table of at most a period) and a few dim^2 products per sample
     work = disorder.realization_count * basis.dim ** 2 * (min(
         steps, round(model.drive.period / step))
-        * (basis.dim + WORK_DIM_OFFSET) + 10 * samples)
+        * (basis.dim + WORK_DIM_OFFSET) + 13 * samples)
     if work > MAX_WORK:
-        raise ConfigError(f"R x (S6 steps x (dim + {WORK_DIM_OFFSET}) + 10 x "
+        raise ConfigError(f"R x (S6 steps x (dim + {WORK_DIM_OFFSET}) + 13 x "
                           f"samples) x dim^2 = "
                           f"{work:.3g} exceeds the work budget {MAX_WORK:g}: "
                           f"lower realizations, t_max_ns, steps_per_period, "
@@ -110,8 +115,9 @@ def _admit(model: SectorModel, disorder: DisorderSpec, steps: float,
 
 def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
              samples: int, propagate, record: dict):
-    """The batches in order, as many realizations as fit BATCH_BYTES and at
-    least one: (slice of the ensemble, ``propagate`` of its H0 stack).
+    """The batches in order, the fewest that fit BATCH_BYTES and STEP_BYTES
+    (one realization at least), each of ceil(R / their count) but the last:
+    (slice of the ensemble, ``propagate`` of its H0 stack).
     ``record`` gets the ``batch_size`` and, from a failed check, the
     ``realization_index`` in the ensemble that its message names."""
     count, dim = disorder.realization_count, model.basis.dim
@@ -124,7 +130,11 @@ def _batches(model: SectorModel, disorder: DisorderSpec, matrices: int,
                           f"{MAX_REALIZATION_BYTES}, in {matrices} matrices "
                           f"(its prefix table, or U(T)) and {samples} samples: "
                           f"lower steps_per_period or t_max_ns")
-    size = record["batch_size"] = max(1, min(count, BATCH_BYTES // per))
+    # one S6 step touches those six matrices and the one it emits into
+    size = max(1, min(count, BATCH_BYTES // per,
+                      STEP_BYTES // (16 * 7 * dim ** 2)))
+    # spread over the fewest batches: ceil(R / ceil(R / size))
+    size = record["batch_size"] = -(-count // -(-count // size))
     for first in range(0, count, size):
         batch = slice(first, min(first + size, count))
         offsets = sample_disorder(disorder, np.arange(first, batch.stop))

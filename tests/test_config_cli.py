@@ -1093,7 +1093,7 @@ def strict_manifest(out: Path) -> dict:
                   "drive_frequency_mhz": "1e-12", "coupling_mhz": "2.5"}),
     # R = 50 of sector 6 (dim 924): 1.26e12 over the work budget
     ("spectrum", {"sector": 6}),
-    # 10,000 realizations of 100,001 samples on 14 sites: 2.0e12 over the
+    # 10,000 realizations of 100,001 samples on 14 sites: 2.6e12 over the
     # work budget, where it used to run for minutes
     ("ensemble", {"n_sites": 14, "realizations": 10000, "t_max_ns": "1e5",
                   "sample_dt_ns": "1.0"}),
@@ -1113,6 +1113,11 @@ def strict_manifest(out: Path) -> dict:
     # step's (dim + 44) cost, admitted at 5.7e10 when a step counted dim
     # and about 200 s of work
     ("spectrum", {"realizations": 2000, "steps_per_period": 131072}),
+    # 10,000 realizations of 6,001 samples at dim 12: 1.17e11 with a sample
+    # weighed 13 steps, admitted at 9.2e10 when it weighed 10 (about 90 to
+    # 120 s of work on a 2-core host)
+    ("ensemble", {"profile": "flat", "disorder_w_over_j": 3.0,
+                  "realizations": 10000, "t_max_ns": 6000}),
 ])
 def test_bad_input_exits_2_with_strict_manifest(tmp_path, command, settings_):
     cfg = write_config(tmp_path / "run.cfg", **settings_)
@@ -1172,7 +1177,7 @@ def test_command_spends_only_its_own_budgets(tmp_path, command, flags,
     # one realization's bytes: its prefix table (K + 1 = 344,151 matrices
     # of 12 x 12, 7.93e8 bytes) fits MAX_REALIZATION_BYTES alone, and with
     # its workspace and the 95,239 samples' vectors (8.48e8) it does not;
-    # 10 realizations fit the work budget (2.9e10), so it is not refused first
+    # 10 realizations fit the work budget (3.0e10), so it is not refused first
     ("ensemble", {"steps_per_period": 3_500_000, "t_max_ns": 20,
                   "sample_dt_ns": 0.00021, "realizations": 10},
      "realization holds"),
@@ -1309,7 +1314,7 @@ def test_every_command_runs_on_small_chains(tmp_path, command, n_sites):
 @pytest.mark.parametrize("site,code", [(2, 0), (-1, 2), (7, 2)])
 def test_czz_reference_site_set_explicitly(tmp_path, site, code):
     # a site the file names is kept; one outside the 6-site chain exits 2
-    # and names the key
+    # and names the key, the range 0..6 and what 0 selects
     cfg = write_config(tmp_path / "run.cfg", n_sites=6,
                        czz_reference_site=site, **TINY)
     out = tmp_path / "out"
@@ -1317,7 +1322,8 @@ def test_czz_reference_site_set_explicitly(tmp_path, site, code):
     manifest = strict_manifest(out)
     if code:
         assert manifest["error_type"] == "ConfigError"
-        assert "czz_reference_site" in manifest["error"]
+        assert manifest["error"] == ("czz_reference_site outside 0..6 (0 "
+                                     "selects n_sites/2 + 1)")
     else:
         assert manifest["config"]["czz_reference_site"] == site
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,6 +76,14 @@ def batch_budget(size, dim, table, vectors):
     return size * 16 * (6 * dim ** 2 + table + vectors * dim)
 
 
+def spread(count, size):
+    """The batch size _batches records for ``count`` realizations when its
+    bounds fit ``size``: the fewest batches, each of the same size but the
+    last (7 of 9 runs as 5 + 4)."""
+    size = min(size, count)
+    return -(-count // -(-count // size))
+
+
 def realization_models(model, spec):
     return [model.with_potential(
         model.potential.with_overlay(sample_disorder(spec, i)))
@@ -113,8 +122,9 @@ def test_population_bounds_and_conservation():
 
 def test_batch_equals_single_realizations_bitwise(monkeypatch):
     # one block of R realizations against R runs of one; the runners also
-    # take the ensemble in batches of 1, 7 and R, one realization holding
-    # a prefix table of 33 x 144 entries and 13 samples here
+    # take the ensemble in batches of 1, 5 (budgets of 7 spread over two
+    # batches: 5 + 4) and R, one realization holding a prefix table of
+    # 33 x 144 entries and 13 samples here
     model = make_model()
     spec = disorder(3.0, count=9)
     models = realization_models(model, spec)
@@ -133,11 +143,11 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
     single_ops = [floquet_operator(m, 64) for m in models]
     direct = gap_ratios([quasienergies(s) for s in single_ops])
     assert state_grid(model.drive, STEP, T_SAMPLES[-1])[2] == 32
-    for size in (1, 7, len(models)):
+    for size, recorded in ((1, 1), (7, 5), (9, 9)):
         monkeypatch.setattr(ensemble, "BATCH_BYTES",
                             batch_budget(size, 12, 33 * 144, 3 * 13))
         times, record, rows = ensemble_rows(model, spec, 3)
-        assert record["batch_size"] == size
+        assert record["batch_size"] == recorded == spread(9, size)
         assert np.array_equal(times, singles[0].times)
         for row, single in zip(rows, populations):
             assert np.array_equal(row, single)
@@ -145,7 +155,7 @@ def test_batch_equals_single_realizations_bitwise(monkeypatch):
                             batch_budget(size, 12, 144, 0))
         record = {}
         pooled = run_spectrum_ensemble(model, spec, 64, record)
-        assert record["batch_size"] == size
+        assert record["batch_size"] == recorded
         assert np.array_equal(pooled.ratios, direct.ratios)
 
     operators = floquet_operator(model, 64, h0)
@@ -285,7 +295,10 @@ def no_h0(monkeypatch):
 
 def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
     # R x dim^2 is not refused: 900 realizations of sector 3 (dim 220)
-    # reach the H0 stack of a first batch that fits BATCH_BYTES
+    # reach the H0 stack of a first batch.  A batch holds the realizations
+    # whose 7 dim x dim step operands fit STEP_BYTES, spread evenly: 200 at
+    # dim 12 run as 100 + 100 (130 fit), 60 at dim 66 as 15 x 4, and dim
+    # 220 one at a time, far below what BATCH_BYTES would allow
     drawn = []
 
     def first_batch(spec, indices):
@@ -293,12 +306,37 @@ def test_spectrum_ensemble_of_any_size_runs_in_batches(monkeypatch):
         raise AssertionError("the H0 stack was built")
 
     monkeypatch.setattr(ensemble, "sample_disorder", first_batch)
-    with pytest.raises(AssertionError, match="H0"):
-        run_spectrum_ensemble(make_model(sector=3),
-                              disorder(3.0, count=900), 64)
-    size = ensemble.BATCH_BYTES // batch_budget(1, 220, 220 ** 2, 0)
-    assert drawn == [list(range(size))]
-    assert 1 <= size < 10
+    assert ensemble.STEP_BYTES == 2 * 1024 ** 2
+    for sector, dim, count, size in ((1, 12, 200, 100), (2, 66, 60, 4),
+                                     (3, 220, 900, 1)):
+        drawn.clear()
+        with pytest.raises(AssertionError, match="H0"):
+            run_spectrum_ensemble(make_model(sector=sector),
+                                  disorder(3.0, count=count), 64)
+        fits = min(ensemble.BATCH_BYTES // batch_budget(1, dim, dim ** 2, 0),
+                   ensemble.STEP_BYTES // (16 * 7 * dim ** 2))
+        assert drawn == [list(range(size))]
+        assert size == spread(count, max(1, fits))
+    assert ensemble.BATCH_BYTES // batch_budget(1, 220, 220 ** 2, 0) == 5
+
+
+def test_spectrum_batch_memory_is_cache_sized():
+    # flat, level 0.5, W=3J, R = 200: two batches of 100 realizations,
+    # each batch's step operands within STEP_BYTES, peak at or below
+    # 2.2 MB traced (1.7 measured; 3.2-3.3 as one batch of 200); a warm
+    # call of two realizations first leaves lazy imports out
+    run = resolve(RunConfig(profile="flat", flat_level_fraction=0.5,
+                            disorder_w_over_j=3.0, realizations=200))
+    run_spectrum_ensemble(run.model, replace(run.disorder,
+                                             realization_count=2))
+    tracemalloc.start()
+    try:
+        run_spectrum_ensemble(run.model, run.disorder,
+                              run.config.steps_per_period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_200_000, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_spectrum_work_budget_refuses_before_the_h0_stack(no_h0):
@@ -410,11 +448,11 @@ def test_dynamics_budgets_refused_before_h0(no_h0):
     with pytest.raises(AssertionError, match="H0"):
         ensemble_rows(model, disorder(3.0, count=10_000), 3,
                       np.arange(301) * STEP)
-    # the work budget spectrum also spends, R x (K (dim + 44) + 10 samples)
+    # the work budget spectrum also spends, R x (K (dim + 44) + 13 samples)
     # dim^2 with K at most a period of S6 steps (64 here): 10,000
-    # realizations of 6,586 samples 1 ns apart are 9.99994e10 and fit, of
-    # 6,587 1.00014e11
-    for samples, fits in ((6_586, True), (6_587, False)):
+    # realizations of 5,066 samples 1 ns apart are 9.99965e10 and fit, of
+    # 5,067 1.000152e11
+    for samples, fits in ((5_066, True), (5_067, False)):
         with pytest.raises(AssertionError if fits else ConfigError,
                            match="H0" if fits else "work budget 1e\\+11"):
             ensemble_rows(model, disorder(3.0, count=10_000), 3,
@@ -461,8 +499,8 @@ def test_data_files_identical_at_any_batch_size(tmp_path, monkeypatch,
         out = tmp_path / f"out_{size}"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["environment"]["batch_size"] == min(
-            size, run.config.realizations)
+        assert manifest["environment"]["batch_size"] == spread(
+            run.config.realizations, size)
         written.append(data_files(out))
     assert len(written[0]) == (10 if command == "ensemble" else 2)
     assert written[0] == written[1] == written[2]
@@ -504,13 +542,16 @@ def test_failed_run_lists_every_realization_file_it_wrote(tmp_path,
                       disorder_w_over_j=3.0, realizations=200)),
 ])
 def test_manifest_records_the_batch_size(tmp_path, command, settings_):
-    # the default configs propagate their whole ensemble as one batch
+    # the default dynamics and ensemble configs propagate their whole
+    # ensemble as one batch; spectrum's 200 realizations run as 100 + 100,
+    # since the step operands of 130 dim-12 realizations fit STEP_BYTES
     cfg = write_config(tmp_path / "run.cfg", **settings_)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["environment"]["batch_size"] == manifest["config"][
-        "realizations"]
+    size = manifest["environment"]["batch_size"]
+    assert size == spread(manifest["config"]["realizations"], 130)
+    assert size == {"dynamics": 1, "ensemble": 50, "spectrum": 100}[command]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
